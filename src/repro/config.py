@@ -61,9 +61,9 @@ class RuntimeConfig:
         blinding_pool_size: target number of precomputed ``r^n mod
             n^2`` blinding factors the engine keeps ready; online
             encryption then costs one modular multiply.
-        power_window_bits: window width of the engine's fixed-base
-            exponentiation tables (the per-ciphertext power cache used
-            by FC/conv matvecs).
+        power_window_bits: digit width of the engine's matvec kernel:
+            each input ciphertext gets a table of its first ``2^w - 1``
+            powers and weights are consumed ``w`` bits at a time.
         dispatch_min_items: the engine's process-dispatch break-even
             threshold — batches smaller than this run inline even when
             ``workers > 0``, because fork/pickle overhead dwarfs the
@@ -77,8 +77,8 @@ class RuntimeConfig:
             gmpy2 is absent).  Backends are bit-identical; the knob
             only changes speed.
         power_cache_entries: LRU bound on the engine's cross-call
-            fixed-base power cache (tables keyed by ciphertext, used
-            by the sparse ``fc_matvec`` / ``conv_im2col`` paths).
+            digit-table cache (tables keyed by ciphertext, used by
+            the planned ``fc_matvec`` / ``conv_im2col`` paths).
             Exported as the ``paillier_power_cache_entries`` gauge.
         pack_lanes: requested batch-axis lane count for lane-packed
             inference (:class:`repro.crypto.encoding.LanePacker`).

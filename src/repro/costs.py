@@ -13,10 +13,12 @@ whose inputs are the per-operation costs defined here.  Two profiles:
   Paillier/permutation kernels at a chosen key size, so simulated and
   real (threaded-runtime) latencies line up on this machine.
 
-Scalar multiplication ``E(m)^w`` is a square-and-multiply loop over the
-bits of ``w``, so its cost grows with the bit length of the scaled
-weight — that is exactly the scaling-factor/latency trade-off Figure 6
-measures, and the model captures it via ``ciphertext_mul_per_bit``.
+Scalar multiplication ``E(m)^w`` costs work proportional to the bits
+of ``w`` — a square-and-multiply loop on its own, one multiply per
+``power_window_bits`` bits inside the engine's matvec kernel — so its
+cost grows with the bit length of the scaled weight.  That is exactly
+the scaling-factor/latency trade-off Figure 6 measures, and the model
+captures it via ``ciphertext_mul_per_bit``.
 """
 
 from __future__ import annotations
@@ -227,9 +229,11 @@ class CostModel:
         """Micro-benchmark this repository's own kernels at ``key_size``.
 
         Times element encryption, decryption, homomorphic addition, and
-        scalar multiplication (fitting the per-bit slope from two scalar
-        magnitudes), plus permutation and plaintext-op costs.
+        scalar multiplication as linear stages run it — per weight of
+        an engine matvec, fitting the per-bit slope from two weight
+        widths — plus permutation and plaintext-op costs.
         """
+        from .crypto.engine import PaillierEngine
         from .crypto.paillier import generate_keypair
         from .obfuscation.permutation import Permutation
 
@@ -253,17 +257,34 @@ class CostModel:
             _ = left + right
         add_cost = (time.perf_counter() - start) / (samples - 1)
 
-        def time_mul(scalar: int) -> float:
-            # Alternate signs: real model weights are ~half negative,
-            # and the negative path pays a ciphertext inversion.
-            begin = time.perf_counter()
-            for index, cipher in enumerate(ciphers):
-                _ = cipher * (scalar if index % 2 == 0 else -scalar)
-            return (time.perf_counter() - begin) / samples
+        # Linear stages never run the scalar ``cipher * w`` loop: every
+        # matvec goes through the engine's multi-exponentiation kernel,
+        # whose per-weight cost (digit tables and Horner squarings
+        # amortized over a layer) is a fraction of a standalone
+        # exponentiation.  Time that kernel per weight on a layer of
+        # distinct signed weights with few output rows, so the
+        # per-ciphertext table is not amortized away entirely.
+        engine = PaillierEngine(public)
+        raw = [cipher.ciphertext for cipher in ciphers]
+        rows = 4
 
-        small_bits, large_bits = 4, 40
-        small_time = time_mul((1 << small_bits) - 1)
-        large_time = time_mul((1 << large_bits) - 1)
+        def time_mul(bits: int) -> float:
+            weights = [
+                [rng.choice((-1, 1))
+                 * (rng.getrandbits(bits) | 1 << (bits - 1))
+                 for _ in range(samples)]
+                for _ in range(rows)
+            ]
+            best = float("inf")
+            for _ in range(5):      # sub-millisecond call: take the
+                begin = time.perf_counter()     # undisturbed run
+                engine.matvec(raw, weights, raw[:rows])
+                best = min(best, time.perf_counter() - begin)
+            return best / (rows * samples)
+
+        small_bits, large_bits = 8, 40
+        small_time = time_mul(small_bits)
+        large_time = time_mul(large_bits)
         per_bit = max(
             (large_time - small_time) / (large_bits - small_bits), 0.0
         )

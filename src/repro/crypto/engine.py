@@ -1,7 +1,7 @@
 """Batched Paillier engine: the bulk-ciphertext fast path.
 
 Every linear stage of the pipeline bottoms out in modular
-exponentiations mod ``n^2``; this module amortizes them four ways
+exponentiations mod ``n^2``; this module amortizes them five ways
 (the tricks Popcorn and C2PI show Paillier-based private inference
 lives or dies on):
 
@@ -14,13 +14,14 @@ lives or dies on):
    encryption is deterministic for tests and bit-identical to the
    scalar reference path under the same seed.
 2. **CRT-accelerated blinding** — the key holder knows ``p`` and
-   ``q``, so it can compute ``r^n mod p^2`` / ``r^n mod q^2`` with the
-   exponent reduced mod ``lambda(p^2) = p(p-1)`` and recombine, which
-   is substantially cheaper than one full-width exponentiation
-   (quadratic modular multiplication makes the two half-width
-   exponentiations ~2x faster in CPython, up to ~4x with exponent
-   reduction).  Only sound on the data-provider side: the public-key
-   path never sees ``p``/``q``.
+   ``q``, so it computes ``r^n mod p^2`` / ``r^n mod q^2`` and
+   recombines.  ``r^n = (r^q)^p`` and ``x^p mod p^2`` depends only on
+   ``x mod p``, so each half is ``((r mod p)^(q mod (p-1)) mod p)^p
+   mod p^2``: a ``|p|``-bit exponent mod ``p`` plus a ``|p|``-bit
+   exponent mod ``p^2``, where reducing the exponent mod
+   ``lambda(p^2)`` alone leaves a ``2|p|``-bit exponent mod ``p^2``.
+   Only sound on the data-provider side: the public-key path never
+   sees ``p``/``q``.
 3. **Process-pool parallelism** — big-int ``pow`` does *not* release
    the GIL, so threads cannot help; ``encrypt_many`` /
    ``decrypt_many`` / ``matvec`` dispatch chunks of work to a
@@ -28,16 +29,19 @@ lives or dies on):
    serialization-aware: ciphertexts are a few hundred bytes each, so
    chunks are kept large enough that pickling cost stays far below
    the modular-arithmetic cost, and tiny batches run inline.
-4. **Per-ciphertext power cache** — in a matvec (FC layer, or conv via
-   im2col) the same input ciphertext is raised to many small weight
-   exponents across output positions.  A fixed-base windowed table
-   (:class:`PowerTable`) precomputes ``c^(d * 2^(w*t))`` once per
-   ciphertext; each subsequent exponentiation is then a handful of
-   multiplies instead of a full square-and-multiply ladder.  Repeated
-   quantized weights are deduplicated per input ciphertext on top:
-   conv layers (via im2col) raise each ciphertext to the *same* kernel
-   weight at many output positions, so each distinct (ciphertext,
-   weight) pair is exponentiated exactly once and reused.
+4. **Interleaved multi-exponentiation** — a matvec (FC layer, or conv
+   via im2col) is ``out_j = prod_i c_i^(w_ji)``: every input
+   ciphertext is raised to many small weight exponents.  One
+   Straus/Shamir kernel (:func:`_sparse_partial`) serves the dense,
+   planned and packed paths alike: per ciphertext it builds only the
+   digit table ``c^1 .. c^(2^w - 1)`` (:class:`PowerTable`), scatters
+   each weight's base-``2^w`` digits into per-row, per-position
+   accumulators (negative weights into a denominator set), finishes
+   every row with one Horner pass whose squarings all columns share,
+   and inverts the layer's denominators with a single batched
+   inversion.  Heavily clustered columns instead form each distinct
+   ``c^|w|`` once and pay one multiply per use, chosen per column by
+   counted multiplies.
 5. **Lane packing** — the packed fast paths
    (:meth:`PaillierEngine.encrypt_many_packed` /
    :meth:`~PaillierEngine.decrypt_many_packed` /
@@ -60,11 +64,17 @@ import random
 import threading
 from collections import OrderedDict, deque
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from ..errors import CryptoError, EncryptionError, KeyMismatchError
+from ..errors import (
+    CryptoError,
+    DecryptionError,
+    EncryptionError,
+    KeyMismatchError,
+)
 from ..observability import OBS_OFF, Observability
 from ..observability.metrics import SIZE_BUCKETS
 from .backend import BigintBackend, resolve_backend
@@ -80,11 +90,12 @@ from .sparse import SparseMatvecPlan
 #: Default number of precomputed blinding factors kept ready.
 DEFAULT_POOL_SIZE = 128
 
-#: Default window width (bits) of the fixed-base power tables.
+#: Default digit width (bits) of the matvec kernel's per-ciphertext
+#: digit tables.
 DEFAULT_WINDOW_BITS = 4
 
-#: Default LRU bound on the engine's cross-call fixed-base power cache
-#: (the sparse ``fc_matvec`` / ``conv_im2col`` paths key tables by
+#: Default LRU bound on the engine's cross-call digit-table cache (the
+#: planned ``fc_matvec`` / ``conv_im2col`` paths key tables by
 #: ciphertext; without a bound a long-lived engine would grow one
 #: table per ciphertext it ever saw).
 DEFAULT_POWER_CACHE_ENTRIES = 512
@@ -95,14 +106,10 @@ DEFAULT_POWER_CACHE_ENTRIES = 512
 #: batch is correspondingly larger.
 ADD_DISPATCH_FACTOR = 32
 
-#: Historical break-even relaxation for the sparse path's table
-#: builds.  Kept for API compatibility; the sparse kernel now counts
-#: the actual intra-call uses of each ciphertext base instead of
-#: assuming cross-call cache reuse — protocol requests re-randomize
-#: every ciphertext, so an assumed-reuse factor systematically
-#: overbuilt tables on FC layers (one column per base, never reused)
-#: and thrashed the LRU that conv's genuine im2col reuse depends on.
-POWER_CACHE_ASSUMED_REUSE = 4
+#: Decision tallies :func:`_sparse_partial` keeps per call; the engine
+#: publishes each as a ``paillier_power_cache_<name>`` counter.
+KERNEL_STATS = ("columns_table", "columns_plain", "tables_built",
+                "table_pows", "plain_pows", "dedup_hits")
 
 #: Default process-dispatch break-even threshold: below this many items
 #: a batch runs inline even when workers > 0, because fork/pickle
@@ -125,13 +132,20 @@ def _pow_chunk(args) -> list[int]:
 
 
 def _pow_chunk_crt(args) -> list[int]:
-    """CRT-accelerated blinding factors for a chunk (key holder only)."""
-    rs, p_sq, q_sq, exp_p, exp_q, q_sq_inv, backend_name = args
+    """CRT-accelerated blinding factors for a chunk (key holder only).
+
+    ``r^n = (r^q)^p``, and ``x^p mod p^2`` depends only on ``x mod p``
+    (every other binomial term carries ``p^2``), so ``r^n mod p^2 =
+    ((r mod p)^(q mod (p-1)) mod p)^p mod p^2``: a ``|p|``-bit exponent
+    mod ``p`` plus a ``|p|``-bit exponent mod ``p^2`` instead of one
+    ``2|p|``-bit exponent mod ``p^2`` — and symmetrically for ``q``.
+    """
+    rs, p, q, p_sq, q_sq, exp_p, exp_q, q_sq_inv, backend_name = args
     powmod = resolve_backend(backend_name).powmod
     out = []
     for r in rs:
-        a = powmod(r % p_sq, exp_p, p_sq)
-        b = powmod(r % q_sq, exp_q, q_sq)
+        a = powmod(powmod(r % p, exp_p, p), p, p_sq)
+        b = powmod(powmod(r % q, exp_q, q), q, q_sq)
         h = ((a - b) * q_sq_inv) % p_sq
         out.append(b + q_sq * h)
     return out
@@ -175,22 +189,32 @@ def _mulmod_chunk(args) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# Fixed-base windowed exponentiation.
+# Fixed-base digit tables and the interleaved multi-exponentiation
+# kernel every homomorphic matvec runs on.
 # ----------------------------------------------------------------------
 
 class PowerTable:
-    """Fixed-base windowed power cache for one ciphertext.
+    """Precomputed powers of one ciphertext, grown on demand.
 
-    Precomputes ``base^(d * 2^(w*t)) mod m`` for every window digit
-    ``d`` in ``[1, 2^w)`` and window position ``t``; :meth:`pow` then
-    multiplies one table entry per non-zero window of the exponent —
-    no squarings on the hot path.  Tables grow lazily if an exponent
-    exceeds the bit budget they were built for.
+    Two sequences, both empty beyond ``base`` itself until asked for:
+
+    * :meth:`digits` — the digit table ``base^0 .. base^d``, what the
+      matvec kernel scatters a column's base-``2^w`` digits from;
+    * :meth:`squares` — the squaring chain ``base^(2^i)``, what it
+      forms a clustered column's few distinct powers on.
+
+    :meth:`pow` is plain left-to-right ``2^w``-ary exponentiation over
+    the digit table.  ``max_bits > 0`` prebuilds the full digit table.
+
+    Growth publishes a new list instead of appending in place, so a
+    table shared through a :class:`PowerCache` can be read while
+    another thread grows it: a reader sees a complete shorter list or
+    a complete longer one, and racing growers only duplicate work.
     """
 
-    __slots__ = ("modulus", "window_bits", "_mask", "_tables", "_next_g")
+    __slots__ = ("modulus", "window_bits", "_digits", "_squares")
 
-    def __init__(self, base: int, modulus: int, max_bits: int,
+    def __init__(self, base: int, modulus: int, max_bits: int = 0,
                  window_bits: int = DEFAULT_WINDOW_BITS,
                  backend: BigintBackend | None = None):
         if window_bits < 1:
@@ -201,28 +225,40 @@ class PowerTable:
             # Python backend's wrap is the identity, so this is free.
             base = backend.wrap(base)
             modulus = backend.wrap(modulus)
+        base %= modulus
         self.modulus = modulus
         self.window_bits = window_bits
-        self._mask = (1 << window_bits) - 1
-        self._tables: list[list[int]] = []
-        self._next_g = base % modulus
-        positions = max(1, -(-max(1, max_bits) // window_bits))
-        self._extend(positions)
+        self._digits: list[int] = [1, base]
+        self._squares: list[int] = [base]
+        if max_bits > 0:
+            self.digits((1 << window_bits) - 1)
 
-    def _extend(self, positions: int) -> None:
-        m = self.modulus
-        w = self.window_bits
-        while len(self._tables) < positions:
-            g = self._next_g
-            row = [1, g]
-            entry = g
-            for _ in range(2, 1 << w):
-                entry = entry * g % m
+    def digits(self, upto: int) -> list[int]:
+        """``[1, base, base^2, ...]``, at least through ``base^upto``."""
+        row = self._digits
+        if upto >= len(row):
+            m = self.modulus
+            row = list(row)
+            base = row[1]
+            entry = row[-1]
+            while len(row) <= upto:
+                entry = entry * base % m
                 row.append(entry)
-            self._tables.append(row)
-            for _ in range(w):
+            self._digits = row
+        return row
+
+    def squares(self, count: int) -> list[int]:
+        """``[base, base^2, base^4, ...]``, at least ``count`` long."""
+        chain = self._squares
+        if count > len(chain):
+            m = self.modulus
+            chain = list(chain)
+            g = chain[-1]
+            while len(chain) < count:
                 g = g * g % m
-            self._next_g = g
+                chain.append(g)
+            self._squares = chain
+        return chain
 
     def pow(self, exponent: int) -> int:
         """``base^exponent mod modulus`` for a non-negative exponent."""
@@ -230,120 +266,27 @@ class PowerTable:
             raise CryptoError("PowerTable.pow needs a non-negative exponent")
         m = self.modulus
         w = self.window_bits
-        mask = self._mask
-        needed = -(-max(1, exponent.bit_length()) // w)
-        if needed > len(self._tables):
-            self._extend(needed)
+        mask = (1 << w) - 1
+        row = self.digits(mask)
         acc = 1
-        t = 0
-        tables = self._tables
-        while exponent:
-            digit = exponent & mask
-            if digit:
-                acc = acc * tables[t][digit] % m
-            exponent >>= w
-            t += 1
+        top = -(-exponent.bit_length() // w) - 1
+        for t in range(top, -1, -1):
+            acc = pow(acc, 1 << w, m) * row[(exponent >> (w * t)) & mask] % m
         return int(acc)
-
-
-def _matvec_partial(
-    cells: Sequence[int],
-    rows: Sequence[Sequence[int]],
-    n_sq: int,
-    window_bits: int,
-    stats: dict | None = None,
-    backend: BigintBackend | None = None,
-) -> list[int]:
-    """Bias-free matvec: ``prod_i cells[i]^rows[j][i] mod n^2`` per row.
-
-    Walks column by column so each input ciphertext's power table (and
-    the inverse-base table for negative weights) is built once and
-    reused across every output row that touches it.  Repeated weights
-    within a column are deduplicated — an im2col conv matrix raises
-    each input ciphertext to the *same* kernel weight at many output
-    positions, so each distinct (ciphertext, weight) pair costs one
-    exponentiation and every further use is a dictionary hit.  Falls
-    back to plain ``pow`` for columns with too few distinct non-zero
-    weights to amortize a table.
-
-    ``stats`` (optional, inline path only) accumulates the power-cache
-    break-even decisions so the engine can publish them as metrics:
-    ``columns_table`` / ``columns_plain`` (which way the break-even
-    heuristic went per column), ``tables_built``, ``table_pows`` /
-    ``plain_pows`` (per-exponentiation cache use vs fallback), and
-    ``dedup_hits`` (uses served from the per-column weight cache).
-    """
-    if backend is None:
-        backend = resolve_backend("python")
-    powmod = backend.powmod
-    modulus = backend.wrap(n_sq)
-    out = [1] * len(rows)
-    for i, base in enumerate(cells):
-        uses = [(j, row[i]) for j, row in enumerate(rows) if row[i]]
-        if not uses:
-            continue
-        distinct = set(w for _, w in uses)
-        max_bits = max(abs(w) for w in distinct).bit_length()
-        positions = -(-max_bits // window_bits)
-        build_cost = positions * ((1 << window_bits) - 2 + window_bits)
-        saving_per_use = max(1, max_bits - positions)
-        # Only distinct weights pay an exponentiation (duplicates are
-        # cache hits), so the table amortizes over distinct uses.
-        use_table = len(distinct) * saving_per_use > build_cost
-        pos_table = (PowerTable(base, n_sq, max_bits, window_bits,
-                                backend=backend)
-                     if use_table else None)
-        if stats is not None:
-            stats["columns_table" if use_table
-                  else "columns_plain"] += 1
-            if use_table:
-                stats["tables_built"] += 1
-        neg_table = None
-        inv_base = None
-        powers: dict[int, int] = {}
-        for j, w in uses:
-            v = powers.get(w)
-            if v is None:
-                if w > 0:
-                    v = (pos_table.pow(w) if pos_table
-                         else powmod(base, w, n_sq))
-                else:
-                    if inv_base is None:
-                        inv_base = backend.invert(base, n_sq)
-                    if use_table and neg_table is None:
-                        neg_table = PowerTable(inv_base, n_sq, max_bits,
-                                               window_bits,
-                                               backend=backend)
-                        if stats is not None:
-                            stats["tables_built"] += 1
-                    v = (neg_table.pow(-w) if neg_table
-                         else powmod(inv_base, -w, n_sq))
-                powers[w] = v
-                if stats is not None:
-                    stats["table_pows" if use_table
-                          else "plain_pows"] += 1
-            elif stats is not None:
-                stats["dedup_hits"] += 1
-            out[j] = out[j] * v % modulus
-    return [int(v) for v in out]
 
 
 class PowerCache:
     """Bounded LRU of :class:`PowerTable` objects keyed by ciphertext.
 
-    The sparse compressed paths (:meth:`PaillierEngine.fc_matvec` /
-    :meth:`~PaillierEngine.conv_im2col`) reuse fixed-base tables
-    *across calls*: repeated evaluations over the same input
+    The planned matvec paths (:meth:`PaillierEngine.fc_matvec` /
+    :meth:`~PaillierEngine.conv_im2col`) keep each input ciphertext's
+    digit table *across calls*: repeated evaluations over the same
     ciphertexts (multi-layer reuse, benchmark loops, retries) skip the
     table build entirely.  Ciphertexts are ~key-size integers and a
-    table holds ``(2^w - 1) * positions`` of them, so an unbounded
-    cache in a long-lived engine would be a slow leak; the LRU bound
-    caps it, and the ``paillier_power_cache_entries`` gauge makes the
+    digit table holds up to ``2^w - 1`` of them, so an unbounded cache
+    in a long-lived engine would be a slow leak; the LRU bound caps
+    it, and the ``paillier_power_cache_entries`` gauge makes the
     occupancy observable.
-
-    Inverse-base tables (negative weights) are stored under the
-    *negated* ciphertext key, so a hit skips even the modular
-    inversion.
     """
 
     __slots__ = ("max_entries", "hits", "misses", "evictions",
@@ -393,6 +336,39 @@ class PowerCache:
             self._gauge.set(0)
 
 
+@lru_cache(maxsize=1 << 14)
+def _window_digits(exponent: int, window_bits: int) -> tuple:
+    """``(digits, largest digit, popcount)`` of a positive exponent,
+    ``digits`` being its non-zero base-``2^w`` digits as ``(position,
+    digit)`` pairs, lowest position first.  A model's weights recur on
+    every request, so the decomposition is memoized process-wide."""
+    mask = (1 << window_bits) - 1
+    digits = []
+    t = 0
+    e = exponent
+    while e:
+        d = e & mask
+        if d:
+            digits.append((t, d))
+        e >>= window_bits
+        t += 1
+    return (tuple(digits), max(d for _, d in digits),
+            exponent.bit_count())
+
+
+def _horner(lanes: list[list[int]], window_bits: int, modulus) -> list[int]:
+    """Fold per-position accumulators into ``prod_t lanes[t]^(2^(w*t))``
+    per row: ``w`` squarings per position, however many columns fed
+    the lanes.  Rows whose upper positions were never touched skip the
+    squarings."""
+    shift = 1 << window_bits
+    acc = lanes[-1]
+    for t in range(len(lanes) - 2, -1, -1):
+        acc = [low if high == 1 else pow(high, shift, modulus) * low % modulus
+               for high, low in zip(acc, lanes[t])]
+    return acc
+
+
 def _sparse_partial(
     columns: Sequence[tuple],
     out_dim: int,
@@ -402,102 +378,182 @@ def _sparse_partial(
     cache: PowerCache | None = None,
     stats: dict | None = None,
 ) -> list[int]:
-    """Bias-free sparse matvec over pre-indexed plan columns.
+    """The multi-exponentiation kernel: bias-free ``prod_i
+    base_i^(w_ji) mod n^2`` for every output row ``j`` at once.
 
     ``columns`` pairs each input ciphertext with its
     :class:`~repro.crypto.sparse.SparseMatvecPlan` column — the
-    distinct nonzero weights and the output rows using each.  Zero
-    weights were dropped when the plan was built, so this loop touches
-    only surviving (ciphertext, weight) pairs: one exponentiation per
-    distinct pair, one modular multiply per additional use.
+    distinct nonzero weights and the output rows using each (zero
+    weights never reach this loop).  Instead of forming every ``c^w``
+    and multiplying it in, the kernel interleaves all exponentiations
+    of the layer (Straus/Shamir):
 
-    Negative weights never cost a modular inversion per column: their
-    ``base^|w|`` contributions accumulate into a per-row denominator
-    and each output row pays at most ONE inversion at the end —
-    ``num * den^-1`` is the same group element however the inverse
-    factors were interleaved, so the result stays bit-identical while
-    an inversion (~an order of magnitude pricier than a small pow)
-    moves from per-(column, sign) to per-row.  With a ``cache``,
-    positive fixed-base tables persist across calls keyed by the
-    ciphertext value; inverse tables no longer exist.
+    * per ciphertext only the digit table ``c^1 .. c^dmax`` is built
+      (``dmax`` = largest base-``2^w`` digit the column uses; at most
+      ``2^w - 2`` multiplies), and each weight's digits are scattered
+      straight into per-row, per-digit-position accumulators — one
+      multiply per non-zero digit per use;
+    * negative weights scatter ``c^|w|`` into a parallel denominator
+      set, so there are no inverse tables and no per-column inversion;
+    * every row is finished by one Horner pass (:func:`_horner` — its
+      squarings are shared by *all* columns) and the non-trivial
+      denominators of the whole call are inverted together by one
+      Montgomery batched inversion: one ``invert`` plus three
+      multiplies per row.  ``num * den^-1`` is the same residue
+      however the factors were interleaved, so the outputs are
+      bit-identical to the scalar reference.
 
-    ``stats`` uses the same keys as :func:`_matvec_partial` plus
-    ``reuse_mults`` (multiplies served by the per-cluster dedup).
+    A heavily clustered column (few distinct weights, each used by
+    many rows) is cheaper the other way round — form ``c^|w|`` once on
+    a shared squaring chain and pay one multiply per use — so each
+    column picks by counted multiplies; the formed powers land in the
+    position-0 accumulators of the same sets.  The Horner pass is the
+    one cost the columns share, so multi-digit scattering happens at
+    all only when it saves more multiplies than those squarings cost.
+    With a ``cache``, each ciphertext's :class:`PowerTable` (digit
+    table and squaring chain) persists across calls.
+
+    ``stats`` (optional, inline path only) accumulates the
+    :data:`KERNEL_STATS` tallies: ``columns_table`` / ``columns_plain``
+    (columns scattered through a digit table vs formed on a squaring
+    chain), ``tables_built`` (columns whose table the cache did not
+    serve), ``table_pows`` / ``plain_pows`` (distinct (ciphertext,
+    weight) pairs evaluated each way) and ``dedup_hits`` (uses beyond
+    the first of a pair).
+
+    Raises:
+        CryptoError: a negatively weighted base is not a unit mod n^2.
     """
     if backend is None:
         backend = resolve_backend("python")
     modulus = backend.wrap(n_sq)
-    out = [1] * out_dim
-    den = [1] * out_dim
-    # Exact intra-call amortization: one ciphertext value serves many
-    # plan columns in a conv im2col matrix (one per kernel position it
-    # lands in) but exactly one column in an FC layer — and bases are
-    # fresh per request (re-randomized ciphertexts), so cross-call
-    # cache hits cannot be assumed into the break-even.  Count this
-    # call's uses per base up front; a windowed table is built only
-    # when those uses beat the plain strategy below, which keeps
-    # single-use FC columns from flooding the LRU with tables the
-    # conv-style genuine reuse depends on.
-    base_uses: dict[int, int] = {}
-    base_cols: dict[int, int] = {}
+    num: list[list[int]] = []
+    den: list[list[int]] = []
+    # Pass 1: decompose every column and count both ways' multiplies.
+    work = []
+    positions = 1
+    deep_gain = 0
     for base, groups in columns:
-        base_uses[base] = base_uses.get(base, 0) + len(groups)
-        base_cols[base] = base_cols.get(base, 0) + 1
-    for base, groups in columns:
-        max_bits = max(abs(groups[0][0]),
-                       abs(groups[-1][0])).bit_length()
-        positions = -(-max_bits // window_bits)
-        build_cost = positions * ((1 << window_bits) - 2 + window_bits)
-        if cache is not None:
-            uses, cols = base_uses[base], base_cols[base]
-        else:
-            uses, cols = len(groups), 1
-        # The plain strategy is a shared squaring chain per column
-        # (max_bits squarings, then ~popcount multiplies per weight);
-        # build a table only when this call's uses amortize it.
-        chain_cost = cols * max_bits + uses * ((max_bits + 1) // 2)
-        table_cost = build_cost + uses * positions
-        pos_table = cache.peek(base) if cache is not None else None
-        if pos_table is None and table_cost < chain_cost:
-            pos_table = PowerTable(base, n_sq, max_bits, window_bits,
-                                   backend=backend)
+        decomposed = []
+        scatter_cost = form_cost = uses = largest = max_e = 0
+        for w, rows in groups:
+            e = -w if w < 0 else w
+            digits, top, popcount = _window_digits(e, window_bits)
+            decomposed.append((den if w < 0 else num, e, digits, rows))
+            scatter_cost += len(rows) * len(digits)
+            form_cost += popcount - 1
+            uses += len(rows)
+            if top > largest:
+                largest = top
+            if e > max_e:
+                max_e = e
+        form_cost += uses
+        bits = max_e.bit_length()
+        table = cache.peek(base) if cache is not None else None
+        if table is None:
+            # A cached table counts as already paid for on both sides.
+            scatter_cost += largest - 1
+            form_cost += bits - 1
+        depth = -(-bits // window_bits)
+        scatter = scatter_cost < form_cost
+        if scatter and depth > 1:
+            deep_gain += form_cost - scatter_cost
+            positions = max(positions, depth)
+        work.append((base, table, decomposed, uses, largest, bits,
+                     scatter, depth))
+    # The Horner pass is the one cost the columns share: scattering
+    # above position 0 has to save more than those squarings cost
+    # (counted for both accumulator sets).
+    if deep_gain <= 2 * out_dim * (positions - 1) * (window_bits + 1):
+        positions = 1
+    num.extend([1] * out_dim for _ in range(positions))
+    den.extend([1] * out_dim for _ in range(positions))
+    # Pass 2: per column, scatter the digits or form each power once.
+    for (base, table, decomposed, uses, largest, bits,
+         scatter, depth) in work:
+        scatter = scatter and depth <= positions
+        if table is None:
+            table = PowerTable(base, n_sq, 0, window_bits,
+                               backend=backend)
             if cache is not None:
-                cache.put(base, pos_table)
+                cache.put(base, table)
             if stats is not None:
                 stats["tables_built"] += 1
         if stats is not None:
-            stats["columns_table" if pos_table is not None
-                  else "columns_plain"] += 1
-        chain: list | None = None
-        for w, rows in groups:
-            e = -w if w < 0 else w
-            if pos_table is not None:
-                v = pos_table.pow(e)
-            else:
-                if chain is None:
-                    g = backend.wrap(base) % modulus
-                    chain = [g]
-                    for _ in range(max_bits - 1):
-                        g = g * g % modulus
-                        chain.append(g)
-                v = 1
-                index = 0
-                while e:
-                    if e & 1:
-                        v = v * chain[index] % modulus
-                    index += 1
-                    e >>= 1
-            if stats is not None:
-                stats["table_pows" if pos_table is not None
-                      else "plain_pows"] += 1
-                stats["reuse_mults"] += len(rows) - 1
-            target = den if w < 0 else out
+            pairs = len(decomposed)
+            stats["columns_table" if scatter else "columns_plain"] += 1
+            stats["table_pows" if scatter else "plain_pows"] += pairs
+            stats["dedup_hits"] += uses - pairs
+        if scatter:
+            powers = table.digits(largest)
+            for lanes, _e, digits, rows in decomposed:
+                for t, d in digits:
+                    v = powers[d]
+                    lane = lanes[t]
+                    for j in rows:
+                        lane[j] = lane[j] * v % modulus
+            continue
+        chain = table.squares(bits)
+        for lanes, e, _digits, rows in decomposed:
+            v = 1
+            index = 0
+            while e:
+                if e & 1:
+                    v = v * chain[index] % modulus
+                index += 1
+                e >>= 1
+            lane = lanes[0]
             for j in rows:
-                target[j] = target[j] * v % modulus
-    invert = backend.invert
-    return [int(num) if d == 1
-            else int(num * invert(d, n_sq) % modulus)
-            for num, d in zip(out, den)]
+                lane[j] = lane[j] * v % modulus
+    out = _horner(num, window_bits, modulus)
+    bottoms = _horner(den, window_bits, modulus)
+    # Montgomery batched inversion of the non-trivial denominators.
+    pending = [j for j, d in enumerate(bottoms) if d != 1]
+    if pending:
+        prefix = []
+        running = 1
+        for j in pending:
+            running = running * bottoms[j] % modulus
+            prefix.append(running)
+        inverse = backend.invert(int(running), n_sq)
+        for k in range(len(pending) - 1, 0, -1):
+            j = pending[k]
+            out[j] = out[j] * (inverse * prefix[k - 1] % modulus) % modulus
+            inverse = inverse * bottoms[j] % modulus
+        out[pending[0]] = out[pending[0]] * inverse % modulus
+    return [int(v) for v in out]
+
+
+def _matvec_partial(
+    cells: Sequence[int],
+    rows: Sequence[Sequence[int]],
+    n_sq: int,
+    window_bits: int,
+    stats: dict | None = None,
+    backend: BigintBackend | None = None,
+) -> list[int]:
+    """Bias-free dense matvec: ``prod_i cells[i]^rows[j][i] mod n^2``
+    per row, through :func:`_sparse_partial`.
+
+    Each column is indexed the way a plan column is — its distinct
+    nonzero weights with the rows using each — so an im2col conv
+    matrix's repeated kernel weights are handled once per column, and
+    the dense and planned paths are one kernel.
+    """
+    columns = []
+    for base, column in zip(cells, zip(*rows)):
+        by_weight: dict[int, list[int]] = {}
+        for j, w in enumerate(column):
+            if w:
+                users = by_weight.get(w)
+                if users is None:
+                    by_weight[w] = [j]
+                else:
+                    users.append(j)
+        if by_weight:
+            columns.append((base, by_weight.items()))
+    return _sparse_partial(columns, len(rows), n_sq, window_bits,
+                           backend=backend, stats=stats)
 
 
 # ----------------------------------------------------------------------
@@ -556,21 +612,18 @@ class BlindingPool:
         self._executor_fn = executor_fn
         self._producer: threading.Thread | None = None
         self._stop = threading.Event()
-        self._crt: tuple[int, int, int, int, int] | None = None
+        self._crt: tuple[int, ...] | None = None
         if private_key is not None:
             if private_key.public_key.n != public_key.n:
                 raise KeyMismatchError(
                     "private key does not match the pool's public key"
                 )
-            p_sq = private_key.p * private_key.p
-            q_sq = private_key.q * private_key.q
-            n = public_key.n
+            p, q = private_key.p, private_key.q
             self._crt = (
-                p_sq,
-                q_sq,
-                n % (p_sq - private_key.p),   # n mod lambda(p^2)
-                n % (q_sq - private_key.q),   # n mod lambda(q^2)
-                invmod(q_sq, p_sq),
+                p, q, p * p, q * q,
+                q % (p - 1),    # r^q mod p, by Fermat
+                p % (q - 1),    # r^p mod q
+                invmod(q * q, p * p),
             )
 
     def __len__(self) -> int:
@@ -582,10 +635,7 @@ class BlindingPool:
         name = self.backend.name
         if self._crt is not None:
             self._m_crt.inc(len(rs))
-            p_sq, q_sq, exp_p, exp_q, q_sq_inv = self._crt
-            return _pow_chunk_crt(
-                (rs, p_sq, q_sq, exp_p, exp_q, q_sq_inv, name)
-            )
+            return _pow_chunk_crt((rs,) + self._crt + (name,))
         self._m_plain.inc(len(rs))
         executor = self._executor_fn() if self._executor_fn else None
         if executor is not None and len(rs) >= self.dispatch_min_items:
@@ -703,7 +753,8 @@ class PaillierEngine:
         workers: process-pool size for chunked dispatch; ``0`` keeps
             everything in-process (the sequential engine).
         pool_size: target size of the offline blinding-factor pool.
-        window_bits: window width of the fixed-base power tables.
+        window_bits: digit width of the matvec kernel's digit tables
+            (``2^w - 1`` powers per input ciphertext).
         seed: seeds the pool RNG so pooled encryption is
             deterministic; ``rng`` overrides it.  With neither, the
             pool uses fresh OS randomness.
@@ -718,8 +769,8 @@ class PaillierEngine:
             ``"gmpy2"``) or a :class:`~repro.crypto.backend
             .BigintBackend` instance.  All backends are bit-identical;
             ``auto`` picks gmpy2 when importable.
-        power_cache_entries: LRU bound on the cross-call fixed-base
-            power cache used by the compressed matvec paths.
+        power_cache_entries: LRU bound on the cross-call digit-table
+            cache used by the compressed matvec paths.
         power_cache_labels: metric labels attached to the
             ``paillier_power_cache_entries`` gauge — fleet workers
             label each session engine's cache (``worker=``,
@@ -923,22 +974,29 @@ class PaillierEngine:
             raise CryptoError("engine has no private key; cannot decrypt")
         ciphertexts = list(ciphertexts)
         self._m_decrypt_batch.observe(len(ciphertexts))
+        n_sq = self.public_key.n_squared
+        for c in ciphertexts:
+            if not 0 < c < n_sq:
+                raise DecryptionError("ciphertext out of range (0, n^2)")
+        # The CRT constants are hoisted once per batch, and the chunk
+        # kernel runs on this engine's backend inline as well as in
+        # the pool.
+        extra = (
+            self.public_key.n, priv.p, priv.q,
+            priv.p * priv.p, priv.q * priv.q,
+            priv._h_p, priv._h_q, priv._q_inv_p,
+            self.backend.name,
+        )
         executor = self._maybe_executor()
         if executor is not None \
                 and len(ciphertexts) >= self.dispatch_min_items:
-            extra = (
-                self.public_key.n, priv.p, priv.q,
-                priv.p * priv.p, priv.q * priv.q,
-                priv._h_p, priv._h_q, priv._q_inv_p,
-                self.backend.name,
-            )
             return _run_chunked(
                 executor, _decrypt_chunk, ciphertexts, extra,
                 registry=self.obs.registry if self.obs.enabled
                 else None,
                 op="decrypt",
             )
-        return [priv.raw_decrypt(c) for c in ciphertexts]
+        return _decrypt_chunk((ciphertexts,) + extra)
 
     def decrypt_many(
         self, encrypted: Sequence[EncryptedNumber]
@@ -957,10 +1015,6 @@ class PaillierEngine:
         """Element-wise ``c_i^{w_i} mod n^2`` (one column each)."""
         if len(ciphertexts) != len(weights):
             raise CryptoError("scalar_mul_many length mismatch")
-        rows = [[w if i == j else 0 for j, w in enumerate(weights)]
-                for i in range(len(weights))]
-        # Element-wise is the diagonal matvec; reuse the kernel without
-        # building the dense diagonal when run inline.
         n_sq = self.public_key.n_squared
         powmod = self.backend.powmod
         invert = self.backend.invert
@@ -1018,37 +1072,49 @@ class PaillierEngine:
                     self.window_bits,
                     self.backend.name,
                 ))
-            if self.obs.enabled:
-                registry = self.obs.registry
-                registry.counter("paillier_dispatch_chunks",
-                                 op="matvec").inc(len(jobs))
-                size_histogram = registry.histogram(
-                    "paillier_dispatch_chunk_items",
-                    buckets=SIZE_BUCKETS, op="matvec",
-                )
-                for job in jobs:
-                    size_histogram.observe(len(job[0]))
-            partials = list(executor.map(_matvec_chunk, jobs))
-            out = list(bias)
-            for part in partials:
-                out = [acc * v % n_sq for acc, v in zip(out, part)]
-            return out
-        # Power-cache decisions are only visible on the inline path
-        # (worker processes would have to ship stats back); collect
-        # them into counters when observability is on.
-        stats = ({"columns_table": 0, "columns_plain": 0,
-                  "tables_built": 0, "table_pows": 0, "plain_pows": 0,
-                  "dedup_hits": 0}
-                 if self.obs.enabled else None)
+            return self._pooled_matvec(executor, _matvec_chunk, jobs,
+                                       "matvec", bias)
+        stats = self._kernel_stats()
         partial = _matvec_partial(cells, rows, n_sq, self.window_bits,
                                   stats=stats, backend=self.backend)
-        if stats is not None:
-            registry = self.obs.registry
-            for key, value in stats.items():
-                if value:
-                    registry.counter(f"paillier_power_cache_{key}") \
-                        .inc(value)
+        self._publish_kernel_stats(stats)
         return [b * v % n_sq for b, v in zip(bias, partial)]
+
+    def _pooled_matvec(self, executor, chunk_fn, jobs, op,
+                       bias) -> list[int]:
+        """Run column-slice ``jobs`` on the process pool and fold the
+        per-row partial products into ``bias``."""
+        if self.obs.enabled:
+            registry = self.obs.registry
+            registry.counter("paillier_dispatch_chunks",
+                             op=op).inc(len(jobs))
+            size_histogram = registry.histogram(
+                "paillier_dispatch_chunk_items",
+                buckets=SIZE_BUCKETS, op=op,
+            )
+            for job in jobs:
+                size_histogram.observe(len(job[0]))
+        modulus = self.backend.wrap(self.public_key.n_squared)
+        out = list(bias)
+        for part in executor.map(chunk_fn, jobs):
+            out = [int(acc * v % modulus) for acc, v in zip(out, part)]
+        return out
+
+    def _kernel_stats(self) -> dict | None:
+        """Fresh decision tallies for one inline kernel call (worker
+        processes would have to ship theirs back), or ``None`` with
+        observability off."""
+        if not self.obs.enabled:
+            return None
+        return dict.fromkeys(KERNEL_STATS, 0)
+
+    def _publish_kernel_stats(self, stats: dict | None) -> None:
+        if stats is None:
+            return
+        registry = self.obs.registry
+        for key, value in stats.items():
+            if value:
+                registry.counter(f"paillier_power_cache_{key}").inc(value)
 
     # -- compression-aware paths ----------------------------------------
 
@@ -1066,9 +1132,8 @@ class PaillierEngine:
         :class:`~repro.crypto.sparse.SparseMatvecPlan`: zero weights
         are skipped outright (counted in
         ``paillier_compress_zero_skipped``), each distinct (ciphertext,
-        cluster) pair is exponentiated once, and fixed-base tables
-        persist across calls in the engine's bounded
-        :class:`PowerCache`.  Pass a prebuilt ``plan`` to skip the
+        cluster) pair is decomposed once, and digit tables persist
+        across calls in the engine's bounded :class:`PowerCache`.  Pass a prebuilt ``plan`` to skip the
         per-call index build (the production path builds one per layer
         at rewrite time); otherwise one is derived from ``weights``.
         Bit-identical to :meth:`matvec` on the surviving weights.
@@ -1132,42 +1197,19 @@ class PaillierEngine:
                  self.window_bits, self.backend.name)
                 for start in range(0, len(columns), per)
             ]
-            if self.obs.enabled:
-                registry = self.obs.registry
-                registry.counter("paillier_dispatch_chunks",
-                                 op=op).inc(len(jobs))
-                size_histogram = registry.histogram(
-                    "paillier_dispatch_chunk_items",
-                    buckets=SIZE_BUCKETS, op=op,
-                )
-                for job in jobs:
-                    size_histogram.observe(len(job[0]))
-            partials = list(executor.map(_sparse_chunk, jobs))
-            modulus = self.backend.wrap(n_sq)
-            out = list(bias)
-            for part in partials:
-                out = [int(acc * v % modulus)
-                       for acc, v in zip(out, part)]
-            return out
-        stats = ({"columns_table": 0, "columns_plain": 0,
-                  "tables_built": 0, "table_pows": 0, "plain_pows": 0,
-                  "reuse_mults": 0}
-                 if self.obs.enabled else None)
+            return self._pooled_matvec(executor, _sparse_chunk, jobs,
+                                       op, bias)
+        stats = self._kernel_stats()
         partial = _sparse_partial(
             columns, plan.out_dim, n_sq, self.window_bits,
             backend=self.backend, cache=self.power_cache, stats=stats,
         )
-        if stats is not None:
-            registry = self.obs.registry
-            for key, value in stats.items():
-                if value:
-                    registry.counter(f"paillier_power_cache_{key}") \
-                        .inc(value)
+        self._publish_kernel_stats(stats)
         modulus = self.backend.wrap(n_sq)
         return [int(b * v % modulus) for b, v in zip(bias, partial)]
 
     def reset_power_cache(self) -> None:
-        """Drop all cross-call fixed-base tables (frees their memory
+        """Drop all cross-call digit tables (frees their memory
         and zeroes the ``paillier_power_cache_entries`` gauge)."""
         self.power_cache.reset()
 
@@ -1286,8 +1328,8 @@ class PaillierEngine:
     ) -> list[int]:
         """Packed homomorphic ``y = W x + b``: one pow serves B lanes.
 
-        Reuses :meth:`matvec` wholesale (process dispatch, power
-        tables, weight dedup), then repairs the lane offsets: row ``j``
+        Reuses :meth:`matvec` wholesale (process dispatch, the
+        multi-exponentiation kernel), then repairs the lane offsets: row ``j``
         of the raw product carries each lane at ``t_j + input_offset *
         S_j + bias_offset`` where ``S_j`` is the signed row weight sum,
         so one plaintext add of :meth:`LanePacker.rebias_residue` per
@@ -1304,7 +1346,7 @@ class PaillierEngine:
                 canonical).
             plan: optional sparse plan — routes the product through
                 the compressed :meth:`fc_matvec` path (zero-skip,
-                cluster dedup, power cache) and takes the row weight
+                cluster dedup, digit-table cache) and takes the row weight
                 sums the rebias needs from the plan.  ``weights`` may
                 then be ``None``.
 

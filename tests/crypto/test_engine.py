@@ -12,6 +12,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.crypto.backend import (
+    PythonBackend,
+    active_backend,
+    set_active_backend,
+)
 from repro.crypto.engine import (
     BlindingPool,
     PaillierEngine,
@@ -20,7 +25,12 @@ from repro.crypto.engine import (
 )
 from repro.crypto.paillier import encrypt_many, generate_keypair
 from repro.crypto.tensor import EncryptedTensor
-from repro.errors import CryptoError, EncryptionError, KeyMismatchError
+from repro.errors import (
+    CryptoError,
+    DecryptionError,
+    EncryptionError,
+    KeyMismatchError,
+)
 
 
 def scalar_encrypt(public, values, seed):
@@ -119,6 +129,34 @@ class TestDecryptMany:
         with pytest.raises(KeyMismatchError):
             engine.decrypt_many(foreign)
 
+    def test_out_of_range_ciphertext_rejected(self, keypair):
+        pub, priv = keypair
+        engine = PaillierEngine(pub, private_key=priv, seed=2)
+        good = engine.raw_encrypt_many([5])[0]
+        for bad in (0, -good, pub.n_squared, pub.n_squared + good):
+            with pytest.raises(DecryptionError):
+                engine.raw_decrypt_many([good, bad])
+
+    def test_inline_path_runs_on_the_engine_backend(self, keypair):
+        """The inline batch must use the engine's ``backend=``, not
+        the process-global active backend."""
+        pub, priv = keypair
+
+        class Poisoned(PythonBackend):
+            def powmod(self, base, exponent, modulus):
+                raise AssertionError("inline decrypt used the "
+                                     "process-global backend")
+
+        engine = PaillierEngine(pub, private_key=priv, seed=2,
+                                backend="python")
+        ciphers = engine.raw_encrypt_many([3, 4, 5])
+        previous = active_backend()
+        set_active_backend(Poisoned())
+        try:
+            assert engine.raw_decrypt_many(ciphers) == [3, 4, 5]
+        finally:
+            set_active_backend(previous)
+
 
 class TestBlindingPool:
     def test_exhaustion_refills_in_rng_order(self, keypair):
@@ -186,6 +224,22 @@ class TestPowerTable:
         pub, _ = keypair
         with pytest.raises(CryptoError):
             PowerTable(3, pub.n_squared, 8).pow(-1)
+
+    def test_digit_table_grows_only_as_far_as_asked(self, keypair):
+        """``max_bits=0`` builds nothing up front; ``digits`` grows
+        row 0 to the requested digit and keeps what it built."""
+        pub, _ = keypair
+        modulus = pub.n_squared
+        table = PowerTable(12345, modulus, 0, window_bits=4)
+        assert table.digits(1) == [1, 12345]
+        short = table.digits(5)
+        assert short == [pow(12345, d, modulus) for d in range(6)]
+        full = table.digits(15)
+        assert full == [pow(12345, d, modulus) for d in range(16)]
+        # Growth publishes a new row; an earlier reader's row is intact.
+        assert len(short) == 6
+        assert table.digits(3) is full
+        assert table.pow(0xABCDE) == pow(12345, 0xABCDE, modulus)
 
 
 class TestMatvec:

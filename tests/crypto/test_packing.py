@@ -16,6 +16,7 @@ import pytest
 from repro.crypto.encoding import DEFAULT_GUARD_BITS, LanePacker
 from repro.crypto.engine import (
     DEFAULT_DISPATCH_MIN_ITEMS,
+    KERNEL_STATS,
     BlindingPool,
     PaillierEngine,
     _matvec_partial,
@@ -249,19 +250,23 @@ class TestDispatchThreshold:
 class TestWeightDedup:
     def test_dedup_hits_counted(self, keypair, rng):
         """An im2col-style column (same weight at many output rows)
-        costs one pow; every further use is a dictionary hit."""
+        is one distinct (ciphertext, weight) pair to the kernel; every
+        further use of it is a dedup hit."""
         pub, priv = keypair
         n_sq = pub.n_squared
         cells = [pub.encrypt(v, rng).ciphertext for v in (3, 4)]
         rows = [[7, -9], [7, -9], [7, -9], [7, -9]]
-        stats = {"columns_table": 0, "columns_plain": 0,
-                 "tables_built": 0, "table_pows": 0, "plain_pows": 0,
-                 "dedup_hits": 0}
-        _matvec_partial(cells, rows, n_sq, window_bits=4, stats=stats)
-        # 2 columns x 1 distinct weight each = 2 pows; the other
+        stats = dict.fromkeys(KERNEL_STATS, 0)
+        out = _matvec_partial(cells, rows, n_sq, window_bits=4,
+                              stats=stats)
+        # 2 columns x 1 distinct weight each = 2 pairs; the other
         # 3 uses per column are dedup hits.
         assert stats["dedup_hits"] == 6
         assert stats["table_pows"] + stats["plain_pows"] == 2
+        assert stats["columns_table"] + stats["columns_plain"] == 2
+        expected = pub.raw_add(pub.raw_scalar_mul(cells[0], 7),
+                               pub.raw_scalar_mul(cells[1], -9))
+        assert out == [expected] * 4
 
     def test_dedup_preserves_results(self, keypair):
         """A weight matrix with heavy repetition decodes identically to
