@@ -112,6 +112,10 @@ class CostModel:
         ciphertext_mul_base: fixed seconds per scalar multiplication.
         ciphertext_mul_per_bit: additional seconds per bit of the
             plaintext scalar.
+        ciphertext_mul_setup: seconds a matvec spends per *input*
+            ciphertext however many weights multiply it (the engine
+            kernel's digit table).  Zero in profiles that model a
+            standalone exponentiation per weight.
         plain_op: seconds per plaintext elementary operation.
         permute_element: seconds per element moved by (inverse)
             obfuscation.
@@ -134,12 +138,14 @@ class CostModel:
     network_latency: float
     network_bandwidth: float
     ciphertext_bytes: int
+    ciphertext_mul_setup: float = 0.0
 
     def __post_init__(self) -> None:
         for field_name in (
             "encrypt", "decrypt", "ciphertext_add", "ciphertext_mul_base",
-            "ciphertext_mul_per_bit", "plain_op", "permute_element",
-            "serialize_element", "network_latency", "network_bandwidth",
+            "ciphertext_mul_per_bit", "ciphertext_mul_setup", "plain_op",
+            "permute_element", "serialize_element", "network_latency",
+            "network_bandwidth",
         ):
             if getattr(self, field_name) < 0:
                 raise ConfigurationError(
@@ -180,6 +186,7 @@ class CostModel:
             ciphertext_add=self.ciphertext_add * factor,
             ciphertext_mul_base=self.ciphertext_mul_base * factor,
             ciphertext_mul_per_bit=self.ciphertext_mul_per_bit * factor,
+            ciphertext_mul_setup=self.ciphertext_mul_setup * factor,
             plain_op=self.plain_op * factor,
             permute_element=self.permute_element * factor,
             serialize_element=self.serialize_element * factor,
@@ -229,9 +236,11 @@ class CostModel:
         """Micro-benchmark this repository's own kernels at ``key_size``.
 
         Times element encryption, decryption, homomorphic addition, and
-        scalar multiplication as linear stages run it — per weight of
-        an engine matvec, fitting the per-bit slope from two weight
-        widths — plus permutation and plaintext-op costs.
+        scalar multiplication as linear stages run it — an engine
+        matvec, split into a per-input setup and a per-weight cost by
+        timing a thin and a tall layer, with the per-bit slope fitted
+        from two weight widths — plus permutation and plaintext-op
+        costs.
         """
         from .crypto.engine import PaillierEngine
         from .crypto.paillier import generate_keypair
@@ -259,16 +268,17 @@ class CostModel:
 
         # Linear stages never run the scalar ``cipher * w`` loop: every
         # matvec goes through the engine's multi-exponentiation kernel,
-        # whose per-weight cost (digit tables and Horner squarings
-        # amortized over a layer) is a fraction of a standalone
-        # exponentiation.  Time that kernel per weight on a layer of
-        # distinct signed weights with few output rows, so the
-        # per-ciphertext table is not amortized away entirely.
+        # which pays a digit table once per input ciphertext and then a
+        # few multiplies per weight.  Time the kernel on a thin and a
+        # tall layer over the same inputs: the difference is the
+        # per-weight cost, the remainder of the thin layer the
+        # per-input setup the stage-cost formulas scale by the layer's
+        # real input size.
         engine = PaillierEngine(public)
         raw = [cipher.ciphertext for cipher in ciphers]
-        rows = 4
+        thin, tall = 2, samples
 
-        def time_mul(bits: int) -> float:
+        def time_matvec(rows: int, bits: int) -> float:
             weights = [
                 [rng.choice((-1, 1))
                  * (rng.getrandbits(bits) | 1 << (bits - 1))
@@ -276,18 +286,22 @@ class CostModel:
                 for _ in range(rows)
             ]
             best = float("inf")
-            for _ in range(5):      # sub-millisecond call: take the
+            for _ in range(5):      # millisecond-scale call: take the
                 begin = time.perf_counter()     # undisturbed run
                 engine.matvec(raw, weights, raw[:rows])
                 best = min(best, time.perf_counter() - begin)
-            return best / (rows * samples)
+            return best / samples               # per input ciphertext
 
         small_bits, large_bits = 8, 40
-        small_time = time_mul(small_bits)
-        large_time = time_mul(large_bits)
+        thin_time = time_matvec(thin, small_bits)
+        small_time = max(time_matvec(tall, small_bits) - thin_time, 0.0) \
+            / (tall - thin)
+        large_time = (time_matvec(tall, large_bits)
+                      - time_matvec(thin, large_bits)) / (tall - thin)
         per_bit = max(
             (large_time - small_time) / (large_bits - small_bits), 0.0
         )
+        mul_setup = max(thin_time - thin * small_time, 0.0)
         mul_base = max(small_time - per_bit * small_bits, 1e-9)
 
         permutation = Permutation.random(4096, seed)
@@ -304,6 +318,7 @@ class CostModel:
             ciphertext_add=add_cost,
             ciphertext_mul_base=mul_base,
             ciphertext_mul_per_bit=per_bit,
+            ciphertext_mul_setup=mul_setup,
             plain_op=5.0e-9,
             permute_element=permute_cost,
             serialize_element=2.0e-7,

@@ -79,6 +79,7 @@ def profile_primitive_times(
                 + adds * cost_model.ciphertext_add
                 + counts.input_size * cost_model.permute_element
                 + counts.output_size * cost_model.permute_element
+                + counts.input_size * cost_model.ciphertext_mul_setup
             )
         else:
             total = (

@@ -56,6 +56,7 @@ def _linear_compute_seconds(stage, cost_model: CostModel,
         + counts.ciphertext_adds * cost_model.ciphertext_add
         + counts.input_size * cost_model.permute_element
         + counts.output_size * cost_model.permute_element
+        + counts.input_size * cost_model.ciphertext_mul_setup
     )
 
 

@@ -95,6 +95,36 @@ class TestCostModel:
         assert model.ciphertext_mul(20) > 0
         assert model.permute_element > 0
 
+    def test_matvec_setup_is_charged_per_input(self):
+        """The calibrated profile prices the matvec kernel's per-input
+        digit table; the reference profile has no such term, so its
+        stage costs are what they always were."""
+        from dataclasses import replace
+
+        from repro.nn import model_zoo
+        from repro.planner.primitive import model_stages
+        from repro.planner.profiling import profile_primitive_times
+
+        reference = CostModel.reference()
+        assert reference.ciphertext_mul_setup == 0.0
+        assert CostModel.calibrate(128, samples=12) \
+            .ciphertext_mul_setup >= 0.0
+        priced = replace(reference, ciphertext_mul_setup=1.0e-3)
+        assert priced.scaled(2.0).ciphertext_mul_setup \
+            == pytest.approx(2.0e-3)
+        stages = model_stages(model_zoo.build_model("breast", seed=0))
+        for stage, before, after in zip(
+            stages,
+            profile_primitive_times(stages, reference, 3),
+            profile_primitive_times(stages, priced, 3),
+        ):
+            extra = after - before
+            if stage.kind.value == "linear":
+                assert extra == pytest.approx(
+                    stage.op_counts().input_size * 1.0e-3)
+            else:
+                assert extra == 0.0
+
     def test_calibrate_scales_with_key_size(self):
         small = CostModel.calibrate(128, samples=12)
         large = CostModel.calibrate(512, samples=12)

@@ -72,18 +72,11 @@ class TestSimulatorValidation:
             calibrated_setup
         requests = 4
         pipeline = Pipeline(model_provider, data_provider, plan)
-        # One untimed request first: each linear stage encrypts its
-        # bias (and refills a blinding pool) on its first item, a
-        # one-off the per-request cost model has no term for and that
-        # would swamp the small final stage.
-        pipeline.run_stream([breast_dataset.test_x[requests]])
-        # Per stage, the quieter of two streams: a small stage's wait
-        # for the GIL behind its neighbours' big-int calls is otherwise
-        # booked as its own busy time.
-        inputs = list(breast_dataset.test_x[:requests])
-        streams = [pipeline.run_stream(inputs).stage_busy_seconds
-                   for _ in range(2)]
-        measured = [min(busy) / requests for busy in zip(*streams)]
+        stats = pipeline.run_stream(
+            list(breast_dataset.test_x[:requests])
+        )
+        measured = [busy / requests
+                    for busy in stats.stage_busy_seconds]
 
         simulator = PipelineSimulator(plan, cost_model, decimals=3)
         predicted = [cost.compute for cost in simulator.costs]
@@ -98,22 +91,15 @@ class TestSimulatorValidation:
                 f"{real:.4f}s"
             )
         # the two heavy stages are the same in both views — except
-        # when the contested stages are within 2x of each other in
-        # either view (well inside the 5x band above): both FC affines
-        # and the first activation stage cost about the same under the
-        # interleaved matvec kernel, so which two lead is decided by
-        # scheduler noise and GIL waits, not by the model
+        # when the contested stages are a measured near-tie, where the
+        # ranking legitimately flips with scheduler noise
         top2_measured = set(np.argsort(measured)[-2:])
         top2_predicted = set(np.argsort(predicted)[-2:])
         if top2_measured != top2_predicted:
-            contested = top2_measured ^ top2_predicted
-            spreads = [
-                max(view[i] for i in contested)
-                / min(view[i] for i in contested)
-                for view in (measured, predicted)
-            ]
-            assert min(spreads) <= 2.0, (
+            contested = sorted(measured[i]
+                               for i in top2_measured ^ top2_predicted)
+            assert contested[-1] <= contested[0] * 1.5, (
                 f"heavy stages disagree beyond a near-tie: measured "
                 f"top2 {sorted(top2_measured)} vs predicted "
-                f"{sorted(top2_predicted)} ({measured=}, {predicted=})"
+                f"{sorted(top2_predicted)} ({measured=})"
             )
