@@ -64,7 +64,6 @@ import random
 import threading
 from collections import OrderedDict, deque
 from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache
 from typing import Iterable, List, Sequence
 
 import numpy as np
@@ -203,8 +202,9 @@ class PowerTable:
     * :meth:`squares` — the squaring chain ``base^(2^i)``, what it
       forms a clustered column's few distinct powers on.
 
-    :meth:`pow` is plain left-to-right ``2^w``-ary exponentiation over
-    the digit table.  ``max_bits > 0`` prebuilds the full digit table.
+    ``max_bits`` is accepted for compatibility with the earlier
+    positional-table constructor and ignored: both sequences grow on
+    demand.
 
     Growth publishes a new list instead of appending in place, so a
     table shared through a :class:`PowerCache` can be read while
@@ -230,8 +230,6 @@ class PowerTable:
         self.window_bits = window_bits
         self._digits: list[int] = [1, base]
         self._squares: list[int] = [base]
-        if max_bits > 0:
-            self.digits((1 << window_bits) - 1)
 
     def digits(self, upto: int) -> list[int]:
         """``[1, base, base^2, ...]``, at least through ``base^upto``."""
@@ -261,18 +259,11 @@ class PowerTable:
         return chain
 
     def pow(self, exponent: int) -> int:
-        """``base^exponent mod modulus`` for a non-negative exponent."""
+        """``base^exponent mod modulus`` for a non-negative exponent
+        (the kernel itself reads only the two sequences)."""
         if exponent < 0:
             raise CryptoError("PowerTable.pow needs a non-negative exponent")
-        m = self.modulus
-        w = self.window_bits
-        mask = (1 << w) - 1
-        row = self.digits(mask)
-        acc = 1
-        top = -(-exponent.bit_length() // w) - 1
-        for t in range(top, -1, -1):
-            acc = pow(acc, 1 << w, m) * row[(exponent >> (w * t)) & mask] % m
-        return int(acc)
+        return int(pow(self._squares[0], exponent, self.modulus))
 
 
 class PowerCache:
@@ -336,26 +327,6 @@ class PowerCache:
             self._gauge.set(0)
 
 
-@lru_cache(maxsize=1 << 14)
-def _window_digits(exponent: int, window_bits: int) -> tuple:
-    """``(digits, largest digit, popcount)`` of a positive exponent,
-    ``digits`` being its non-zero base-``2^w`` digits as ``(position,
-    digit)`` pairs, lowest position first.  A model's weights recur on
-    every request, so the decomposition is memoized process-wide."""
-    mask = (1 << window_bits) - 1
-    digits = []
-    t = 0
-    e = exponent
-    while e:
-        d = e & mask
-        if d:
-            digits.append((t, d))
-        e >>= window_bits
-        t += 1
-    return (tuple(digits), max(d for _, d in digits),
-            exponent.bit_count())
-
-
 def _horner(lanes: list[list[int]], window_bits: int, modulus) -> list[int]:
     """Fold per-position accumulators into ``prod_t lanes[t]^(2^(w*t))``
     per row: ``w`` squarings per position, however many columns fed
@@ -406,20 +377,26 @@ def _sparse_partial(
     A heavily clustered column (few distinct weights, each used by
     many rows) is cheaper the other way round — form ``c^|w|`` once on
     a shared squaring chain and pay one multiply per use — so each
-    column picks by counted multiplies; the formed powers land in the
-    position-0 accumulators of the same sets.  The Horner pass is the
-    one cost the columns share, so multi-digit scattering happens at
-    all only when it saves more multiplies than those squarings cost.
-    With a ``cache``, each ciphertext's :class:`PowerTable` (digit
-    table and squaring chain) persists across calls.
+    column picks by counted multiplies (digits and table size at their
+    upper bounds, so the count needs no per-weight loop); the formed
+    powers land in the position-0 accumulators of the same sets.  The
+    Horner pass is the one cost the columns share, so multi-digit
+    scattering happens at all only when it saves more multiplies than
+    those squarings cost.
+
+    Each distinct base gets one :class:`PowerTable` per call, and each
+    side of the column choice counts only the part of it that is not
+    built yet.  With a ``cache``, tables persist across calls; a new
+    table is kept only if this call used it more than once, so
+    single-use columns do not flood the LRU.
 
     ``stats`` (optional, inline path only) accumulates the
     :data:`KERNEL_STATS` tallies: ``columns_table`` / ``columns_plain``
     (columns scattered through a digit table vs formed on a squaring
-    chain), ``tables_built`` (columns whose table the cache did not
-    serve), ``table_pows`` / ``plain_pows`` (distinct (ciphertext,
-    weight) pairs evaluated each way) and ``dedup_hits`` (uses beyond
-    the first of a pair).
+    chain), ``tables_built`` (distinct bases the cache did not serve),
+    ``table_pows`` / ``plain_pows`` (distinct (ciphertext, weight)
+    pairs evaluated each way) and ``dedup_hits`` (uses beyond the
+    first of a pair).
 
     Raises:
         CryptoError: a negatively weighted base is not a unit mod n^2.
@@ -427,74 +404,83 @@ def _sparse_partial(
     if backend is None:
         backend = resolve_backend("python")
     modulus = backend.wrap(n_sq)
-    num: list[list[int]] = []
-    den: list[list[int]] = []
-    # Pass 1: decompose every column and count both ways' multiplies.
+    mask = (1 << window_bits) - 1
+    # Pass 1: resolve one table per distinct base and count both ways'
+    # multiplies per column.
+    tables: dict[int, PowerTable] = {}
+    fresh: dict[int, int] = {}      # uncached base -> uses this call
     work = []
     positions = 1
     deep_gain = 0
     for base, groups in columns:
-        decomposed = []
-        scatter_cost = form_cost = uses = largest = max_e = 0
+        scatter_cost = form_cost = uses = bits = 0
         for w, rows in groups:
-            e = -w if w < 0 else w
-            digits, top, popcount = _window_digits(e, window_bits)
-            decomposed.append((den if w < 0 else num, e, digits, rows))
-            scatter_cost += len(rows) * len(digits)
-            form_cost += popcount - 1
+            width = w.bit_length()
+            scatter_cost += len(rows) * -(-width // window_bits)
+            form_cost += w.bit_count() - 1
             uses += len(rows)
-            if top > largest:
-                largest = top
-            if e > max_e:
-                max_e = e
+            if width > bits:
+                bits = width
         form_cost += uses
-        bits = max_e.bit_length()
-        table = cache.peek(base) if cache is not None else None
+        table = tables.get(base)
         if table is None:
-            # A cached table counts as already paid for on both sides.
-            scatter_cost += largest - 1
-            form_cost += bits - 1
+            table = cache.peek(base) if cache is not None else None
+            if table is None:
+                table = PowerTable(base, n_sq, window_bits=window_bits,
+                                   backend=backend)
+                fresh[base] = 0
+            tables[base] = table
+        if base in fresh:
+            fresh[base] += uses
+        # Each way pays only for the part of the table it still lacks.
+        scatter_cost += max(0, mask + 1 - len(table._digits))
+        form_cost += max(0, bits - len(table._squares))
         depth = -(-bits // window_bits)
         scatter = scatter_cost < form_cost
         if scatter and depth > 1:
             deep_gain += form_cost - scatter_cost
             positions = max(positions, depth)
-        work.append((base, table, decomposed, uses, largest, bits,
-                     scatter, depth))
+        work.append((table, groups, bits, uses, scatter))
+    if stats is not None:
+        stats["tables_built"] += len(fresh)
+    if cache is not None:
+        for base, uses in fresh.items():
+            if uses > 1:
+                cache.put(base, tables[base])
     # The Horner pass is the one cost the columns share: scattering
     # above position 0 has to save more than those squarings cost
     # (counted for both accumulator sets).
     if deep_gain <= 2 * out_dim * (positions - 1) * (window_bits + 1):
         positions = 1
-    num.extend([1] * out_dim for _ in range(positions))
-    den.extend([1] * out_dim for _ in range(positions))
+    num = [[1] * out_dim for _ in range(positions)]
+    den = [[1] * out_dim for _ in range(positions)]
     # Pass 2: per column, scatter the digits or form each power once.
-    for (base, table, decomposed, uses, largest, bits,
-         scatter, depth) in work:
-        scatter = scatter and depth <= positions
-        if table is None:
-            table = PowerTable(base, n_sq, 0, window_bits,
-                               backend=backend)
-            if cache is not None:
-                cache.put(base, table)
-            if stats is not None:
-                stats["tables_built"] += 1
+    for table, groups, bits, uses, scatter in work:
+        scatter = scatter and bits <= positions * window_bits
         if stats is not None:
-            pairs = len(decomposed)
             stats["columns_table" if scatter else "columns_plain"] += 1
-            stats["table_pows" if scatter else "plain_pows"] += pairs
-            stats["dedup_hits"] += uses - pairs
+            stats["table_pows" if scatter else "plain_pows"] += len(groups)
+            stats["dedup_hits"] += uses - len(groups)
         if scatter:
-            powers = table.digits(largest)
-            for lanes, _e, digits, rows in decomposed:
-                for t, d in digits:
-                    v = powers[d]
-                    lane = lanes[t]
-                    for j in rows:
-                        lane[j] = lane[j] * v % modulus
+            powers = table.digits(1)
+            for w, rows in groups:
+                lanes, e = (den, -w) if w < 0 else (num, w)
+                t = 0
+                while e:
+                    d = e & mask
+                    if d:
+                        if d >= len(powers):
+                            powers = table.digits(d)
+                        v = powers[d]
+                        lane = lanes[t]
+                        for j in rows:
+                            lane[j] = lane[j] * v % modulus
+                    e >>= window_bits
+                    t += 1
             continue
         chain = table.squares(bits)
-        for lanes, e, _digits, rows in decomposed:
+        for w, rows in groups:
+            lane, e = (den[0], -w) if w < 0 else (num[0], w)
             v = 1
             index = 0
             while e:
@@ -502,7 +488,6 @@ def _sparse_partial(
                     v = v * chain[index] % modulus
                 index += 1
                 e >>= 1
-            lane = lanes[0]
             for j in rows:
                 lane[j] = lane[j] * v % modulus
     out = _horner(num, window_bits, modulus)
@@ -540,6 +525,11 @@ def _matvec_partial(
     matrix's repeated kernel weights are handled once per column, and
     the dense and planned paths are one kernel.
     """
+    if any(len(row) != len(cells) for row in rows):
+        raise CryptoError(
+            f"every weights row needs {len(cells)} entries, one per "
+            f"input cell"
+        )
     columns = []
     for base, column in zip(cells, zip(*rows)):
         by_weight: dict[int, list[int]] = {}
@@ -1132,10 +1122,11 @@ class PaillierEngine:
         :class:`~repro.crypto.sparse.SparseMatvecPlan`: zero weights
         are skipped outright (counted in
         ``paillier_compress_zero_skipped``), each distinct (ciphertext,
-        cluster) pair is decomposed once, and digit tables persist
-        across calls in the engine's bounded :class:`PowerCache`.  Pass a prebuilt ``plan`` to skip the
-        per-call index build (the production path builds one per layer
-        at rewrite time); otherwise one is derived from ``weights``.
+        cluster) pair is handled once, and digit tables persist across
+        calls in the engine's bounded :class:`PowerCache`.  Pass a
+        prebuilt ``plan`` to skip the per-call index build (the
+        production path builds one per layer at rewrite time);
+        otherwise one is derived from ``weights``.
         Bit-identical to :meth:`matvec` on the surviving weights.
         """
         return self._compressed_matvec(cells, weights, bias, plan,
@@ -1329,9 +1320,10 @@ class PaillierEngine:
         """Packed homomorphic ``y = W x + b``: one pow serves B lanes.
 
         Reuses :meth:`matvec` wholesale (process dispatch, the
-        multi-exponentiation kernel), then repairs the lane offsets: row ``j``
-        of the raw product carries each lane at ``t_j + input_offset *
-        S_j + bias_offset`` where ``S_j`` is the signed row weight sum,
+        multi-exponentiation kernel), then repairs the lane offsets:
+        row ``j`` of the raw product carries each lane at ``t_j +
+        input_offset * S_j + bias_offset`` where ``S_j`` is the signed
+        row weight sum,
         so one plaintext add of :meth:`LanePacker.rebias_residue` per
         output cell brings every lane back to the canonical offset.
         Intermediate "virtually negative" lane states are exact mod n;
@@ -1378,7 +1370,10 @@ class PaillierEngine:
 
 def _int_rows(weights) -> list[list[int]]:
     """Normalize a weight matrix to a list of rows of Python ints."""
-    arr = np.asarray(weights)
+    try:
+        arr = np.asarray(weights)
+    except ValueError as exc:   # ragged rows
+        raise CryptoError(f"weights must be a rectangular matrix: {exc}")
     if arr.ndim != 2:
         raise CryptoError(f"weights must be 2-D, got shape {arr.shape}")
     rows = arr.tolist()

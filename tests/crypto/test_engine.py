@@ -21,6 +21,7 @@ from repro.crypto.engine import (
     BlindingPool,
     PaillierEngine,
     PowerTable,
+    _matvec_partial,
     default_engine,
 )
 from repro.crypto.paillier import encrypt_many, generate_keypair
@@ -31,6 +32,7 @@ from repro.errors import (
     EncryptionError,
     KeyMismatchError,
 )
+from repro.observability import Observability
 
 
 def scalar_encrypt(public, values, seed):
@@ -226,8 +228,8 @@ class TestPowerTable:
             PowerTable(3, pub.n_squared, 8).pow(-1)
 
     def test_digit_table_grows_only_as_far_as_asked(self, keypair):
-        """``max_bits=0`` builds nothing up front; ``digits`` grows
-        row 0 to the requested digit and keeps what it built."""
+        """Nothing is built up front; ``digits`` grows the table to
+        the requested digit and keeps what it built."""
         pub, _ = keypair
         modulus = pub.n_squared
         table = PowerTable(12345, modulus, 0, window_bits=4)
@@ -275,6 +277,36 @@ class TestMatvec:
             engine.matvec(cells, np.ones((1, 2), dtype=np.int64), bias)
         with pytest.raises(CryptoError):
             engine.matvec(cells, np.ones((2, 3), dtype=np.int64), bias)
+
+    def test_ragged_rows_rejected(self, keypair):
+        """A short row must not silently drop a column."""
+        pub, _ = keypair
+        engine = PaillierEngine(pub, seed=1)
+        cells = engine.raw_encrypt_many([1, 2])
+        bias = engine.raw_encrypt_many([0, 0])
+        with pytest.raises(CryptoError):
+            engine.matvec(cells, [[1, 2], [3]], bias)
+        for rows in ([[1, 2], [3]], [[1, 2, 3], [4, 5, 6]]):
+            with pytest.raises(CryptoError):
+                _matvec_partial(cells, rows, pub.n_squared, 4)
+
+    def test_one_table_per_distinct_base(self, keypair):
+        """A ciphertext feeding two columns of one call gets one
+        table, kept in the cache; a single-use column's is not."""
+        pub, priv = keypair
+        engine = PaillierEngine(pub, private_key=priv, seed=1,
+                                obs=Observability(enabled=True))
+        cell, other = engine.raw_encrypt_many([5, 6])
+        bias = engine.raw_encrypt_many([0, 0])
+        out = engine.fc_matvec([cell, cell], [[3, 5], [7, -9]], bias)
+        assert engine.raw_decrypt_many(out) == [40, pub.n - 10]
+        built = engine.obs.registry.counter(
+            "paillier_power_cache_tables_built")
+        assert built.value == 1
+        assert len(engine.power_cache) == 1
+        engine.fc_matvec([other], [[3], [0]], bias)
+        assert built.value == 2
+        assert len(engine.power_cache) == 1
 
     def test_scalar_mul_many(self, keypair):
         pub, priv = keypair

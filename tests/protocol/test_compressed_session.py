@@ -148,6 +148,22 @@ class TestBitIdentity:
             got = planned.run(sample).probabilities
             assert np.array_equal(got, expected)
 
+    def test_requests_never_reach_a_warm_table(
+            self, compressed_breast, breast_dataset):
+        """Every request (and every layer of it) arrives as freshly
+        randomized ciphertexts, so protocol traffic never hits the
+        engine's cross-call table cache: the warm-table loop that
+        ``bench --compress`` times is a benchmark-only state."""
+        config = RuntimeConfig(key_size=128, seed=17)
+        model_provider, data_provider = _providers(compressed_breast,
+                                                   config)
+        session = InferenceSession(model_provider, data_provider)
+        for sample in breast_dataset.test_x[:3]:
+            session.run(sample)
+        cache = model_provider.engine.power_cache
+        assert cache.misses > 0
+        assert cache.hits == 0
+
     def test_planned_path_equals_dense_path_packed(
             self, compressed_breast, breast_dataset):
         config = RuntimeConfig(key_size=256, seed=17, pack_lanes=2)
