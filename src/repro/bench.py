@@ -15,8 +15,7 @@ Methodology notes:
 
 * The engine's blinding-factor pool is prefilled before timing and the
   prefill cost is reported separately as ``offline_seconds`` — the
-  offline/online split is the entire point of the pool (the offline
-  phase runs on a background producer between requests).
+  offline/online split is the entire point of the pool.
 * Scalar and engine paths are checked to produce bit-identical
   ciphertexts under the same seed before anything is timed; a
   benchmark of a wrong kernel is worse than no benchmark.

@@ -58,7 +58,7 @@ class RuntimeConfig:
             matvec).  0 (the default) keeps all crypto in-process —
             big-int ``pow`` holds the GIL, so processes, not threads,
             are the only way to parallelize it.
-        blinding_pool_size: target number of precomputed ``r^n mod
+        blinding_pool_size: target number of precomputed ``h_s^x mod
             n^2`` blinding factors the engine keeps ready; online
             encryption then costs one modular multiply.
         power_window_bits: digit width of the engine's matvec kernel:

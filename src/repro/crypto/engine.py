@@ -5,30 +5,28 @@ exponentiations mod ``n^2``; this module amortizes them five ways
 (the tricks Popcorn and C2PI show Paillier-based private inference
 lives or dies on):
 
-1. **Offline blinding-factor pool** — encryption is ``(1 + n*m) * r^n
-   mod n^2`` and the ``r^n`` part does not depend on the message, so a
-   :class:`BlindingPool` precomputes ``r^n mod n^2`` values ahead of
-   time (optionally on a background producer thread) and online
-   encryption collapses to one modular multiply.  The pool draws its
-   ``r`` values from a seeded RNG in a fixed order, so pooled
-   encryption is deterministic for tests and bit-identical to the
-   scalar reference path under the same seed.
-2. **CRT-accelerated blinding** — the key holder knows ``p`` and
-   ``q``, so it computes ``r^n mod p^2`` / ``r^n mod q^2`` and
-   recombines.  ``r^n = (r^q)^p`` and ``x^p mod p^2`` depends only on
-   ``x mod p``, so each half is ``((r mod p)^(q mod (p-1)) mod p)^p
-   mod p^2``: a ``|p|``-bit exponent mod ``p`` plus a ``|p|``-bit
-   exponent mod ``p^2``, where reducing the exponent mod
-   ``lambda(p^2)`` alone leaves a ``2|p|``-bit exponent mod ``p^2``.
-   Only sound on the data-provider side: the public-key path never
-   sees ``p``/``q``.
+1. **Fixed-base short-exponent blinding** — encryption is ``(1 + n*m)
+   * f mod n^2`` for a blinding factor ``f`` that does not depend on
+   the message.  Factors are ``h_s^x`` for a fixed per-key ``h_s`` and
+   a short random ``x`` (:mod:`repro.crypto.blinding`), read off one
+   precomputed table per key: no squarings, one multiply per digit of
+   ``x``.  The key holder evaluates the same function mod ``p^2`` and
+   mod ``q^2`` and recombines — half-width multiplies, same residues;
+   the public-key path never sees ``p``/``q``.
+2. **Offline blinding-factor pool** — a :class:`BlindingPool`
+   computes factors ahead of time, so online encryption collapses to
+   one modular multiply.  The pool draws its ``x`` values from a
+   seeded RNG in a fixed order, so pooled encryption is deterministic
+   for tests and bit-identical to the scalar reference path under the
+   same seed.
 3. **Process-pool parallelism** — big-int ``pow`` does *not* release
-   the GIL, so threads cannot help; ``encrypt_many`` /
-   ``decrypt_many`` / ``matvec`` dispatch chunks of work to a
-   ``ProcessPoolExecutor`` when ``workers > 0``.  Chunk sizes are
-   serialization-aware: ciphertexts are a few hundred bytes each, so
-   chunks are kept large enough that pickling cost stays far below
-   the modular-arithmetic cost, and tiny batches run inline.
+   the GIL, so threads cannot help; ``decrypt_many`` / ``matvec`` /
+   ``add_many`` dispatch chunks of work to a ``ProcessPoolExecutor``
+   when ``workers > 0``.  Chunk sizes are serialization-aware:
+   ciphertexts are a few hundred bytes each, so chunks are kept large
+   enough that pickling cost stays far below the modular-arithmetic
+   cost, and tiny batches run inline.  (Blinding stays inline: a
+   factor is a few dozen multiplies, below its own pickling cost.)
 4. **Interleaved multi-exponentiation** — a matvec (FC layer, or conv
    via im2col) is ``out_j = prod_i c_i^(w_ji)``: every input
    ciphertext is raised to many small weight exponents.  One
@@ -78,7 +76,6 @@ from ..observability import OBS_OFF, Observability
 from ..observability.metrics import SIZE_BUCKETS
 from .backend import BigintBackend, resolve_backend
 from .encoding import LanePacker
-from .math_utils import invmod, sample_coprime
 from .paillier import (
     EncryptedNumber,
     PaillierPrivateKey,
@@ -122,33 +119,6 @@ DEFAULT_DISPATCH_MIN_ITEMS = 64
 # Process-pool kernels.  Module-level functions over primitive ints so
 # they pickle cheaply; each call works on a chunk, not a single item.
 # ----------------------------------------------------------------------
-
-def _pow_chunk(args) -> list[int]:
-    """Blinding factors ``r^n mod n^2`` for a chunk of ``r`` values."""
-    rs, n, n_sq, backend_name = args
-    powmod = resolve_backend(backend_name).powmod
-    return [powmod(r, n, n_sq) for r in rs]
-
-
-def _pow_chunk_crt(args) -> list[int]:
-    """CRT-accelerated blinding factors for a chunk (key holder only).
-
-    ``r^n = (r^q)^p``, and ``x^p mod p^2`` depends only on ``x mod p``
-    (every other binomial term carries ``p^2``), so ``r^n mod p^2 =
-    ((r mod p)^(q mod (p-1)) mod p)^p mod p^2``: a ``|p|``-bit exponent
-    mod ``p`` plus a ``|p|``-bit exponent mod ``p^2`` instead of one
-    ``2|p|``-bit exponent mod ``p^2`` — and symmetrically for ``q``.
-    """
-    rs, p, q, p_sq, q_sq, exp_p, exp_q, q_sq_inv, backend_name = args
-    powmod = resolve_backend(backend_name).powmod
-    out = []
-    for r in rs:
-        a = powmod(powmod(r % p, exp_p, p), p, p_sq)
-        b = powmod(powmod(r % q, exp_q, q), q, q_sq)
-        h = ((a - b) * q_sq_inv) % p_sq
-        out.append(b + q_sq * h)
-    return out
-
 
 def _decrypt_chunk(args) -> list[int]:
     """CRT decryption of a chunk of raw ciphertexts."""
@@ -551,12 +521,13 @@ def _matvec_partial(
 # ----------------------------------------------------------------------
 
 class BlindingPool:
-    """FIFO pool of precomputed ``r^n mod n^2`` blinding factors.
+    """FIFO pool of precomputed ``h_s^x mod n^2`` blinding factors.
 
-    The pool owns a seeded RNG and draws ``r`` values from it in a
+    The pool owns a seeded RNG and draws ``x`` values from it in a
     fixed order, so the sequence of factors — and therefore every
     ciphertext built from them — is deterministic per seed regardless
-    of refill batching, background production, or CRT acceleration.
+    of refill batching or which party (public side, key holder)
+    computes them.
     """
 
     def __init__(
@@ -565,23 +536,27 @@ class BlindingPool:
         rng: random.Random,
         target_size: int = DEFAULT_POOL_SIZE,
         private_key: PaillierPrivateKey | None = None,
-        executor_fn=None,
         obs: Observability | None = None,
-        dispatch_min_items: int = DEFAULT_DISPATCH_MIN_ITEMS,
         backend: BigintBackend | None = None,
     ):
-        self.public_key = public_key
+        if private_key is not None \
+                and private_key.public_key.n != public_key.n:
+            raise KeyMismatchError(
+                "private key does not match the pool's public key"
+            )
         self.target_size = max(0, target_size)
-        self.dispatch_min_items = max(1, dispatch_min_items)
         self.backend = backend if backend is not None \
             else resolve_backend("python")
+        # The key's own tables: the key holder's half-width form when
+        # the private key is here, the public form otherwise.
+        self._blinding = (private_key if private_key is not None
+                          else public_key).blinding
         self._rng = rng
         self._factors: deque[int] = deque()
         # Instrumentation handles are resolved once here so the hot
         # draw path is one no-op (or one locked increment) per call.
         obs = obs if obs is not None else OBS_OFF
         registry = obs.registry
-        self._registry = registry if obs.enabled else None
         self._m_hits = registry.counter("paillier_pool_draws",
                                         result="hit")
         self._m_misses = registry.counter("paillier_pool_draws",
@@ -591,48 +566,25 @@ class BlindingPool:
             "paillier_pool_refill_factors", buckets=SIZE_BUCKETS
         )
         self._m_size = registry.gauge("paillier_pool_size")
-        self._m_crt = registry.counter("paillier_blinding_factors",
-                                       method="crt")
-        self._m_plain = registry.counter("paillier_blinding_factors",
-                                         method="plain")
-        # One lock serializes (draw r's, exponentiate, append): two
+        self._m_factors = registry.counter(
+            "paillier_blinding_factors",
+            method="crt" if private_key is not None else "plain",
+        )
+        # One lock serializes (draw x's, evaluate, append): two
         # concurrent refills would otherwise interleave RNG draws and
         # appends, breaking the deterministic order.
         self._refill_lock = threading.Lock()
-        self._executor_fn = executor_fn
-        self._producer: threading.Thread | None = None
-        self._stop = threading.Event()
-        self._crt: tuple[int, ...] | None = None
-        if private_key is not None:
-            if private_key.public_key.n != public_key.n:
-                raise KeyMismatchError(
-                    "private key does not match the pool's public key"
-                )
-            p, q = private_key.p, private_key.q
-            self._crt = (
-                p, q, p * p, q * q,
-                q % (p - 1),    # r^q mod p, by Fermat
-                p % (q - 1),    # r^p mod q
-                invmod(q * q, p * p),
-            )
 
     def __len__(self) -> int:
         return len(self._factors)
 
-    def _compute(self, rs: list[int]) -> list[int]:
-        n = self.public_key.n
-        n_sq = self.public_key.n_squared
-        name = self.backend.name
-        if self._crt is not None:
-            self._m_crt.inc(len(rs))
-            return _pow_chunk_crt((rs,) + self._crt + (name,))
-        self._m_plain.inc(len(rs))
-        executor = self._executor_fn() if self._executor_fn else None
-        if executor is not None and len(rs) >= self.dispatch_min_items:
-            return _run_chunked(executor, _pow_chunk, rs,
-                                (n, n_sq, name), registry=self._registry,
-                                op="blinding")
-        return _pow_chunk((rs, n, n_sq, name))
+    def fresh(self, rng: random.Random, count: int) -> list[int]:
+        """``count`` factors from the next exponents ``rng`` yields,
+        bypassing the FIFO (the draw order is the scalar path's)."""
+        self._m_factors.inc(count)
+        return self._blinding.factors(
+            self._blinding.exponents(rng, count), self.backend
+        )
 
     def refill(self, count: int | None = None) -> None:
         """Synchronously add ``count`` fresh factors (default: top up
@@ -644,9 +596,7 @@ class BlindingPool:
                 return
             self._m_refills.inc()
             self._m_refill_size.observe(count)
-            rs = [sample_coprime(self.public_key.n, self._rng)
-                  for _ in range(count)]
-            self._factors.extend(self._compute(rs))
+            self._factors.extend(self.fresh(self._rng, count))
             self._m_size.set(len(self._factors))
 
     def draw(self) -> int:
@@ -666,32 +616,6 @@ class BlindingPool:
         if missing > 0:
             self.refill(max(missing, self.target_size // 2))
         return [self.draw() for _ in range(count)]
-
-    # -- background producer -------------------------------------------
-
-    def start_producer(self, poll_seconds: float = 0.05) -> None:
-        """Start a daemon thread that keeps the pool topped up."""
-        if self._producer is not None and self._producer.is_alive():
-            return
-        self._stop.clear()
-
-        def run() -> None:
-            while not self._stop.is_set():
-                if len(self._factors) < self.target_size:
-                    self.refill()
-                else:
-                    self._stop.wait(poll_seconds)
-
-        self._producer = threading.Thread(
-            target=run, name="repro-paillier-blinding-pool", daemon=True
-        )
-        self._producer.start()
-
-    def stop_producer(self) -> None:
-        self._stop.set()
-        if self._producer is not None:
-            self._producer.join(timeout=5.0)
-            self._producer = None
 
 
 # ----------------------------------------------------------------------
@@ -738,8 +662,8 @@ class PaillierEngine:
     Args:
         public_key: the key every batch operates under.
         private_key: optional matching private key.  Enables
-            ``decrypt_many`` and CRT-accelerated blinding — only pass
-            it on the data-provider (key holder) side.
+            ``decrypt_many`` and the half-width blinding tables — only
+            pass it on the data-provider (key holder) side.
         workers: process-pool size for chunked dispatch; ``0`` keeps
             everything in-process (the sequential engine).
         pool_size: target size of the offline blinding-factor pool.
@@ -817,9 +741,7 @@ class PaillierEngine:
             rng = random.Random(seed) if seed is not None else random.Random()
         self.pool = BlindingPool(
             public_key, rng, target_size=pool_size,
-            private_key=private_key, executor_fn=self._maybe_executor,
-            obs=self.obs, dispatch_min_items=self.dispatch_min_items,
-            backend=self.backend,
+            private_key=private_key, obs=self.obs, backend=self.backend,
         )
         # Batch-size histograms, resolved once (no-ops when disabled).
         registry = self.obs.registry
@@ -875,12 +797,8 @@ class PaillierEngine:
         if missing > 0:
             self.pool.refill(missing)
 
-    def start_background_refill(self) -> None:
-        self.pool.start_producer()
-
     def close(self) -> None:
-        """Stop the producer thread and shut the process pool down."""
-        self.pool.stop_producer()
+        """Shut the process pool down."""
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
@@ -895,14 +813,12 @@ class PaillierEngine:
 
     def _blinding_factors(self, count: int,
                           rng: random.Random | None) -> list[int]:
+        # A caller-supplied RNG yields its exponents in the exact order
+        # the scalar path would draw them, so the ciphertexts come out
+        # bit-identical to the scalar reference.
         if rng is None:
             return self.pool.draw_many(count)
-        # Caller-supplied RNG: draw the r values in the exact order the
-        # scalar path would, then batch the exponentiations — the
-        # ciphertexts come out bit-identical to the scalar reference.
-        n = self.public_key.n
-        rs = [sample_coprime(n, rng) for _ in range(count)]
-        return self.pool._compute(rs)
+        return self.pool.fresh(rng, count)
 
     def raw_encrypt_many(
         self,
@@ -925,8 +841,8 @@ class PaillierEngine:
                 raise EncryptionError(f"plaintext {m} out of range [0, n)")
         factors = self._blinding_factors(len(plaintexts), rng)
         return [
-            (1 + n * m) % n_sq * r_n % n_sq
-            for m, r_n in zip(plaintexts, factors)
+            (1 + n * m) % n_sq * factor % n_sq
+            for m, factor in zip(plaintexts, factors)
         ]
 
     def encrypt_many(
@@ -953,7 +869,8 @@ class PaillierEngine:
         """Refresh randomness: multiply each by a pooled encryption of 0."""
         n_sq = self.public_key.n_squared
         factors = self._blinding_factors(len(ciphertexts), rng)
-        return [c * r_n % n_sq for c, r_n in zip(ciphertexts, factors)]
+        return [c * factor % n_sq
+                for c, factor in zip(ciphertexts, factors)]
 
     # -- decryption -----------------------------------------------------
 

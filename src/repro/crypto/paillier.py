@@ -13,10 +13,13 @@ prototype):
   message part: ``g^m = 1 + n*m (mod n^2)``.
 * Decryption uses the Chinese Remainder Theorem over ``p^2`` and ``q^2``,
   roughly a 4x speedup over the textbook formula.
-* Encryption is probabilistic (fresh random ``r`` per ciphertext), which
-  is what makes the scheme semantically secure; re-encryption of the same
-  plaintext yields a different ciphertext, a property the protocol tests
-  rely on.
+* Encryption is probabilistic (a fresh blinding factor per ciphertext),
+  which is what makes the scheme semantically secure; re-encryption of
+  the same plaintext yields a different ciphertext, a property the
+  protocol tests rely on.
+* Blinding factors are short-exponent powers ``h_s^x`` of a fixed
+  per-key base read off a precomputed table
+  (:mod:`repro.crypto.blinding`), not ``r^n`` for a fresh ``r``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import numbers
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Tuple
 
 from ..errors import (
@@ -33,7 +37,8 @@ from ..errors import (
     KeyMismatchError,
 )
 from .backend import active_backend
-from .math_utils import invmod, keypair_primes, sample_coprime
+from .blinding import ShortExponentBlinding
+from .math_utils import invmod, keypair_primes
 
 
 @dataclass(frozen=True)
@@ -57,12 +62,19 @@ class PaillierPublicKey:
         """Largest raw plaintext residue (``n - 1``)."""
         return self.n - 1
 
+    @cached_property
+    def blinding(self) -> ShortExponentBlinding:
+        """The key's fixed-base blinding tables, built on first use and
+        shared by the scalar path and every engine over this key object
+        (racing first uses only duplicate the build)."""
+        return ShortExponentBlinding(self.n)
+
     def raw_encrypt(self, plaintext: int, rng: random.Random) -> int:
         """Encrypt a residue of Z_n into a ciphertext in Z_{n^2}.
 
         Args:
             plaintext: integer in ``[0, n)``.
-            rng: randomness source for the blinding factor ``r``.
+            rng: randomness source for the blinding exponent ``x``.
 
         Raises:
             EncryptionError: if the plaintext is out of range.
@@ -74,9 +86,10 @@ class PaillierPublicKey:
         n_sq = self.n_squared
         # g^m = (1 + n)^m = 1 + n*m (mod n^2) because (n)^2 = 0 (mod n^2).
         g_m = (1 + self.n * plaintext) % n_sq
-        r = sample_coprime(self.n, rng)
-        r_n = active_backend().powmod(r, self.n, n_sq)
-        return (g_m * r_n) % n_sq
+        blinding = self.blinding
+        factor, = blinding.factors(blinding.exponents(rng, 1),
+                                   active_backend())
+        return (g_m * factor) % n_sq
 
     def raw_add(self, c1: int, c2: int) -> int:
         """Homomorphic addition: multiply ciphertexts mod ``n^2``."""
@@ -130,6 +143,12 @@ class PaillierPrivateKey:
         object.__setattr__(
             self, "_h_q", self._h_function(self.q, self._q_squared)
         )
+
+    @cached_property
+    def blinding(self) -> ShortExponentBlinding:
+        """The key holder's form of :attr:`PaillierPublicKey.blinding`:
+        same factors, evaluated mod ``p^2`` / ``q^2``."""
+        return ShortExponentBlinding(self.public_key.n, self.p, self.q)
 
     def _h_function(self, prime: int, prime_squared: int) -> int:
         n = self.public_key.n

@@ -163,7 +163,7 @@ class _Session:
                 raise HandshakeError(
                     "private key does not match the session public key"
                 )
-            # The key holder's engine: CRT blinding, shared across the
+            # The key holder's engine: half-width blinding, shared across the
             # worker's non-linear stages like DataProvider.engine is.
             self._engine = PaillierEngine(
                 self.public_key,

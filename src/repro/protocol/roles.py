@@ -418,8 +418,8 @@ class DataProvider:
             config.key_size, seed=config.seed ^ 0x6B65
         )
         #: Batched crypto engine.  As the key holder, the data
-        #: provider's engine uses CRT-accelerated blinding for its
-        #: offline pool (sound only on this side of the protocol).
+        #: provider's engine blinds from the half-width tables mod p^2
+        #: and q^2 (sound only on this side of the protocol).
         self.engine = PaillierEngine(
             self.public_key,
             private_key=self._private_key,

@@ -304,7 +304,7 @@ class NonLinearStageExecutor:
         self._value_decimals = value_decimals
         self.threads = threads
         self._rng = rng
-        # The data provider's engine (CRT blinding pool + batched
+        # The data provider's engine (half-width blinding pool + batched
         # decryption); shared across stages like the private key is.
         self._engine = engine
         # Lazily (re)created across streams; see LinearStageExecutor.

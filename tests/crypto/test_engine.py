@@ -2,12 +2,12 @@
 
 The engine's contract is exact agreement with the scalar reference
 implementation: same seed, same ciphertext bits — across the blinding
-pool, CRT acceleration, the process pool, and the windowed matvec.
+pool, the key holder's half-width tables, the process pool, and the
+windowed matvec.
 """
 
 import os
 import random
-import time
 
 import numpy as np
 import pytest
@@ -93,20 +93,57 @@ class TestEncryptMany:
 
 class TestCrtAcceleration:
     def test_crt_blinding_bit_identical(self, keypair):
-        """The key holder's CRT pool produces the exact same factors
-        as the public-key pow path."""
+        """The key holder's half-width tables produce the exact same
+        factors as the public table, and both are h_s^x for the seeded
+        x stream."""
         pub, priv = keypair
-        plain = PaillierEngine(pub, seed=5).encrypt_many(range(8))
-        crt = PaillierEngine(pub, private_key=priv, seed=5) \
-            .encrypt_many(range(8))
-        assert [c.ciphertext for c in plain] == \
-            [c.ciphertext for c in crt]
+        plain = PaillierEngine(pub, seed=5, pool_size=8)
+        crt = PaillierEngine(pub, private_key=priv, seed=5, pool_size=8)
+        plain.prefill()
+        crt.prefill()
+        rng = random.Random(5)
+        blinding = pub.blinding
+        expected = [pow(blinding.h_s, x, pub.n_squared)
+                    for x in blinding.exponents(rng, 8)]
+        assert list(plain.pool._factors) == expected
+        assert list(crt.pool._factors) == expected
+        assert [c.ciphertext for c in plain.encrypt_many(range(8))] == \
+            [c.ciphertext for c in crt.encrypt_many(range(8))]
 
     def test_mismatched_private_key_rejected(self, keypair):
         pub, _ = keypair
         _, other_priv = generate_keypair(128, seed=99)
         with pytest.raises(KeyMismatchError):
             PaillierEngine(pub, private_key=other_priv)
+        with pytest.raises(KeyMismatchError):
+            BlindingPool(pub, random.Random(1), private_key=other_priv)
+
+    def test_one_table_build_per_key(self, monkeypatch):
+        """The scalar path, default_engine and every engine over a key
+        object share its tables: one public build, one key-holder
+        pair, however many engines a tenant or session constructs."""
+        from repro.crypto import blinding
+
+        builds = []
+
+        class Counting(blinding.FixedBaseTable):
+            def __init__(self, base, modulus, exponent_bits):
+                builds.append(modulus)
+                super().__init__(base, modulus, exponent_bits)
+
+        monkeypatch.setattr(blinding, "FixedBaseTable", Counting)
+        pub, priv = generate_keypair(128, seed=4242)
+        pub.raw_encrypt(1, random.Random(1))
+        pub.rerandomize(pub.raw_encrypt(2, random.Random(2)),
+                        random.Random(3))
+        default_engine(pub).encrypt_many([1, 2])
+        for seed in range(3):
+            PaillierEngine(pub, seed=seed).encrypt_many([3])
+        assert builds == [pub.n_squared]
+        for seed in range(3):
+            PaillierEngine(pub, private_key=priv, seed=seed) \
+                .encrypt_many([4])
+        assert sorted(builds[1:]) == sorted([priv.p ** 2, priv.q ** 2])
 
 
 class TestDecryptMany:
@@ -185,24 +222,6 @@ class TestBlindingPool:
         assert len(engine.pool) == 8
         engine.encrypt_many([1, 2, 3])
         assert len(engine.pool) == 5
-
-    def test_background_producer_refills(self, keypair):
-        pub, _ = keypair
-        engine = PaillierEngine(pub, seed=6, pool_size=16)
-        engine.start_background_refill()
-        try:
-            deadline = 50
-            while len(engine.pool) < 16 and deadline:
-                time.sleep(0.02)
-                deadline -= 1
-            assert len(engine.pool) == 16
-            # producer values are the same rng stream as sync refill
-            reference = PaillierEngine(pub, seed=6, pool_size=16)
-            reference.prefill()
-            assert list(engine.pool._factors)[:16] == \
-                list(reference.pool._factors)[:16]
-        finally:
-            engine.close()
 
 
 class TestPowerTable:
@@ -333,8 +352,8 @@ class TestProcessPool:
             sequential = PaillierEngine(pub, seed=5)
             par = [c.ciphertext for c in parallel.encrypt_many(values)]
             seq = [c.ciphertext for c in sequential.encrypt_many(values)]
-            # parallel engine holds the private key, so its pool is
-            # CRT-accelerated; values still match the plain-pow pool
+            # parallel engine holds the private key, so its pool uses
+            # the half-width tables; values still match the public pool
             assert par == seq
             ciphers = parallel.encrypt_many(
                 values, rng=random.Random(1)

@@ -17,7 +17,6 @@ from repro.crypto.encoding import DEFAULT_GUARD_BITS, LanePacker
 from repro.crypto.engine import (
     DEFAULT_DISPATCH_MIN_ITEMS,
     KERNEL_STATS,
-    BlindingPool,
     PaillierEngine,
     _matvec_partial,
 )
@@ -224,12 +223,6 @@ class TestDispatchThreshold:
             pub, seed=1, force_parallel=True, dispatch_min_items=99
         )
         assert engine.dispatch_min_items == 1
-
-    def test_blinding_pool_accepts_threshold(self, keypair):
-        pub, _ = keypair
-        pool = BlindingPool(pub, random.Random(1), target_size=4,
-                            dispatch_min_items=3)
-        assert pool.dispatch_min_items == 3
 
     def test_small_batch_stays_serial_and_correct(self, keypair):
         """Below the threshold nothing dispatches to processes, and the

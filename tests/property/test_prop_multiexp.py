@@ -9,9 +9,6 @@ exactly the ciphertexts of the scalar reference loop
 into it: dense ``matvec``, planned ``fc_matvec`` / ``conv_im2col``,
 ``fc_matvec_packed``, the process-pool path, every digit width, and
 the gmpy2 backend when it is importable.
-
-The second half pins the exponent-split CRT blinding: pooled factors
-equal ``pow(r, n, n^2)`` for the same ``r`` stream.
 """
 
 import random
@@ -22,8 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.backend import HAVE_GMPY2, PythonBackend
 from repro.crypto.encoding import LanePacker
 from repro.crypto.engine import PaillierEngine, _matvec_partial
-from repro.crypto.math_utils import sample_coprime
-from repro.crypto.paillier import PaillierPrivateKey, generate_keypair
+from repro.crypto.paillier import generate_keypair
 from repro.crypto.sparse import SparseMatvecPlan
 from repro.errors import CryptoError
 
@@ -239,40 +235,3 @@ class TestNonUnitBase:
             engine.fc_matvec(cells, weights, bias)
         with pytest.raises(CryptoError):
             _matvec_partial(cells, weights, N_SQ, 4)
-
-
-class TestExponentSplitBlinding:
-    @pytest.mark.parametrize("key_size", [128, 256, 512])
-    @pytest.mark.parametrize("swap", [False, True])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pooled_factors_equal_plain_pow(self, key_size, swap,
-                                            backend):
-        public, private = generate_keypair(key_size, seed=key_size)
-        p, q = sorted((private.p, private.q), reverse=swap)
-        private = PaillierPrivateKey(public_key=public, p=p, q=q)
-        assert (private.p > private.q) is swap
-        engine = PaillierEngine(public, private_key=private, seed=77,
-                                pool_size=8, backend=backend)
-        engine.prefill(12)
-        rng = random.Random(77)
-        expected = [
-            pow(sample_coprime(public.n, rng), public.n,
-                public.n_squared)
-            for _ in range(12)
-        ]
-        assert list(engine.pool._factors) == expected
-        # The public-key pool (no CRT) draws the same stream.
-        plain = PaillierEngine(public, seed=77, pool_size=8,
-                               backend=backend)
-        plain.prefill(12)
-        assert list(plain.pool._factors) == expected
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=seeds)
-    def test_every_r_matches(self, seed):
-        engine = PaillierEngine(PUBLIC, private_key=PRIVATE, seed=seed,
-                                pool_size=0)
-        rng = random.Random(seed)
-        rs = [sample_coprime(PUBLIC.n, rng) for _ in range(4)]
-        assert engine.pool._compute(rs) \
-            == [pow(r, PUBLIC.n, N_SQ) for r in rs]
