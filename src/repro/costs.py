@@ -162,6 +162,21 @@ class CostModel:
         return self.ciphertext_mul_base \
             + self.ciphertext_mul_per_bit * max(scalar_bits, 1)
 
+    def fold_seconds(self, values: int, lanes: int,
+                     lane_bits: int) -> float:
+        """Model-provider cost of folding a linear stage's ``values``
+        outputs ``lanes`` to a ciphertext: Horner's rule raises the
+        accumulator to ``2^lane_bits`` once per value beyond the first
+        of each ciphertext."""
+        cells = -(-values // lanes)
+        return (values - cells) * self.ciphertext_mul(lane_bits)
+
+    def folded_decrypt_seconds(self, values: int, lanes: int) -> float:
+        """Key-holder cost of decrypting ``values`` folded ``lanes`` to
+        a ciphertext: one CRT decryption per ciphertext, one unpack (a
+        plaintext op) per value."""
+        return -(-values // lanes) * self.decrypt + values * self.plain_op
+
     def scalar_bits_for_decimals(self, decimals: int,
                                  weight_magnitude: float = 1.0) -> int:
         """Typical bit length of a weight scaled by ``10^decimals``."""
@@ -235,8 +250,9 @@ class CostModel:
     ) -> "CostModel":
         """Micro-benchmark this repository's own kernels at ``key_size``.
 
-        Every term is timed through the entry point the runtime calls
-        (best of five, the calls are millisecond-scale): encryption and
+        Every term is timed through the entry point the runtime calls,
+        best of five (the calls are micro- to millisecond-scale, so a
+        single pause would dominate one timing): encryption and
         decryption through the key holder's engine — ``encrypt_many``
         with an empty pool, so each ciphertext pays for the blinding
         factor it consumes, and the CRT ``decrypt_many`` — and scalar
@@ -275,10 +291,14 @@ class CostModel:
         decrypt_cost = best_of_five(
             lambda: holder.decrypt_many(ciphers)) / samples
 
-        start = time.perf_counter()
-        for left, right in zip(ciphers, ciphers[1:]):
-            _ = left + right
-        add_cost = (time.perf_counter() - start) / (samples - 1)
+        # The add and permutation loops take microseconds, so one
+        # scheduler or GC pause inside a single timing would inflate
+        # their per-element cost a hundredfold: best of five as well.
+        def add_all():
+            for left, right in zip(ciphers, ciphers[1:]):
+                _ = left + right
+
+        add_cost = best_of_five(add_all) / (samples - 1)
 
         # Linear stages never run the scalar ``cipher * w`` loop: every
         # matvec goes through the engine's multi-exponentiation kernel,
@@ -317,10 +337,8 @@ class CostModel:
 
         permutation = Permutation.random(4096, seed)
         data = list(range(4096))
-        start = time.perf_counter()
-        for _ in range(8):
-            data = permutation.apply(data)
-        permute_cost = (time.perf_counter() - start) / (8 * 4096)
+        permute_cost = best_of_five(
+            lambda: permutation.apply(data)) / 4096
 
         return cls(
             key_size=key_size,

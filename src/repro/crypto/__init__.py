@@ -42,7 +42,7 @@ from .engine import (
     default_engine,
 )
 from .sparse import SparseMatvecPlan
-from .tensor import EncryptedTensor, PackedEncryptedTensor
+from .tensor import EncryptedTensor, FoldedTensor, PackedEncryptedTensor
 from .serialize import (
     private_key_from_json,
     private_key_to_json,
@@ -77,6 +77,7 @@ __all__ = [
     "SparseMatvecPlan",
     "default_engine",
     "EncryptedTensor",
+    "FoldedTensor",
     "PackedEncryptedTensor",
     "private_key_from_json",
     "private_key_to_json",

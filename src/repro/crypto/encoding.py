@@ -319,6 +319,45 @@ class LanePacker:
                        - lane_offset)
         return out
 
+    def unpack_exact(self, residue: int, count: int) -> list[int]:
+        """Strict :meth:`unpack` of a residue with exactly ``count``
+        occupied lanes at the canonical offset (a folded ciphertext's
+        plaintext, see :meth:`repro.crypto.engine.PaillierEngine
+        .fold_many`).
+
+        :meth:`unpack` only notices a carry past the top lane.  Here
+        the lanes above ``count`` must be empty as well (a carry out
+        of the last occupied lane lands there), and every value must
+        lie strictly inside ``±2^(mag_bits + guard_bits)`` — the range
+        the guard bits certify; an empty lane content is
+        ``-2^(mag_bits + guard_bits)``, outside it.
+
+        Raises:
+            EncodingError: on any of the above.
+        """
+        if not 1 <= count <= self.lanes:
+            raise EncodingError(
+                f"count {count} out of range [1, {self.lanes}]"
+            )
+        width = self.lane_bits
+        if residue < 0 or residue >> (count * width):
+            raise EncodingError(
+                f"folded residue has bits above its {count} occupied "
+                "lanes — a lane overflowed its certified range"
+            )
+        mask = (1 << width) - 1
+        offset = self.offset
+        out = []
+        for lane in range(count):
+            content = (residue >> (lane * width)) & mask
+            if not content:
+                raise EncodingError(
+                    f"lane {lane} left the certified range "
+                    f"±2^{self.mag_bits + self.guard_bits}"
+                )
+            out.append(content - offset)
+        return out
+
     def rebias_residue(self, delta: int) -> int:
         """The Z_n residue that adds ``delta`` to **every** lane.
 

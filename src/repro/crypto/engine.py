@@ -47,7 +47,11 @@ lives or dies on):
    ciphertext as fixed-width lanes
    (:class:`repro.crypto.encoding.LanePacker`), so every modular
    exponentiation — and every pooled blinding factor and CRT
-   decryption — is amortized over B values.
+   decryption — is amortized over B values.  The same lanes run along
+   the feature axis of one request: :meth:`PaillierEngine.fold_many`
+   packs k consecutive ciphertexts into one with public-key
+   operations only, so the key holder pays one CRT decryption per k
+   values (:meth:`~PaillierEngine.decrypt_many_folded`).
 
 All batched paths produce ciphertexts **bit-identical** to the scalar
 reference implementation in :mod:`repro.crypto.paillier` given the
@@ -771,6 +775,14 @@ class PaillierEngine:
         self._m_packed_matvec = registry.counter(
             "paillier_packed_ops", op="fc_matvec"
         )
+        self._m_fold_cells = {
+            op: registry.counter("paillier_fold_cells", op=op)
+            for op in ("fold", "decrypt")
+        }
+        self._m_fold_values = {
+            op: registry.counter("paillier_fold_values", op=op)
+            for op in ("fold", "decrypt")
+        }
         self._m_zero_skipped = registry.counter(
             "paillier_compress_zero_skipped"
         )
@@ -1282,6 +1294,80 @@ class PaillierEngine:
         ]
         out = self.add_plain_many(out, rebias)
         self._m_packed_matvec.inc(len(out))
+        return out
+
+    # -- output folding -------------------------------------------------
+
+    def fold_many(self, ciphertexts: Sequence[int],
+                  packer: LanePacker) -> list[int]:
+        """Fold each run of ``k = packer.lanes`` consecutive raw
+        ciphertexts into one, with public-key operations only.
+
+        Block ``j`` holds positions ``j*k .. j*k + r - 1`` (``r = k``
+        except possibly for the last block) and becomes, by Horner's
+        rule in base ``2^L`` (``L = packer.lane_bits``)::
+
+            C_j = ((c_{jk+r-1}^(2^L) * c_{jk+r-2})^(2^L) ... * c_{jk})
+                  * (1 + n * offset * ones_r)  mod n^2
+
+        so lane ``l`` of ``C_j`` decrypts to the value at position
+        ``j*k + l`` plus the packer's canonical offset (``ones_r`` has
+        a 1 at the bottom of each of the ``r`` occupied lanes; the
+        lanes above stay empty).  That is ``r - 1`` powmods by
+        ``2^L`` and ``r`` multiplies per block and no new randomness:
+        ``C_j`` is a public function of ciphertexts the caller would
+        otherwise have sent one by one.
+        """
+        if packer.public_key.n != self.public_key.n:
+            raise KeyMismatchError(
+                "packer was built for a different public key"
+            )
+        n = self.public_key.n
+        n_sq = self.public_key.n_squared
+        k = packer.lanes
+        shift = 1 << packer.lane_bits
+        powmod = self.backend.powmod
+        modulus = self.backend.wrap(n_sq)
+        # One offset term per block length (only the last block can
+        # be short).
+        offsets: dict[int, int] = {}
+        out = []
+        for start in range(0, len(ciphertexts), k):
+            block = ciphertexts[start:start + k]
+            acc = block[-1]
+            for cipher in reversed(block[:-1]):
+                acc = powmod(acc, shift, n_sq) * cipher % modulus
+            r = len(block)
+            term = offsets.get(r)
+            if term is None:
+                ones = sum(1 << (lane * packer.lane_bits)
+                           for lane in range(r))
+                term = offsets[r] = 1 + n * (packer.offset * ones % n)
+            out.append(int(acc * term % modulus))
+        self._m_fold_cells["fold"].inc(len(out))
+        self._m_fold_values["fold"].inc(len(ciphertexts))
+        return out
+
+    def decrypt_many_folded(
+        self,
+        encrypted: Sequence[EncryptedNumber],
+        packer: LanePacker,
+        counts: Sequence[int],
+    ) -> list[int]:
+        """Decrypt folded ciphertexts and unpack their lanes, in order:
+        one CRT decryption per ciphertext, ``counts[i]`` signed values
+        out of ciphertext ``i`` (:meth:`LanePacker.unpack_exact`)."""
+        if len(encrypted) != len(counts):
+            raise CryptoError(
+                f"{len(counts)} lane counts for {len(encrypted)} "
+                "folded ciphertexts"
+            )
+        residues = self.decrypt_many(encrypted)
+        out: list[int] = []
+        for residue, count in zip(residues, counts):
+            out.extend(packer.unpack_exact(residue, count))
+        self._m_fold_cells["decrypt"].inc(len(residues))
+        self._m_fold_values["decrypt"].inc(len(out))
         return out
 
 

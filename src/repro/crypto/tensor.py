@@ -20,11 +20,17 @@ samples at once.  Both classes expose the same linear primitives; the
 packed one keeps the invariant that its lanes always sit at the
 packer's canonical offset (operations that disturb the offset rebias
 before returning).
+
+:class:`FoldedTensor` runs the lanes along the feature axis instead:
+what a linear stage hands the data provider, k consecutive values per
+ciphertext, so decrypting N values costs ceil(N/k) CRT decryptions.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from itertools import accumulate
 from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
@@ -719,5 +725,236 @@ class PackedEncryptedTensor:
             f"PackedEncryptedTensor(shape={self.shape}, "
             f"batch={self.batch}, lanes={self.packer.lanes}, "
             f"exponent={self.exponent}, "
+            f"key_size={self.public_key.key_size})"
+        )
+
+
+def fold_counts(length: int, lanes: int) -> list[int]:
+    """Occupied lanes per cell when ``length`` values are folded
+    ``lanes`` to a ciphertext: full cells, then a short last one."""
+    full, rest = divmod(length, lanes)
+    return [lanes] * full + ([rest] if rest else [])
+
+
+class FoldedTensor:
+    """A flat encrypted vector carrying several values per ciphertext.
+
+    What a linear stage hands the data provider: the model provider
+    folds each run of ``k = packer.lanes`` consecutive output
+    ciphertexts into one (:meth:`fold`,
+    :meth:`~repro.crypto.engine.PaillierEngine.fold_many`), so cell
+    ``j`` carries the values at positions ``j*k .. j*k + counts[j] -
+    1`` as lanes at the packer's canonical offset and the key holder
+    pays one CRT decryption per cell instead of one per value.  The
+    decrypted values, their order and the logical shape ``(N,)`` are
+    exactly those of the unfolded :class:`EncryptedTensor`.
+
+    The read side of the :class:`EncryptedTensor` interface —
+    :meth:`decrypt`, :meth:`decrypt_float`, :attr:`size` (logical
+    values), :meth:`cells` (the folded ciphertexts), :meth:`flatten`,
+    :meth:`gather`, :meth:`concatenate` — is all a folded tensor
+    offers: its next stop is decryption.  :meth:`gather` keeps the
+    covering cells and records which lanes it selected, so a
+    partitioned decryption decrypts each cell it touches once.
+
+    Attributes:
+        public_key: the Paillier key all cells are encrypted under.
+        packer: lane geometry (``packer.lanes`` values per cell).
+        exponent: accumulated base-10 fixed-point exponent.
+        counts: occupied lanes of each cell, in cell order.
+    """
+
+    __slots__ = ("public_key", "packer", "exponent", "counts", "_cells",
+                 "_select", "_size")
+
+    def __init__(
+        self,
+        public_key: PaillierPublicKey,
+        cells: Sequence[EncryptedNumber],
+        counts: Sequence[int],
+        packer: LanePacker,
+        exponent: int = 0,
+        select: Sequence[int] | None = None,
+    ):
+        if packer.public_key.n != public_key.n:
+            raise KeyMismatchError(
+                "packer was built for a different public key"
+            )
+        counts = tuple(int(c) for c in counts)
+        if len(counts) != len(cells):
+            raise EncodingError(
+                f"{len(counts)} lane counts for {len(cells)} cells"
+            )
+        if any(not 1 <= c <= packer.lanes for c in counts):
+            raise EncodingError(
+                f"lane counts must lie in [1, {packer.lanes}]"
+            )
+        lanes = sum(counts)
+        if select is not None:
+            select = tuple(select)
+            if any(not 0 <= f < lanes for f in select):
+                raise EncodingError("lane selection out of range")
+        self.public_key = public_key
+        self.packer = packer
+        self.exponent = exponent
+        self.counts = counts
+        self._cells = tuple(cells)
+        self._select = select
+        self._size = lanes if select is None else len(select)
+
+    @classmethod
+    def fold(
+        cls,
+        tensor: EncryptedTensor,
+        packer: LanePacker,
+        engine: "PaillierEngine | None" = None,
+    ) -> "FoldedTensor":
+        """Fold a flat scalar tensor ``packer.lanes`` values per cell
+        (public-key operations only; no randomness drawn)."""
+        from .engine import default_engine
+
+        if tensor.public_key.n != packer.public_key.n:
+            raise KeyMismatchError(
+                "tensor and packer are under different keys"
+            )
+        if engine is None:
+            engine = default_engine(packer.public_key)
+        raw = engine.fold_many(
+            [cell.ciphertext for cell in tensor.cells()], packer
+        )
+        key = packer.public_key
+        return cls(key, [EncryptedNumber(key, c) for c in raw],
+                   fold_counts(tensor.size, packer.lanes), packer,
+                   tensor.exponent)
+
+    # ------------------------------------------------------------------
+
+    @property
+    def size(self) -> int:
+        """Logical values (not ciphertexts — see :meth:`cells`)."""
+        return self._size
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return (self._size,)
+
+    @property
+    def contiguous(self) -> bool:
+        """Whether the cells hold positions ``0 .. N-1`` in order with
+        only the last cell short — the layout :meth:`fold` produces
+        and the wire format carries."""
+        return (self._select is None
+                and all(c == self.packer.lanes for c in self.counts[:-1]))
+
+    def cells(self) -> Tuple[EncryptedNumber, ...]:
+        """The folded ciphertexts (read-only view)."""
+        return self._cells
+
+    def flatten(self) -> "FoldedTensor":
+        return self
+
+    def _lanes(self) -> Sequence[int]:
+        """Flat lane index (over all cells' occupied lanes, in cell
+        order) of each logical value."""
+        if self._select is None:
+            return range(self._size)
+        return self._select
+
+    def decrypt(
+        self,
+        private_key: PaillierPrivateKey,
+        engine: "PaillierEngine | None" = None,
+    ) -> np.ndarray:
+        """Decrypt to a signed-integer ndarray of shape ``(N,)``.
+
+        Raises:
+            EncodingError: a lane left its certified range
+                (:meth:`LanePacker.unpack_exact`).
+        """
+        if engine is not None:
+            flat = engine.decrypt_many_folded(self._cells, self.packer,
+                                              self.counts)
+        else:
+            flat = []
+            for cell, count in zip(self._cells, self.counts):
+                flat.extend(self.packer.unpack_exact(
+                    private_key.decrypt(cell), count))
+        if self._select is not None:
+            flat = [flat[f] for f in self._select]
+        return np.array(flat, dtype=object).reshape(self.shape)
+
+    def decrypt_float(
+        self,
+        private_key: PaillierPrivateKey,
+        engine: "PaillierEngine | None" = None,
+    ) -> np.ndarray:
+        """Decrypt and rescale by the accumulated exponent to float64."""
+        ints = self.decrypt(private_key, engine=engine)
+        scale = 10 ** self.exponent
+        return np.array([int(v) / scale for v in ints],
+                        dtype=np.float64)
+
+    def gather(self, indices: Sequence[int]) -> "FoldedTensor":
+        """Select logical values by index.  The result holds only the
+        cells those values live in (each once, in cell order)."""
+        lanes = self._lanes()
+        picked = [lanes[i] for i in indices]
+        starts = list(accumulate(self.counts, initial=0))[:-1]
+        owner = [bisect_right(starts, f) - 1 for f in picked]
+        needed = sorted(set(owner))
+        new_start = dict(zip(
+            needed,
+            accumulate((self.counts[c] for c in needed), initial=0),
+        ))
+        select = tuple(new_start[c] + f - starts[c]
+                       for c, f in zip(owner, picked))
+        counts = [self.counts[c] for c in needed]
+        if select == tuple(range(sum(counts))):
+            select = None
+        return FoldedTensor(
+            self.public_key, [self._cells[c] for c in needed], counts,
+            self.packer, self.exponent, select,
+        )
+
+    @classmethod
+    def concatenate(
+        cls, parts: Sequence["FoldedTensor"]
+    ) -> "FoldedTensor":
+        """Concatenate folded tensors (values in part order)."""
+        if not parts:
+            raise EncodingError("cannot concatenate zero tensors")
+        first = parts[0]
+        cells: list[EncryptedNumber] = []
+        counts: list[int] = []
+        select: list[int] = []
+        base = 0
+        for part in parts:
+            if part.public_key.n != first.public_key.n:
+                raise KeyMismatchError(
+                    "cannot concatenate tensors under different keys"
+                )
+            if part.exponent != first.exponent:
+                raise EncodingError(
+                    "cannot concatenate tensors with different "
+                    f"exponents: {part.exponent} vs {first.exponent}"
+                )
+            if part.packer != first.packer:
+                raise EncodingError(
+                    "cannot concatenate tensors with different lane "
+                    "geometry"
+                )
+            cells.extend(part.cells())
+            counts.extend(part.counts)
+            select.extend(base + f for f in part._lanes())
+            base += sum(part.counts)
+        if select == list(range(base)):
+            select = None
+        return cls(first.public_key, cells, counts, first.packer,
+                   first.exponent, select)
+
+    def __repr__(self) -> str:
+        return (
+            f"FoldedTensor(size={self._size}, cells={len(self._cells)}, "
+            f"lanes={self.packer.lanes}, exponent={self.exponent}, "
             f"key_size={self.public_key.key_size})"
         )

@@ -35,6 +35,7 @@ from ..errors import (
 )
 from ..nn.layers import LayerKind
 from ..scaling.fixed_point import ScaledAffine
+from ..scaling.headroom import FoldGeometry
 from ..stream.executors import StreamItem
 from .transport import (
     KIND_ANNOUNCE,
@@ -139,6 +140,24 @@ def plan_from_wire(state: dict) -> SparseMatvecPlan:
         raise TransportError(f"malformed matvec plan: {exc}") from exc
 
 
+def fold_to_wire(fold: FoldGeometry) -> dict:
+    """JSON-safe form of the session's output-fold geometry."""
+    return dataclasses.asdict(fold)
+
+
+def fold_from_wire(state: dict) -> FoldGeometry:
+    """Rebuild the fold geometry a model-role spec carries."""
+    try:
+        fold = FoldGeometry(lanes=int(state["lanes"]),
+                            mag_bits=int(state["mag_bits"]),
+                            guard_bits=int(state["guard_bits"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TransportError(f"malformed fold geometry: {exc}") from exc
+    if fold.lanes < 1 or fold.mag_bits < 1 or fold.guard_bits < 0:
+        raise TransportError(f"invalid fold geometry {fold}")
+    return fold
+
+
 def config_to_wire(config: RuntimeConfig) -> dict:
     return dataclasses.asdict(config)
 
@@ -156,8 +175,10 @@ def build_worker_spec(model_provider, data_provider, plan,
 
     Contains everything a fresh process needs to rebuild its stage
     executors: the runtime config, stage geometry, and the role's
-    state (affines + public key for model workers; private key +
-    activation specs + value decimals for data workers).
+    state (affines, matvec plans, output-fold geometry and the public
+    key for model workers; private key, activation specs and value
+    decimals for data workers — a folded tensor's frame carries its
+    own lane geometry).
 
     ``tenant`` names the isolated session the worker should serve this
     connection under: one worker process hosts many tenants' stage
@@ -210,6 +231,9 @@ def build_worker_spec(model_provider, data_provider, plan,
     }
     if role == ROLE_MODEL:
         spec["decimals"] = model_provider.decimals
+        # The fold geometry rides the spec like the matvec plans: a
+        # changed geometry changes the digest and rebuilds the session.
+        spec["fold"] = fold_to_wire(model_provider.fold)
     else:
         spec["value_decimals"] = data_provider.value_decimals
         spec["private_key"] = private_key_to_json(

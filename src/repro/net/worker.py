@@ -79,6 +79,7 @@ from .wire import (
     announce_from_envelope,
     config_from_wire,
     error_envelope,
+    fold_from_wire,
     item_from_task,
     join_envelope,
     leave_envelope,
@@ -145,6 +146,8 @@ class _Session:
             self.public_key = public_key_from_json(spec["public_key"])
             self.num_stages = int(spec["num_stages"])
             self.stages = spec["stages"]
+            self.fold = (fold_from_wire(spec["fold"])
+                         if role == ROLE_MODEL else None)
         except KeyError as exc:
             raise HandshakeError(f"spec missing {exc}") from exc
         self._executors: dict[int, object] = {}
@@ -227,6 +230,7 @@ class _Session:
                         for p in wire_plans
                     ]),
                     engine_labels=self._engine_labels,
+                    fold=self.fold,
                 )
             else:
                 executor = NonLinearStageExecutor(

@@ -37,9 +37,12 @@ def profile_primitive_times(
     """Analytic T_i for each stage (seconds per input tensor).
 
     Linear stages are charged inverse-obfuscation + homomorphic
-    arithmetic + obfuscation; non-linear stages are charged decryption +
-    plaintext non-linear work + re-encryption, following the stage
-    contents of the paper's Figure 4.
+    arithmetic + obfuscation + the output fold; non-linear stages are
+    charged decryption (one per folded ciphertext, plus one unpack per
+    value) + plaintext non-linear work + re-encryption, following the
+    stage contents of the paper's Figure 4.  The fold geometry is the
+    runtime's own (:func:`repro.scaling.headroom.fold_geometry` at the
+    cost model's key size).
 
     Args:
         stages: merged primitive layers in pipeline order.
@@ -54,6 +57,9 @@ def profile_primitive_times(
             multiply per deduplicated reuse, so stage assignment sees
             compressed layers as the cheaper stages they really are.
     """
+    # Deferred: the headroom analysis imports this package's stages.
+    from ..scaling.headroom import fold_geometry
+
     if not stages:
         raise PlannerError("cannot profile an empty stage list")
     if compression is not None and len(compression) != len(stages):
@@ -62,6 +68,7 @@ def profile_primitive_times(
             f"({len(stages)})"
         )
     scalar_bits = cost_model.scalar_bits_for_decimals(scaling_decimals)
+    fold = fold_geometry(stages, scaling_decimals, cost_model.key_size)
     times: List[float] = []
     for index, stage in enumerate(stages):
         counts = stage.op_counts()
@@ -80,10 +87,13 @@ def profile_primitive_times(
                 + counts.input_size * cost_model.permute_element
                 + counts.output_size * cost_model.permute_element
                 + counts.input_size * cost_model.ciphertext_mul_setup
+                + cost_model.fold_seconds(counts.output_size, fold.lanes,
+                                          fold.lane_bits)
             )
         else:
             total = (
-                counts.input_size * cost_model.decrypt
+                cost_model.folded_decrypt_seconds(counts.input_size,
+                                                  fold.lanes)
                 + counts.plain_ops * cost_model.plain_op
                 + counts.output_size * cost_model.encrypt
             )

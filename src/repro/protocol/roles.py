@@ -30,14 +30,23 @@ from ..crypto.engine import PaillierEngine
 from ..crypto.sparse import SparseMatvecPlan, plan_if_worthwhile
 from ..observability import Observability
 from ..crypto.paillier import PaillierPublicKey, generate_keypair
-from ..crypto.tensor import EncryptedTensor, PackedEncryptedTensor
-from ..errors import ProtocolError, SecurityViolationError
+from ..crypto.tensor import (
+    EncryptedTensor,
+    FoldedTensor,
+    PackedEncryptedTensor,
+)
+from ..errors import EncodingError, ProtocolError, SecurityViolationError
 from ..nn.layers import Flatten, LayerKind
 from ..nn.model import Sequential
 from ..obfuscation.obfuscator import Obfuscator
 from ..planner.primitive import MergedPrimitive, model_stages
 from ..scaling.fixed_point import ScaledAffine, scaled_affine_for_layer
-from ..scaling.headroom import LanePlan
+from ..scaling.headroom import (
+    FOLD_INPUT_BOUND,
+    FoldGeometry,
+    LanePlan,
+    fold_geometry,
+)
 from ..scaling.headroom import plan_lane_packing as _plan_lane_packing
 
 #: Non-linear activations the data provider knows how to execute.
@@ -94,6 +103,12 @@ class ModelProvider:
         #: power caches, and (if configured) the process pool.
         self.engine: PaillierEngine | None = None
         self.stages = model_stages(model)
+        #: How every linear stage's outputs are folded before they go
+        #: to the data provider (protocol-public: derived from the key
+        #: size, the scaling exponent and the model's peak bound).
+        self.fold: FoldGeometry = fold_geometry(self.stages, decimals,
+                                                config.key_size)
+        self._folder: LanePacker | None = None
         self._linear_plans: dict[int, LinearStagePlan] = {}
         for stage in self.stages:
             if stage.kind is LayerKind.LINEAR:
@@ -149,6 +164,9 @@ class ModelProvider:
     def register_public_key(self, public_key: PaillierPublicKey) -> None:
         """Receive the data provider's public key at session setup."""
         self._public_key = public_key
+        if self._folder is None \
+                or self._folder.public_key.n != public_key.n:
+            self._folder = self.fold.packer(public_key)
         if self.engine is None or self.engine.public_key.n != public_key.n:
             self.engine = PaillierEngine(
                 public_key,
@@ -211,8 +229,12 @@ class ModelProvider:
         tensor: EncryptedTensor,
         inbound_obfuscation_round: int | None,
         final: bool,
-    ) -> tuple[EncryptedTensor, int | None]:
+    ) -> tuple[FoldedTensor, int | None]:
         """Steps (x.5)/(x.6)/(x.7) of Figure 3 for one linear stage.
+
+        The (permuted, or on the final stage unpermuted) outputs leave
+        folded :attr:`fold` ``.lanes`` to a ciphertext, so the data
+        provider decrypts one ciphertext per ``lanes`` values.
 
         Args:
             stage_index: index of the linear merged primitive.
@@ -223,7 +245,8 @@ class ModelProvider:
                 back *without* obfuscation (step 3.4).
 
         Returns:
-            (output tensor, obfuscation round id or None when final).
+            (folded output tensor, obfuscation round id or None when
+            final).
         """
         if self._public_key is None:
             raise ProtocolError("public key not registered")
@@ -258,22 +281,20 @@ class ModelProvider:
                 engine=self.engine,
                 plan=plan.matvec_plans[affine_index],
             )
-        if final:
-            self.obs.registry.histogram(
-                "protocol_linear_stage_seconds", stage=str(stage_index)
-            ).observe(time.perf_counter() - stage_start)
-            return current, None
-        round_id, permuted = self._obfuscator.obfuscate(
-            list(current.cells())
-        )
-        permuted_tensor = EncryptedTensor(
-            current.public_key, permuted, (len(permuted),),
-            current.exponent,
-        )
+        round_id = None
+        if not final:
+            round_id, permuted = self._obfuscator.obfuscate(
+                list(current.cells())
+            )
+            current = EncryptedTensor(
+                current.public_key, permuted, (len(permuted),),
+                current.exponent,
+            )
+        folded = FoldedTensor.fold(current, self._folder, self.engine)
         self.obs.registry.histogram(
             "protocol_linear_stage_seconds", stage=str(stage_index)
         ).observe(time.perf_counter() - stage_start)
-        return permuted_tensor, round_id
+        return folded, round_id
 
     # -- lane packing ---------------------------------------------------
 
@@ -440,12 +461,34 @@ class DataProvider:
         #: final round) — inspected by the security tests.
         self.observed_plaintexts: List[np.ndarray] = []
 
+    @staticmethod
+    def check_input(x: np.ndarray) -> np.ndarray:
+        """``x`` as float64, if the fold certifies it exact.
+
+        Linear-stage outputs come back folded in lanes sized for
+        ``max|x| <= FOLD_INPUT_BOUND`` (16); a larger input could
+        overflow a lane.
+
+        Raises:
+            EncodingError: some ``|x_i|`` exceeds the bound (or is not
+                finite) — raised before anything is encrypted.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.size and not np.all(np.abs(x) <= FOLD_INPUT_BOUND):
+            raise EncodingError(
+                f"input magnitude {np.abs(x).max()} exceeds the "
+                f"certified bound {FOLD_INPUT_BOUND:g}: normalize the "
+                "input first"
+            )
+        return x
+
     def encrypt_input(self, x: np.ndarray) -> EncryptedTensor:
-        """Step (1.1): scale the raw input and encrypt element-wise."""
+        """Step (1.1): scale the raw input and encrypt element-wise
+        (after :meth:`check_input`)."""
         from ..scaling.fixed_point import scale_to_int
 
         start = time.perf_counter()
-        x = np.asarray(x, dtype=np.float64)
+        x = self.check_input(x)
         scaled = scale_to_int(x, self.value_decimals)
         tensor = EncryptedTensor.encrypt(
             scaled, self.public_key,
@@ -459,15 +502,16 @@ class DataProvider:
 
     def process_nonlinear_stage(
         self,
-        tensor: EncryptedTensor,
+        tensor: FoldedTensor | EncryptedTensor,
         activations: Sequence[str],
         final: bool,
     ) -> EncryptedTensor | np.ndarray:
         """Steps (2.1)-(2.3) (or (3.5)-(3.7) when final) of Figure 3.
 
-        Decrypt, run the activations on the (permuted) plaintext, and
-        re-encrypt — or, in the final round, return the inference
-        result as floats.
+        Decrypt (one CRT decryption per folded ciphertext), run the
+        activations on the (permuted) plaintext, and re-encrypt every
+        value — or, in the final round, return the inference result as
+        floats.
         """
         start = time.perf_counter()
         values = tensor.decrypt_float(self._private_key,

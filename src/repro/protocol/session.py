@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..crypto.serialize import tensor_frame_bytes
-from ..crypto.tensor import PackedEncryptedTensor
+from ..crypto.serialize import frame_bytes
 from ..errors import DeadlineExceededError, ProtocolError
 from ..nn.layers import LayerKind
 from ..observability import OBS_OFF, Observability
@@ -92,14 +91,24 @@ class InferenceSession:
         self._num_pairs = len(stages) // 2
         self._cipher_bytes = 2 * data_provider.public_key.key_size // 8
 
-    def _frame_bytes(self, tensor) -> int:
-        """Exact framed wire size of a tensor, per the serialize
-        v2 format (header + dims + fixed-width ciphertexts)."""
-        return tensor_frame_bytes(
-            self.data_provider.public_key.key_size,
-            rank=len(tensor.shape),
-            size=tensor.size,
-            packed=isinstance(tensor, PackedEncryptedTensor),
+    def _message(self, sender: str, tensor, round_index: int,
+                 stage_index: int,
+                 obfuscation_round: int | None) -> Message:
+        """The transcript entry for one tensor on the wire: its
+        ciphertext count, the analytic estimate for that many, and the
+        exact frame size (:func:`repro.crypto.serialize.frame_bytes` —
+        scalar, packed or folded)."""
+        elements = len(tensor.cells())
+        return Message(
+            sender=sender,
+            kind=(CIPHERTEXT if obfuscation_round is None
+                  else CIPHERTEXT_OBFUSCATED),
+            elements=elements,
+            bytes_estimate=elements * self._cipher_bytes,
+            round_index=round_index,
+            stage_index=stage_index,
+            obfuscation_round=obfuscation_round,
+            bytes_actual=frame_bytes(tensor),
         )
 
     def run(self, x: np.ndarray,
@@ -150,16 +159,9 @@ class InferenceSession:
                 nonlinear_index = 2 * pair + 1
                 final = pair == self._num_pairs - 1
 
-                transcript.record(Message(
-                    sender="data",
-                    kind=(CIPHERTEXT if obfuscation_round is None
-                          else CIPHERTEXT_OBFUSCATED),
-                    elements=tensor.size,
-                    bytes_estimate=tensor.size * self._cipher_bytes,
-                    round_index=pair,
-                    stage_index=linear_index,
-                    obfuscation_round=obfuscation_round,
-                    bytes_actual=self._frame_bytes(tensor),
+                transcript.record(self._message(
+                    "data", tensor, pair, linear_index,
+                    obfuscation_round,
                 ))
                 round_start = time.perf_counter()
                 with tracer.span("linear-round", trace_id=trace_id,
@@ -174,16 +176,8 @@ class InferenceSession:
                     "protocol_round_seconds", kind="linear",
                     stage=str(linear_index),
                 ).observe(time.perf_counter() - round_start)
-                transcript.record(Message(
-                    sender="model",
-                    kind=(CIPHERTEXT if outbound_round is None
-                          else CIPHERTEXT_OBFUSCATED),
-                    elements=tensor.size,
-                    bytes_estimate=tensor.size * self._cipher_bytes,
-                    round_index=pair,
-                    stage_index=linear_index,
-                    obfuscation_round=outbound_round,
-                    bytes_actual=self._frame_bytes(tensor),
+                transcript.record(self._message(
+                    "model", tensor, pair, linear_index, outbound_round,
                 ))
 
                 activations = self.model_provider.nonlinear_activations(
@@ -303,16 +297,9 @@ class InferenceSession:
                 nonlinear_index = 2 * pair + 1
                 final = pair == self._num_pairs - 1
 
-                transcript.record(Message(
-                    sender="data",
-                    kind=(CIPHERTEXT if obfuscation_round is None
-                          else CIPHERTEXT_OBFUSCATED),
-                    elements=tensor.size,
-                    bytes_estimate=tensor.size * self._cipher_bytes,
-                    round_index=pair,
-                    stage_index=linear_index,
-                    obfuscation_round=obfuscation_round,
-                    bytes_actual=self._frame_bytes(tensor),
+                transcript.record(self._message(
+                    "data", tensor, pair, linear_index,
+                    obfuscation_round,
                 ))
                 round_start = time.perf_counter()
                 with tracer.span("linear-round", trace_id=trace_id,
@@ -327,16 +314,8 @@ class InferenceSession:
                     "protocol_round_seconds", kind="linear",
                     stage=str(linear_index),
                 ).observe(time.perf_counter() - round_start)
-                transcript.record(Message(
-                    sender="model",
-                    kind=(CIPHERTEXT if outbound_round is None
-                          else CIPHERTEXT_OBFUSCATED),
-                    elements=tensor.size,
-                    bytes_estimate=tensor.size * self._cipher_bytes,
-                    round_index=pair,
-                    stage_index=linear_index,
-                    obfuscation_round=outbound_round,
-                    bytes_actual=self._frame_bytes(tensor),
+                transcript.record(self._message(
+                    "model", tensor, pair, linear_index, outbound_round,
                 ))
 
                 activations = self.model_provider.nonlinear_activations(

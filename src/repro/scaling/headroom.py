@@ -19,19 +19,38 @@ The same propagation powers lane-packing admission
 (:func:`plan_lane_packing`): the *peak* per-primitive magnitude sizes
 the lane width of :class:`repro.crypto.encoding.LanePacker`, and a
 model is admitted to the packed path only when the requested batch's
-worth of lanes fits the key.
+worth of lanes fits the key.  It also sizes the output fold
+(:func:`fold_geometry`): how many of a linear stage's outputs the
+model provider packs into one ciphertext before the data provider
+decrypts them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import ScalingError
 from ..nn.layers import Flatten, LayerKind
 from ..nn.model import Sequential
-from ..planner.primitive import model_stages
+from ..planner.primitive import MergedPrimitive, model_stages
+
+#: Guard bits of a folded lane.  Headroom bounds are positively
+#: homogeneous in the input bound, so lanes sized from the peak at
+#: ``input_bound = 1`` stay exact for every input with
+#: ``max|x| <= 2^FOLD_GUARD_BITS`` (:data:`FOLD_INPUT_BOUND`).
+FOLD_GUARD_BITS = 4
+
+#: The largest input magnitude the fold certifies (and the data
+#: provider admits): ``2^FOLD_GUARD_BITS`` times the unit input bound
+#: the lanes are sized at.
+FOLD_INPUT_BOUND = float(2 ** FOLD_GUARD_BITS)
+
+#: Upper bound on values per folded ciphertext (the wire format
+#: carries the lane count in one byte).
+MAX_FOLD_LANES = 255
 
 
 @dataclass(frozen=True)
@@ -94,11 +113,21 @@ def analyze_headroom(
     Raises:
         ScalingError: on models the analysis does not support.
     """
+    return _analyze_stages(model_stages(model), decimals, key_size,
+                           input_bound)
+
+
+def _analyze_stages(
+    stages: Sequence[MergedPrimitive],
+    decimals: int,
+    key_size: int,
+    input_bound: float,
+) -> HeadroomReport:
+    """:func:`analyze_headroom` over an already-merged stage list."""
     if input_bound <= 0:
         raise ScalingError("input_bound must be positive")
     # Conservative signed range: n >= 2^(key_size - 1), headroom n/2.
     limit_bits = key_size - 2
-    stages = model_stages(model)
     from ..protocol.roles import activation_spec
 
     bound_by_stage: dict[int, int] = {}
@@ -250,9 +279,8 @@ def plan_lane_packing(
         guard_bits = DEFAULT_GUARD_BITS
     report = analyze_headroom(model, decimals, key_size, input_bound)
     peak = max(report.peak_bound, 1)
-    mag_bits = max(peak.bit_length(), 1)
-    lane_bits = mag_bits + guard_bits + 1
-    capacity = max(0, (key_size - 2) // lane_bits)
+    mag_bits, lane_bits, capacity = _lane_sizing(report, key_size,
+                                                 guard_bits)
     if not report.safe:
         admitted = False
         reason = (
@@ -279,6 +307,82 @@ def plan_lane_packing(
         admitted=admitted,
         reason=reason,
     )
+
+
+def _lane_sizing(report: HeadroomReport, key_size: int,
+                 guard_bits: int) -> tuple[int, int, int]:
+    """``(mag_bits, lane_bits, capacity)`` of lanes sized from the
+    report's peak bound.  Capacity is counted from ``key_size - 2``
+    bits so a :class:`~repro.crypto.encoding.LanePacker` built from the
+    actual modulus (whose bit length can fall one short of
+    ``key_size``) always accepts the geometry."""
+    mag_bits = max(max(report.peak_bound, 1).bit_length(), 1)
+    lane_bits = mag_bits + guard_bits + 1
+    return mag_bits, lane_bits, max(0, (key_size - 2) // lane_bits)
+
+
+@dataclass(frozen=True)
+class FoldGeometry:
+    """How a linear stage's outputs are folded into lane-packed
+    ciphertexts (one :class:`~repro.crypto.encoding.LanePacker` per
+    session).
+
+    Attributes:
+        lanes: values per folded ciphertext (``k``).  1 when two lanes
+            do not fit the key or the headroom analysis cannot certify
+            the model: the fold then degenerates to one value per
+            ciphertext in a lane as wide as the key allows.
+        mag_bits: magnitude bits of a lane — the headroom analysis's
+            peak bound at unit input bound.
+        guard_bits: slack on top of ``mag_bits``; every input with
+            ``max|x| <= 2^guard_bits`` stays exact.
+    """
+
+    lanes: int
+    mag_bits: int
+    guard_bits: int = FOLD_GUARD_BITS
+
+    @property
+    def lane_bits(self) -> int:
+        return self.mag_bits + self.guard_bits + 1
+
+    @classmethod
+    def single_lane(cls, key_size: int) -> "FoldGeometry":
+        """One value per ciphertext, in a ``key_size - 2``-bit lane."""
+        return cls(lanes=1, mag_bits=key_size - 3 - FOLD_GUARD_BITS)
+
+    def packer(self, public_key):
+        """The session's :class:`~repro.crypto.encoding.LanePacker`."""
+        from ..crypto.encoding import LanePacker
+
+        return LanePacker(public_key, lanes=self.lanes,
+                          mag_bits=self.mag_bits,
+                          guard_bits=self.guard_bits)
+
+
+def fold_geometry(
+    stages: Sequence[MergedPrimitive],
+    decimals: int,
+    key_size: int,
+) -> FoldGeometry:
+    """Size the output fold the way :func:`plan_lane_packing` sizes
+    batch lanes: lanes of the peak bound's bits plus
+    :data:`FOLD_GUARD_BITS`, as many as the key holds (at most
+    :data:`MAX_FOLD_LANES`).
+
+    The runtime (``ModelProvider``) and the cost model both call this,
+    so the planner prices exactly the fold the runtime performs.
+    """
+    try:
+        report = _analyze_stages(stages, decimals, key_size, 1.0)
+    except ScalingError:
+        return FoldGeometry.single_lane(key_size)
+    mag_bits, _lane_bits, capacity = _lane_sizing(report, key_size,
+                                                  FOLD_GUARD_BITS)
+    if not report.safe or capacity < 2:
+        return FoldGeometry.single_lane(key_size)
+    return FoldGeometry(lanes=min(capacity, MAX_FOLD_LANES),
+                        mag_bits=mag_bits)
 
 
 def require_headroom(

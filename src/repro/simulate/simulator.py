@@ -312,7 +312,8 @@ def centralized_cipher_latency(
 ) -> float:
     """CipherBase: single-server, single-thread inference on
     ciphertexts — the total homomorphic + activation cost, no pipeline,
-    no network."""
+    no network, and no output fold (CipherBase decrypts every value,
+    as :class:`repro.baselines.CipherBase` does)."""
     total = 0.0
     for stage in stages:
         if stage.kind is LayerKind.LINEAR:

@@ -14,6 +14,12 @@ serving one request:
 * ``transfer``: shipping the stage's output tensor across the network
   to the next stage's server (stages alternate between the model and
   data providers, so every boundary is a network hop).
+
+Linear stages hand their outputs over folded (see
+:func:`repro.scaling.headroom.fold_geometry`, the same geometry the
+runtime uses): the model provider pays the Horner fold, the wire
+carries one ciphertext per ``lanes`` values, and the data provider
+decrypts that many (thread distribution is still priced per value).
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from ..errors import SimulationError
 from ..nn.layers import Flatten, FullyConnected, LayerKind
 from ..partitioning.receptive import partitioned_input_elements
 from ..planner.plan import Plan
+from ..scaling.headroom import FoldGeometry, fold_geometry
 
 
 @dataclass(frozen=True)
@@ -48,22 +55,37 @@ class StageCost:
 
 
 def _linear_compute_seconds(stage, cost_model: CostModel,
-                            decimals: int) -> float:
+                            decimals: int,
+                            fold: FoldGeometry | None = None) -> float:
+    """Homomorphic work of a linear stage, plus the output fold when
+    ``fold`` is given (``None``: outputs leave unfolded, as in
+    CipherBase)."""
     counts = stage.op_counts()
     scalar_bits = cost_model.scalar_bits_for_decimals(decimals)
-    return (
+    total = (
         counts.ciphertext_muls * cost_model.ciphertext_mul(scalar_bits)
         + counts.ciphertext_adds * cost_model.ciphertext_add
         + counts.input_size * cost_model.permute_element
         + counts.output_size * cost_model.permute_element
         + counts.input_size * cost_model.ciphertext_mul_setup
     )
+    if fold is not None:
+        total += cost_model.fold_seconds(counts.output_size, fold.lanes,
+                                         fold.lane_bits)
+    return total
 
 
-def _nonlinear_compute_seconds(stage, cost_model: CostModel) -> float:
+def _nonlinear_compute_seconds(stage, cost_model: CostModel,
+                               fold: FoldGeometry | None = None
+                               ) -> float:
+    """Decrypt (one CRT decryption per folded ciphertext when ``fold``
+    is given), activate, re-encrypt every value."""
     counts = stage.op_counts()
+    decrypt = (counts.input_size * cost_model.decrypt if fold is None
+               else cost_model.folded_decrypt_seconds(counts.input_size,
+                                                      fold.lanes))
     return (
-        counts.input_size * cost_model.decrypt
+        decrypt
         + counts.plain_ops * cost_model.plain_op
         + counts.output_size * cost_model.encrypt
     )
@@ -159,19 +181,22 @@ def stage_costs(
         raise SimulationError("decimals must be non-negative")
     costs: List[StageCost] = []
     partitioning = plan.use_tensor_partitioning
+    fold = fold_geometry(plan.stages, decimals, cost_model.key_size)
     for stage in plan.stages:
         threads = plan.threads_for(stage.index)
         counts = stage.op_counts()
         if stage.kind is LayerKind.LINEAR:
             compute = _linear_compute_seconds(stage, cost_model,
-                                              decimals) / threads
+                                              decimals, fold) / threads
+            # The output crosses the network folded.
+            wire = -(-counts.output_size // fold.lanes)
         else:
-            compute = _nonlinear_compute_seconds(stage,
-                                                 cost_model) / threads
+            compute = _nonlinear_compute_seconds(stage, cost_model,
+                                                 fold) / threads
+            wire = counts.output_size
         intra = intra_comm_seconds(stage, threads, partitioning,
                                    cost_model)
-        transfer = cost_model.transfer_time(counts.output_size,
-                                            encrypted=True)
+        transfer = cost_model.transfer_time(wire, encrypted=True)
         costs.append(StageCost(compute=compute, intra_comm=intra,
                                transfer=transfer))
     return costs

@@ -11,15 +11,21 @@ from __future__ import annotations
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Sequence
 
 import numpy as np
 
 from ..config import DEFAULT_CONFIG, RuntimeConfig
+from ..crypto.encoding import LanePacker
 from ..crypto.engine import PaillierEngine
 from ..crypto.paillier import PaillierPrivateKey
 from ..crypto.sparse import SparseMatvecPlan
-from ..crypto.tensor import EncryptedTensor, PackedEncryptedTensor
+from ..crypto.tensor import (
+    EncryptedTensor,
+    FoldedTensor,
+    PackedEncryptedTensor,
+)
 from ..errors import ProtocolError, StreamError
 from ..nn.layers import LayerKind
 from ..obfuscation.obfuscator import Obfuscator
@@ -32,6 +38,7 @@ from ..protocol.roles import (
     apply_activation_batch,
 )
 from ..scaling.fixed_point import ScaledAffine, scale_to_int
+from ..scaling.headroom import FoldGeometry
 from .retry import DeadLetter
 
 
@@ -41,9 +48,11 @@ class StreamItem:
 
     Attributes:
         request_id: monotone id assigned by the source.
-        tensor: current encrypted tensor — scalar or lane-packed (a
-            packed item carries a whole batch through the pipeline as
-            one request; executors branch on the tensor type).
+        tensor: current encrypted tensor — scalar, folded (a linear
+            stage's output on its way to the data provider) or
+            lane-packed (a packed item carries a whole batch through
+            the pipeline as one request); executors branch on the
+            tensor type.
         obfuscation_round: outstanding obfuscator round id, if permuted.
         enqueue_time: perf-counter timestamp at admission.
         result: final probabilities once the sink stage ran.
@@ -58,7 +67,7 @@ class StreamItem:
     """
 
     request_id: int
-    tensor: EncryptedTensor | PackedEncryptedTensor | None
+    tensor: EncryptedTensor | FoldedTensor | PackedEncryptedTensor | None
     obfuscation_round: int | None = None
     enqueue_time: float = 0.0
     result: np.ndarray | None = None
@@ -82,7 +91,8 @@ def _with_cells(template, cells):
 
 
 class LinearStageExecutor:
-    """Model-provider stage: inverse-obfuscate, affine(s), obfuscate.
+    """Model-provider stage: inverse-obfuscate, affine(s), obfuscate,
+    fold.
 
     ``plans`` (parallel to ``affines``; ``None`` entries or ``None``
     outright mean dense) carries each layer's
@@ -95,6 +105,12 @@ class LinearStageExecutor:
     (e.g. ``{"worker": ..., "tenant": ...}``) label the lazily-built
     engine's ``paillier_power_cache_entries`` gauge so a fleet
     worker's caches are attributable per tenant in /metrics.
+
+    ``fold`` is the session's :class:`~repro.scaling.headroom
+    .FoldGeometry` (``ModelProvider.fold``; remote workers read it from
+    the handshake spec): scalar outputs leave folded that many values
+    to a ciphertext.  Without one the fold runs single-lane.
+    Lane-packed batch items are already full and leave unfolded.
     """
 
     def __init__(
@@ -110,10 +126,13 @@ class LinearStageExecutor:
         obs=None,
         plans: Sequence[SparseMatvecPlan | None] | None = None,
         engine_labels: dict | None = None,
+        fold: FoldGeometry | None = None,
     ):
         if threads < 1:
             raise StreamError("executor needs >= 1 thread")
         self.stage_index = stage_index
+        self.fold = fold
+        self._folder: LanePacker | None = None
         self.affines = list(affines)
         self.plans = (list(plans) if plans is not None
                       else [None] * len(self.affines))
@@ -160,6 +179,13 @@ class LinearStageExecutor:
             )
         return self._engine
 
+    def _folder_for(self, public_key) -> LanePacker:
+        if self._folder is None or self._folder.public_key.n != public_key.n:
+            fold = (self.fold if self.fold is not None
+                    else FoldGeometry.single_lane(public_key.key_size))
+            self._folder = fold.packer(public_key)
+        return self._folder
+
     def process(self, item: StreamItem) -> StreamItem:
         if item.tensor is None:
             raise StreamError("linear stage received an empty item")
@@ -172,15 +198,18 @@ class LinearStageExecutor:
         for affine_index, affine in enumerate(self.affines):
             current = self._apply_affine(affine_index, affine, current,
                                          self.plans[affine_index])
-        if self.final:
-            item.tensor = current
-            item.obfuscation_round = None
-            return item
-        round_id, permuted = self.obfuscator.obfuscate(
-            list(current.cells())
-        )
-        item.tensor = _with_cells(current, permuted)
-        item.obfuscation_round = round_id
+        item.obfuscation_round = None
+        if not self.final:
+            item.obfuscation_round, permuted = self.obfuscator.obfuscate(
+                list(current.cells())
+            )
+            current = _with_cells(current, permuted)
+        if isinstance(current, EncryptedTensor):
+            current = FoldedTensor.fold(
+                current, self._folder_for(current.public_key),
+                self._engine_for(current.public_key),
+            )
+        item.tensor = current
         return item
 
     def _packed_bias(
@@ -282,7 +311,12 @@ class LinearStageExecutor:
 
 
 class NonLinearStageExecutor:
-    """Data-provider stage: decrypt, activations, re-encrypt."""
+    """Data-provider stage: decrypt, activations, re-encrypt.
+
+    Threads split a request by ciphertext: each takes a run of whole
+    cells (a folded cell's values stay with one thread, so each cell
+    is decrypted once) and re-encrypts every value those cells held.
+    """
 
     def __init__(
         self,
@@ -319,10 +353,10 @@ class NonLinearStageExecutor:
             raise StreamError("non-linear stage received an empty item")
         tensor = item.tensor.flatten()
         packed = isinstance(tensor, PackedEncryptedTensor)
-        tasks = partition_elementwise(tensor.size, self.threads)
+        tasks = _value_blocks(tensor, self.threads)
 
         def decrypt_task(task):
-            sub = tensor.gather(task.input_indices)
+            sub = tensor.gather(task)
             return sub.decrypt_float(self._private_key,
                                      engine=self._engine)
 
@@ -345,13 +379,13 @@ class NonLinearStageExecutor:
 
         def encrypt_task(task):
             if packed:
-                values = rescaled[:, list(task.input_indices)]
+                values = rescaled[:, task]
                 return PackedEncryptedTensor.encrypt_batch(
                     values, tensor.packer,
                     exponent=self._value_decimals,
                     engine=self._engine,
                 )
-            values = rescaled[list(task.input_indices)]
+            values = rescaled[task]
             if self._engine is not None \
                     and self._engine.public_key.n == tensor.public_key.n:
                 return EncryptedTensor.encrypt(
@@ -370,6 +404,10 @@ class NonLinearStageExecutor:
             parts = list(self._pool_for().map(encrypt_task, tasks))
         item.tensor = (PackedEncryptedTensor if packed
                        else EncryptedTensor).concatenate(parts)
+        if item.tensor.size != tensor.size:
+            raise StreamError(
+                f"re-encrypted {item.tensor.size} of {tensor.size} values"
+            )
         # The tensor stays in permuted order; the obfuscation round id
         # is carried through untouched for the next linear stage.
         return item
@@ -386,6 +424,19 @@ class NonLinearStageExecutor:
         if self._pool is not None:
             self._pool.shutdown(wait=False)
             self._pool = None
+
+
+def _value_blocks(tensor, threads: int) -> list[range]:
+    """Per-thread runs of value indices covering ``tensor``, split on
+    ciphertext boundaries (one value per cell except for a folded
+    tensor)."""
+    counts = (tensor.counts
+              if isinstance(tensor, FoldedTensor) and tensor.contiguous
+              else [1] * tensor.size)
+    starts = list(accumulate(counts, initial=0))
+    return [range(starts[task.input_indices[0]],
+                  starts[task.input_indices[-1] + 1])
+            for task in partition_elementwise(len(counts), threads)]
 
 
 def build_executors(
@@ -424,6 +475,7 @@ def build_executors(
                     config=model_provider.config,
                     obs=obs,
                     plans=stage_plan.matvec_plans,
+                    fold=model_provider.fold,
                 )
             )
         else:

@@ -238,11 +238,17 @@ class Pipeline:
         (:class:`StreamStats.dead_letters`) when some requests were
         dead-lettered; raises :class:`StageFailedError` only on a
         fatal runtime failure (a stage exhausted its restart budget),
-        after an orderly drain-and-shutdown.
+        after an orderly drain-and-shutdown; raises
+        :class:`~repro.errors.EncodingError` up front, before anything
+        runs, when an input exceeds the certified range
+        (:meth:`DataProvider.check_input`).
         """
         inputs = list(inputs)
         if not inputs:
             raise StreamError("no inputs to stream")
+        # Refuse an uncertified input before anything is encrypted or
+        # any stage starts (raises EncodingError).
+        inputs = [self.data_provider.check_input(raw) for raw in inputs]
         num_stages = len(self._executors)
         channels = [
             Channel(self._channel_capacity) for _ in range(num_stages + 1)

@@ -8,6 +8,7 @@ from repro.nn.layers import FullyConnected, ReLU, SoftMax
 from repro.nn.model import Sequential
 from repro.planner.primitive import model_stages
 from repro.planner.profiling import profile_live, profile_primitive_times
+from repro.scaling.headroom import fold_geometry
 
 
 def stages_fixture(hidden=16):
@@ -42,15 +43,42 @@ class TestAnalyticProfile:
         assert high[1] == pytest.approx(low[1])  # nonlinear unaffected
 
     def test_nonlinear_dominated_by_crypto(self):
-        """Enc/dec costs dwarf the activation itself (Fig. 1)."""
+        """Enc/dec costs dwarf the activation itself (Fig. 1).  The
+        stage decrypts its input folded, one CRT decryption per
+        ciphertext of ``fold.lanes`` values."""
         stages = stages_fixture()
         cost_model = CostModel.reference()
         times = profile_primitive_times(stages, cost_model, 4)
         relu_stage = stages[1]
         counts = relu_stage.op_counts()
-        crypto_only = counts.input_size * cost_model.decrypt \
+        fold = fold_geometry(stages, 4, cost_model.key_size)
+        assert fold.lanes > 1
+        crypto_only = -(-counts.input_size // fold.lanes) \
+            * cost_model.decrypt \
             + counts.output_size * cost_model.encrypt
         assert times[1] == pytest.approx(crypto_only, rel=0.01)
+
+    def test_fold_moves_decryption_cost_to_the_linear_stage(self):
+        """The runtime's fold, priced: ceil(N/k) decryptions plus N
+        unpacks on the data side, (N - ceil(N/k)) lane-width powmods
+        on the model side."""
+        stages = stages_fixture()
+        cost_model = CostModel.reference()
+        times = profile_primitive_times(stages, cost_model, 4)
+        fold = fold_geometry(stages, 4, cost_model.key_size)
+        outputs = stages[0].op_counts().output_size
+        cells = -(-outputs // fold.lanes)
+        unfolded = (outputs * cost_model.decrypt
+                    + stages[1].op_counts().plain_ops
+                    * cost_model.plain_op
+                    + outputs * cost_model.encrypt)
+        assert unfolded - times[1] == pytest.approx(
+            (outputs - cells) * cost_model.decrypt
+            - outputs * cost_model.plain_op)
+        linear_fold = (outputs - cells) * cost_model.ciphertext_mul(
+            fold.lane_bits)
+        assert linear_fold > 0
+        assert times[0] > linear_fold
 
     def test_empty_rejected(self):
         with pytest.raises(PlannerError):
