@@ -230,9 +230,11 @@ class ElasticCoordinator(Coordinator):
         """Swap the live plan and rebuild the handshake specs.
 
         The spec rebuild is what re-handshakes sessions: per-stage
-        thread counts live in the spec, so the digest changes and
-        each worker rebuilds its pinned tenant session on the next
-        dial (same keypair, changed spec — the PR 9 pinning rules).
+        thread counts live in the spec, so the digest changes, the
+        next ``run_stream`` retires every stage connection dialed
+        under the old spec (:meth:`Coordinator.executors`), and each
+        worker rebuilds its pinned tenant session on the re-dial
+        (same keypair, changed spec — the worker's digest pinning).
         """
         if len(new_plan.stages) != len(self.plan.stages):
             raise ClusterMembershipError(

@@ -8,7 +8,12 @@ pipeline machinery**: `run_stream` admission, `StageWorker` retry
 loops, the supervisor, and the dead-letter path are reused verbatim —
 only the per-stage executors are swapped for
 :class:`RemoteStageExecutor` proxies that ship each item over a
-:class:`RemoteChannel` and await the result.
+:class:`RemoteChannel` and await the result.  The coordinator keeps
+one proxy per stage, and each proxy's handshaken task connection,
+across ``run_stream`` calls: a one-request stream pays for its crypto,
+not for eight dials and hellos.  Only a failure report (dead worker),
+a spec change (elastic re-plan), a drain or :meth:`Coordinator.close`
+retires a connection.
 
 Failure handling composes with the existing retry policy instead of
 duplicating it: any transport failure (broken frame, closed socket,
@@ -122,6 +127,18 @@ class WorkerHandle:
         with self._lock:
             self._task_conns.append(connection)
 
+    def unregister(self, connection: Connection) -> None:
+        """Forget one task connection (a no-op when a failure report
+        or a drain already took it)."""
+        with self._lock:
+            if connection in self._task_conns:
+                self._task_conns.remove(connection)
+
+    def task_connections(self) -> List[Connection]:
+        """The task connections this slot currently holds."""
+        with self._lock:
+            return list(self._task_conns)
+
     def drain_connections(self) -> List[Connection]:
         with self._lock:
             connections = list(self._task_conns)
@@ -143,26 +160,30 @@ class RemoteChannel:
     plays put-then-get as one strict round trip on a dedicated task
     connection, so the thread pipeline's stage workers drive remote
     stages through the same blocking call pattern they use locally.
-    Lazily dialed; a dead connection stays dead (the executor builds a
-    fresh channel for the next worker generation).
+    Dialed lazily on first use and then kept open across streams; a
+    connection found closed is re-dialed on the next submit, and the
+    executor replaces the whole channel when the worker's generation
+    moves.
     """
 
     def __init__(self, coordinator: "Coordinator",
-                 handle: WorkerHandle, stage_index: int):
+                 handle: WorkerHandle, stage_index: int,
+                 generation: int):
         self._coordinator = coordinator
         self._handle = handle
         self._stage_index = stage_index
+        self.generation = generation
         self._connection: Connection | None = None
         self._lock = threading.Lock()
 
     def _ensure_connection(self) -> Connection:
         with self._lock:
-            if self._connection is not None \
-                    and not self._connection.closed:
-                return self._connection
-            self._connection = self._coordinator._open_session(
-                self._handle,
-                peer=f"worker-{self._handle.server_id}",
+            if self._connection is not None:
+                if not self._connection.closed:
+                    return self._connection
+                self._handle.unregister(self._connection)
+            self._connection = self._coordinator._open_task_connection(
+                self._handle
             )
             self._handle.register(self._connection)
             return self._connection
@@ -185,21 +206,27 @@ class RemoteChannel:
 
     def close(self) -> None:
         with self._lock:
-            if self._connection is not None:
-                self._connection.close()
-                self._connection = None
+            connection, self._connection = self._connection, None
+        if connection is not None:
+            self._handle.unregister(connection)
+            connection.close()
 
 
 class RemoteStageExecutor:
     """Stage-executor proxy: ships items to a worker of the right role.
 
-    Drop-in for the in-process executors (same ``process(item)`` /
-    ``shutdown()`` surface), handed to ``Pipeline(executors=...)`` so
-    both runtimes share one code path.  Worker selection prefers the
-    plan's assigned server and fails over to any live worker of the
-    same role; with none live it raises
-    :class:`~repro.errors.TransientStageError` so the retry policy
-    keeps the request alive across a worker respawn.
+    Drop-in for the in-process executors (same ``process(item)``
+    surface), handed to ``Pipeline(executors=...)`` so both runtimes
+    share one code path.  Worker selection prefers the plan's assigned
+    server and fails over to any live worker of the same role; with
+    none live it raises :class:`~repro.errors.TransientStageError` so
+    the retry policy keeps the request alive across a worker respawn.
+
+    The coordinator owns these proxies and their connections across
+    streams, so there is deliberately no ``shutdown()``: a stream
+    ending leaves the connections open for the next one, and only
+    :meth:`close` (coordinator close, or a spec change retiring the
+    set) releases them.
     """
 
     def __init__(self, coordinator: "Coordinator", stage_index: int,
@@ -207,7 +234,9 @@ class RemoteStageExecutor:
         self.coordinator = coordinator
         self.stage_index = stage_index
         self.role = role
-        self._channels: dict[tuple[int, int], RemoteChannel] = {}
+        #: One channel per server id, for that server's latest seen
+        #: generation: a generation bump replaces (and closes) it.
+        self._channels: dict[int, RemoteChannel] = {}
         self._lock = threading.Lock()
         self._m_roundtrip = coordinator.obs.registry.histogram(
             "net_stage_roundtrip_seconds", stage=str(stage_index)
@@ -234,15 +263,19 @@ class RemoteStageExecutor:
             self._worker_roundtrips[label] = hist
         return hist
 
-    def _channel_for(self, handle: WorkerHandle) -> RemoteChannel:
-        key = (handle.server_id, handle.generation)
+    def _channel_for(self, handle: WorkerHandle,
+                     generation: int) -> RemoteChannel:
+        stale = None
         with self._lock:
-            channel = self._channels.get(key)
-            if channel is None:
+            channel = self._channels.get(handle.server_id)
+            if channel is None or channel.generation != generation:
+                stale = channel
                 channel = RemoteChannel(self.coordinator, handle,
-                                        self.stage_index)
-                self._channels[key] = channel
-            return channel
+                                        self.stage_index, generation)
+                self._channels[handle.server_id] = channel
+        if stale is not None:
+            stale.close()
+        return channel
 
     def process(self, item):
         handle = self.coordinator.pick_worker(self.role,
@@ -250,7 +283,7 @@ class RemoteStageExecutor:
         generation = handle.generation
         label = str(handle.server_id)
         self.worker_label = label
-        channel = self._channel_for(handle)
+        channel = self._channel_for(handle, generation)
         start = time.perf_counter()
         try:
             item = channel.submit(
@@ -268,11 +301,13 @@ class RemoteStageExecutor:
         self._roundtrip_for(label).observe(elapsed)
         return item
 
-    def shutdown(self) -> None:
+    def close(self) -> None:
+        """Release every task connection this stage holds."""
         with self._lock:
-            for channel in self._channels.values():
-                channel.close()
+            channels = list(self._channels.values())
             self._channels.clear()
+        for channel in channels:
+            channel.close()
 
 
 class Coordinator:
@@ -381,6 +416,10 @@ class Coordinator:
         self._m_reconnects = self.obs.registry.counter(
             "net_worker_reconnects"
         )
+        #: The stage proxies every stream runs through, and the spec
+        #: dict they were built under (see :meth:`executors`).
+        self._executors: List[RemoteStageExecutor] = []
+        self._executor_specs: dict | None = None
 
     # -- wiring --------------------------------------------------------
 
@@ -420,6 +459,17 @@ class Coordinator:
         # could not stall on a silent peer; clear it so large task
         # frames (or chaos-delayed sends) are not spuriously bounded.
         connection.set_socket_timeout(None)
+        return connection
+
+    def _open_task_connection(self, handle: WorkerHandle) -> Connection:
+        """Dial and handshake one stage's task connection, counted in
+        ``net_task_connections_opened{worker}``."""
+        connection = self._open_session(
+            handle, peer=f"worker-{handle.server_id}"
+        )
+        self.obs.registry.counter(
+            "net_task_connections_opened", worker=str(handle.server_id)
+        ).inc()
         return connection
 
     def _attach(self, handle: WorkerHandle) -> None:
@@ -626,15 +676,32 @@ class Coordinator:
     # -- running -------------------------------------------------------
 
     def executors(self) -> List[RemoteStageExecutor]:
-        """One remote proxy per plan stage (fresh set per stream)."""
-        return [
-            RemoteStageExecutor(
-                self, stage.index,
-                ROLE_MODEL if stage.kind is LayerKind.LINEAR
-                else ROLE_DATA,
-            )
-            for stage in self.plan.stages
-        ]
+        """One remote proxy per plan stage, shared by every stream.
+
+        The set (and each task connection it has dialed) lives for as
+        long as the handshake specs do.  Once :attr:`_specs` has been
+        rebuilt (an elastic re-plan), the next call closes the old set
+        and builds a new one, so a connection handshaken under an old
+        spec never carries a task of a later stream and every worker
+        re-pins its session on the re-dial.
+        """
+        with self._lock:
+            if self._executor_specs is self._specs:
+                return list(self._executors)
+            retired = self._executors
+            self._executors = [
+                RemoteStageExecutor(
+                    self, stage.index,
+                    ROLE_MODEL if stage.kind is LayerKind.LINEAR
+                    else ROLE_DATA,
+                )
+                for stage in self.plan.stages
+            ]
+            self._executor_specs = self._specs
+            current = list(self._executors)
+        for executor in retired:
+            executor.close()
+        return current
 
     def run_stream(
         self,
@@ -690,6 +757,11 @@ class Coordinator:
             self._recoveries = []
         for thread in recoveries:
             thread.join(timeout=10.0)
+        with self._lock:
+            executors, self._executors = self._executors, []
+            self._executor_specs = None
+        for executor in executors:
+            executor.close()
         for handle in self.handles:
             if shutdown_workers and handle.alive \
                     and handle.control is not None:

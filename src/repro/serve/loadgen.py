@@ -15,6 +15,10 @@ job to a terminal state, and writing ``BENCH_serve.json``
   ``Retry-After`` header are retried after the advertised delay
   (bounded by ``submit_retries`` attempts and ``retry_after_cap``
   seconds per sleep), and every retry is counted in the report;
+* stage connections opened (self-hosted only):
+  ``task_connections_opened`` from the gateway's registry, next to
+  ``plan_stages`` — connections persist across a tenant's jobs, so
+  this never exceeds ``tenants * plan_stages`` on a healthy fleet;
 * cross-tenant isolation probes (self-hosted only): for each
   adjacent tenant pair, a ciphertext encrypted under tenant A's
   public key is attacked with tenant B's private key — any
@@ -412,6 +416,17 @@ def run_loadgen(options: LoadgenOptions,
                 and len(tracker) == accepted + shed_posts
                 and tracker.all_terminal()
             )
+            # Stage connections persist across a tenant's jobs, so a
+            # healthy run opens at most tenants x plan_stages of them.
+            report["task_connections_opened"] = int(sum(
+                counter.value for _labels, counter
+                in gateway.obs.registry.find(
+                    "counter", "net_task_connections_opened")
+            ))
+            report["plan_stages"] = max(
+                (len(gateway.registry.get(name).plan.stages)
+                 for name in gateway.registry.names()), default=0,
+            )
         if options.out:
             with open(options.out, "w") as handle:
                 json.dump(report, handle, indent=2, sort_keys=True)
@@ -443,6 +458,12 @@ def render_report(report: dict) -> str:
         lines.append(
             f"  latency: p50 {latency['p50']:.0f} ms, "
             f"p99 {latency['p99']:.0f} ms"
+        )
+    if report.get("mode") == "fleet":
+        lines.append(
+            f"  stage connections: {report['task_connections_opened']} "
+            f"opened for {report['tenants']} tenant(s) x "
+            f"{report['plan_stages']} stage(s)"
         )
     accounting = "exact" if report["accounting_ok"] else "BROKEN"
     lines.append(f"  accounting (accepted + shed + rate-limited == "

@@ -1,7 +1,10 @@
 """Worker supervision: heartbeats, restarts, and orderly shutdown.
 
-The :class:`Supervisor` owns the pipeline's stage workers.  It polls
-worker liveness on a monitor thread:
+The :class:`Supervisor` owns the pipeline's stage workers.  Its
+monitor thread sweeps worker liveness each time a worker exits (every
+worker signals its exit — completion or crash — on its own thread, and
+fatal shutdown raises the same signal), with ``poll_interval`` kept
+only as a fallback tick, so a stream ends when its last worker does:
 
 * a worker that finished normally (inbound drained) is left alone;
 * a worker whose thread died (a :class:`~repro.errors.WorkerCrashError`
@@ -17,7 +20,7 @@ worker liveness on a monitor thread:
   and finalizes every worker so no thread is left blocked on a channel
   and no executor pool is leaked.
 
-Heartbeat ages are sampled each poll and exposed via
+Heartbeat ages are exposed via
 :meth:`Supervisor.heartbeat_ages` / :meth:`Supervisor.stalled_stages`
 for observability.
 """
@@ -67,7 +70,8 @@ class Supervisor:
             closed wholesale on fatal shutdown.
         restart_budget: restarts allowed per stage before the failure
             is fatal.
-        poll_interval: monitor thread sampling period in seconds.
+        poll_interval: fallback sweep period in seconds; the monitor
+            normally wakes on each worker's exit signal instead.
         stall_threshold: heartbeat age in seconds beyond which a stage
             is reported by :meth:`stalled_stages` (observability only;
             a stalled-but-alive worker is usually just backpressured).
@@ -97,6 +101,9 @@ class Supervisor:
         self._slots = [_StageSlot(worker=w) for w in workers]
         self._channels = list(channels)
         self._stop = threading.Event()
+        #: Set by every worker exit and by fatal shutdown; the monitor
+        #: sweeps each time it fires.
+        self._wake = threading.Event()
         self._started = False
         self._thread = threading.Thread(
             target=self._monitor, name="repro-stream-supervisor",
@@ -109,6 +116,7 @@ class Supervisor:
         """Mark workers supervised, start them, start monitoring."""
         for slot in self._slots:
             slot.worker.supervised = True
+            slot.worker.on_exit = self._wake.set
             slot.worker.start()
         self._started = True
         self._thread.start()
@@ -134,9 +142,12 @@ class Supervisor:
 
     def _monitor(self) -> None:
         while not self._stop.is_set():
+            # Clear before sweeping: an exit that lands mid-sweep sets
+            # the signal again and buys one more sweep.
+            self._wake.clear()
             if self._sweep():
                 break
-            self._stop.wait(self.poll_interval)
+            self._wake.wait(self.poll_interval)
 
     def _sweep(self) -> bool:
         """One liveness pass; True when every stage has wound down."""
@@ -199,6 +210,7 @@ class Supervisor:
 
     def _fatal_shutdown(self) -> None:
         """Close every channel, wait for threads, finalize workers."""
+        self._wake.set()
         for channel in self._channels:
             channel.close()
         deadline = time.monotonic() + 10.0

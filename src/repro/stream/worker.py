@@ -16,7 +16,10 @@ the worker's :class:`~repro.stream.retry.RetryPolicy`:
   it and re-inject the in-flight item.
 
 Workers publish a heartbeat timestamp each loop iteration so the
-supervisor can observe liveness.
+supervisor can observe liveness, and call their ``on_exit`` hook as
+the last thing their thread does (after :meth:`StageWorker.finalize`
+on completion, right after recording a crash), so a supervisor learns
+of every exit the moment it happens instead of on its next poll.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 from ..errors import (
     DeadlineExceededError,
@@ -111,6 +114,11 @@ class StageWorker:
         self.supervised = False
         self.crashed = False
         self.completed = False
+        #: Called with no arguments on the worker thread once it has
+        #: finished for good (completed or crashed); the supervisor
+        #: wakes its monitor with it.
+        self.on_exit: Optional[Callable[[], None]] = None
+        self._exited = False
         self._seed = seed
         self._rng = random.Random(seed)
         self._error: BaseException | None = None
@@ -164,7 +172,10 @@ class StageWorker:
         return self._error
 
     def is_alive(self) -> bool:
-        return self._thread.is_alive()
+        """True while the worker is still running its loop.  A worker
+        that has completed or crashed is not alive even while its
+        thread is still returning from the exit hook."""
+        return self._thread.is_alive() and not self._exited
 
     def heartbeat_age(self) -> float:
         return time.monotonic() - self.last_heartbeat
@@ -194,6 +205,7 @@ class StageWorker:
         )
         clone.ledger = self.ledger
         clone.supervised = self.supervised
+        clone.on_exit = self.on_exit
         return clone
 
     # -- processing ----------------------------------------------------
@@ -301,6 +313,14 @@ class StageWorker:
             ) from exc
 
     def _run(self) -> None:
+        try:
+            self._loop()
+        finally:
+            self._exited = True
+            if self.on_exit is not None:
+                self.on_exit()
+
+    def _loop(self) -> None:
         try:
             while True:
                 self.last_heartbeat = time.monotonic()

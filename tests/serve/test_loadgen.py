@@ -71,6 +71,25 @@ class TestLocalCampaign:
         assert "accounting" in text and "exact" in text
         assert "isolation: 0 cross-tenant decrypts" in text
 
+    def test_local_mode_opens_no_task_connections(self, report):
+        result, _ = report
+        assert result["task_connections_opened"] == 0
+
+
+class TestFleetCampaign:
+    def test_each_tenant_dials_each_stage_once(self):
+        options = LoadgenOptions(
+            tenants=2, requests=3, mode="fleet", fleet_workers=2,
+            key_size=128, seed=9, tenant_quota=4, queue_capacity=8,
+            serve_workers=2, out=None,
+        )
+        result = run_loadgen(options)
+        assert result["accounting_ok"], result["errors"]
+        assert result["outcomes"] == {"done": 6}
+        assert result["plan_stages"] == 8
+        assert result["task_connections_opened"] \
+            == options.tenants * result["plan_stages"]
+
 
 class TestOversubscribed:
     def test_quota_sheds_and_accounting_holds(self):
