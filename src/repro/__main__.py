@@ -555,7 +555,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     gateway = None
     # One registry for the whole process, shared by the gateway and
     # any in-process fleet workers, so /metrics carries worker-side
-    # series (per-tenant power-cache gauges, session rebuilds) too.
+    # series (per-tenant task counts, session rebuilds) too.
     from .observability import NULL_TRACER, Observability
 
     obs = Observability(enabled=True, tracer=NULL_TRACER)

@@ -334,8 +334,8 @@ def run_packing_bench(
 ) -> dict:
     """Lane-packed vs unpacked engine throughput per key/batch size.
 
-    The unpacked baseline runs the *engine* path (blinding pool, power
-    caches) once per batch sample — i.e. the packing win is measured on
+    The unpacked baseline runs the *engine* path (blinding pool,
+    compiled matvec plans) once per batch sample — i.e. the packing win is measured on
     top of every other amortization, not against the scalar loop.
     Before timing, the packed decode is checked value-identical to the
     unpacked reference under the same seed; batch sizes the key cannot
@@ -601,12 +601,14 @@ def _bench_compress_op(engine, gmpy2_engine, weight, seed, repeats,
 
     entry: dict = {"shape": [out_dim, in_dim], "ops": total}
 
-    # -- dense baseline: the pre-compression engine path --------------
-    dense_out = engine.matvec(cells, weight, bias_raw)
+    # -- dense baseline: the uncompressed layer, plan compiled once ---
+    dense_plan = SparseMatvecPlan.from_dense(weight)
+    dense_out = engine.fc_matvec(cells, bias=bias_raw, plan=dense_plan)
     if decode(dense_out) != expected(weight):
         raise ReproError(f"dense {op} decode mismatch")
     dense_s = _timed(
-        lambda: engine.matvec(cells, weight, bias_raw), repeats
+        lambda: engine.fc_matvec(cells, bias=bias_raw, plan=dense_plan),
+        repeats,
     )
     entry["dense"] = {
         "seconds": dense_s,
@@ -850,19 +852,13 @@ def run_compress_session_bench(
     compression-aware cost profile, so the compressed plan sees its
     linear stages as the cheaper stages they really are.
 
-    Two methodology points keep the comparison honest:
-
-    * the **dense** variant's matvec plans are stripped before any
-      spec or executor is built — a trained model's scaled weights are
-      often sparse enough that :func:`plan_if_worthwhile` fires on the
-      "dense" model too, which would silently benchmark compressed
-      against compressed (the stripped plans flow everywhere: the
-      in-process session, the threaded pipeline, and the TCP handshake
-      spec all read them from the provider);
-    * the blinding-factor pool is sized to cover every warm-up and
-      timed run, mirroring :func:`run_paillier_bench` — the pool is
-      the paper's offline phase, and both variants draw from equally
-      prefilled pools so no lazy mid-run refill pollutes either side.
+    Both variants run the same planned kernel (every layer gets a
+    plan), so the comparison is the model against its compressed
+    twin.  One methodology point keeps it honest: the blinding-factor
+    pool is sized to cover every warm-up and timed run, mirroring
+    :func:`run_paillier_bench` — the pool is the paper's offline
+    phase, and both variants draw from equally prefilled pools so no
+    lazy mid-run refill pollutes either side.
     """
     from .config import RuntimeConfig
     from .costs import CostModel
@@ -913,18 +909,9 @@ def run_compress_session_bench(
     cost_model = CostModel.reference()
     retry_policy = RetryPolicy(max_retries=3, base_delay=0.02)
 
-    def model_provider_for(variant_model, config, planned):
-        model_provider = ModelProvider(variant_model, decimals=decimals,
-                                       config=config)
-        if not planned:
-            # The dense baseline must run the dense kernels even when
-            # its scaled weights happen to be plan-worthy; blanking
-            # the plans here flows through the session, the pipeline,
-            # and the handshake spec alike.
-            for stage_plan in model_provider._linear_plans.values():
-                stage_plan.matvec_plans[:] = \
-                    [None] * len(stage_plan.matvec_plans)
-        return model_provider
+    def model_provider_for(variant_model, config):
+        return ModelProvider(variant_model, decimals=decimals,
+                             config=config)
 
     # Offline-phase pool sizing: one run draws a blinding factor per
     # input cell (encryption) plus one per stage-output cell
@@ -933,7 +920,7 @@ def run_compress_session_bench(
     cells_per_run = int(np.asarray(sample).size) + sum(
         int(np.prod(stage.primitives[-1].output_shape))
         for stage in model_provider_for(
-            model, RuntimeConfig(seed=seed), True).stages
+            model, RuntimeConfig(seed=seed)).stages
     )
     pool_size = (repeats + 2) * cells_per_run
     results: dict = {
@@ -945,15 +932,14 @@ def run_compress_session_bench(
         "key_sizes": {},
     }
 
-    def providers(variant_model, config, planned):
+    def providers(variant_model, config):
         data_provider = DataProvider(value_decimals=decimals,
                                      config=config)
-        return (model_provider_for(variant_model, config, planned),
+        return (model_provider_for(variant_model, config),
                 data_provider)
 
-    def plan_for(variant_model, config, planned):
-        model_provider = model_provider_for(variant_model, config,
-                                            planned)
+    def plan_for(variant_model, config):
+        model_provider = model_provider_for(variant_model, config)
         times = profile_primitive_times(
             model_provider.stages, cost_model, decimals,
             compression=model_provider.compression_stats(),
@@ -961,10 +947,8 @@ def run_compress_session_bench(
         return allocate_load_balanced(model_provider.stages, times,
                                       cluster).plan
 
-    def run_in_process(variant_model, config, planned):
-        session = InferenceSession(
-            *providers(variant_model, config, planned)
-        )
+    def run_in_process(variant_model, config):
+        session = InferenceSession(*providers(variant_model, config))
         probabilities = session.run(sample).probabilities
         seconds = _timed(lambda: session.run(sample), repeats)
         return probabilities, seconds
@@ -980,10 +964,8 @@ def run_compress_session_bench(
             )
         return stats
 
-    def run_threaded(variant_model, config, planned, plan):
-        pipeline = Pipeline(
-            *providers(variant_model, config, planned), plan
-        )
+    def run_threaded(variant_model, config, plan):
+        pipeline = Pipeline(*providers(variant_model, config), plan)
         stats = checked_stream(pipeline.run_stream, "threaded")
         probabilities = stats.results[0].probabilities
         seconds = _timed(
@@ -992,12 +974,11 @@ def run_compress_session_bench(
         )
         return probabilities, seconds
 
-    def run_tcp(variant_model, config, planned, plan):
+    def run_tcp(variant_model, config, plan):
         servers = [WorkerServer(), WorkerServer()]
         addresses = [server.start() for server in servers]
         try:
-            with Coordinator(*providers(variant_model, config,
-                                        planned), plan,
+            with Coordinator(*providers(variant_model, config), plan,
                              addresses,
                              retry_policy=retry_policy) as coord:
                 stats = checked_stream(coord.run_stream, "TCP")
@@ -1022,16 +1003,13 @@ def run_compress_session_bench(
         references: dict = {}
         for variant, variant_model in (("dense", model),
                                        ("compressed", compressed)):
-            planned = variant == "compressed"
-            plan = plan_for(variant_model, config, planned)
-            ref, in_process_s = run_in_process(
-                variant_model, config, planned
-            )
+            plan = plan_for(variant_model, config)
+            ref, in_process_s = run_in_process(variant_model, config)
             references[variant] = ref
             threaded_p, threaded_s = run_threaded(
-                variant_model, config, planned, plan
+                variant_model, config, plan
             )
-            tcp_p, tcp_s = run_tcp(variant_model, config, planned, plan)
+            tcp_p, tcp_s = run_tcp(variant_model, config, plan)
             for runtime, probabilities in (("threaded", threaded_p),
                                            ("tcp", tcp_p)):
                 if not np.array_equal(probabilities, ref):

@@ -61,9 +61,10 @@ class RuntimeConfig:
         blinding_pool_size: target number of precomputed ``h_s^x mod
             n^2`` blinding factors the engine keeps ready; online
             encryption then costs one modular multiply.
-        power_window_bits: digit width of the engine's matvec kernel:
-            each input ciphertext gets a table of its first ``2^w - 1``
-            powers and weights are consumed ``w`` bits at a time.
+        power_window_bits: unused.  The matvec kernel runs per-column
+            addition-sequence schedules and has no digit width; the
+            field stays only because ``perfbench/layers.py`` reads it,
+            and goes with the next PR that edits ``perfbench/``.
         dispatch_min_items: the engine's process-dispatch break-even
             threshold — batches smaller than this run inline even when
             ``workers > 0``, because fork/pickle overhead dwarfs the
@@ -76,10 +77,6 @@ class RuntimeConfig:
             Python otherwise), ``"python"``, or ``"gmpy2"`` (errors if
             gmpy2 is absent).  Backends are bit-identical; the knob
             only changes speed.
-        power_cache_entries: LRU bound on the engine's cross-call
-            digit-table cache (tables keyed by ciphertext, used by
-            the planned ``fc_matvec`` / ``conv_im2col`` paths).
-            Exported as the ``paillier_power_cache_entries`` gauge.
         pack_lanes: requested batch-axis lane count for lane-packed
             inference (:class:`repro.crypto.encoding.LanePacker`).
             0 (the default) disables packing; with ``pack_lanes = B``,
@@ -246,7 +243,6 @@ class RuntimeConfig:
     power_window_bits: int = 4
     dispatch_min_items: int = 64
     bigint_backend: str = "auto"
-    power_cache_entries: int = 512
     pack_lanes: int = 0
     observability: bool = False
     net_connect_timeout: float = 5.0
@@ -322,11 +318,6 @@ class RuntimeConfig:
                 "blinding_pool_size must be non-negative, got "
                 f"{self.blinding_pool_size}"
             )
-        if not 1 <= self.power_window_bits <= 16:
-            raise ConfigurationError(
-                "power_window_bits must be in [1, 16], got "
-                f"{self.power_window_bits}"
-            )
         if self.dispatch_min_items < 1:
             raise ConfigurationError(
                 "dispatch_min_items must be >= 1, got "
@@ -336,11 +327,6 @@ class RuntimeConfig:
             raise ConfigurationError(
                 "bigint_backend must be 'auto', 'python', or 'gmpy2', "
                 f"got {self.bigint_backend!r}"
-            )
-        if self.power_cache_entries < 1:
-            raise ConfigurationError(
-                "power_cache_entries must be >= 1, got "
-                f"{self.power_cache_entries}"
             )
         if self.pack_lanes < 0:
             raise ConfigurationError(
@@ -535,12 +521,6 @@ class RuntimeConfig:
         """Return a copy of this config with a different bigint
         backend ('auto', 'python', or 'gmpy2')."""
         return replace(self, bigint_backend=bigint_backend)
-
-    def with_power_cache_entries(self, power_cache_entries: int
-                                 ) -> "RuntimeConfig":
-        """Return a copy of this config with a different LRU bound on
-        the engine's cross-call fixed-base power cache."""
-        return replace(self, power_cache_entries=power_cache_entries)
 
     def with_net(
         self,

@@ -14,9 +14,9 @@ whose inputs are the per-operation costs defined here.  Two profiles:
   real (threaded-runtime) latencies line up on this machine.
 
 Scalar multiplication ``E(m)^w`` costs work proportional to the bits
-of ``w`` — a square-and-multiply loop on its own, one multiply per
-``power_window_bits`` bits inside the engine's matvec kernel — so its
-cost grows with the bit length of the scaled weight.  That is exactly
+of ``w`` — a square-and-multiply loop on its own, the steps of an
+addition sequence inside the engine's matvec kernel — so its cost
+grows with the bit length of the scaled weight.  That is exactly
 the scaling-factor/latency trade-off Figure 6 measures, and the model
 captures it via ``ciphertext_mul_per_bit``.
 """
@@ -114,8 +114,11 @@ class CostModel:
             plaintext scalar.
         ciphertext_mul_setup: seconds a matvec spends per *input*
             ciphertext however many weights multiply it (the engine
-            kernel's digit table).  Zero in profiles that model a
-            standalone exponentiation per weight.
+            kernel's per-column overhead).  Zero in profiles that model
+            a standalone exponentiation per weight.
+        stage_overhead: seconds a stage spends per request outside
+            its kernels (tensor wrapping, lane unpacking, activation
+            dispatch).  Zero in profiles that price kernels only.
         plain_op: seconds per plaintext elementary operation.
         permute_element: seconds per element moved by (inverse)
             obfuscation.
@@ -139,11 +142,13 @@ class CostModel:
     network_bandwidth: float
     ciphertext_bytes: int
     ciphertext_mul_setup: float = 0.0
+    stage_overhead: float = 0.0
 
     def __post_init__(self) -> None:
         for field_name in (
             "encrypt", "decrypt", "ciphertext_add", "ciphertext_mul_base",
-            "ciphertext_mul_per_bit", "ciphertext_mul_setup", "plain_op",
+            "ciphertext_mul_per_bit", "ciphertext_mul_setup",
+            "stage_overhead", "plain_op",
             "permute_element", "serialize_element", "network_latency",
             "network_bandwidth",
         ):
@@ -202,6 +207,7 @@ class CostModel:
             ciphertext_mul_base=self.ciphertext_mul_base * factor,
             ciphertext_mul_per_bit=self.ciphertext_mul_per_bit * factor,
             ciphertext_mul_setup=self.ciphertext_mul_setup * factor,
+            stage_overhead=self.stage_overhead * factor,
             plain_op=self.plain_op * factor,
             permute_element=self.permute_element * factor,
             serialize_element=self.serialize_element * factor,
@@ -256,15 +262,21 @@ class CostModel:
         decryption through the key holder's engine — ``encrypt_many``
         with an empty pool, so each ciphertext pays for the blinding
         factor it consumes, and the CRT ``decrypt_many`` — and scalar
-        multiplication as linear stages run it, an engine matvec split
-        into a per-input setup and a per-weight cost by timing a thin
-        and a tall layer, with the per-bit slope fitted from two weight
-        widths; plus homomorphic addition, permutation and
-        plaintext-op costs.
+        multiplication as linear stages run it, the engine's planned
+        matvec (plan compiled before the timed region, as sessions
+        compile theirs at setup) split into a per-input setup and a
+        per-weight cost by timing a thin and a tall layer, with the
+        per-bit slope fitted from two weight widths; the per-request
+        overhead of the smallest stage the runtime runs; plus
+        homomorphic addition, permutation and plaintext-op costs.
         """
         from .crypto.engine import PaillierEngine
         from .crypto.paillier import generate_keypair
+        from .crypto.sparse import SparseMatvecPlan
+        from .crypto.tensor import EncryptedTensor, FoldedTensor
         from .obfuscation.permutation import Permutation
+        from .scaling.headroom import FoldGeometry
+        from .stream.executors import NonLinearStageExecutor, StreamItem
 
         if samples < 8:
             raise ConfigurationError("need at least 8 calibration samples")
@@ -291,6 +303,19 @@ class CostModel:
         decrypt_cost = best_of_five(
             lambda: holder.decrypt_many(ciphers)) / samples
 
+        # A stage also pays per request for what its kernels do not
+        # cover.  Time the smallest stage the runtime runs — a final
+        # non-linear stage decrypting one folded value — and keep what
+        # its one decryption does not explain.
+        folded = FoldedTensor.fold(
+            EncryptedTensor(public, ciphers[:1], (1,), 0),
+            FoldGeometry.single_lane(key_size).packer(public), holder)
+        final_stage = NonLinearStageExecutor(
+            0, ["softmax"], private, 0, 1, rng, final=True, engine=holder)
+        stage_overhead = max(best_of_five(
+            lambda: final_stage.process(StreamItem(0, folded))
+        ) - decrypt_cost, 0.0)
+
         # The add and permutation loops take microseconds, so one
         # scheduler or GC pause inside a single timing would inflate
         # their per-element cost a hundredfold: best of five as well.
@@ -301,26 +326,26 @@ class CostModel:
         add_cost = best_of_five(add_all) / (samples - 1)
 
         # Linear stages never run the scalar ``cipher * w`` loop: every
-        # matvec goes through the engine's multi-exponentiation kernel,
-        # which pays a digit table once per input ciphertext and then a
-        # few multiplies per weight.  Time the kernel on a thin and a
-        # tall layer over the same inputs: the difference is the
-        # per-weight cost, the remainder of the thin layer the
-        # per-input setup the stage-cost formulas scale by the layer's
-        # real input size.
+        # matvec runs the column schedules its layer's plan compiled at
+        # session setup — a few steps per distinct weight of a column,
+        # then one multiply per use.  Time that planned path on a thin
+        # and a tall layer over the same inputs, each plan compiled
+        # before timing: the difference is the per-weight cost, the
+        # remainder of the thin layer the per-input setup the
+        # stage-cost formulas scale by the layer's real input size.
         engine = PaillierEngine(public)
         raw = [cipher.ciphertext for cipher in ciphers]
         thin, tall = 2, samples
 
         def time_matvec(rows: int, bits: int) -> float:
-            weights = [
+            plan = SparseMatvecPlan.from_dense([
                 [rng.choice((-1, 1))
                  * (rng.getrandbits(bits) | 1 << (bits - 1))
                  for _ in range(samples)]
                 for _ in range(rows)
-            ]
+            ])
             return best_of_five(
-                lambda: engine.matvec(raw, weights, raw[:rows])
+                lambda: engine.fc_matvec(raw, bias=raw[:rows], plan=plan)
             ) / samples                         # per input ciphertext
 
         small_bits, large_bits = 8, 40
@@ -348,6 +373,7 @@ class CostModel:
             ciphertext_mul_base=mul_base,
             ciphertext_mul_per_bit=per_bit,
             ciphertext_mul_setup=mul_setup,
+            stage_overhead=stage_overhead,
             plain_op=5.0e-9,
             permute_element=permute_cost,
             serialize_element=2.0e-7,

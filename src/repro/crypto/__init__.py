@@ -37,8 +37,6 @@ from .backend import (
 from .engine import (
     BlindingPool,
     PaillierEngine,
-    PowerCache,
-    PowerTable,
     default_engine,
 )
 from .sparse import SparseMatvecPlan
@@ -72,8 +70,6 @@ __all__ = [
     "resolve_backend",
     "BlindingPool",
     "PaillierEngine",
-    "PowerCache",
-    "PowerTable",
     "SparseMatvecPlan",
     "default_engine",
     "EncryptedTensor",

@@ -27,19 +27,20 @@ lives or dies on):
    enough that pickling cost stays far below the modular-arithmetic
    cost, and tiny batches run inline.  (Blinding stays inline: a
    factor is a few dozen multiplies, below its own pickling cost.)
-4. **Interleaved multi-exponentiation** — a matvec (FC layer, or conv
+4. **Compiled multi-exponentiation** — a matvec (FC layer, or conv
    via im2col) is ``out_j = prod_i c_i^(w_ji)``: every input
-   ciphertext is raised to many small weight exponents.  One
-   Straus/Shamir kernel (:func:`_sparse_partial`) serves the dense,
-   planned and packed paths alike: per ciphertext it builds only the
-   digit table ``c^1 .. c^(2^w - 1)`` (:class:`PowerTable`), scatters
-   each weight's base-``2^w`` digits into per-row, per-position
-   accumulators (negative weights into a denominator set), finishes
-   every row with one Horner pass whose squarings all columns share,
-   and inverts the layer's denominators with a single batched
-   inversion.  Heavily clustered columns instead form each distinct
-   ``c^|w|`` once and pay one multiply per use, chosen per column by
-   counted multiplies.
+   ciphertext is raised to many small weight exponents, and the
+   weights are static.  Each layer's
+   :class:`~repro.crypto.sparse.SparseMatvecPlan` compiles, once,
+   one addition-sequence schedule per column, so the kernel
+   (:func:`_run_columns` / :func:`_divide`) does exactly three
+   things per call: run each column's schedule (one multiply per
+   step forms every ``c^|w|`` the column needs), multiply each power
+   into its rows (one multiply per weight use; negative weights into
+   a denominator set) and invert the denominators with one batched
+   inversion.  No per-ciphertext tables, no Horner pass, nothing kept
+   across calls.  Dense, planned, packed and pool-chunked matvecs all
+   run it; ``paillier_matvec_mults{part}`` counts its multiplies.
 5. **Lane packing** — the packed fast paths
    (:meth:`PaillierEngine.encrypt_many_packed` /
    :meth:`~PaillierEngine.decrypt_many_packed` /
@@ -64,11 +65,9 @@ from __future__ import annotations
 import os
 import random
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, List, Sequence
-
-import numpy as np
 
 from ..errors import (
     CryptoError,
@@ -90,26 +89,15 @@ from .sparse import SparseMatvecPlan
 #: Default number of precomputed blinding factors kept ready.
 DEFAULT_POOL_SIZE = 128
 
-#: Default digit width (bits) of the matvec kernel's per-ciphertext
-#: digit tables.
-DEFAULT_WINDOW_BITS = 4
-
-#: Default LRU bound on the engine's cross-call digit-table cache (the
-#: planned ``fc_matvec`` / ``conv_im2col`` paths key tables by
-#: ciphertext; without a bound a long-lived engine would grow one
-#: table per ciphertext it ever saw).
-DEFAULT_POWER_CACHE_ENTRIES = 512
-
 #: ``add_many`` process-dispatch multiplier: one homomorphic add is a
 #: single modular multiply, ~this many times cheaper than the pow-bound
 #: work ``dispatch_min_items`` was calibrated for, so the break-even
 #: batch is correspondingly larger.
 ADD_DISPATCH_FACTOR = 32
 
-#: Decision tallies :func:`_sparse_partial` keeps per call; the engine
-#: publishes each as a ``paillier_power_cache_<name>`` counter.
-KERNEL_STATS = ("columns_table", "columns_plain", "tables_built",
-                "table_pows", "plain_pows", "dedup_hits")
+#: The matvec kernel's parts, each a ``paillier_matvec_mults{part}``
+#: counter (:meth:`SparseMatvecPlan.mult_counts`).
+MATVEC_PARTS = ("schedule", "scatter", "invert")
 
 #: Default process-dispatch break-even threshold: below this many items
 #: a batch runs inline even when workers > 0, because fork/pickle
@@ -139,18 +127,15 @@ def _decrypt_chunk(args) -> list[int]:
     return out
 
 
-def _matvec_chunk(args) -> list[int]:
-    """Per-row partial products over a column slice of a matvec."""
-    cells, rows, n_sq, window_bits, backend_name = args
-    return _matvec_partial(cells, rows, n_sq, window_bits,
-                           backend=resolve_backend(backend_name))
-
-
-def _sparse_chunk(args) -> list[int]:
-    """Per-row partial products over a slice of sparse plan columns."""
-    pairs, out_dim, n_sq, window_bits, backend_name = args
-    return _sparse_partial(pairs, out_dim, n_sq, window_bits,
-                           backend=resolve_backend(backend_name))
+def _sparse_chunk(args) -> tuple[list[int], list[int]]:
+    """Steps 1 and 2 of the matvec kernel over a slice of plan
+    columns: the slice's per-row numerator and denominator products."""
+    columns, out_dim, n_sq, backend_name = args
+    backend = resolve_backend(backend_name)
+    num = [1] * out_dim
+    den = [1] * out_dim
+    _run_columns(columns, num, den, backend.wrap(n_sq), backend.wrap)
+    return [int(v) for v in num], [int(v) for v in den]
 
 
 def _mulmod_chunk(args) -> list[int]:
@@ -162,362 +147,55 @@ def _mulmod_chunk(args) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# Fixed-base digit tables and the interleaved multi-exponentiation
-# kernel every homomorphic matvec runs on.
+# The matvec kernel: every homomorphic matvec runs the column
+# schedules a SparseMatvecPlan compiled once per layer.
 # ----------------------------------------------------------------------
 
-class PowerTable:
-    """Precomputed powers of one ciphertext, grown on demand.
+def _run_columns(columns, num: list, den: list, modulus, wrap) -> None:
+    """Steps 1 and 2 of the kernel, in place, for a run of columns.
 
-    Two sequences, both empty beyond ``base`` itself until asked for:
-
-    * :meth:`digits` — the digit table ``base^0 .. base^d``, what the
-      matvec kernel scatters a column's base-``2^w`` digits from;
-    * :meth:`squares` — the squaring chain ``base^(2^i)``, what it
-      forms a clustered column's few distinct powers on.
-
-    ``max_bits`` is accepted for compatibility with the earlier
-    positional-table constructor and ignored: both sequences grow on
-    demand.
-
-    Growth publishes a new list instead of appending in place, so a
-    table shared through a :class:`PowerCache` can be read while
-    another thread grows it: a reader sees a complete shorter list or
-    a complete longer one, and racing growers only duplicate work.
+    ``columns`` pairs each input ciphertext ``c`` with its column's
+    :data:`~repro.crypto.sparse.ColumnSchedule`.  Step 1 runs the
+    schedule from the slots ``[1, c]``: one multiply per step, after
+    which ``c^|w|`` sits in a known slot for every distinct ``|w|``
+    the column uses.  Step 2 multiplies each use's power into the
+    ``num`` entry of its rows — the ``den`` entry for a negative
+    weight — one multiply per (row, weight) cell.
     """
-
-    __slots__ = ("modulus", "window_bits", "_digits", "_squares")
-
-    def __init__(self, base: int, modulus: int, max_bits: int = 0,
-                 window_bits: int = DEFAULT_WINDOW_BITS,
-                 backend: BigintBackend | None = None):
-        if window_bits < 1:
-            raise CryptoError(f"window_bits must be >= 1, got {window_bits}")
-        if backend is not None:
-            # Lifting base and modulus into the backend's native integer
-            # type makes every product below run on that type; the
-            # Python backend's wrap is the identity, so this is free.
-            base = backend.wrap(base)
-            modulus = backend.wrap(modulus)
-        base %= modulus
-        self.modulus = modulus
-        self.window_bits = window_bits
-        self._digits: list[int] = [1, base]
-        self._squares: list[int] = [base]
-
-    def digits(self, upto: int) -> list[int]:
-        """``[1, base, base^2, ...]``, at least through ``base^upto``."""
-        row = self._digits
-        if upto >= len(row):
-            m = self.modulus
-            row = list(row)
-            base = row[1]
-            entry = row[-1]
-            while len(row) <= upto:
-                entry = entry * base % m
-                row.append(entry)
-            self._digits = row
-        return row
-
-    def squares(self, count: int) -> list[int]:
-        """``[base, base^2, base^4, ...]``, at least ``count`` long."""
-        chain = self._squares
-        if count > len(chain):
-            m = self.modulus
-            chain = list(chain)
-            g = chain[-1]
-            while len(chain) < count:
-                g = g * g % m
-                chain.append(g)
-            self._squares = chain
-        return chain
-
-    def pow(self, exponent: int) -> int:
-        """``base^exponent mod modulus`` for a non-negative exponent
-        (the kernel itself reads only the two sequences)."""
-        if exponent < 0:
-            raise CryptoError("PowerTable.pow needs a non-negative exponent")
-        return int(pow(self._squares[0], exponent, self.modulus))
+    for base, (steps, uses) in columns:
+        slots = [1, wrap(base)]
+        append = slots.append
+        for a, b in steps:
+            append(slots[a] * slots[b] % modulus)
+        for slot, rows, negative in uses:
+            value = slots[slot]
+            lane = den if negative else num
+            for j in rows:
+                lane[j] = lane[j] * value % modulus
 
 
-class PowerCache:
-    """Bounded LRU of :class:`PowerTable` objects keyed by ciphertext.
-
-    The planned matvec paths (:meth:`PaillierEngine.fc_matvec` /
-    :meth:`~PaillierEngine.conv_im2col`) keep each input ciphertext's
-    digit table *across calls*: repeated evaluations over the same
-    ciphertexts (multi-layer reuse, benchmark loops, retries) skip the
-    table build entirely.  Ciphertexts are ~key-size integers and a
-    digit table holds up to ``2^w - 1`` of them, so an unbounded cache
-    in a long-lived engine would be a slow leak; the LRU bound caps
-    it, and the ``paillier_power_cache_entries`` gauge makes the
-    occupancy observable.
-    """
-
-    __slots__ = ("max_entries", "hits", "misses", "evictions",
-                 "_entries", "_gauge")
-
-    def __init__(self, max_entries: int = DEFAULT_POWER_CACHE_ENTRIES,
-                 gauge=None):
-        if max_entries < 1:
-            raise CryptoError(
-                f"max_entries must be >= 1, got {max_entries}"
-            )
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: "OrderedDict[int, PowerTable]" = OrderedDict()
-        self._gauge = gauge
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def peek(self, key: int) -> PowerTable | None:
-        """Return the cached table for ``key`` (refreshing its LRU
-        position) or ``None``."""
-        table = self._entries.get(key)
-        if table is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return table
-
-    def put(self, key: int, table: PowerTable) -> None:
-        """Insert a table, evicting least-recently-used past the bound."""
-        self._entries[key] = table
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        if self._gauge is not None:
-            self._gauge.set(len(self._entries))
-
-    def reset(self) -> None:
-        """Drop every cached table (e.g. between layers or requests)."""
-        self._entries.clear()
-        if self._gauge is not None:
-            self._gauge.set(0)
-
-
-def _horner(lanes: list[list[int]], window_bits: int, modulus) -> list[int]:
-    """Fold per-position accumulators into ``prod_t lanes[t]^(2^(w*t))``
-    per row: ``w`` squarings per position, however many columns fed
-    the lanes.  Rows whose upper positions were never touched skip the
-    squarings."""
-    shift = 1 << window_bits
-    acc = lanes[-1]
-    for t in range(len(lanes) - 2, -1, -1):
-        acc = [low if high == 1 else pow(high, shift, modulus) * low % modulus
-               for high, low in zip(acc, lanes[t])]
-    return acc
-
-
-def _sparse_partial(
-    columns: Sequence[tuple],
-    out_dim: int,
-    n_sq: int,
-    window_bits: int,
-    backend: BigintBackend | None = None,
-    cache: PowerCache | None = None,
-    stats: dict | None = None,
-) -> list[int]:
-    """The multi-exponentiation kernel: bias-free ``prod_i
-    base_i^(w_ji) mod n^2`` for every output row ``j`` at once.
-
-    ``columns`` pairs each input ciphertext with its
-    :class:`~repro.crypto.sparse.SparseMatvecPlan` column — the
-    distinct nonzero weights and the output rows using each (zero
-    weights never reach this loop).  Instead of forming every ``c^w``
-    and multiplying it in, the kernel interleaves all exponentiations
-    of the layer (Straus/Shamir):
-
-    * per ciphertext only the digit table ``c^1 .. c^dmax`` is built
-      (``dmax`` = largest base-``2^w`` digit the column uses; at most
-      ``2^w - 2`` multiplies), and each weight's digits are scattered
-      straight into per-row, per-digit-position accumulators — one
-      multiply per non-zero digit per use;
-    * negative weights scatter ``c^|w|`` into a parallel denominator
-      set, so there are no inverse tables and no per-column inversion;
-    * every row is finished by one Horner pass (:func:`_horner` — its
-      squarings are shared by *all* columns) and the non-trivial
-      denominators of the whole call are inverted together by one
-      Montgomery batched inversion: one ``invert`` plus three
-      multiplies per row.  ``num * den^-1`` is the same residue
-      however the factors were interleaved, so the outputs are
-      bit-identical to the scalar reference.
-
-    A heavily clustered column (few distinct weights, each used by
-    many rows) is cheaper the other way round — form ``c^|w|`` once on
-    a shared squaring chain and pay one multiply per use — so each
-    column picks by counted multiplies (digits and table size at their
-    upper bounds, so the count needs no per-weight loop); the formed
-    powers land in the position-0 accumulators of the same sets.  The
-    Horner pass is the one cost the columns share, so multi-digit
-    scattering happens at all only when it saves more multiplies than
-    those squarings cost.
-
-    Each distinct base gets one :class:`PowerTable` per call, and each
-    side of the column choice counts only the part of it that is not
-    built yet.  With a ``cache``, tables persist across calls; a new
-    table is kept only if this call used it more than once, so
-    single-use columns do not flood the LRU.
-
-    ``stats`` (optional, inline path only) accumulates the
-    :data:`KERNEL_STATS` tallies: ``columns_table`` / ``columns_plain``
-    (columns scattered through a digit table vs formed on a squaring
-    chain), ``tables_built`` (distinct bases the cache did not serve),
-    ``table_pows`` / ``plain_pows`` (distinct (ciphertext, weight)
-    pairs evaluated each way) and ``dedup_hits`` (uses beyond the
-    first of a pair).
+def _divide(num: list, den: list, rows: Sequence[int], modulus,
+            backend: BigintBackend, n_sq: int) -> None:
+    """Step 3 of the kernel, in place: ``num[j] *= den[j]^-1`` for
+    every row in ``rows`` with one Montgomery batched inversion — one
+    modular inverse and ``4p - 3`` multiplies for ``p`` rows.
+    ``num * den^-1`` is the same residue however the factors were
+    grouped, so the outputs are bit-identical to the scalar reference.
 
     Raises:
         CryptoError: a negatively weighted base is not a unit mod n^2.
     """
-    if backend is None:
-        backend = resolve_backend("python")
-    modulus = backend.wrap(n_sq)
-    mask = (1 << window_bits) - 1
-    # Pass 1: resolve one table per distinct base and count both ways'
-    # multiplies per column.
-    tables: dict[int, PowerTable] = {}
-    fresh: dict[int, int] = {}      # uncached base -> uses this call
-    work = []
-    positions = 1
-    deep_gain = 0
-    for base, groups in columns:
-        scatter_cost = form_cost = uses = bits = 0
-        for w, rows in groups:
-            width = w.bit_length()
-            scatter_cost += len(rows) * -(-width // window_bits)
-            form_cost += w.bit_count() - 1
-            uses += len(rows)
-            if width > bits:
-                bits = width
-        form_cost += uses
-        table = tables.get(base)
-        if table is None:
-            table = cache.peek(base) if cache is not None else None
-            if table is None:
-                table = PowerTable(base, n_sq, window_bits=window_bits,
-                                   backend=backend)
-                fresh[base] = 0
-            tables[base] = table
-        if base in fresh:
-            fresh[base] += uses
-        # Each way pays only for the part of the table it still lacks.
-        scatter_cost += max(0, mask + 1 - len(table._digits))
-        form_cost += max(0, bits - len(table._squares))
-        depth = -(-bits // window_bits)
-        scatter = scatter_cost < form_cost
-        if scatter and depth > 1:
-            deep_gain += form_cost - scatter_cost
-            positions = max(positions, depth)
-        work.append((table, groups, bits, uses, scatter))
-    if stats is not None:
-        stats["tables_built"] += len(fresh)
-    if cache is not None:
-        for base, uses in fresh.items():
-            if uses > 1:
-                cache.put(base, tables[base])
-    # The Horner pass is the one cost the columns share: scattering
-    # above position 0 has to save more than those squarings cost
-    # (counted for both accumulator sets).
-    if deep_gain <= 2 * out_dim * (positions - 1) * (window_bits + 1):
-        positions = 1
-    num = [[1] * out_dim for _ in range(positions)]
-    den = [[1] * out_dim for _ in range(positions)]
-    # Pass 2: per column, scatter the digits or form each power once.
-    for table, groups, bits, uses, scatter in work:
-        scatter = scatter and bits <= positions * window_bits
-        if stats is not None:
-            stats["columns_table" if scatter else "columns_plain"] += 1
-            stats["table_pows" if scatter else "plain_pows"] += len(groups)
-            stats["dedup_hits"] += uses - len(groups)
-        if scatter:
-            powers = table.digits(1)
-            for w, rows in groups:
-                lanes, e = (den, -w) if w < 0 else (num, w)
-                t = 0
-                while e:
-                    d = e & mask
-                    if d:
-                        if d >= len(powers):
-                            powers = table.digits(d)
-                        v = powers[d]
-                        lane = lanes[t]
-                        for j in rows:
-                            lane[j] = lane[j] * v % modulus
-                    e >>= window_bits
-                    t += 1
-            continue
-        chain = table.squares(bits)
-        for w, rows in groups:
-            lane, e = (den[0], -w) if w < 0 else (num[0], w)
-            v = 1
-            index = 0
-            while e:
-                if e & 1:
-                    v = v * chain[index] % modulus
-                index += 1
-                e >>= 1
-            for j in rows:
-                lane[j] = lane[j] * v % modulus
-    out = _horner(num, window_bits, modulus)
-    bottoms = _horner(den, window_bits, modulus)
-    # Montgomery batched inversion of the non-trivial denominators.
-    pending = [j for j, d in enumerate(bottoms) if d != 1]
-    if pending:
-        prefix = []
-        running = 1
-        for j in pending:
-            running = running * bottoms[j] % modulus
-            prefix.append(running)
-        inverse = backend.invert(int(running), n_sq)
-        for k in range(len(pending) - 1, 0, -1):
-            j = pending[k]
-            out[j] = out[j] * (inverse * prefix[k - 1] % modulus) % modulus
-            inverse = inverse * bottoms[j] % modulus
-        out[pending[0]] = out[pending[0]] * inverse % modulus
-    return [int(v) for v in out]
-
-
-def _matvec_partial(
-    cells: Sequence[int],
-    rows: Sequence[Sequence[int]],
-    n_sq: int,
-    window_bits: int,
-    stats: dict | None = None,
-    backend: BigintBackend | None = None,
-) -> list[int]:
-    """Bias-free dense matvec: ``prod_i cells[i]^rows[j][i] mod n^2``
-    per row, through :func:`_sparse_partial`.
-
-    Each column is indexed the way a plan column is — its distinct
-    nonzero weights with the rows using each — so an im2col conv
-    matrix's repeated kernel weights are handled once per column, and
-    the dense and planned paths are one kernel.
-    """
-    if any(len(row) != len(cells) for row in rows):
-        raise CryptoError(
-            f"every weights row needs {len(cells)} entries, one per "
-            f"input cell"
-        )
-    columns = []
-    for base, column in zip(cells, zip(*rows)):
-        by_weight: dict[int, list[int]] = {}
-        for j, w in enumerate(column):
-            if w:
-                users = by_weight.get(w)
-                if users is None:
-                    by_weight[w] = [j]
-                else:
-                    users.append(j)
-        if by_weight:
-            columns.append((base, by_weight.items()))
-    return _sparse_partial(columns, len(rows), n_sq, window_bits,
-                           backend=backend, stats=stats)
+    if not rows:
+        return
+    prefix = [den[rows[0]]]
+    for j in rows[1:]:
+        prefix.append(prefix[-1] * den[j] % modulus)
+    inverse = backend.invert(int(prefix[-1]), n_sq)
+    for k in range(len(rows) - 1, 0, -1):
+        j = rows[k]
+        num[j] = num[j] * (inverse * prefix[k - 1] % modulus) % modulus
+        inverse = inverse * den[j] % modulus
+    num[rows[0]] = num[rows[0]] * inverse % modulus
 
 
 # ----------------------------------------------------------------------
@@ -671,8 +349,9 @@ class PaillierEngine:
         workers: process-pool size for chunked dispatch; ``0`` keeps
             everything in-process (the sequential engine).
         pool_size: target size of the offline blinding-factor pool.
-        window_bits: digit width of the matvec kernel's digit tables
-            (``2^w - 1`` powers per input ciphertext).
+        window_bits: unused (the matvec kernel has no digit width);
+            accepted only because ``perfbench/layers.py`` passes it,
+            and goes with the next PR that edits ``perfbench/``.
         seed: seeds the pool RNG so pooled encryption is
             deterministic; ``rng`` overrides it.  With neither, the
             pool uses fresh OS randomness.
@@ -687,13 +366,6 @@ class PaillierEngine:
             ``"gmpy2"``) or a :class:`~repro.crypto.backend
             .BigintBackend` instance.  All backends are bit-identical;
             ``auto`` picks gmpy2 when importable.
-        power_cache_entries: LRU bound on the cross-call digit-table
-            cache used by the compressed matvec paths.
-        power_cache_labels: metric labels attached to the
-            ``paillier_power_cache_entries`` gauge — fleet workers
-            label each session engine's cache (``worker=``,
-            ``tenant=``) so per-tenant cache sizes stay separable in
-            a shared registry.  Empty labels keep the plain gauge.
     """
 
     def __init__(
@@ -703,15 +375,13 @@ class PaillierEngine:
         private_key: PaillierPrivateKey | None = None,
         workers: int = 0,
         pool_size: int = DEFAULT_POOL_SIZE,
-        window_bits: int = DEFAULT_WINDOW_BITS,
+        window_bits: int | None = None,
         seed: int | None = None,
         rng: random.Random | None = None,
         force_parallel: bool = False,
         obs: Observability | None = None,
         dispatch_min_items: int | None = None,
         backend: str | BigintBackend = "auto",
-        power_cache_entries: int = DEFAULT_POWER_CACHE_ENTRIES,
-        power_cache_labels: dict | None = None,
     ):
         if workers < 0:
             raise CryptoError(f"workers must be >= 0, got {workers}")
@@ -727,7 +397,6 @@ class PaillierEngine:
         self.public_key = public_key
         self.private_key = private_key
         self.workers = workers
-        self.window_bits = window_bits
         self.dispatch_min_items = (1 if force_parallel
                                    else dispatch_min_items)
         self.backend = resolve_backend(backend)
@@ -749,11 +418,6 @@ class PaillierEngine:
         )
         # Batch-size histograms, resolved once (no-ops when disabled).
         registry = self.obs.registry
-        self.power_cache = PowerCache(
-            power_cache_entries,
-            gauge=registry.gauge("paillier_power_cache_entries",
-                                 **(power_cache_labels or {})),
-        )
         self._m_encrypt_batch = registry.histogram(
             "paillier_batch_items", buckets=SIZE_BUCKETS, op="encrypt"
         )
@@ -789,6 +453,10 @@ class PaillierEngine:
         self._m_compress_ops = {
             op: registry.counter("paillier_compress_ops", op=op)
             for op in ("fc_matvec", "conv_im2col")
+        }
+        self._m_mults = {
+            part: registry.counter("paillier_matvec_mults", part=part)
+            for part in MATVEC_PARTS
         }
 
     # -- lifecycle ------------------------------------------------------
@@ -953,6 +621,10 @@ class PaillierEngine:
     ) -> list[int]:
         """Homomorphic ``y = W x + b`` over raw ciphertexts.
 
+        :meth:`fc_matvec` on a plan compiled from ``weights`` for this
+        call.  Runtime paths compile each layer's plan once at session
+        setup and pass it to :meth:`fc_matvec` / :meth:`conv_im2col`.
+
         Args:
             cells: input ciphertexts (length = in_dim).
             weights: integer matrix, shape (out_dim, in_dim); ndarray
@@ -963,79 +635,9 @@ class PaillierEngine:
         Returns:
             raw output ciphertexts, length = out_dim.
         """
-        rows = _int_rows(weights)
-        cells = list(cells)
-        bias = list(bias)
-        if rows and len(rows[0]) != len(cells):
-            raise CryptoError(
-                f"weights row length {len(rows[0])} != input size "
-                f"{len(cells)}"
-            )
-        if len(rows) != len(bias):
-            raise CryptoError(
-                f"weights rows {len(rows)} != bias size {len(bias)}"
-            )
-        n_sq = self.public_key.n_squared
-        self._m_matvec_cells.observe(len(cells))
-        executor = self._maybe_executor()
-        if executor is not None and len(cells) >= self.dispatch_min_items:
-            workers = executor._max_workers
-            per = -(-len(cells) // workers)
-            jobs = []
-            for start in range(0, len(cells), per):
-                stop = start + per
-                jobs.append((
-                    cells[start:stop],
-                    [row[start:stop] for row in rows],
-                    n_sq,
-                    self.window_bits,
-                    self.backend.name,
-                ))
-            return self._pooled_matvec(executor, _matvec_chunk, jobs,
-                                       "matvec", bias)
-        stats = self._kernel_stats()
-        partial = _matvec_partial(cells, rows, n_sq, self.window_bits,
-                                  stats=stats, backend=self.backend)
-        self._publish_kernel_stats(stats)
-        return [b * v % n_sq for b, v in zip(bias, partial)]
+        return self.fc_matvec(cells, weights, bias)
 
-    def _pooled_matvec(self, executor, chunk_fn, jobs, op,
-                       bias) -> list[int]:
-        """Run column-slice ``jobs`` on the process pool and fold the
-        per-row partial products into ``bias``."""
-        if self.obs.enabled:
-            registry = self.obs.registry
-            registry.counter("paillier_dispatch_chunks",
-                             op=op).inc(len(jobs))
-            size_histogram = registry.histogram(
-                "paillier_dispatch_chunk_items",
-                buckets=SIZE_BUCKETS, op=op,
-            )
-            for job in jobs:
-                size_histogram.observe(len(job[0]))
-        modulus = self.backend.wrap(self.public_key.n_squared)
-        out = list(bias)
-        for part in executor.map(chunk_fn, jobs):
-            out = [int(acc * v % modulus) for acc, v in zip(out, part)]
-        return out
-
-    def _kernel_stats(self) -> dict | None:
-        """Fresh decision tallies for one inline kernel call (worker
-        processes would have to ship theirs back), or ``None`` with
-        observability off."""
-        if not self.obs.enabled:
-            return None
-        return dict.fromkeys(KERNEL_STATS, 0)
-
-    def _publish_kernel_stats(self, stats: dict | None) -> None:
-        if stats is None:
-            return
-        registry = self.obs.registry
-        for key, value in stats.items():
-            if value:
-                registry.counter(f"paillier_power_cache_{key}").inc(value)
-
-    # -- compression-aware paths ----------------------------------------
+    # -- planned matvecs ------------------------------------------------
 
     def fc_matvec(
         self,
@@ -1045,18 +647,15 @@ class PaillierEngine:
         *,
         plan: SparseMatvecPlan | None = None,
     ) -> list[int]:
-        """Compression-aware ``y = W x + b`` for a fully-connected layer.
+        """``y = W x + b`` for a fully-connected layer, through its
+        :class:`~repro.crypto.sparse.SparseMatvecPlan`.
 
-        Identical semantics to :meth:`matvec`, but evaluated through a
-        :class:`~repro.crypto.sparse.SparseMatvecPlan`: zero weights
-        are skipped outright (counted in
-        ``paillier_compress_zero_skipped``), each distinct (ciphertext,
-        cluster) pair is handled once, and digit tables persist across
-        calls in the engine's bounded :class:`PowerCache`.  Pass a
-        prebuilt ``plan`` to skip the per-call index build (the
-        production path builds one per layer at rewrite time);
-        otherwise one is derived from ``weights``.
-        Bit-identical to :meth:`matvec` on the surviving weights.
+        Zero weights are skipped outright (counted in
+        ``paillier_compress_zero_skipped``); each column runs its
+        compiled schedule, then pays one multiply per weight use.
+        Pass the layer's prebuilt ``plan`` (the runtime compiles one
+        per layer at session setup); otherwise one is compiled from
+        ``weights`` for this call.
         """
         return self._compressed_matvec(cells, weights, bias, plan,
                                        op="fc_matvec")
@@ -1069,14 +668,14 @@ class PaillierEngine:
         *,
         plan: SparseMatvecPlan | None = None,
     ) -> list[int]:
-        """Compression-aware convolution over an im2col weight matrix.
+        """Convolution over an im2col weight matrix.
 
         The matrix rows are output positions and the columns im2col
         patches, exactly as :func:`repro.scaling.fixed_point
-        ._conv_as_matrix` lays them out.  Convolutions benefit twice:
-        the same kernel weight recurs across every output position
-        (cluster dedup) and pruned kernels zero whole diagonals
-        (sparsity).  Same engine semantics as :meth:`fc_matvec`.
+        ._conv_as_matrix` lays them out.  The same kernel weight recurs
+        across every output position, so each column's schedule forms
+        few powers for many uses.  Same engine semantics as
+        :meth:`fc_matvec`.
         """
         return self._compressed_matvec(cells, weights, bias, plan,
                                        op="conv_im2col")
@@ -1087,7 +686,7 @@ class PaillierEngine:
         if plan is None:
             if weights is None:
                 raise CryptoError(
-                    "compressed matvec needs weights or a prebuilt plan"
+                    "matvec needs weights or a prebuilt plan"
                 )
             plan = SparseMatvecPlan.from_dense(weights)
         if plan.in_dim != len(cells):
@@ -1104,34 +703,50 @@ class PaillierEngine:
         skipped = plan.total - plan.nnz
         if skipped:
             self._m_zero_skipped.inc(skipped)
-        columns = [(cells[i], groups) for i, groups in plan.columns]
+        for part, count in plan.mult_counts().items():
+            self._m_mults[part].inc(count)
+        columns = [(cells[i], schedule) for (i, _), schedule
+                   in zip(plan.columns, plan.schedules)]
+        modulus = self.backend.wrap(n_sq)
+        num = bias
+        den = [1] * plan.out_dim
         executor = self._maybe_executor()
         if executor is not None \
                 and len(columns) >= self.dispatch_min_items:
-            # Worker processes cannot share the engine's power cache;
-            # each chunk builds (and drops) its own tables.
-            workers = executor._max_workers
-            per = -(-len(columns) // workers)
-            jobs = [
-                (columns[start:start + per], plan.out_dim, n_sq,
-                 self.window_bits, self.backend.name)
-                for start in range(0, len(columns), per)
-            ]
-            return self._pooled_matvec(executor, _sparse_chunk, jobs,
-                                       op, bias)
-        stats = self._kernel_stats()
-        partial = _sparse_partial(
-            columns, plan.out_dim, n_sq, self.window_bits,
-            backend=self.backend, cache=self.power_cache, stats=stats,
-        )
-        self._publish_kernel_stats(stats)
-        modulus = self.backend.wrap(n_sq)
-        return [int(b * v % modulus) for b, v in zip(bias, partial)]
+            for part_num, part_den in self._pooled_columns(
+                    executor, columns, plan.out_dim, op):
+                num = [acc * v % modulus for acc, v in zip(num, part_num)]
+                for j in plan.negative_rows:
+                    den[j] = den[j] * part_den[j] % modulus
+        else:
+            _run_columns(columns, num, den, modulus, self.backend.wrap)
+        _divide(num, den, plan.negative_rows, modulus, self.backend, n_sq)
+        return [int(v) for v in num]
+
+    def _pooled_columns(self, executor, columns, out_dim: int,
+                        op: str) -> list:
+        """Run contiguous column slices on the process pool (one slice
+        per worker); returns each slice's ``(num, den)`` products."""
+        per = -(-len(columns) // executor._max_workers)
+        jobs = [(columns[start:start + per], out_dim,
+                 self.public_key.n_squared, self.backend.name)
+                for start in range(0, len(columns), per)]
+        if self.obs.enabled:
+            registry = self.obs.registry
+            registry.counter("paillier_dispatch_chunks",
+                             op=op).inc(len(jobs))
+            size_histogram = registry.histogram(
+                "paillier_dispatch_chunk_items",
+                buckets=SIZE_BUCKETS, op=op,
+            )
+            for job in jobs:
+                size_histogram.observe(len(job[0]))
+        return list(executor.map(_sparse_chunk, jobs))
 
     def reset_power_cache(self) -> None:
-        """Drop all cross-call digit tables (frees their memory
-        and zeroes the ``paillier_power_cache_entries`` gauge)."""
-        self.power_cache.reset()
+        """Does nothing: the matvec kernel keeps no per-ciphertext
+        state.  Kept only because ``perfbench/layers.py`` calls it;
+        goes with the next PR that edits ``perfbench/``."""
 
     # -- homomorphic addition -------------------------------------------
 
@@ -1248,8 +863,8 @@ class PaillierEngine:
     ) -> list[int]:
         """Packed homomorphic ``y = W x + b``: one pow serves B lanes.
 
-        Reuses :meth:`matvec` wholesale (process dispatch, the
-        multi-exponentiation kernel), then repairs the lane offsets:
+        Reuses :meth:`fc_matvec` wholesale (process dispatch, the
+        compiled column schedules), then repairs the lane offsets:
         row ``j`` of the raw product carries each lane at ``t_j +
         input_offset * S_j + bias_offset`` where ``S_j`` is the signed
         row weight sum,
@@ -1265,11 +880,10 @@ class PaillierEngine:
             bias: raw packed ciphertexts of the bias (length =
                 out_dim) at per-lane offset ``bias_offset`` (default:
                 canonical).
-            plan: optional sparse plan — routes the product through
-                the compressed :meth:`fc_matvec` path (zero-skip,
-                cluster dedup, digit-table cache) and takes the row weight
-                sums the rebias needs from the plan.  ``weights`` may
-                then be ``None``.
+            plan: the layer's prebuilt plan (its compiled schedules
+                and the row weight sums the rebias needs); ``weights``
+                may then be ``None``.  Without one, a plan is compiled
+                from ``weights`` for this call.
 
         Returns:
             raw packed output ciphertexts at the canonical offset.
@@ -1278,19 +892,15 @@ class PaillierEngine:
             raise KeyMismatchError(
                 "packer was built for a different public key"
             )
-        if plan is not None:
-            out = self.fc_matvec(cells, weights, bias, plan=plan)
-            row_sums: Sequence[int] = plan.row_weight_sums
-        else:
-            rows = _int_rows(weights)
-            out = self.matvec(cells, rows, bias)
-            row_sums = [sum(row) for row in rows]
+        if plan is None:
+            plan = SparseMatvecPlan.from_dense(weights)
+        out = self.fc_matvec(cells, bias=bias, plan=plan)
         in_off = packer.offset if input_offset is None else input_offset
         b_off = packer.offset if bias_offset is None else bias_offset
         target = packer.offset
         rebias = [
             packer.rebias_residue(target - (in_off * row_sum + b_off))
-            for row_sum in row_sums
+            for row_sum in plan.row_weight_sums
         ]
         out = self.add_plain_many(out, rebias)
         self._m_packed_matvec.inc(len(out))
@@ -1371,20 +981,6 @@ class PaillierEngine:
         return out
 
 
-def _int_rows(weights) -> list[list[int]]:
-    """Normalize a weight matrix to a list of rows of Python ints."""
-    try:
-        arr = np.asarray(weights)
-    except ValueError as exc:   # ragged rows
-        raise CryptoError(f"weights must be a rectangular matrix: {exc}")
-    if arr.ndim != 2:
-        raise CryptoError(f"weights must be 2-D, got shape {arr.shape}")
-    rows = arr.tolist()
-    if arr.dtype == object:
-        rows = [[int(w) for w in row] for row in rows]
-    return rows
-
-
 # ----------------------------------------------------------------------
 # Default (sequential) engines, one per public key: existing scalar
 # callers route through these and pick the batched kernels up for free.
@@ -1408,10 +1004,8 @@ def default_engine(public_key: PaillierPublicKey) -> PaillierEngine:
             public_key,
             workers=DEFAULT_CONFIG.workers,
             pool_size=DEFAULT_CONFIG.blinding_pool_size,
-            window_bits=DEFAULT_CONFIG.power_window_bits,
             dispatch_min_items=DEFAULT_CONFIG.dispatch_min_items,
             backend=DEFAULT_CONFIG.bigint_backend,
-            power_cache_entries=DEFAULT_CONFIG.power_cache_entries,
         )
         _default_engines[public_key.n] = engine
     return engine

@@ -298,14 +298,14 @@ class EncryptedTensor:
             weight_exponent: fixed-point exponent the weights carry; the
                 output tensor's exponent is input + weight exponent.
             engine: batched crypto engine; when given, the matvec runs
-                through its per-ciphertext power caches (and process
-                pool, if configured) instead of the scalar loop.  Both
-                paths produce identical ciphertexts.
-            plan: optional per-layer sparse plan for a pruned/clustered
-                weight matrix — routes through the engine's compressed
-                ``fc_matvec`` (zero-skip, cluster dedup, cross-call
-                power cache).  Implies the engine path (the shared
-                default engine is used when ``engine`` is omitted).
+                through its compiled-schedule kernel (and process pool,
+                if configured) instead of the scalar loop.  Both paths
+                produce identical ciphertexts.
+            plan: the layer's :class:`~repro.crypto.sparse
+                .SparseMatvecPlan` (compiled once at session setup);
+                without one the engine compiles a plan for this call.
+                Implies the engine path (the shared default engine is
+                used when ``engine`` is omitted).
 
         Returns:
             encrypted vector of shape (out_dim,).
@@ -671,9 +671,10 @@ class PackedEncryptedTensor:
             weight_exponent: fixed-point exponent the weights carry.
             engine: batched crypto engine; defaults to the shared
                 sequential engine for this key.
-            plan: optional per-layer sparse plan — the packed matvec
-                then runs through the compressed engine path and
-                rebiases from the plan's row weight sums.
+            plan: the layer's prebuilt sparse plan — the packed
+                matvec runs its compiled schedules and rebiases from
+                its row weight sums (compiled for this call without
+                one).
         """
         from .engine import default_engine
 

@@ -206,11 +206,11 @@ def build_worker_spec(model_provider, data_provider, plan,
                 affine_to_wire(affine)
                 for affine in stage_plan.affines
             ]
-            # Compressed layers ship their sparse plans so remote
-            # executors hit the same kernels bit-identically; a plan
-            # change (re-pruned / re-clustered tenant model) changes
-            # the spec digest, which forces the worker's pinned
-            # session to rebuild instead of serving stale structure.
+            # Every layer ships its plan's column index; the worker
+            # recompiles the same schedules.  A plan change (re-pruned
+            # / re-clustered tenant model) changes the spec digest,
+            # which forces the worker's pinned session to rebuild
+            # instead of serving stale structure.
             entry["matvec_plans"] = [
                 None if plan is None else plan_to_wire(plan)
                 for plan in stage_plan.matvec_plans
@@ -224,7 +224,6 @@ def build_worker_spec(model_provider, data_provider, plan,
         "role": role,
         "tenant": tenant,
         "num_stages": len(plan.stages),
-        "use_tensor_partitioning": plan.use_tensor_partitioning,
         "config": config_to_wire(model_provider.config),
         "public_key": public_key_to_json(data_provider.public_key),
         "stages": stages,

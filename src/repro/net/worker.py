@@ -118,8 +118,7 @@ class _Session:
     but only ever of **one role** (the server pins the role, not the
     session)."""
 
-    def __init__(self, spec: dict, obs: Observability,
-                 worker_label: str = ""):
+    def __init__(self, spec: dict, obs: Observability):
         if spec.get("version") != VERSION:
             raise HandshakeError(
                 f"coordinator speaks version {spec.get('version')}, "
@@ -133,12 +132,6 @@ class _Session:
         self.spec = spec
         self.spec_digest = _spec_digest(spec)
         self.obs = obs
-        # Engines built for this session label their power-cache gauge
-        # so one shared registry (the serving gateway's) can tell each
-        # worker's per-tenant caches apart — and the tenancy tests can
-        # assert no fixed-base table ever crosses a tenant boundary.
-        self._engine_labels = {"worker": worker_label,
-                               "tenant": self.tenant}
         self.m_tasks = obs.registry.counter("net_worker_tasks",
                                             tenant=self.tenant)
         try:
@@ -173,13 +166,10 @@ class _Session:
                 private_key=self.private_key,
                 workers=self.config.workers,
                 pool_size=self.config.blinding_pool_size,
-                window_bits=self.config.power_window_bits,
                 seed=self.config.seed ^ _DATA_ENGINE_SALT,
                 obs=obs,
                 dispatch_min_items=self.config.dispatch_min_items,
                 backend=self.config.bigint_backend,
-                power_cache_entries=self.config.power_cache_entries,
-                power_cache_labels=self._engine_labels,
             )
             self._engine.prefill()
 
@@ -216,20 +206,17 @@ class _Session:
                         stateless=True,
                     ),
                     threads,
-                    bool(self.spec.get("use_tensor_partitioning",
-                                       True)),
                     self._rng,
                     final=stage_index == self.num_stages - 2,
                     config=self.config,
                     obs=self.obs,
-                    # Reconstructed sparse plans route this worker's
-                    # compressed layers through the same kernels the
-                    # in-process runtime uses (bit-identical results).
+                    # The wire plans are recompiled here, once per
+                    # stage per session: this worker's layers run the
+                    # same schedules as the in-process runtime.
                     plans=(None if wire_plans is None else [
                         None if p is None else plan_from_wire(p)
                         for p in wire_plans
                     ]),
-                    engine_labels=self._engine_labels,
                     fold=self.fold,
                 )
             else:
@@ -447,8 +434,7 @@ class WorkerServer:
                 )
             session = self._sessions.get(tenant)
             if session is None:
-                session = _Session(spec, self.obs,
-                                   worker_label=str(self.address[1]))
+                session = _Session(spec, self.obs)
                 self._sessions[tenant] = session
                 self._role = session.role
             elif session.spec_digest != _spec_digest(spec):
@@ -471,8 +457,7 @@ class WorkerServer:
                 # geometry).  Reusing the old executors would compute
                 # with stale plans, so rebuild the session instead.
                 session.shutdown()
-                session = _Session(spec, self.obs,
-                                   worker_label=str(self.address[1]))
+                session = _Session(spec, self.obs)
                 self._sessions[tenant] = session
                 self.obs.registry.counter(
                     "net_worker_session_rebuilt", tenant=tenant

@@ -89,6 +89,7 @@ def profile_primitive_times(
                 + counts.input_size * cost_model.ciphertext_mul_setup
                 + cost_model.fold_seconds(counts.output_size, fold.lanes,
                                           fold.lane_bits)
+                + cost_model.stage_overhead
             )
         else:
             total = (
@@ -96,6 +97,7 @@ def profile_primitive_times(
                                                   fold.lanes)
                 + counts.plain_ops * cost_model.plain_op
                 + counts.output_size * cost_model.encrypt
+                + cost_model.stage_overhead
             )
         times.append(total)
     return times

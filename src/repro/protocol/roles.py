@@ -27,7 +27,7 @@ from ..config import DEFAULT_CONFIG, RuntimeConfig
 from ..costs import CompressionStats
 from ..crypto.encoding import LanePacker
 from ..crypto.engine import PaillierEngine
-from ..crypto.sparse import SparseMatvecPlan, plan_if_worthwhile
+from ..crypto.sparse import SparseMatvecPlan
 from ..observability import Observability
 from ..crypto.paillier import PaillierPublicKey, generate_keypair
 from ..crypto.tensor import (
@@ -60,14 +60,13 @@ FINAL_ACTIVATIONS = ("softmax",)
 class LinearStagePlan:
     """The model provider's prepared form of one linear stage.
 
-    ``matvec_plans`` is parallel to ``affines``: the per-layer
-    :class:`~repro.crypto.sparse.SparseMatvecPlan` when the scaled
-    weight matrix's structure (pruning sparsity, cluster dedup) makes
-    the engine's compressed kernels the clear winner, else ``None``
-    for the dense path.  Built once at session setup and carried by
-    every runtime — in-process sessions, the threaded stream
-    executors, and (serialized into the handshake spec) remote
-    workers — so all of them hit identical kernels.
+    ``matvec_plans`` is parallel to ``affines``: every layer's
+    :class:`~repro.crypto.sparse.SparseMatvecPlan`, its column
+    schedules compiled once at session setup and carried by every
+    runtime — in-process sessions, the threaded stream executors, and
+    (serialized into the handshake spec, recompiled once per worker
+    session) remote workers — so no request compiles anything.  A
+    ``None`` entry makes the engine compile that layer per call.
     """
 
     stage: MergedPrimitive
@@ -99,8 +98,8 @@ class ModelProvider:
         self._public_key: PaillierPublicKey | None = None
         #: Batched crypto engine, built when the public key arrives.
         #: The model provider never holds the private key, so its
-        #: engine gets no CRT acceleration — only the blinding pool,
-        #: power caches, and (if configured) the process pool.
+        #: engine gets no CRT acceleration — only the blinding pool
+        #: and (if configured) the process pool.
         self.engine: PaillierEngine | None = None
         self.stages = model_stages(model)
         #: How every linear stage's outputs are folded before they go
@@ -126,7 +125,7 @@ class ModelProvider:
                     )
                     plan.affines.append(affine)
                     plan.matvec_plans.append(
-                        plan_if_worthwhile(affine.weight)
+                        SparseMatvecPlan.from_dense(affine.weight)
                     )
                     shape = primitive.output_shape
                 self._linear_plans[stage.index] = plan
@@ -172,12 +171,10 @@ class ModelProvider:
                 public_key,
                 workers=self.config.workers,
                 pool_size=self.config.blinding_pool_size,
-                window_bits=self.config.power_window_bits,
                 seed=self.config.seed ^ 0x4D50E,
                 obs=self.obs,
                 dispatch_min_items=self.config.dispatch_min_items,
                 backend=self.config.bigint_backend,
-                power_cache_entries=self.config.power_cache_entries,
             )
 
     def nonlinear_activations(self, stage_index: int) -> List[str]:
@@ -196,8 +193,8 @@ class ModelProvider:
         """Per-stage compression structure for the planner cost model.
 
         One entry per merged stage (aligned with :attr:`stages`):
-        ``None`` for non-linear stages and for linear stages running
-        the dense path, else a :class:`~repro.costs.CompressionStats`
+        ``None`` for non-linear stages (and linear stages without
+        plans), else a :class:`~repro.costs.CompressionStats`
         aggregated over the stage's planned affines — feed the list to
         :func:`repro.planner.profiling.profile_primitive_times` so
         stage assignment charges compressed layers their surviving
@@ -446,12 +443,10 @@ class DataProvider:
             private_key=self._private_key,
             workers=config.workers,
             pool_size=config.blinding_pool_size,
-            window_bits=config.power_window_bits,
             seed=config.seed ^ 0x4450E,
             obs=self.obs,
             dispatch_min_items=config.dispatch_min_items,
             backend=config.bigint_backend,
-            power_cache_entries=config.power_cache_entries,
         )
         # The paper's offline phase: precompute the blinding-factor
         # pool now, before any request arrives, so online encryption

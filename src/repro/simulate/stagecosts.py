@@ -68,6 +68,7 @@ def _linear_compute_seconds(stage, cost_model: CostModel,
         + counts.input_size * cost_model.permute_element
         + counts.output_size * cost_model.permute_element
         + counts.input_size * cost_model.ciphertext_mul_setup
+        + cost_model.stage_overhead
     )
     if fold is not None:
         total += cost_model.fold_seconds(counts.output_size, fold.lanes,
@@ -88,6 +89,7 @@ def _nonlinear_compute_seconds(stage, cost_model: CostModel,
         decrypt
         + counts.plain_ops * cost_model.plain_op
         + counts.output_size * cost_model.encrypt
+        + cost_model.stage_overhead
     )
 
 

@@ -29,7 +29,7 @@ from ..crypto.tensor import (
 from ..errors import ProtocolError, StreamError
 from ..nn.layers import LayerKind
 from ..obfuscation.obfuscator import Obfuscator
-from ..partitioning.partition import partition_affine, partition_elementwise
+from ..partitioning.partition import partition_elementwise
 from ..planner.plan import Plan
 from ..protocol.roles import (
     DataProvider,
@@ -94,17 +94,14 @@ class LinearStageExecutor:
     """Model-provider stage: inverse-obfuscate, affine(s), obfuscate,
     fold.
 
-    ``plans`` (parallel to ``affines``; ``None`` entries or ``None``
-    outright mean dense) carries each layer's
-    :class:`~repro.crypto.sparse.SparseMatvecPlan`.  A planned affine
-    runs whole-layer through the engine's compressed ``fc_matvec`` —
-    bit-identical to the dense path — instead of being thread-
-    partitioned: row-block subtasks would fragment exactly the
-    column-level dedup the plan exists for, and the engine brings its
-    own process-pool dispatch for large plans.  ``engine_labels``
-    (e.g. ``{"worker": ..., "tenant": ...}``) label the lazily-built
-    engine's ``paillier_power_cache_entries`` gauge so a fleet
-    worker's caches are attributable per tenant in /metrics.
+    ``plans`` (parallel to ``affines``) carries each layer's
+    :class:`~repro.crypto.sparse.SparseMatvecPlan`; a missing one is
+    compiled here, once, so no request ever compiles a schedule.  Each
+    affine runs whole-layer through the engine's planned matvec (big-
+    int arithmetic holds the GIL, so row-block threads would only
+    fragment the per-column schedules; the engine brings its own
+    process-pool dispatch for large plans).  ``threads`` is the stage's
+    planned allocation, validated like the non-linear stages'.
 
     ``fold`` is the session's :class:`~repro.scaling.headroom
     .FoldGeometry` (``ModelProvider.fold``; remote workers read it from
@@ -119,13 +116,11 @@ class LinearStageExecutor:
         affines: Sequence[ScaledAffine],
         obfuscator: Obfuscator,
         threads: int,
-        use_partitioning: bool,
         rng: random.Random,
         final: bool,
         config: RuntimeConfig = DEFAULT_CONFIG,
         obs=None,
         plans: Sequence[SparseMatvecPlan | None] | None = None,
-        engine_labels: dict | None = None,
         fold: FoldGeometry | None = None,
     ):
         if threads < 1:
@@ -134,29 +129,28 @@ class LinearStageExecutor:
         self.fold = fold
         self._folder: LanePacker | None = None
         self.affines = list(affines)
-        self.plans = (list(plans) if plans is not None
-                      else [None] * len(self.affines))
-        if len(self.plans) != len(self.affines):
+        plans = list(plans) if plans is not None \
+            else [None] * len(self.affines)
+        if len(plans) != len(self.affines):
             raise StreamError(
-                f"got {len(self.plans)} matvec plans for "
+                f"got {len(plans)} matvec plans for "
                 f"{len(self.affines)} affines"
             )
+        self.plans = [
+            plan if plan is not None
+            else SparseMatvecPlan.from_dense(affine.weight)
+            for plan, affine in zip(plans, self.affines)
+        ]
         self.obfuscator = obfuscator
         self.threads = threads
-        self.use_partitioning = use_partitioning
         self.final = final
         self._rng = rng
         self._config = config
         self._obs = obs
-        self._engine_labels = dict(engine_labels or {})
         # Batched crypto engine, created lazily once the first item
         # reveals the session's public key (the model provider side
         # never holds the private key, so no CRT here).
         self._engine: PaillierEngine | None = None
-        # Lazily (re)created: a drained pipeline shuts the pool down,
-        # but executors outlive streams — a reused Pipeline must get a
-        # fresh pool, not "cannot schedule new futures after shutdown".
-        self._pool: ThreadPoolExecutor | None = None
         # Static-bias encryption cache (model weights never change):
         # keyed by (affine index, input exponent); lane-packed items
         # use a separate cache keyed additionally by lane geometry.
@@ -169,13 +163,10 @@ class LinearStageExecutor:
                 public_key,
                 workers=self._config.workers,
                 pool_size=self._config.blinding_pool_size,
-                window_bits=self._config.power_window_bits,
                 seed=self._config.seed ^ (0x57E << 8) ^ self.stage_index,
                 obs=self._obs,
                 dispatch_min_items=self._config.dispatch_min_items,
                 backend=self._config.bigint_backend,
-                power_cache_entries=self._config.power_cache_entries,
-                power_cache_labels=self._engine_labels,
             )
         return self._engine
 
@@ -196,8 +187,7 @@ class LinearStageExecutor:
             )
         current = _with_cells(item.tensor, cells)
         for affine_index, affine in enumerate(self.affines):
-            current = self._apply_affine(affine_index, affine, current,
-                                         self.plans[affine_index])
+            current = self._apply_affine(affine_index, affine, current)
         item.obfuscation_round = None
         if not self.final:
             item.obfuscation_round, permuted = self.obfuscator.obfuscate(
@@ -236,11 +226,9 @@ class LinearStageExecutor:
 
     def _apply_affine(
         self, affine_index: int, affine: ScaledAffine,
-        tensor: EncryptedTensor,
-        plan: SparseMatvecPlan | None = None,
-    ) -> EncryptedTensor:
-        packed = isinstance(tensor, PackedEncryptedTensor)
-        if packed:
+        tensor: EncryptedTensor | PackedEncryptedTensor,
+    ) -> EncryptedTensor | PackedEncryptedTensor:
+        if isinstance(tensor, PackedEncryptedTensor):
             encrypted_bias = self._packed_bias(affine_index, affine,
                                                tensor)
         else:
@@ -253,61 +241,17 @@ class LinearStageExecutor:
                     exponent=tensor.exponent + affine.decimals,
                 )
                 self._bias_cache[cache_key] = encrypted_bias
-        out_exponent = tensor.exponent + affine.decimals
-
-        engine = self._engine_for(tensor.public_key)
-
-        if plan is not None:
-            # Compressed layer: run whole through the engine's sparse
-            # kernel (partitioned row blocks would split the plan's
-            # per-column dedup; the engine dispatches large plans to
-            # its own process pool).  Bit-identical to the task path.
-            out = tensor.affine(
-                affine.weight,
-                encrypted_bias,
-                self._rng,
-                weight_exponent=affine.decimals,
-                engine=engine,
-                plan=plan,
-            )
-            if out.exponent != out_exponent:
-                raise StreamError("affine exponent bookkeeping mismatch")
-            return out
-
-        tasks = partition_affine(
-            affine, self.threads,
-            input_partitioning=self.use_partitioning,
+        out = tensor.affine(
+            affine.weight,
+            encrypted_bias,
+            self._rng,
+            weight_exponent=affine.decimals,
+            engine=self._engine_for(tensor.public_key),
+            plan=self.plans[affine_index],
         )
-
-        def run_task(task):
-            sub_input = tensor.gather(task.input_indices)
-            return sub_input.affine(
-                task.weight,
-                encrypted_bias.gather(task.output_indices),
-                self._rng,
-                weight_exponent=affine.decimals,
-                engine=engine,
-            )
-
-        if len(tasks) == 1:
-            parts = [run_task(tasks[0])]
-        else:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.threads,
-                    thread_name_prefix=f"repro-linear-{self.stage_index}",
-                )
-            parts = list(self._pool.map(run_task, tasks))
-        combined = (PackedEncryptedTensor if packed
-                    else EncryptedTensor).concatenate(parts)
-        if combined.exponent != out_exponent:
+        if out.exponent != tensor.exponent + affine.decimals:
             raise StreamError("affine exponent bookkeeping mismatch")
-        return combined
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
+        return out
 
 
 class NonLinearStageExecutor:
@@ -341,7 +285,9 @@ class NonLinearStageExecutor:
         # The data provider's engine (half-width blinding pool + batched
         # decryption); shared across stages like the private key is.
         self._engine = engine
-        # Lazily (re)created across streams; see LinearStageExecutor.
+        # Lazily (re)created: a drained pipeline shuts the pool down,
+        # but executors outlive streams — a reused Pipeline must get a
+        # fresh pool, not "cannot schedule new futures after shutdown".
         self._pool: ThreadPoolExecutor | None = None
         if not final and any(a == "softmax" for a in self.activations):
             raise ProtocolError(
@@ -469,7 +415,6 @@ def build_executors(
                     stage_plan.affines,
                     model_provider._obfuscator,
                     threads,
-                    plan.use_tensor_partitioning,
                     rng,
                     final=final and stage.index == num_stages - 2,
                     config=model_provider.config,

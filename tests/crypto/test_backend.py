@@ -128,8 +128,3 @@ class TestConfigKnob:
     def test_bad_backend_name_rejected(self):
         with pytest.raises(ConfigurationError):
             RuntimeConfig(bigint_backend="openssl")
-
-    def test_power_cache_entries_validated(self):
-        assert RuntimeConfig().power_cache_entries >= 1
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(power_cache_entries=0)

@@ -3,7 +3,7 @@
 The engine's contract is exact agreement with the scalar reference
 implementation: same seed, same ciphertext bits — across the blinding
 pool, the key holder's half-width tables, the process pool, and the
-windowed matvec.
+compiled-schedule matvec.
 """
 
 import os
@@ -20,11 +20,10 @@ from repro.crypto.backend import (
 from repro.crypto.engine import (
     BlindingPool,
     PaillierEngine,
-    PowerTable,
-    _matvec_partial,
     default_engine,
 )
 from repro.crypto.paillier import encrypt_many, generate_keypair
+from repro.crypto.sparse import SparseMatvecPlan
 from repro.crypto.tensor import EncryptedTensor
 from repro.errors import (
     CryptoError,
@@ -224,45 +223,6 @@ class TestBlindingPool:
         assert len(engine.pool) == 5
 
 
-class TestPowerTable:
-    def test_matches_builtin_pow(self, keypair):
-        pub, _ = keypair
-        rng = random.Random(8)
-        modulus = pub.n_squared
-        base = rng.randrange(2, modulus)
-        table = PowerTable(base, modulus, max_bits=16)
-        for exponent in (0, 1, 2, 7, 255, 256, 65535):
-            assert table.pow(exponent) == pow(base, exponent, modulus)
-
-    def test_lazy_extension_past_max_bits(self, keypair):
-        pub, _ = keypair
-        modulus = pub.n_squared
-        table = PowerTable(12345, modulus, max_bits=4)
-        big = 10 ** 9 + 7
-        assert table.pow(big) == pow(12345, big, modulus)
-
-    def test_negative_exponent_rejected(self, keypair):
-        pub, _ = keypair
-        with pytest.raises(CryptoError):
-            PowerTable(3, pub.n_squared, 8).pow(-1)
-
-    def test_digit_table_grows_only_as_far_as_asked(self, keypair):
-        """Nothing is built up front; ``digits`` grows the table to
-        the requested digit and keeps what it built."""
-        pub, _ = keypair
-        modulus = pub.n_squared
-        table = PowerTable(12345, modulus, 0, window_bits=4)
-        assert table.digits(1) == [1, 12345]
-        short = table.digits(5)
-        assert short == [pow(12345, d, modulus) for d in range(6)]
-        full = table.digits(15)
-        assert full == [pow(12345, d, modulus) for d in range(16)]
-        # Growth publishes a new row; an earlier reader's row is intact.
-        assert len(short) == 6
-        assert table.digits(3) is full
-        assert table.pow(0xABCDE) == pow(12345, 0xABCDE, modulus)
-
-
 class TestMatvec:
     def test_bit_identical_to_scalar_affine(self, keypair):
         pub, priv = keypair
@@ -305,27 +265,32 @@ class TestMatvec:
         bias = engine.raw_encrypt_many([0, 0])
         with pytest.raises(CryptoError):
             engine.matvec(cells, [[1, 2], [3]], bias)
+        with pytest.raises(CryptoError):
+            SparseMatvecPlan.from_dense([[1, 2], [3]])
         for rows in ([[1, 2], [3]], [[1, 2, 3], [4, 5, 6]]):
             with pytest.raises(CryptoError):
-                _matvec_partial(cells, rows, pub.n_squared, 4)
+                engine.fc_matvec(cells, rows, bias)
 
-    def test_one_table_per_distinct_base(self, keypair):
-        """A ciphertext feeding two columns of one call gets one
-        table, kept in the cache; a single-use column's is not."""
+    def test_same_base_in_two_columns_runs_each_schedule(self, keypair):
+        """A ciphertext feeding two columns of one call runs both
+        columns' schedules, and the engine keeps nothing between
+        calls: a second call pays the plan's multiplies again."""
         pub, priv = keypair
         engine = PaillierEngine(pub, private_key=priv, seed=1,
                                 obs=Observability(enabled=True))
         cell, other = engine.raw_encrypt_many([5, 6])
         bias = engine.raw_encrypt_many([0, 0])
-        out = engine.fc_matvec([cell, cell], [[3, 5], [7, -9]], bias)
+        plan = SparseMatvecPlan.from_dense([[3, 5], [7, -9]])
+        out = engine.fc_matvec([cell, cell], bias=bias, plan=plan)
         assert engine.raw_decrypt_many(out) == [40, pub.n - 10]
-        built = engine.obs.registry.counter(
-            "paillier_power_cache_tables_built")
-        assert built.value == 1
-        assert len(engine.power_cache) == 1
-        engine.fc_matvec([other], [[3], [0]], bias)
-        assert built.value == 2
-        assert len(engine.power_cache) == 1
+        assert engine.fc_matvec([cell, cell], bias=bias, plan=plan) \
+            == out
+        registry = engine.obs.registry
+        for part, count in plan.mult_counts().items():
+            assert registry.counter("paillier_matvec_mults",
+                                    part=part).value == 2 * count
+        out = engine.fc_matvec([other], [[3], [0]], bias)
+        assert engine.raw_decrypt_many(out) == [18, 0]
 
     def test_scalar_mul_many(self, keypair):
         pub, priv = keypair

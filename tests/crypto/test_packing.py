@@ -16,13 +16,13 @@ import pytest
 from repro.crypto.encoding import DEFAULT_GUARD_BITS, LanePacker
 from repro.crypto.engine import (
     DEFAULT_DISPATCH_MIN_ITEMS,
-    KERNEL_STATS,
     PaillierEngine,
-    _matvec_partial,
 )
 from repro.crypto.paillier import EncryptedNumber
+from repro.crypto.sparse import SparseMatvecPlan
 from repro.crypto.tensor import EncryptedTensor, PackedEncryptedTensor
 from repro.errors import CryptoError, EncodingError, KeyMismatchError
+from repro.observability import Observability
 
 
 @pytest.fixture()
@@ -243,20 +243,24 @@ class TestDispatchThreshold:
 class TestWeightDedup:
     def test_dedup_hits_counted(self, keypair, rng):
         """An im2col-style column (same weight at many output rows)
-        is one distinct (ciphertext, weight) pair to the kernel; every
-        further use of it is a dedup hit."""
+        forms its power once: four rows cost the schedule steps one
+        row does, and every use is one multiply."""
         pub, priv = keypair
-        n_sq = pub.n_squared
         cells = [pub.encrypt(v, rng).ciphertext for v in (3, 4)]
         rows = [[7, -9], [7, -9], [7, -9], [7, -9]]
-        stats = dict.fromkeys(KERNEL_STATS, 0)
-        out = _matvec_partial(cells, rows, n_sq, window_bits=4,
-                              stats=stats)
-        # 2 columns x 1 distinct weight each = 2 pairs; the other
-        # 3 uses per column are dedup hits.
-        assert stats["dedup_hits"] == 6
-        assert stats["table_pows"] + stats["plain_pows"] == 2
-        assert stats["columns_table"] + stats["columns_plain"] == 2
+        plan = SparseMatvecPlan.from_dense(rows)
+        single = SparseMatvecPlan.from_dense(rows[:1])
+        assert plan.distinct_pairs == 2
+        assert plan.schedule_steps == single.schedule_steps
+        assert plan.mult_counts()["scatter"] == 8
+        engine = PaillierEngine(pub, seed=2, obs=Observability())
+        out = engine.fc_matvec(cells, bias=[1] * 4, plan=plan)
+        registry = engine.obs.registry
+        assert registry.counter("paillier_matvec_mults",
+                                part="schedule").value \
+            == single.schedule_steps
+        assert registry.counter("paillier_matvec_mults",
+                                part="scatter").value == 8
         expected = pub.raw_add(pub.raw_scalar_mul(cells[0], 7),
                                pub.raw_scalar_mul(cells[1], -9))
         assert out == [expected] * 4

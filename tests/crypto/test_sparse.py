@@ -1,13 +1,12 @@
-"""Unit tests for the compression-aware engine path.
+"""Unit tests for the planned matvec path.
 
-Covers the three pieces introduced by the compressed matvecs:
+Covers:
 
-* :class:`SparseMatvecPlan` — the once-per-layer sparse column index;
-* :class:`PowerCache` — the bounded cross-call LRU of fixed-base
-  tables (including a soak hammer that asserts the bound holds);
+* :class:`SparseMatvecPlan` — the once-per-layer sparse column index
+  and its compiled column schedules;
 * :meth:`PaillierEngine.fc_matvec` / ``conv_im2col`` — bit-identity
-  with the dense engine path on surviving weights, zero-skip counters,
-  and process-pool dispatch.
+  with the dense engine path on surviving weights, zero-skip and
+  multiply counters, and process-pool dispatch.
 """
 
 import random
@@ -15,11 +14,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.crypto.engine import (
-    PaillierEngine,
-    PowerCache,
-    PowerTable,
-)
+from repro.crypto.backend import PythonBackend
+from repro.crypto.engine import PaillierEngine
 from repro.crypto.sparse import SparseMatvecPlan
 from repro.errors import CryptoError
 from repro.observability import Observability
@@ -98,56 +94,6 @@ class TestSparseMatvecPlan:
     def test_non_2d_rejected(self):
         with pytest.raises(CryptoError):
             SparseMatvecPlan.from_dense([1, 2, 3])
-
-
-class TestPowerCache:
-    MOD = 97 * 101
-
-    def table(self, base):
-        return PowerTable(base, self.MOD, max_bits=8, window_bits=2)
-
-    def test_put_peek_roundtrip(self):
-        cache = PowerCache(max_entries=4)
-        table = self.table(5)
-        cache.put(5, table)
-        assert cache.peek(5) is table
-        assert (cache.hits, cache.misses) == (1, 0)
-        assert cache.peek(6) is None
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_lru_eviction_order(self):
-        cache = PowerCache(max_entries=2)
-        cache.put(1, self.table(2))
-        cache.put(2, self.table(3))
-        assert cache.peek(1) is not None  # refresh 1; 2 is now LRU
-        cache.put(3, self.table(5))
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        assert cache.peek(2) is None
-        assert cache.peek(1) is not None
-        assert cache.peek(3) is not None
-
-    def test_bound_enforced(self):
-        cache = PowerCache(max_entries=3)
-        for key in range(50):
-            cache.put(key, self.table(key % 7 + 2))
-            assert len(cache) <= 3
-        assert cache.evictions == 47
-
-    def test_reset_clears_and_zeroes_gauge(self):
-        obs = Observability()
-        gauge = obs.registry.gauge("paillier_power_cache_entries")
-        cache = PowerCache(max_entries=4, gauge=gauge)
-        for key in range(4):
-            cache.put(key, self.table(key + 2))
-        assert gauge.value == 4
-        cache.reset()
-        assert len(cache) == 0
-        assert gauge.value == 0
-
-    def test_bad_bound_rejected(self):
-        with pytest.raises(CryptoError):
-            PowerCache(max_entries=0)
 
 
 def encrypt_cells(engine, values, seed=7):
@@ -251,54 +197,77 @@ class TestCompressedMatvec:
         assert engine.raw_decrypt_many(out) == [4, 5, 6]
 
 
-class TestEnginePowerCache:
-    def test_cache_bound_holds_under_hammer(self, keypair):
-        """Soak hammer: thousands of distinct ciphertexts through the
-        compressed path must never grow the cache past its bound."""
+class CountingModulus(int):
+    """``n^2`` that counts every ``x % n^2`` the kernel reduces by."""
+
+    count = 0
+
+    def __rmod__(self, other):
+        CountingModulus.count += 1
+        return int(other) % int(self)
+
+
+class CountingBackend(PythonBackend):
+    def wrap(self, value):
+        return CountingModulus(value)
+
+
+class TestMultCounts:
+    """``paillier_matvec_mults{part}`` rises by exactly the plan's
+    counts per call, and those counts are the kernel's real modular
+    multiplies."""
+
+    def weights(self):
+        rng = np.random.default_rng(4)
+        weights = rng.integers(-300, 300, size=(7, 6))
+        weights[rng.random(weights.shape) < 0.3] = 0
+        weights[2] = np.abs(weights[2]) + 1      # an all-positive row
+        return weights
+
+    def test_counters_rise_by_the_plan_counts(self, keypair):
         pub, priv = keypair
-        engine = PaillierEngine(
-            pub, private_key=priv, seed=3, power_cache_entries=8,
-            obs=Observability(),
-        )
-        # 20-bit clustered weights, sixteen clusters per column: big
-        # exponents with enough *intra-call* per-column reuse that the
-        # break-even favors building (and caching) fixed-base tables
-        # over the shared squaring chain.
-        heavy = 1 << 20
-        col = [heavy - k for k in range(1, 32, 2)]
-        weights = [[w, 0] for w in col] + [[0, w] for w in col]
+        engine = PaillierEngine(pub, private_key=priv, seed=3,
+                                obs=Observability())
+        plan = SparseMatvecPlan.from_dense(self.weights())
+        counts = plan.mult_counts()
+        assert counts["schedule"] == plan.schedule_steps > 0
+        assert counts["scatter"] == plan.nnz
+        assert counts["invert"] == 4 * len(plan.negative_rows) - 3
+        cells = encrypt_cells(engine, list(range(6)))
+        bias = encrypt_cells(engine, [0] * 7, seed=8)
+        registry = engine.obs.registry
+        for calls in (1, 2, 3):
+            engine.conv_im2col(cells, bias=bias, plan=plan)
+            for part, count in counts.items():
+                assert registry.counter("paillier_matvec_mults",
+                                        part=part).value == calls * count
+
+    def test_counts_are_the_kernels_multiplies(self, keypair):
+        pub, _ = keypair
+        engine = PaillierEngine(pub, seed=3, backend=CountingBackend())
+        weights = self.weights()
         plan = SparseMatvecPlan.from_dense(weights)
-        rng = random.Random(99)
-        for round_number in range(30):
-            cells = engine.raw_encrypt_many(
-                [rng.randrange(pub.n), rng.randrange(pub.n)])
-            engine.fc_matvec(cells, plan=plan, bias=[1] * 32)
-            assert len(engine.power_cache) <= 8
-        assert engine.power_cache.evictions > 0
-        gauge = engine.obs.registry.gauge("paillier_power_cache_entries")
-        assert gauge.value == len(engine.power_cache)
-        engine.reset_power_cache()
-        assert len(engine.power_cache) == 0
-        assert gauge.value == 0
+        cells = encrypt_cells(engine, list(range(6)))
+        bias = encrypt_cells(engine, [1] * 7, seed=8)
+        CountingModulus.count = 0
+        out = engine.fc_matvec(cells, bias=bias, plan=plan)
+        assert CountingModulus.count == sum(plan.mult_counts().values())
+        assert out == PaillierEngine(pub, seed=3).matvec(cells, weights,
+                                                          bias)
 
-    def test_repeat_calls_hit_the_cache(self, keypair):
-        pub, priv = keypair
-        engine = PaillierEngine(pub, private_key=priv, seed=3)
-        heavy = 1 << 20
-        col = [heavy - k for k in range(1, 32, 2)]
-        weights = [[w, 0] for w in col] + [[0, w] for w in col]
-        cells = encrypt_cells(engine, [5, 6])
-        bias = encrypt_cells(engine, [0] * 32, seed=4)
-        first = engine.fc_matvec(cells, weights, bias)
-        hits_before = engine.power_cache.hits
-        second = engine.fc_matvec(cells, weights, bias)
-        assert second == first
-        assert engine.power_cache.hits > hits_before
+    def test_all_positive_plan_pays_no_inversion(self):
+        plan = SparseMatvecPlan.from_dense([[3, 1], [2, 7]])
+        assert plan.negative_rows == ()
+        assert plan.mult_counts()["invert"] == 0
 
+
+class TestDefaultEngineConfig:
     def test_default_engine_uses_config_knobs(self, keypair):
         from repro.config import DEFAULT_CONFIG
         from repro.crypto.engine import default_engine
 
         engine = default_engine(keypair[0])
-        assert engine.power_cache.max_entries \
-            == DEFAULT_CONFIG.power_cache_entries
+        assert engine.workers == DEFAULT_CONFIG.workers
+        assert engine.pool.target_size == DEFAULT_CONFIG.blinding_pool_size
+        assert engine.dispatch_min_items \
+            == DEFAULT_CONFIG.dispatch_min_items

@@ -1,11 +1,11 @@
-"""Compressed execution through the session layer.
+"""Planned execution through the session layer.
 
-The tentpole contract: when a served model is pruned/clustered, the
-model provider builds one :class:`SparseMatvecPlan` per compressible
-layer at session setup and the linear stages run the engine's
-compressed kernels — **bit-identically** to the dense path on the
-same weights, in both scalar and lane-packed form.  The planner's
-cost profile must see those stages as cheaper.
+The contract: the model provider builds one :class:`SparseMatvecPlan`
+per linear layer at session setup — its column schedules compiled
+once — and the linear stages run them **bit-identically** to a plan
+compiled per call on the same weights, in both scalar and lane-packed
+form.  For a pruned/clustered model the planner's cost profile must
+see those stages as cheaper.
 """
 
 import numpy as np
@@ -13,11 +13,7 @@ import pytest
 
 from repro.config import RuntimeConfig
 from repro.costs import CostModel
-from repro.crypto.sparse import (
-    SparseMatvecPlan,
-    WORTHWHILE_MIN_SPARSITY,
-    plan_if_worthwhile,
-)
+from repro.crypto.sparse import SparseMatvecPlan, plan_if_worthwhile
 from repro.nn.rewrite import prune_model
 from repro.planner.profiling import profile_primitive_times
 from repro.protocol import DataProvider, InferenceSession, ModelProvider
@@ -31,7 +27,7 @@ class TestPlanIfWorthwhile:
         weights[np.abs(weights) < 700] = 0  # ~70% zeros
         plan = plan_if_worthwhile(weights)
         assert plan is not None
-        assert plan.sparsity >= WORTHWHILE_MIN_SPARSITY
+        assert plan.sparsity > 0.5
 
     def test_clustered_matrix_gets_a_plan(self):
         rng = np.random.default_rng(1)
@@ -40,12 +36,15 @@ class TestPlanIfWorthwhile:
         assert plan is not None
         assert plan.distinct_values <= 4
 
-    def test_incompressible_matrix_stays_dense(self):
-        """A dense matrix of mostly-distinct values must NOT be
-        rerouted away from the thread-partitioned dense path."""
+    def test_incompressible_matrix_gets_a_plan(self):
+        """A dense matrix of all-distinct values gets a plan too: its
+        schedules are the only way the engine runs a matvec."""
         rng = np.random.default_rng(2)
         weights = rng.permutation(np.arange(1, 257)).reshape(16, 16)
-        assert plan_if_worthwhile(weights) is None
+        plan = plan_if_worthwhile(weights)
+        assert plan == SparseMatvecPlan.from_dense(weights)
+        assert plan.density == 1.0
+        assert plan.distinct_pairs == plan.nnz == 256
 
     def test_all_zero_matrix_gets_a_plan(self):
         plan = plan_if_worthwhile(np.zeros((4, 4), dtype=np.int64))
@@ -150,19 +149,25 @@ class TestBitIdentity:
 
     def test_requests_never_reach_a_warm_table(
             self, compressed_breast, breast_dataset):
-        """Every request (and every layer of it) arrives as freshly
-        randomized ciphertexts, so protocol traffic never hits the
-        engine's cross-call table cache: the warm-table loop that
-        ``bench --compress`` times is a benchmark-only state."""
-        config = RuntimeConfig(key_size=128, seed=17)
+        """Every request arrives as freshly randomized ciphertexts, so
+        the engine keeps no per-ciphertext state: each request pays
+        every layer's full schedule and scatter, nothing warm is
+        reused."""
+        config = RuntimeConfig(key_size=128, seed=17).with_observability()
         model_provider, data_provider = _providers(compressed_breast,
                                                    config)
         session = InferenceSession(model_provider, data_provider)
-        for sample in breast_dataset.test_x[:3]:
+        plans = [plan for stage_plan in
+                 model_provider._linear_plans.values()
+                 for plan in stage_plan.matvec_plans]
+        registry = model_provider.obs.registry
+        for requests, sample in enumerate(breast_dataset.test_x[:3], 1):
             session.run(sample)
-        cache = model_provider.engine.power_cache
-        assert cache.misses > 0
-        assert cache.hits == 0
+            for part in ("schedule", "scatter"):
+                per_request = sum(p.mult_counts()[part] for p in plans)
+                assert registry.counter(
+                    "paillier_matvec_mults", part=part
+                ).value == requests * per_request
 
     def test_planned_path_equals_dense_path_packed(
             self, compressed_breast, breast_dataset):

@@ -46,7 +46,6 @@ class TestLinearExecutor:
             affines=[affine],
             obfuscator=Obfuscator(5),
             threads=3,
-            use_partitioning=True,
             rng=rng,
             final=True,  # skip obfuscation so we can decrypt directly
         )
@@ -65,7 +64,7 @@ class TestLinearExecutor:
         obfuscator = Obfuscator(6)
         executor = LinearStageExecutor(
             0, [affine], obfuscator, threads=2,
-            use_partitioning=False, rng=random.Random(0), final=False,
+            rng=random.Random(0), final=False,
         )
         tensor = data_provider.encrypt_input(np.zeros(30))
         item = executor.process(StreamItem(0, tensor))
@@ -77,7 +76,7 @@ class TestLinearExecutor:
         layer = model_provider.stages[0].primitives[0].layer
         affine = scaled_affine_for_layer(layer, (30,), 3)
         executor = LinearStageExecutor(
-            0, [affine], Obfuscator(7), 1, False, random.Random(0),
+            0, [affine], Obfuscator(7), 1, random.Random(0),
             final=False,
         )
         with pytest.raises(StreamError):
@@ -88,7 +87,7 @@ class TestLinearExecutor:
         layer = model_provider.stages[0].primitives[0].layer
         affine = scaled_affine_for_layer(layer, (30,), 3)
         with pytest.raises(StreamError):
-            LinearStageExecutor(0, [affine], Obfuscator(8), 0, False,
+            LinearStageExecutor(0, [affine], Obfuscator(8), 0,
                                 random.Random(0), final=False)
 
 

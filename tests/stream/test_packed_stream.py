@@ -51,7 +51,6 @@ class TestPackedLinearExecutor:
             affines=[affine],
             obfuscator=Obfuscator(5),
             threads=2,
-            use_partitioning=True,
             rng=random.Random(0),
             final=True,  # skip obfuscation so we can decrypt directly
             config=model_provider.config,
@@ -75,7 +74,7 @@ class TestPackedLinearExecutor:
         obfuscator = Obfuscator(6)
         executor = LinearStageExecutor(
             0, [affine], obfuscator, threads=1,
-            use_partitioning=False, rng=random.Random(0), final=False,
+            rng=random.Random(0), final=False,
             config=model_provider.config,
         )
         xs = np.zeros((2, 30))
