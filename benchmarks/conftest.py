@@ -4,12 +4,8 @@ Set ``REPRO_FULL=1`` to include the CIFAR VGG models in Exp#1 accuracy
 benches (adds several minutes of numpy training); the default covers
 the six healthcare + MNIST models the paper's figures focus on.
 
-Perf-trajectory flags:
+Markers:
 
-* ``--bench-json PATH`` — have the Paillier engine bench write its
-  BENCH JSON document (ops/sec per op, scalar vs engine, per key
-  size) to PATH, e.g. ``pytest benchmarks/test_fig1_paillier_microbench.py
-  --bench-json BENCH_paillier.json``.
 * ``-m smoke`` — run only the fast tiny-key engine sanity checks, not
   the full microbench (the same check also runs in tier-1 via
   ``tests/crypto/test_engine.py``).
@@ -19,21 +15,6 @@ import os
 
 import pytest
 
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-json",
-        action="store",
-        default=None,
-        help="write the Paillier engine BENCH JSON document to this "
-             "path (see docs/PERFORMANCE.md)",
-    )
-
-
-@pytest.fixture(scope="session")
-def bench_json_path(request):
-    """Target path of the BENCH JSON document, or None when not asked."""
-    return request.config.getoption("--bench-json")
 
 #: Models covered by default (the paper's Fig. 7/8/9 set).
 FAST_MODELS = ("breast", "heart", "cardio", "mnist-1", "mnist-2",

@@ -1,9 +1,8 @@
 """Figure 1: Paillier micro-benchmark (real cryptography).
 
 Per-operation pytest-benchmark timings at the paper's key sizes, plus
-the per-tensor Fig. 1 table (28x28 tensor, scalar 10^6), plus the
-scalar-vs-engine comparison that emits the BENCH_paillier.json perf
-trajectory (run with ``--bench-json BENCH_paillier.json``).
+the per-tensor Fig. 1 table (28x28 tensor, scalar 10^6), plus tiny-key
+checks that the batched engine agrees with the scalar path.
 """
 
 import random
@@ -11,7 +10,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.bench import render_bench, run_paillier_bench, write_bench_json
 from repro.crypto.engine import PaillierEngine
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.tensor import EncryptedTensor
@@ -114,27 +112,3 @@ def test_engine_smoke_matvec_tiny_key():
     assert [c.ciphertext for c in scalar.cells()] == \
         [c.ciphertext for c in batched.cells()]
 
-
-def test_engine_vs_scalar_bench(bench_json_path):
-    """The scalar-vs-engine trajectory bench (BENCH_paillier.json).
-
-    Runs a reduced configuration by default so the suite stays
-    practical; ``--bench-json PATH`` additionally writes the document.
-    The pooled-encryption speedup bound is deliberately loose — the
-    real numbers (hundreds of times faster online) live in the JSON,
-    assertions only guard against the engine silently regressing to
-    the scalar path.
-    """
-    results = run_paillier_bench(
-        key_sizes=(512,), workers=2, elements=24, fc_shape=(32, 32),
-        include_conv=False,
-    )
-    print()
-    print(render_bench(results))
-    if bench_json_path:
-        full = run_paillier_bench()  # the default 512/1024 document
-        write_bench_json(full, bench_json_path)
-        print(f"wrote {bench_json_path}")
-    row = results["key_sizes"]["512"]
-    assert row["encrypt_many"]["speedup"] > 5.0
-    assert row["fc_matvec"]["speedup"] > 1.2

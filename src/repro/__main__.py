@@ -9,21 +9,6 @@ Commands:
   the threaded stream runtime over a request stream, optionally under
   an injected fault plan (docs/FAULT_TOLERANCE.md), printing the
   utilization and failure reports.
-* ``bench [--key-sizes LIST] [--workers N] [--out PATH] [--observe]``
-  — run the scalar-vs-engine Paillier micro-benchmark
-  (docs/PERFORMANCE.md) and write ``BENCH_paillier.json``;
-  ``--observe`` embeds a metrics breakdown per key size.  With
-  ``--packed [--batch-sizes LIST]`` it instead benchmarks lane-packed
-  vs unpacked batched inference and writes ``BENCH_packing.json``.
-  With ``--compress [--sparsity F] [--clusters K]`` it benchmarks the
-  compression-aware engine paths (dense vs pruned vs clustered vs
-  gmpy2 bigint backend) and writes ``BENCH_compress.json``;
-  ``--session`` adds dense-vs-compressed end-to-end session rows
-  (in-process, threaded stream, and TCP fleet, bit-identity gated).
-  With ``--elastic`` it benchmarks the elastic fleet instead
-  (docs/ELASTIC.md) — throughput before/during/after a live worker
-  join, a telemetry-driven rebalance, a hard worker kill, and a
-  drain, bit-identity gated — writing ``BENCH_elastic.json``.
 * ``metrics [--workload session|stream] [--format json|prometheus]
   [--traces]`` — run a small workload with observability enabled
   (docs/OBSERVABILITY.md) and dump the metrics registry, optionally
@@ -149,115 +134,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if not stats.dead_letters:
         print(stats.failure_report())
     return 1 if stats.dead_letters else 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import render_bench, run_paillier_bench, write_bench_json
-
-    try:
-        key_sizes = tuple(
-            int(part) for part in args.key_sizes.split(",") if part
-        )
-    except ValueError:
-        print(f"error: bad --key-sizes {args.key_sizes!r}",
-              file=sys.stderr)
-        return 2
-    if args.elastic:
-        from .bench import render_elastic_bench, run_elastic_bench
-
-        out = args.out
-        if out == "BENCH_paillier.json":
-            out = "BENCH_elastic.json"
-        results = run_elastic_bench(
-            key_size=min(key_sizes),
-            seed=args.seed,
-            samples=args.elastic_samples,
-            progress=print,
-        )
-        write_bench_json(results, out)
-        print(render_elastic_bench(results))
-        print(f"wrote {out}")
-        return 0 if results["ok"] else 1
-    if args.compress:
-        from .bench import render_compress_bench, run_compress_bench
-
-        out = args.out
-        if out == "BENCH_paillier.json":
-            out = "BENCH_compress.json"
-        results = run_compress_bench(
-            key_sizes=key_sizes,
-            seed=args.seed,
-            repeats=args.repeats,
-            sparsity=args.sparsity,
-            clusters=args.clusters,
-            workers=args.workers,
-            model_key=None if args.no_accuracy
-            else args.compress_model,
-        )
-        if args.session:
-            from .bench import (
-                render_compress_session_bench,
-                run_compress_session_bench,
-            )
-
-            # --no-accuracy keeps the session leg CI-sized too: the
-            # untrained tiny model has no evaluation data, so the
-            # accuracy gate is moot and nothing trains.
-            results["session"] = run_compress_session_bench(
-                key_sizes=key_sizes,
-                seed=args.seed,
-                repeats=args.repeats,
-                sparsity=args.sparsity,
-                clusters=args.clusters,
-                model_key="tiny" if args.no_accuracy
-                else args.session_model,
-            )
-            print(render_compress_session_bench(results["session"]))
-        write_bench_json(results, out)
-        print(render_compress_bench(results))
-        print(f"wrote {out}")
-        return 0
-    if args.packed:
-        from .bench import render_packing_bench, run_packing_bench
-
-        try:
-            batch_sizes = tuple(
-                int(part) for part in args.batch_sizes.split(",") if part
-            )
-        except ValueError:
-            print(f"error: bad --batch-sizes {args.batch_sizes!r}",
-                  file=sys.stderr)
-            return 2
-        out = args.out
-        if out == "BENCH_paillier.json":
-            out = "BENCH_packing.json"
-        fc_dim = args.fc_dim if args.fc_dim is not None else 32
-        results = run_packing_bench(
-            key_sizes=key_sizes,
-            batch_sizes=batch_sizes,
-            fc_shape=(fc_dim, fc_dim),
-            seed=args.seed,
-            repeats=args.repeats,
-            workers=args.workers,
-        )
-        write_bench_json(results, out)
-        print(render_packing_bench(results))
-        print(f"wrote {out}")
-        return 0
-    fc_dim = args.fc_dim if args.fc_dim is not None else 64
-    results = run_paillier_bench(
-        key_sizes=key_sizes,
-        workers=args.workers,
-        elements=args.elements,
-        fc_shape=(fc_dim, fc_dim),
-        seed=args.seed,
-        repeats=args.repeats,
-        observe=args.observe,
-    )
-    write_bench_json(results, args.out)
-    print(render_bench(results))
-    print(f"wrote {args.out}")
-    return 0
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -716,80 +592,6 @@ def main(argv: list[str] | None = None) -> int:
                         dest="restart_budget",
                         help="crashed-worker restarts per stage")
     stream.set_defaults(func=_cmd_stream)
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="scalar-vs-engine Paillier micro-benchmark "
-             "(writes BENCH_paillier.json)",
-    )
-    bench.add_argument("--key-sizes", default="512,1024",
-                       dest="key_sizes",
-                       help="comma-separated key sizes in bits "
-                            "(default: 512,1024)")
-    bench.add_argument("--workers", type=int, default=4,
-                       help="engine process-pool size (default: 4)")
-    bench.add_argument("--elements", type=int, default=48,
-                       help="batch size for encrypt/decrypt/add/mul")
-    bench.add_argument("--fc-dim", type=int, default=None, dest="fc_dim",
-                       help="FC matvec dimension (square; default 64, "
-                            "or 32 with --packed)")
-    bench.add_argument("--repeats", type=int, default=1)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--out", default="BENCH_paillier.json",
-                       help="output JSON path "
-                            "(default: BENCH_paillier.json)")
-    bench.add_argument("--observe", action="store_true",
-                       help="run the engine with observability on and "
-                            "embed a metrics breakdown per key size")
-    bench.add_argument("--packed", action="store_true",
-                       help="run the lane-packing benchmark instead "
-                            "(writes BENCH_packing.json unless --out "
-                            "is given)")
-    bench.add_argument("--batch-sizes", default="4,8,16",
-                       dest="batch_sizes",
-                       help="comma-separated batch sizes for --packed "
-                            "(default: 4,8,16)")
-    bench.add_argument("--compress", action="store_true",
-                       help="run the compression benchmark instead: "
-                            "dense vs pruned vs clustered vs gmpy2 "
-                            "engine paths (writes BENCH_compress.json "
-                            "unless --out is given)")
-    bench.add_argument("--sparsity", type=float, default=0.7,
-                       help="per-layer target sparsity for --compress "
-                            "(default: 0.7)")
-    bench.add_argument("--clusters", type=int, default=8,
-                       help="shared weight values per layer for "
-                            "--compress (default: 8)")
-    bench.add_argument("--compress-model", default="breast",
-                       dest="compress_model",
-                       help="model-zoo key for the --compress accuracy "
-                            "delta (default: breast)")
-    bench.add_argument("--session", action="store_true",
-                       help="with --compress: also benchmark dense vs "
-                            "compressed end-to-end sessions across "
-                            "the in-process, threaded-stream, and TCP "
-                            "runtimes (bit-identity gated)")
-    bench.add_argument("--session-model", default="mnist-1",
-                       dest="session_model",
-                       help="model-zoo key for the --session leg "
-                            "(default: mnist-1, whose wide linear "
-                            "layers dominate end-to-end cost)")
-    bench.add_argument("--elastic", action="store_true",
-                       help="run the elastic-fleet benchmark instead: "
-                            "throughput before/during/after a live "
-                            "join, rebalance, kill and drain (writes "
-                            "BENCH_elastic.json unless --out is "
-                            "given; uses the smallest --key-sizes "
-                            "entry)")
-    bench.add_argument("--elastic-samples", type=int, default=6,
-                       dest="elastic_samples",
-                       help="requests per streaming phase for "
-                            "--elastic (default: 6)")
-    bench.add_argument("--no-accuracy", action="store_true",
-                       dest="no_accuracy",
-                       help="skip the model-zoo accuracy measurement "
-                            "in --compress")
-    bench.set_defaults(func=_cmd_bench)
 
     metrics = subparsers.add_parser(
         "metrics",

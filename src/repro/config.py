@@ -1,9 +1,8 @@
 """Runtime configuration for the PP-Stream reproduction.
 
 A single :class:`RuntimeConfig` object gathers the knobs that cut across
-subsystems: the Paillier key size, the default scaling factor bounds, RNG
-seeding, and whether latency experiments run against the live-calibrated
-cost model or the frozen reference profile.
+subsystems: the Paillier key size, RNG seeding, the crypto engine, the
+networked runtime, serving, compression and the elastic fleet.
 
 The paper's prototype fixes the key size at 2048 bits (Section V).  Pure
 Python is slower than the GMP-based prototype, so the *default* here is a
@@ -44,20 +43,8 @@ class RuntimeConfig:
         key_size: Paillier modulus size in bits.
         seed: master RNG seed; all randomness in the package derives from
             it so experiments are reproducible.
-        max_scaling_decimals: upper bound on the scaling exponent ``f``.
-        scaling_threshold: accuracy-drop tolerance (percentage points)
-            used when selecting the scaling factor.
         hyperthreading: whether a physical core may host two threads
             (constraint (8) of the allocation ILP multiplies capacity by 2).
-        cost_profile: name of the simulator cost profile, either
-            ``"reference"`` (frozen constants resembling the paper's
-            2048-bit GMP testbed) or ``"calibrated"`` (micro-benchmarked
-            from this interpreter at ``key_size``).
-        workers: process-pool size for the batched Paillier engine's
-            bulk kernels (``encrypt_many`` / ``decrypt_many`` /
-            matvec).  0 (the default) keeps all crypto in-process —
-            big-int ``pow`` holds the GIL, so processes, not threads,
-            are the only way to parallelize it.
         blinding_pool_size: target number of precomputed ``h_s^x mod
             n^2`` blinding factors the engine keeps ready; online
             encryption then costs one modular multiply.
@@ -65,12 +52,6 @@ class RuntimeConfig:
             addition-sequence schedules and has no digit width; the
             field stays only because ``perfbench/layers.py`` reads it,
             and goes with the next PR that edits ``perfbench/``.
-        dispatch_min_items: the engine's process-dispatch break-even
-            threshold — batches smaller than this run inline even when
-            ``workers > 0``, because fork/pickle overhead dwarfs the
-            arithmetic at small sizes (BENCH_paillier.json showed
-            ``decrypt_many`` regressing below 1x at 48 ops when
-            dispatched).
         bigint_backend: which modular-arithmetic implementation the
             crypto layer uses (:mod:`repro.crypto.backend`):
             ``"auto"`` (the default — gmpy2 where installed, pure
@@ -212,9 +193,8 @@ class RuntimeConfig:
         compress_accuracy_budget: largest accuracy drop (fraction)
             the compressed model may cost versus the dense baseline.
             Enforced wherever labeled evaluation data is available
-            (the bench gate, and serving when the gateway is handed
-            an eval set); pruning backs off its sparsity target to
-            stay inside the budget.
+            (serving, when the gateway is handed an eval set); pruning
+            backs off its sparsity target to stay inside the budget.
         cluster_backlog_high: per-stage queue depth at which the
             :class:`~repro.cluster.rebalancer.Rebalancer` triggers an
             online re-plan (docs/ELASTIC.md).
@@ -234,14 +214,9 @@ class RuntimeConfig:
 
     key_size: int = DEFAULT_KEY_SIZE
     seed: int = 20240519
-    max_scaling_decimals: int = MAX_SCALING_DECIMALS
-    scaling_threshold: float = SCALING_ACCURACY_THRESHOLD
     hyperthreading: bool = True
-    cost_profile: str = "reference"
-    workers: int = 0
     blinding_pool_size: int = 128
     power_window_bits: int = 4
-    dispatch_min_items: int = 64
     bigint_backend: str = "auto"
     pack_lanes: int = 0
     observability: bool = False
@@ -294,34 +269,10 @@ class RuntimeConfig:
             raise ConfigurationError(
                 f"key_size must be even, got {self.key_size}"
             )
-        if self.max_scaling_decimals < 0:
-            raise ConfigurationError(
-                "max_scaling_decimals must be non-negative, got "
-                f"{self.max_scaling_decimals}"
-            )
-        if self.scaling_threshold < 0:
-            raise ConfigurationError(
-                f"scaling_threshold must be non-negative, got "
-                f"{self.scaling_threshold}"
-            )
-        if self.cost_profile not in ("reference", "calibrated"):
-            raise ConfigurationError(
-                "cost_profile must be 'reference' or 'calibrated', got "
-                f"{self.cost_profile!r}"
-            )
-        if self.workers < 0:
-            raise ConfigurationError(
-                f"workers must be non-negative, got {self.workers}"
-            )
         if self.blinding_pool_size < 0:
             raise ConfigurationError(
                 "blinding_pool_size must be non-negative, got "
                 f"{self.blinding_pool_size}"
-            )
-        if self.dispatch_min_items < 1:
-            raise ConfigurationError(
-                "dispatch_min_items must be >= 1, got "
-                f"{self.dispatch_min_items}"
             )
         if self.bigint_backend not in ("auto", "python", "gmpy2"):
             raise ConfigurationError(
@@ -497,11 +448,6 @@ class RuntimeConfig:
         """Return a copy of this config with a different master seed."""
         return replace(self, seed=seed)
 
-    def with_workers(self, workers: int) -> "RuntimeConfig":
-        """Return a copy of this config with a different crypto
-        process-pool size."""
-        return replace(self, workers=workers)
-
     def with_observability(self, enabled: bool = True) -> "RuntimeConfig":
         """Return a copy of this config with observability toggled."""
         return replace(self, observability=enabled)
@@ -510,12 +456,6 @@ class RuntimeConfig:
         """Return a copy of this config with a different batch-axis
         lane count for lane-packed inference."""
         return replace(self, pack_lanes=pack_lanes)
-
-    def with_dispatch_min_items(self, dispatch_min_items: int
-                                ) -> "RuntimeConfig":
-        """Return a copy of this config with a different engine
-        process-dispatch break-even threshold."""
-        return replace(self, dispatch_min_items=dispatch_min_items)
 
     def with_bigint_backend(self, bigint_backend: str) -> "RuntimeConfig":
         """Return a copy of this config with a different bigint

@@ -1,7 +1,7 @@
 """Batched Paillier engine: the bulk-ciphertext fast path.
 
 Every linear stage of the pipeline bottoms out in modular
-exponentiations mod ``n^2``; this module amortizes them five ways
+exponentiations mod ``n^2``; this module amortizes them four ways
 (the tricks Popcorn and C2PI show Paillier-based private inference
 lives or dies on):
 
@@ -19,15 +19,7 @@ lives or dies on):
    seeded RNG in a fixed order, so pooled encryption is deterministic
    for tests and bit-identical to the scalar reference path under the
    same seed.
-3. **Process-pool parallelism** — big-int ``pow`` does *not* release
-   the GIL, so threads cannot help; ``decrypt_many`` / ``matvec`` /
-   ``add_many`` dispatch chunks of work to a ``ProcessPoolExecutor``
-   when ``workers > 0``.  Chunk sizes are serialization-aware:
-   ciphertexts are a few hundred bytes each, so chunks are kept large
-   enough that pickling cost stays far below the modular-arithmetic
-   cost, and tiny batches run inline.  (Blinding stays inline: a
-   factor is a few dozen multiplies, below its own pickling cost.)
-4. **Compiled multi-exponentiation** — a matvec (FC layer, or conv
+3. **Compiled multi-exponentiation** — a matvec (FC layer, or conv
    via im2col) is ``out_j = prod_i c_i^(w_ji)``: every input
    ciphertext is raised to many small weight exponents, and the
    weights are static.  Each layer's
@@ -39,9 +31,9 @@ lives or dies on):
    into its rows (one multiply per weight use; negative weights into
    a denominator set) and invert the denominators with one batched
    inversion.  No per-ciphertext tables, no Horner pass, nothing kept
-   across calls.  Dense, planned, packed and pool-chunked matvecs all
-   run it; ``paillier_matvec_mults{part}`` counts its multiplies.
-5. **Lane packing** — the packed fast paths
+   across calls.  Dense, planned and packed matvecs all run it;
+   ``paillier_matvec_mults{part}`` counts its multiplies.
+4. **Lane packing** — the packed fast paths
    (:meth:`PaillierEngine.encrypt_many_packed` /
    :meth:`~PaillierEngine.decrypt_many_packed` /
    :meth:`~PaillierEngine.fc_matvec_packed`) carry B batch elements per
@@ -62,11 +54,9 @@ tests compare against.
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, List, Sequence
 
 from ..errors import (
@@ -89,61 +79,9 @@ from .sparse import SparseMatvecPlan
 #: Default number of precomputed blinding factors kept ready.
 DEFAULT_POOL_SIZE = 128
 
-#: ``add_many`` process-dispatch multiplier: one homomorphic add is a
-#: single modular multiply, ~this many times cheaper than the pow-bound
-#: work ``dispatch_min_items`` was calibrated for, so the break-even
-#: batch is correspondingly larger.
-ADD_DISPATCH_FACTOR = 32
-
 #: The matvec kernel's parts, each a ``paillier_matvec_mults{part}``
 #: counter (:meth:`SparseMatvecPlan.mult_counts`).
 MATVEC_PARTS = ("schedule", "scatter", "invert")
-
-#: Default process-dispatch break-even threshold: below this many items
-#: a batch runs inline even when workers > 0, because fork/pickle
-#: overhead dwarfs the arithmetic (BENCH_paillier.json showed
-#: ``decrypt_many`` *regressing* to 0.98x at 48 ops when dispatched).
-#: Tunable via :attr:`repro.config.RuntimeConfig.dispatch_min_items`.
-DEFAULT_DISPATCH_MIN_ITEMS = 64
-
-
-# ----------------------------------------------------------------------
-# Process-pool kernels.  Module-level functions over primitive ints so
-# they pickle cheaply; each call works on a chunk, not a single item.
-# ----------------------------------------------------------------------
-
-def _decrypt_chunk(args) -> list[int]:
-    """CRT decryption of a chunk of raw ciphertexts."""
-    ciphers, n, p, q, p_sq, q_sq, h_p, h_q, q_inv_p, backend_name = args
-    powmod = resolve_backend(backend_name).powmod
-    out = []
-    for c in ciphers:
-        u_p = powmod(c, p - 1, p_sq)
-        m_p = (((u_p - 1) // p) * h_p) % p
-        u_q = powmod(c, q - 1, q_sq)
-        m_q = (((u_q - 1) // q) * h_q) % q
-        h = ((m_p - m_q) * q_inv_p) % p
-        out.append((m_q + q * h) % n)
-    return out
-
-
-def _sparse_chunk(args) -> tuple[list[int], list[int]]:
-    """Steps 1 and 2 of the matvec kernel over a slice of plan
-    columns: the slice's per-row numerator and denominator products."""
-    columns, out_dim, n_sq, backend_name = args
-    backend = resolve_backend(backend_name)
-    num = [1] * out_dim
-    den = [1] * out_dim
-    _run_columns(columns, num, den, backend.wrap(n_sq), backend.wrap)
-    return [int(v) for v in num], [int(v) for v in den]
-
-
-def _mulmod_chunk(args) -> list[int]:
-    """Pairwise ``a * b mod n^2`` (homomorphic add) over a chunk."""
-    pairs, n_sq, backend_name = args
-    backend = resolve_backend(backend_name)
-    modulus = backend.wrap(n_sq)
-    return [int(a * b % modulus) for a, b in pairs]
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +90,7 @@ def _mulmod_chunk(args) -> list[int]:
 # ----------------------------------------------------------------------
 
 def _run_columns(columns, num: list, den: list, modulus, wrap) -> None:
-    """Steps 1 and 2 of the kernel, in place, for a run of columns.
+    """Steps 1 and 2 of the kernel, in place, over every column.
 
     ``columns`` pairs each input ciphertext ``c`` with its column's
     :data:`~repro.crypto.sparse.ColumnSchedule`.  Step 1 runs the
@@ -301,40 +239,6 @@ class BlindingPool:
 
 
 # ----------------------------------------------------------------------
-# Chunked dispatch helper.
-# ----------------------------------------------------------------------
-
-def _run_chunked(executor: ProcessPoolExecutor, fn, items: list,
-                 extra: tuple, registry=None, op: str = "") -> list:
-    """Map ``fn`` over ``items`` in contiguous chunks, preserving order.
-
-    One chunk per worker (big-int exponentiation is uniform enough
-    that finer-grained work stealing is not worth the extra pickling).
-    When a metrics ``registry`` is passed, the dispatch is recorded:
-    one ``paillier_dispatch_chunks`` increment per chunk and the chunk
-    sizes into ``paillier_dispatch_chunk_items`` (both labelled with
-    ``op``).
-    """
-    workers = executor._max_workers
-    per = -(-len(items) // workers)
-    chunks = [items[i:i + per] for i in range(0, len(items), per)]
-    if registry is not None:
-        registry.counter("paillier_dispatch_chunks",
-                         op=op).inc(len(chunks))
-        size_histogram = registry.histogram(
-            "paillier_dispatch_chunk_items", buckets=SIZE_BUCKETS,
-            op=op,
-        )
-        for chunk in chunks:
-            size_histogram.observe(len(chunk))
-    results = executor.map(fn, [(chunk,) + extra for chunk in chunks])
-    out: list = []
-    for part in results:
-        out.extend(part)
-    return out
-
-
-# ----------------------------------------------------------------------
 # The engine.
 # ----------------------------------------------------------------------
 
@@ -346,8 +250,6 @@ class PaillierEngine:
         private_key: optional matching private key.  Enables
             ``decrypt_many`` and the half-width blinding tables — only
             pass it on the data-provider (key holder) side.
-        workers: process-pool size for chunked dispatch; ``0`` keeps
-            everything in-process (the sequential engine).
         pool_size: target size of the offline blinding-factor pool.
         window_bits: unused (the matvec kernel has no digit width);
             accepted only because ``perfbench/layers.py`` passes it,
@@ -356,12 +258,6 @@ class PaillierEngine:
             deterministic; ``rng`` overrides it.  With neither, the
             pool uses fresh OS randomness.
         rng: explicit randomness source for the pool.
-        dispatch_min_items: process-dispatch break-even threshold —
-            batches smaller than this run inline even when workers are
-            available (``None`` uses
-            :data:`DEFAULT_DISPATCH_MIN_ITEMS`).  ``force_parallel``
-            drops it to 1 so tests can exercise the process path with
-            tiny batches.
         backend: bigint backend name (``"auto"``/``"python"``/
             ``"gmpy2"``) or a :class:`~repro.crypto.backend
             .BigintBackend` instance.  All backends are bit-identical;
@@ -373,43 +269,20 @@ class PaillierEngine:
         public_key: PaillierPublicKey,
         *,
         private_key: PaillierPrivateKey | None = None,
-        workers: int = 0,
         pool_size: int = DEFAULT_POOL_SIZE,
         window_bits: int | None = None,
         seed: int | None = None,
         rng: random.Random | None = None,
-        force_parallel: bool = False,
         obs: Observability | None = None,
-        dispatch_min_items: int | None = None,
         backend: str | BigintBackend = "auto",
     ):
-        if workers < 0:
-            raise CryptoError(f"workers must be >= 0, got {workers}")
         if private_key is not None \
                 and private_key.public_key.n != public_key.n:
             raise KeyMismatchError("private key does not match public key")
-        if dispatch_min_items is None:
-            dispatch_min_items = DEFAULT_DISPATCH_MIN_ITEMS
-        if dispatch_min_items < 1:
-            raise CryptoError(
-                f"dispatch_min_items must be >= 1, got {dispatch_min_items}"
-            )
         self.public_key = public_key
         self.private_key = private_key
-        self.workers = workers
-        self.dispatch_min_items = (1 if force_parallel
-                                   else dispatch_min_items)
         self.backend = resolve_backend(backend)
         self.obs = obs if obs is not None else OBS_OFF
-        # Process dispatch on a box with fewer cores than workers just
-        # time-slices the same arithmetic plus fork/pickle overhead, so
-        # the effective pool is capped at the core count.  Tests use
-        # force_parallel to exercise the process path regardless.
-        self.effective_workers = (
-            workers if force_parallel
-            else min(workers, os.cpu_count() or 1)
-        )
-        self._executor: ProcessPoolExecutor | None = None
         if rng is None:
             rng = random.Random(seed) if seed is not None else random.Random()
         self.pool = BlindingPool(
@@ -461,15 +334,6 @@ class PaillierEngine:
 
     # -- lifecycle ------------------------------------------------------
 
-    def _maybe_executor(self) -> ProcessPoolExecutor | None:
-        if self.effective_workers <= 1:
-            return None
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.effective_workers
-            )
-        return self._executor
-
     def prefill(self, count: int | None = None) -> None:
         """Precompute blinding factors now (the offline phase)."""
         target = self.pool.target_size if count is None else count
@@ -478,10 +342,9 @@ class PaillierEngine:
             self.pool.refill(missing)
 
     def close(self) -> None:
-        """Shut the process pool down."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        """Does nothing: the engine holds no resources to release.
+        Kept only because ``perfbench/workloads.py`` calls it; goes
+        with the next change to ``perfbench/``."""
 
     def __enter__(self) -> "PaillierEngine":
         return self
@@ -565,25 +428,20 @@ class PaillierEngine:
         for c in ciphertexts:
             if not 0 < c < n_sq:
                 raise DecryptionError("ciphertext out of range (0, n^2)")
-        # The CRT constants are hoisted once per batch, and the chunk
-        # kernel runs on this engine's backend inline as well as in
-        # the pool.
-        extra = (
-            self.public_key.n, priv.p, priv.q,
-            priv.p * priv.p, priv.q * priv.q,
-            priv._h_p, priv._h_q, priv._q_inv_p,
-            self.backend.name,
-        )
-        executor = self._maybe_executor()
-        if executor is not None \
-                and len(ciphertexts) >= self.dispatch_min_items:
-            return _run_chunked(
-                executor, _decrypt_chunk, ciphertexts, extra,
-                registry=self.obs.registry if self.obs.enabled
-                else None,
-                op="decrypt",
-            )
-        return _decrypt_chunk((ciphertexts,) + extra)
+        # The CRT constants are hoisted once per batch.
+        n, p, q = self.public_key.n, priv.p, priv.q
+        p_sq, q_sq = p * p, q * q
+        h_p, h_q, q_inv_p = priv._h_p, priv._h_q, priv._q_inv_p
+        powmod = self.backend.powmod
+        out = []
+        for c in ciphertexts:
+            u_p = powmod(c, p - 1, p_sq)
+            m_p = (((u_p - 1) // p) * h_p) % p
+            u_q = powmod(c, q - 1, q_sq)
+            m_q = (((u_q - 1) // q) * h_q) % q
+            h = ((m_p - m_q) * q_inv_p) % p
+            out.append((m_q + q * h) % n)
+        return out
 
     def decrypt_many(
         self, encrypted: Sequence[EncryptedNumber]
@@ -596,22 +454,6 @@ class PaillierEngine:
         return self.raw_decrypt_many([c.ciphertext for c in encrypted])
 
     # -- linear algebra -------------------------------------------------
-
-    def scalar_mul_many(self, ciphertexts: Sequence[int],
-                        weights: Sequence[int]) -> list[int]:
-        """Element-wise ``c_i^{w_i} mod n^2`` (one column each)."""
-        if len(ciphertexts) != len(weights):
-            raise CryptoError("scalar_mul_many length mismatch")
-        n_sq = self.public_key.n_squared
-        powmod = self.backend.powmod
-        invert = self.backend.invert
-        out = []
-        for c, w in zip(ciphertexts, weights):
-            if w < 0:
-                out.append(powmod(invert(c, n_sq), -w, n_sq))
-            else:
-                out.append(powmod(c, w, n_sq))
-        return out
 
     def matvec(
         self,
@@ -710,80 +552,14 @@ class PaillierEngine:
         modulus = self.backend.wrap(n_sq)
         num = bias
         den = [1] * plan.out_dim
-        executor = self._maybe_executor()
-        if executor is not None \
-                and len(columns) >= self.dispatch_min_items:
-            for part_num, part_den in self._pooled_columns(
-                    executor, columns, plan.out_dim, op):
-                num = [acc * v % modulus for acc, v in zip(num, part_num)]
-                for j in plan.negative_rows:
-                    den[j] = den[j] * part_den[j] % modulus
-        else:
-            _run_columns(columns, num, den, modulus, self.backend.wrap)
+        _run_columns(columns, num, den, modulus, self.backend.wrap)
         _divide(num, den, plan.negative_rows, modulus, self.backend, n_sq)
         return [int(v) for v in num]
-
-    def _pooled_columns(self, executor, columns, out_dim: int,
-                        op: str) -> list:
-        """Run contiguous column slices on the process pool (one slice
-        per worker); returns each slice's ``(num, den)`` products."""
-        per = -(-len(columns) // executor._max_workers)
-        jobs = [(columns[start:start + per], out_dim,
-                 self.public_key.n_squared, self.backend.name)
-                for start in range(0, len(columns), per)]
-        if self.obs.enabled:
-            registry = self.obs.registry
-            registry.counter("paillier_dispatch_chunks",
-                             op=op).inc(len(jobs))
-            size_histogram = registry.histogram(
-                "paillier_dispatch_chunk_items",
-                buckets=SIZE_BUCKETS, op=op,
-            )
-            for job in jobs:
-                size_histogram.observe(len(job[0]))
-        return list(executor.map(_sparse_chunk, jobs))
 
     def reset_power_cache(self) -> None:
         """Does nothing: the matvec kernel keeps no per-ciphertext
         state.  Kept only because ``perfbench/layers.py`` calls it;
         goes with the next PR that edits ``perfbench/``."""
-
-    # -- homomorphic addition -------------------------------------------
-
-    def add_dispatch(self, count: int) -> bool:
-        """Whether :meth:`add_many` would process-dispatch ``count``
-        adds.  An add is one modular multiply — far below the pow-bound
-        work ``dispatch_min_items`` was calibrated against — so the
-        break-even batch is ``dispatch_min_items *``
-        :data:`ADD_DISPATCH_FACTOR` (1 under ``force_parallel``)."""
-        if self.effective_workers <= 1:
-            return False
-        if self.dispatch_min_items <= 1:
-            return count >= 1
-        return count >= self.dispatch_min_items * ADD_DISPATCH_FACTOR
-
-    def add_many(self, lefts: Sequence[int],
-                 rights: Sequence[int]) -> list[int]:
-        """Pairwise homomorphic addition of raw ciphertexts
-        (``E(a) * E(b) = E(a + b)``), process-dispatched only above
-        the :meth:`add_dispatch` break-even."""
-        if len(lefts) != len(rights):
-            raise CryptoError("add_many length mismatch")
-        n_sq = self.public_key.n_squared
-        if self.add_dispatch(len(lefts)):
-            executor = self._maybe_executor()
-            if executor is not None:
-                pairs = list(zip(lefts, rights))
-                return _run_chunked(
-                    executor, _mulmod_chunk, pairs,
-                    (n_sq, self.backend.name),
-                    registry=self.obs.registry if self.obs.enabled
-                    else None,
-                    op="add",
-                )
-        modulus = self.backend.wrap(n_sq)
-        return [int(a * b % modulus)
-                for a, b in zip(lefts, rights)]
 
     # -- lane-packed fast paths -----------------------------------------
 
@@ -863,8 +639,8 @@ class PaillierEngine:
     ) -> list[int]:
         """Packed homomorphic ``y = W x + b``: one pow serves B lanes.
 
-        Reuses :meth:`fc_matvec` wholesale (process dispatch, the
-        compiled column schedules), then repairs the lane offsets:
+        Reuses :meth:`fc_matvec` wholesale (the compiled column
+        schedules), then repairs the lane offsets:
         row ``j`` of the raw product carries each lane at ``t_j +
         input_offset * S_j + bias_offset`` where ``S_j`` is the signed
         row weight sum,
@@ -982,7 +758,7 @@ class PaillierEngine:
 
 
 # ----------------------------------------------------------------------
-# Default (sequential) engines, one per public key: existing scalar
+# Default engines, one per public key: existing scalar
 # callers route through these and pick the batched kernels up for free.
 # ----------------------------------------------------------------------
 
@@ -990,21 +766,15 @@ _default_engines: dict[int, PaillierEngine] = {}
 
 
 def default_engine(public_key: PaillierPublicKey) -> PaillierEngine:
-    """The shared sequential engine for a public key.
-
-    ``workers`` comes from :data:`repro.config.DEFAULT_CONFIG` (0 by
-    default, so no processes are spawned behind anyone's back); parties
-    that want parallelism construct their own engine from their config.
-    """
+    """The shared engine for a public key, built from
+    :data:`repro.config.DEFAULT_CONFIG`."""
     engine = _default_engines.get(public_key.n)
     if engine is None:
         from ..config import DEFAULT_CONFIG
 
         engine = PaillierEngine(
             public_key,
-            workers=DEFAULT_CONFIG.workers,
             pool_size=DEFAULT_CONFIG.blinding_pool_size,
-            dispatch_min_items=DEFAULT_CONFIG.dispatch_min_items,
             backend=DEFAULT_CONFIG.bigint_backend,
         )
         _default_engines[public_key.n] = engine

@@ -33,6 +33,7 @@ how the planner's cost model learns that a compressed layer is cheap
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, insort
 from typing import Iterable, Sequence, Tuple
 
@@ -245,6 +246,11 @@ class SparseMatvecPlan:
         """
         try:
             arr = np.asarray(weights)
+            if arr.dtype.kind == "f" \
+                    and not isinstance(weights, np.ndarray):
+                # numpy stores Python ints in [2^63, 2^64) as float64,
+                # rounding them: keep nested sequences exact instead.
+                arr = np.asarray(weights, dtype=object)
         except ValueError as exc:       # ragged rows
             raise CryptoError(
                 f"weights must be a rectangular matrix: {exc}"
@@ -255,7 +261,12 @@ class SparseMatvecPlan:
             )
         rows = arr.tolist()
         if arr.dtype == object:
-            rows = [[int(w) for w in row] for row in rows]
+            try:
+                rows = [[operator.index(w) for w in row] for row in rows]
+            except TypeError as exc:
+                raise CryptoError(
+                    f"weights must be integers: {exc}"
+                ) from exc
         out_dim = len(rows)
         in_dim = len(rows[0]) if rows else 0
         columns: list[PlanColumn] = []

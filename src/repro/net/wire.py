@@ -28,7 +28,9 @@ from ..crypto.serialize import (
     public_key_to_json,
 )
 from ..errors import (
+    ConfigurationError,
     CryptoError,
+    HandshakeError,
     PoisonedRequestError,
     TransientStageError,
     TransportError,
@@ -162,11 +164,46 @@ def config_to_wire(config: RuntimeConfig) -> dict:
     return dataclasses.asdict(config)
 
 
+#: The JSON values each :class:`RuntimeConfig` field type may arrive
+#: as (tuples cross the wire as arrays; a whole float may be an int).
+_CONFIG_WIRE_TYPES = {
+    "bool": (bool,),
+    "int": (int,),
+    "float": (int, float),
+    "str": (str,),
+    "tuple": (list, tuple),
+}
+
+
 def config_from_wire(state: dict) -> RuntimeConfig:
+    """Rebuild the config record of a handshake spec.
+
+    Raises:
+        HandshakeError: the record is not an object, names a field
+            :class:`RuntimeConfig` does not have, carries a value of
+            the wrong JSON type, or fails the config's validation.
+    """
+    if not isinstance(state, dict):
+        raise HandshakeError(
+            f"bad config record: expected an object, got "
+            f"{type(state).__name__}"
+        )
+    types = {field.name: field.type
+             for field in dataclasses.fields(RuntimeConfig)}
+    for name, value in state.items():
+        if name not in types:
+            raise HandshakeError(f"bad config record: unknown field {name!r}")
+        kinds = _CONFIG_WIRE_TYPES[types[name]]
+        if not isinstance(value, kinds) \
+                or (isinstance(value, bool) and bool not in kinds):
+            raise HandshakeError(
+                f"bad config record: {name} must be {types[name]}, got "
+                f"{type(value).__name__}"
+            )
     try:
         return RuntimeConfig(**state)
-    except TypeError as exc:
-        raise TransportError(f"bad config record: {exc}") from exc
+    except ConfigurationError as exc:
+        raise HandshakeError(f"bad config record: {exc}") from exc
 
 
 def build_worker_spec(model_provider, data_provider, plan,

@@ -164,11 +164,9 @@ class _Session:
             self._engine = PaillierEngine(
                 self.public_key,
                 private_key=self.private_key,
-                workers=self.config.workers,
                 pool_size=self.config.blinding_pool_size,
                 seed=self.config.seed ^ _DATA_ENGINE_SALT,
                 obs=obs,
-                dispatch_min_items=self.config.dispatch_min_items,
                 backend=self.config.bigint_backend,
             )
             self._engine.prefill()

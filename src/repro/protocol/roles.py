@@ -169,11 +169,9 @@ class ModelProvider:
         if self.engine is None or self.engine.public_key.n != public_key.n:
             self.engine = PaillierEngine(
                 public_key,
-                workers=self.config.workers,
                 pool_size=self.config.blinding_pool_size,
                 seed=self.config.seed ^ 0x4D50E,
                 obs=self.obs,
-                dispatch_min_items=self.config.dispatch_min_items,
                 backend=self.config.bigint_backend,
             )
 
@@ -441,11 +439,9 @@ class DataProvider:
         self.engine = PaillierEngine(
             self.public_key,
             private_key=self._private_key,
-            workers=config.workers,
             pool_size=config.blinding_pool_size,
             seed=config.seed ^ 0x4450E,
             obs=self.obs,
-            dispatch_min_items=config.dispatch_min_items,
             backend=config.bigint_backend,
         )
         # The paper's offline phase: precompute the blinding-factor

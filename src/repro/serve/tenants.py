@@ -66,7 +66,8 @@ def compress_served_model(model, config, eval_data=None):
     raises :class:`~repro.errors.ServeError` at startup instead of
     silently serving a degraded model.  Without eval data (e.g. the
     untrained ``tiny`` smoke model) compression is structural only
-    and the budget is enforced where data exists (the bench gate).
+    and the budget is enforced where data exists
+    (:func:`repro.nn.rewrite.prune_model` with labeled data).
     """
     from ..nn.rewrite import prune_model
     from ..scaling.clustering import cluster_model

@@ -161,11 +161,9 @@ class LinearStageExecutor:
         if self._engine is None or self._engine.public_key.n != public_key.n:
             self._engine = PaillierEngine(
                 public_key,
-                workers=self._config.workers,
                 pool_size=self._config.blinding_pool_size,
                 seed=self._config.seed ^ (0x57E << 8) ^ self.stage_index,
                 obs=self._obs,
-                dispatch_min_items=self._config.dispatch_min_items,
                 backend=self._config.bigint_backend,
             )
         return self._engine

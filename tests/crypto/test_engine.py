@@ -2,11 +2,10 @@
 
 The engine's contract is exact agreement with the scalar reference
 implementation: same seed, same ciphertext bits — across the blinding
-pool, the key holder's half-width tables, the process pool, and the
-compiled-schedule matvec.
+pool, the key holder's half-width tables and the compiled-schedule
+matvec.
 """
 
-import os
 import random
 
 import numpy as np
@@ -292,62 +291,6 @@ class TestMatvec:
         out = engine.fc_matvec([other], [[3], [0]], bias)
         assert engine.raw_decrypt_many(out) == [18, 0]
 
-    def test_scalar_mul_many(self, keypair):
-        pub, priv = keypair
-        engine = PaillierEngine(pub, private_key=priv, seed=3)
-        ciphers = engine.encrypt_many([4, 6, 9])
-        raw = engine.scalar_mul_many(
-            [c.ciphertext for c in ciphers], [3, 0, 2]
-        )
-        assert [priv.raw_decrypt(c) for c in raw] == [12, 0, 18]
-
-
-class TestProcessPool:
-    """The workers > 0 paths agree with the sequential engine.
-
-    ``force_parallel`` pins the dispatch decision so the process path
-    is exercised even on single-core CI boxes.
-    """
-
-    def test_parallel_encrypt_decrypt_matvec(self, keypair):
-        pub, priv = keypair
-        values = list(range(20))
-        with PaillierEngine(pub, private_key=priv, workers=2,
-                            force_parallel=True, seed=5) as parallel:
-            sequential = PaillierEngine(pub, seed=5)
-            par = [c.ciphertext for c in parallel.encrypt_many(values)]
-            seq = [c.ciphertext for c in sequential.encrypt_many(values)]
-            # parallel engine holds the private key, so its pool uses
-            # the half-width tables; values still match the public pool
-            assert par == seq
-            ciphers = parallel.encrypt_many(
-                values, rng=random.Random(1)
-            )
-            assert parallel.decrypt_many(ciphers) == values
-
-            rng = random.Random(2)
-            cells = [c.ciphertext for c in ciphers][:16]
-            weight = np.array(
-                [[rng.randrange(-999, 999) for _ in range(16)]
-                 for _ in range(3)],
-                dtype=np.int64,
-            )
-            bias = [c.ciphertext
-                    for c in parallel.encrypt_many([1, 2, 3])]
-            assert parallel.matvec(cells, weight, bias) == \
-                sequential.matvec(cells, weight, bias)
-
-    def test_effective_workers_capped_by_cores(self, keypair):
-        pub, _ = keypair
-        engine = PaillierEngine(pub, workers=64)
-        assert engine.effective_workers == min(64, os.cpu_count() or 1)
-
-    def test_negative_workers_rejected(self, keypair):
-        pub, _ = keypair
-        with pytest.raises(CryptoError):
-            PaillierEngine(pub, workers=-1)
-
-
 class TestRerandomize:
     def test_preserves_plaintext_changes_bits(self, keypair):
         pub, priv = keypair
@@ -388,64 +331,3 @@ class TestDefaultEngine:
             for v in values.reshape(-1)
         ]
         assert [c.ciphertext for c in tensor.cells()] == expected
-
-
-class TestAddMany:
-    def test_scalar_path_matches_reference(self, keypair):
-        pub, priv = keypair
-        engine = PaillierEngine(pub, seed=2)
-        lefts = engine.raw_encrypt_many([1, 2, 3])
-        rights = engine.raw_encrypt_many([10, 20, 30])
-        n_sq = pub.n_squared
-        assert engine.add_many(lefts, rights) \
-            == [a * b % n_sq for a, b in zip(lefts, rights)]
-
-    def test_length_mismatch_rejected(self, keypair):
-        pub, _ = keypair
-        engine = PaillierEngine(pub, seed=2)
-        with pytest.raises(CryptoError):
-            engine.add_many([1, 2], [3])
-
-    def test_dispatch_break_even_is_add_specific(self, keypair):
-        """Adds are one modular multiply each, so the process-pool
-        break-even sits ADD_DISPATCH_FACTOR above the pow-bound one."""
-        from repro.crypto.engine import ADD_DISPATCH_FACTOR
-
-        pub, _ = keypair
-        engine = PaillierEngine(pub, seed=2, workers=2)
-        try:
-            # Single-core CI clamps effective_workers to 1; the
-            # break-even rule is what's under test, so un-clamp it.
-            engine.effective_workers = 2
-            threshold = engine.dispatch_min_items * ADD_DISPATCH_FACTOR
-            assert not engine.add_dispatch(threshold - 1)
-            assert engine.add_dispatch(threshold)
-        finally:
-            engine.close()
-
-    def test_sequential_engine_never_dispatches(self, keypair):
-        pub, _ = keypair
-        engine = PaillierEngine(pub, seed=2)
-        assert not engine.add_dispatch(10 ** 9)
-
-    def test_force_parallel_dispatches_any_batch(self, keypair):
-        pub, _ = keypair
-        engine = PaillierEngine(pub, seed=2, workers=2,
-                                force_parallel=True)
-        try:
-            assert engine.add_dispatch(1)
-        finally:
-            engine.close()
-
-    def test_pooled_path_bit_identical(self, keypair):
-        pub, _ = keypair
-        sequential = PaillierEngine(pub, seed=2)
-        pooled = PaillierEngine(pub, seed=2, workers=2,
-                                force_parallel=True)
-        try:
-            lefts = sequential.raw_encrypt_many(list(range(20)))
-            rights = sequential.raw_encrypt_many(list(range(20, 40)))
-            assert pooled.add_many(lefts, rights) \
-                == sequential.add_many(lefts, rights)
-        finally:
-            pooled.close()

@@ -4,8 +4,8 @@ Covers the :class:`LanePacker` encoding (round trips with negatives,
 overflow and lane-carry detection, rebias algebra), the engine's packed
 fast paths (``encrypt_many_packed`` / ``decrypt_many_packed`` /
 ``fc_matvec_packed`` and the ``add_plain_many`` rebias primitive), the
-:class:`PackedEncryptedTensor` operations, the dispatch break-even
-threshold, and the matvec weight-dedup satellite.
+:class:`PackedEncryptedTensor` operations, and the matvec weight-dedup
+satellite.
 """
 
 import random
@@ -14,10 +14,7 @@ import numpy as np
 import pytest
 
 from repro.crypto.encoding import DEFAULT_GUARD_BITS, LanePacker
-from repro.crypto.engine import (
-    DEFAULT_DISPATCH_MIN_ITEMS,
-    PaillierEngine,
-)
+from repro.crypto.engine import PaillierEngine
 from repro.crypto.paillier import EncryptedNumber
 from repro.crypto.sparse import SparseMatvecPlan
 from repro.crypto.tensor import EncryptedTensor, PackedEncryptedTensor
@@ -197,47 +194,6 @@ class TestPackedEngine:
         ).T
         expect = xs @ weight.T + bias
         assert got.tolist() == expect.tolist()
-
-
-class TestDispatchThreshold:
-    def test_default_threshold(self, keypair):
-        pub, _ = keypair
-        engine = PaillierEngine(pub, seed=1)
-        assert engine.dispatch_min_items == DEFAULT_DISPATCH_MIN_ITEMS
-
-    def test_explicit_threshold(self, keypair):
-        pub, _ = keypair
-        engine = PaillierEngine(pub, seed=1, dispatch_min_items=7)
-        assert engine.dispatch_min_items == 7
-
-    def test_invalid_threshold_rejected(self, keypair):
-        pub, _ = keypair
-        with pytest.raises(CryptoError):
-            PaillierEngine(pub, seed=1, dispatch_min_items=0)
-
-    def test_force_parallel_overrides_threshold(self, keypair):
-        """force_parallel exists so tests can exercise the process
-        path on tiny batches; it must win over the break-even gate."""
-        pub, _ = keypair
-        engine = PaillierEngine(
-            pub, seed=1, force_parallel=True, dispatch_min_items=99
-        )
-        assert engine.dispatch_min_items == 1
-
-    def test_small_batch_stays_serial_and_correct(self, keypair):
-        """Below the threshold nothing dispatches to processes, and the
-        results are still exact (the satellite's regression case)."""
-        pub, priv = keypair
-        engine = PaillierEngine(
-            pub, private_key=priv, workers=2, seed=4,
-            dispatch_min_items=1000,
-        )
-        try:
-            values = list(range(48))
-            cells = engine.encrypt_many(values)
-            assert engine.decrypt_many(cells) == values
-        finally:
-            engine.close()
 
 
 class TestWeightDedup:

@@ -8,8 +8,8 @@ result may be compared.  For ANY signed integer matrix it must return
 exactly the ciphertexts of the scalar reference loop
 (``raw_scalar_mul`` per weight, ``raw_add`` per term), on every route
 into it: dense ``matvec``, planned ``fc_matvec`` / ``conv_im2col``,
-``fc_matvec_packed``, the process-pool path, a stream executor, a TCP
-worker, and the gmpy2 backend when it is importable.
+``fc_matvec_packed``, a stream executor, a TCP worker, and the gmpy2
+backend when it is importable.
 """
 
 import dataclasses
@@ -98,9 +98,9 @@ class NoInvertBackend(PythonBackend):
         raise AssertionError("an all-positive layer inverted")
 
 
-def make_engine(backend="python", **kwargs):
+def make_engine(backend="python"):
     return PaillierEngine(PUBLIC, private_key=PRIVATE, seed=3,
-                          backend=backend, **kwargs)
+                          backend=backend)
 
 
 class TestKernelMatchesScalarReference:
@@ -216,25 +216,6 @@ class TestKernelMatchesScalarReference:
         ]
         assert dense == engine.add_plain_many(
             reference(cells, weights, bias), rebias)
-
-
-class TestProcessPath:
-    def test_force_parallel_equals_the_scalar_loop(self):
-        rng = random.Random(17)
-        weights = [[rng.choice([0, 1, -1, rng.randrange(-5000, 5000),
-                                rng.randrange(-(1 << 19), 1 << 19)])
-                    for _ in range(9)] for _ in range(6)]
-        weights[2] = [-abs(w) - 1 for w in weights[2]]
-        cells = ciphertexts(9, 5)
-        bias = ciphertexts(6, 6)
-        expected = reference(cells, weights, bias)
-        plan = SparseMatvecPlan.from_dense(weights)
-        for backend in BACKENDS:
-            with make_engine(backend=backend, workers=2,
-                             force_parallel=True) as pooled:
-                assert pooled.matvec(cells, weights, bias) == expected
-                assert pooled.fc_matvec(cells, plan=plan, bias=bias) \
-                    == expected
 
 
 def _affine(weights):

@@ -116,11 +116,3 @@ class TestConfigKnobs:
         assert config.with_pack_lanes(8).pack_lanes == 8
         with pytest.raises(ConfigurationError):
             RuntimeConfig(key_size=128, pack_lanes=-1)
-
-    def test_with_dispatch_min_items(self):
-        config = RuntimeConfig(key_size=128)
-        assert config.dispatch_min_items == 64
-        replaced = config.with_dispatch_min_items(16)
-        assert replaced.dispatch_min_items == 16
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(key_size=128, dispatch_min_items=0)

@@ -18,14 +18,6 @@ class TestRuntimeConfig:
         with pytest.raises(ConfigurationError):
             RuntimeConfig(key_size=129)
 
-    def test_threshold_validation(self):
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(scaling_threshold=-0.1)
-
-    def test_cost_profile_validation(self):
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(cost_profile="gpu")
-
     def test_with_key_size(self):
         config = RuntimeConfig().with_key_size(512)
         assert config.key_size == 512
