@@ -276,7 +276,7 @@ class CostModel:
         from .crypto.tensor import EncryptedTensor, FoldedTensor
         from .obfuscation.permutation import Permutation
         from .scaling.headroom import FoldGeometry
-        from .stream.executors import NonLinearStageExecutor, StreamItem
+        from .protocol.stages import NonLinearStage
 
         if samples < 8:
             raise ConfigurationError("need at least 8 calibration samples")
@@ -305,15 +305,16 @@ class CostModel:
 
         # A stage also pays per request for what its kernels do not
         # cover.  Time the smallest stage the runtime runs — a final
-        # non-linear stage decrypting one folded value — and keep what
-        # its one decryption does not explain.
+        # non-linear stage decrypting one folded value, through the
+        # stage body every runtime calls — and keep what its one
+        # decryption does not explain.
         folded = FoldedTensor.fold(
             EncryptedTensor(public, ciphers[:1], (1,), 0),
             FoldGeometry.single_lane(key_size).packer(public), holder)
-        final_stage = NonLinearStageExecutor(
-            0, ["softmax"], private, 0, 1, rng, final=True, engine=holder)
+        final_stage = NonLinearStage(["softmax"], private, 0, holder,
+                                     final=True)
         stage_overhead = max(best_of_five(
-            lambda: final_stage.process(StreamItem(0, folded))
+            lambda: final_stage.run(folded)
         ) - decrypt_cost, 0.0)
 
         # The add and permutation loops take microseconds, so one

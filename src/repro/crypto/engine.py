@@ -59,6 +59,7 @@ import threading
 from collections import deque
 from typing import Iterable, List, Sequence
 
+from ..config import DEFAULT_CONFIG, RuntimeConfig
 from ..errors import (
     CryptoError,
     DecryptionError,
@@ -758,20 +759,54 @@ class PaillierEngine:
 
 
 # ----------------------------------------------------------------------
-# Default engines, one per public key: existing scalar
-# callers route through these and pick the batched kernels up for free.
+# Engine construction: one engine per protocol party, plus a shared
+# fallback per key for scalar callers that pass no engine.
 # ----------------------------------------------------------------------
+
+#: Pool-RNG seed salts of the two parties' engines.
+MODEL_ENGINE_SALT = 0x4D50E
+DATA_ENGINE_SALT = 0x4450E
+
+
+def party_engine(
+    public_key: PaillierPublicKey,
+    config: RuntimeConfig,
+    obs: Observability | None,
+    private_key: PaillierPrivateKey | None = None,
+) -> PaillierEngine:
+    """The one engine a protocol party builds for a session key —
+    the model provider, the data provider and a remote worker session
+    of either role alike, on ``config``'s pool size and backend.
+
+    With ``private_key`` it is the key holder's: half-width blinding
+    mod ``p^2`` / ``q^2``, and its pool precomputed now (the paper's
+    offline phase).  The model side draws no pool factors (its bias
+    encryptions pass an RNG), so a pipeline's stage threads share it.
+    """
+    salt = MODEL_ENGINE_SALT if private_key is None else DATA_ENGINE_SALT
+    engine = PaillierEngine(
+        public_key,
+        private_key=private_key,
+        pool_size=config.blinding_pool_size,
+        seed=config.seed ^ salt,
+        obs=obs,
+        backend=config.bigint_backend,
+    )
+    if private_key is not None:
+        engine.prefill()
+    return engine
+
 
 _default_engines: dict[int, PaillierEngine] = {}
 
 
 def default_engine(public_key: PaillierPublicKey) -> PaillierEngine:
     """The shared engine for a public key, built from
-    :data:`repro.config.DEFAULT_CONFIG`."""
+    :data:`repro.config.DEFAULT_CONFIG` and never released: the
+    fallback of tensor calls given no engine, which no runtime path
+    makes."""
     engine = _default_engines.get(public_key.n)
     if engine is None:
-        from ..config import DEFAULT_CONFIG
-
         engine = PaillierEngine(
             public_key,
             pool_size=DEFAULT_CONFIG.blinding_pool_size,

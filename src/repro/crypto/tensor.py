@@ -142,8 +142,8 @@ class EncryptedTensor:
     ) -> np.ndarray:
         """Decrypt to a signed-integer ndarray (dtype=object for headroom).
 
-        Pass an ``engine`` holding the private key to decrypt in
-        process-pool chunks."""
+        Pass an ``engine`` holding the private key to decrypt the
+        cells in one batched CRT pass."""
         encoder = SignedEncoder(self.public_key)
         if engine is not None:
             residues = engine.decrypt_many(self._cells)
@@ -298,9 +298,8 @@ class EncryptedTensor:
             weight_exponent: fixed-point exponent the weights carry; the
                 output tensor's exponent is input + weight exponent.
             engine: batched crypto engine; when given, the matvec runs
-                through its compiled-schedule kernel (and process pool,
-                if configured) instead of the scalar loop.  Both paths
-                produce identical ciphertexts.
+                through its compiled-schedule kernel instead of the
+                scalar loop.  Both paths produce identical ciphertexts.
             plan: the layer's :class:`~repro.crypto.sparse
                 .SparseMatvecPlan` (compiled once at session setup);
                 without one the engine compiles a plan for this call.

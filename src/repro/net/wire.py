@@ -36,6 +36,7 @@ from ..errors import (
     TransportError,
 )
 from ..nn.layers import LayerKind
+from ..protocol.stages import LinearStagePlan
 from ..scaling.fixed_point import ScaledAffine
 from ..scaling.headroom import FoldGeometry
 from ..stream.executors import StreamItem
@@ -142,6 +143,30 @@ def plan_from_wire(state: dict) -> SparseMatvecPlan:
         raise TransportError(f"malformed matvec plan: {exc}") from exc
 
 
+def linear_plan_from_wire(stage_index: int,
+                          section: dict) -> LinearStagePlan:
+    """Rebuild a linear stage's affines and compiled plans from its
+    section of a model-role handshake spec.
+
+    Raises:
+        TransportError: a record is missing or malformed, or
+            ``matvec_plans`` does not hold one plan per affine.
+    """
+    try:
+        affines = [affine_from_wire(a) for a in section["affines"]]
+    except (KeyError, TypeError) as exc:
+        raise TransportError(f"malformed affines: {exc!r}") from exc
+    plans = section.get("matvec_plans")
+    if not isinstance(plans, list) or len(plans) != len(affines) \
+            or None in plans:
+        raise TransportError(
+            f"stage {stage_index}: matvec_plans must hold one plan per "
+            f"affine ({len(affines)})"
+        )
+    return LinearStagePlan(stage_index, affines,
+                           [plan_from_wire(p) for p in plans])
+
+
 def fold_to_wire(fold: FoldGeometry) -> dict:
     """JSON-safe form of the session's output-fold geometry."""
     return dataclasses.asdict(fold)
@@ -208,7 +233,8 @@ def config_from_wire(state: dict) -> RuntimeConfig:
 
 def build_worker_spec(model_provider, data_provider, plan,
                       role: str, tenant: str = "default") -> dict:
-    """The handshake spec for one worker of the given role.
+    """The handshake spec for one worker of the given role (the model
+    provider must hold the public key).
 
     Contains everything a fresh process needs to rebuild its stage
     executors: the runtime config, stage geometry, and the role's
@@ -238,7 +264,7 @@ def build_worker_spec(model_provider, data_provider, plan,
             "threads": plan.threads_for(stage.index),
         }
         if role == ROLE_MODEL and kind == "linear":
-            stage_plan = model_provider._linear_plans[stage.index]
+            stage_plan = model_provider.linear_stage(stage.index).plan
             entry["affines"] = [
                 affine_to_wire(affine)
                 for affine in stage_plan.affines
@@ -249,8 +275,7 @@ def build_worker_spec(model_provider, data_provider, plan,
             # which forces the worker's pinned session to rebuild
             # instead of serving stale structure.
             entry["matvec_plans"] = [
-                None if plan is None else plan_to_wire(plan)
-                for plan in stage_plan.matvec_plans
+                plan_to_wire(plan) for plan in stage_plan.matvec_plans
             ]
         if role == ROLE_DATA and kind == "nonlinear":
             entry["activations"] = \
@@ -273,7 +298,7 @@ def build_worker_spec(model_provider, data_provider, plan,
     else:
         spec["value_decimals"] = data_provider.value_decimals
         spec["private_key"] = private_key_to_json(
-            data_provider._private_key
+            data_provider.private_key
         )
     return spec
 

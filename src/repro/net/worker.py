@@ -3,9 +3,11 @@
 A :class:`WorkerServer` listens on a host:port (``python -m repro
 worker --listen HOST:PORT``; port 0 picks a free one), accepts framed
 connections from a coordinator, and executes linear or non-linear
-stage work with the *existing* stream executors — the handshake spec
+stage work with the same stage objects (:mod:`repro.protocol.stages`)
+and stream executors the in-process runtimes run — the handshake spec
 (:func:`repro.net.wire.build_worker_spec`) carries everything needed
-to rebuild them in a fresh process.
+to rebuild them in a fresh process, and each tenant session builds
+one engine (:func:`repro.crypto.engine.party_engine`) for them.
 
 Connection protocol (strict request/response per connection):
 
@@ -36,7 +38,7 @@ import socket
 import threading
 
 from ..config import DEFAULT_CONFIG
-from ..crypto.engine import PaillierEngine
+from ..crypto.engine import party_engine
 from ..crypto.serialize import (
     private_key_from_json,
     public_key_from_json,
@@ -51,6 +53,8 @@ from ..errors import (
 )
 from ..obfuscation.obfuscator import Obfuscator
 from ..observability import OBS_OFF, Observability
+from ..protocol.roles import MODEL_RNG_SALT, OBFUSCATOR_SALT
+from ..protocol.stages import LinearStage, NonLinearStage
 from ..stream.executors import (
     LinearStageExecutor,
     NonLinearStageExecutor,
@@ -75,7 +79,6 @@ from .wire import (
     CLASS_UNCLASSIFIED,
     ROLE_DATA,
     ROLE_MODEL,
-    affine_from_wire,
     announce_from_envelope,
     config_from_wire,
     error_envelope,
@@ -83,15 +86,9 @@ from .wire import (
     item_from_task,
     join_envelope,
     leave_envelope,
-    plan_from_wire,
+    linear_plan_from_wire,
     result_envelope,
 )
-
-#: Seed salts matching the in-process parties (roles.py / executors.py)
-#: so a worker's crypto state lines up with the single-process runtime.
-_OBFUSCATOR_SALT = 0x0BF5
-_EXECUTOR_RNG_SALT = 0x57
-_DATA_ENGINE_SALT = 0x4450E
 
 
 def _spec_digest(spec: dict) -> str:
@@ -129,7 +126,6 @@ class _Session:
             raise HandshakeError(f"unknown worker role {role!r}")
         self.role = role
         self.tenant = str(spec.get("tenant", "default"))
-        self.spec = spec
         self.spec_digest = _spec_digest(spec)
         self.obs = obs
         self.m_tasks = obs.registry.counter("net_worker_tasks",
@@ -145,8 +141,7 @@ class _Session:
             raise HandshakeError(f"spec missing {exc}") from exc
         self._executors: dict[int, object] = {}
         self._lock = threading.Lock()
-        self._rng = random.Random(self.config.seed ^ _EXECUTOR_RNG_SALT)
-        self._engine: PaillierEngine | None = None
+        self.private_key = None
         if role == ROLE_DATA:
             try:
                 self.private_key = private_key_from_json(
@@ -159,17 +154,12 @@ class _Session:
                 raise HandshakeError(
                     "private key does not match the session public key"
                 )
-            # The key holder's engine: half-width blinding, shared across the
-            # worker's non-linear stages like DataProvider.engine is.
-            self._engine = PaillierEngine(
-                self.public_key,
-                private_key=self.private_key,
-                pool_size=self.config.blinding_pool_size,
-                seed=self.config.seed ^ _DATA_ENGINE_SALT,
-                obs=obs,
-                backend=self.config.bigint_backend,
-            )
-            self._engine.prefill()
+        else:
+            self._rng = random.Random(self.config.seed ^ MODEL_RNG_SALT)
+        #: The session's one engine, built like the in-process party's
+        #: and shared by all of this session's stages.
+        self.engine = party_engine(self.public_key, self.config, obs,
+                                   private_key=self.private_key)
 
     def _stage_spec(self, stage_index: int) -> dict:
         stage = self.stages.get(str(stage_index))
@@ -193,41 +183,30 @@ class _Session:
             stage = self._stage_spec(stage_index)
             threads = int(stage.get("threads", 1))
             if self.role == ROLE_MODEL:
-                wire_plans = stage.get("matvec_plans")
-                executor = LinearStageExecutor(
-                    stage_index,
-                    [affine_from_wire(a) for a in stage["affines"]],
+                # The wire plans are recompiled here, once per stage
+                # per session: this worker's layers run the same
+                # schedules as the in-process runtime.
+                executor = LinearStageExecutor(LinearStage(
+                    linear_plan_from_wire(stage_index, stage),
                     Obfuscator(
-                        self.config.seed ^ _OBFUSCATOR_SALT,
+                        self.config.seed ^ OBFUSCATOR_SALT,
                         first_round=stage_index,
                         round_stride=self.num_stages,
                         stateless=True,
                     ),
-                    threads,
+                    self.engine,
                     self._rng,
+                    self.fold,
                     final=stage_index == self.num_stages - 2,
-                    config=self.config,
-                    obs=self.obs,
-                    # The wire plans are recompiled here, once per
-                    # stage per session: this worker's layers run the
-                    # same schedules as the in-process runtime.
-                    plans=(None if wire_plans is None else [
-                        None if p is None else plan_from_wire(p)
-                        for p in wire_plans
-                    ]),
-                    fold=self.fold,
-                )
+                ), threads)
             else:
-                executor = NonLinearStageExecutor(
-                    stage_index,
+                executor = NonLinearStageExecutor(NonLinearStage(
                     stage["activations"],
                     self.private_key,
                     self.value_decimals,
-                    threads,
-                    self._rng,
+                    self.engine,
                     final=stage_index == self.num_stages - 1,
-                    engine=self._engine,
-                )
+                ), threads)
             self._executors[stage_index] = executor
             return executor
 

@@ -9,16 +9,18 @@ Responsibilities follow Section III exactly:
   evaluates non-linear operations on decrypted (permuted) values, and
   re-encrypts results.  It never sees model parameters.
 
-Both roles record what they observe during a session; the security
-tests assert over those views (ciphertexts only at the model provider,
-only permuted intermediates at the data provider).
+Each party builds one engine and one stage object per stage
+(:mod:`repro.protocol.stages`); the ``process_*`` methods run those
+stages, and the threaded stream executors wrap the same objects.  Both
+roles record what they observe during a session; the security tests
+assert over those views (ciphertexts only at the model provider, only
+permuted intermediates at the data provider).
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
@@ -26,10 +28,14 @@ import numpy as np
 from ..config import DEFAULT_CONFIG, RuntimeConfig
 from ..costs import CompressionStats
 from ..crypto.encoding import LanePacker
-from ..crypto.engine import PaillierEngine
+from ..crypto.engine import PaillierEngine, party_engine
 from ..crypto.sparse import SparseMatvecPlan
 from ..observability import Observability
-from ..crypto.paillier import PaillierPublicKey, generate_keypair
+from ..crypto.paillier import (
+    PaillierPrivateKey,
+    PaillierPublicKey,
+    generate_keypair,
+)
 from ..crypto.tensor import (
     EncryptedTensor,
     FoldedTensor,
@@ -39,8 +45,8 @@ from ..errors import EncodingError, ProtocolError, SecurityViolationError
 from ..nn.layers import Flatten, LayerKind
 from ..nn.model import Sequential
 from ..obfuscation.obfuscator import Obfuscator
-from ..planner.primitive import MergedPrimitive, model_stages
-from ..scaling.fixed_point import ScaledAffine, scaled_affine_for_layer
+from ..planner.primitive import model_stages
+from ..scaling.fixed_point import scale_to_int, scaled_affine_for_layer
 from ..scaling.headroom import (
     FOLD_INPUT_BOUND,
     FoldGeometry,
@@ -48,31 +54,12 @@ from ..scaling.headroom import (
     fold_geometry,
 )
 from ..scaling.headroom import plan_lane_packing as _plan_lane_packing
+from .stages import LinearStage, LinearStagePlan, NonLinearStage
 
-#: Non-linear activations the data provider knows how to execute.
-#: ReLU and Sigmoid are permutation-compatible; SoftMax is
-#: position-sensitive and only legal in the final (non-obfuscated) round.
-ELEMENTWISE_ACTIVATIONS = ("relu", "sigmoid")
-FINAL_ACTIVATIONS = ("softmax",)
-
-
-@dataclass
-class LinearStagePlan:
-    """The model provider's prepared form of one linear stage.
-
-    ``matvec_plans`` is parallel to ``affines``: every layer's
-    :class:`~repro.crypto.sparse.SparseMatvecPlan`, its column
-    schedules compiled once at session setup and carried by every
-    runtime — in-process sessions, the threaded stream executors, and
-    (serialized into the handshake spec, recompiled once per worker
-    session) remote workers — so no request compiles anything.  A
-    ``None`` entry makes the engine compile that layer per call.
-    """
-
-    stage: MergedPrimitive
-    affines: List[ScaledAffine] = field(default_factory=list)
-    matvec_plans: List[SparseMatvecPlan | None] = \
-        field(default_factory=list)
+#: Seed salts of the model provider's obfuscator and bias RNG; a remote
+#: model-role worker derives its own from the same salts.
+OBFUSCATOR_SALT = 0x0BF5
+MODEL_RNG_SALT = 0x4D50
 
 
 class ModelProvider:
@@ -93,13 +80,11 @@ class ModelProvider:
         #: parties to aggregate a session's metrics in one registry.
         self.obs = obs if obs is not None \
             else Observability.from_config(config)
-        self._rng = random.Random(config.seed ^ 0x4D50)
-        self._obfuscator = Obfuscator(config.seed ^ 0x0BF5)
-        self._public_key: PaillierPublicKey | None = None
-        #: Batched crypto engine, built when the public key arrives.
-        #: The model provider never holds the private key, so its
-        #: engine gets no CRT acceleration — only the blinding pool
-        #: and (if configured) the process pool.
+        self._rng = random.Random(config.seed ^ MODEL_RNG_SALT)
+        self._obfuscator = Obfuscator(config.seed ^ OBFUSCATOR_SALT)
+        #: The party's engine (:func:`~repro.crypto.engine
+        #: .party_engine`, no private key), built when the public key
+        #: arrives and shared by every linear stage.
         self.engine: PaillierEngine | None = None
         self.stages = model_stages(model)
         #: How every linear stage's outputs are folded before they go
@@ -107,17 +92,14 @@ class ModelProvider:
         #: size, the scaling exponent and the model's peak bound).
         self.fold: FoldGeometry = fold_geometry(self.stages, decimals,
                                                 config.key_size)
-        self._folder: LanePacker | None = None
         self._linear_plans: dict[int, LinearStagePlan] = {}
         for stage in self.stages:
             if stage.kind is LayerKind.LINEAR:
-                plan = LinearStagePlan(stage)
-                shape = stage.input_shape
+                plan = LinearStagePlan(stage.index)
                 for primitive in stage.primitives:
                     if isinstance(primitive.layer, Flatten):
                         # Row-major flattening is a no-op on the flat
                         # ciphertext stream.
-                        shape = primitive.output_shape
                         continue
                     affine = scaled_affine_for_layer(
                         primitive.layer, primitive.input_shape,
@@ -127,53 +109,42 @@ class ModelProvider:
                     plan.matvec_plans.append(
                         SparseMatvecPlan.from_dense(affine.weight)
                     )
-                    shape = primitive.output_shape
                 self._linear_plans[stage.index] = plan
+        self._linear_stages: dict[int, LinearStage] = {}
         #: What this party observed (for security tests): payload kinds.
         self.observed: List[str] = []
-        # Static-bias encryption cache: the model is fixed, so each
-        # affine's encrypted bias at a given input exponent can be
-        # computed once and reused across requests.
-        self._bias_cache: dict[tuple[int, int, int], object] = {}
-        # Lane-packing state: admission plans per batch size, and the
-        # packed twin of the bias cache (bias broadcast across lanes).
+        # Lane-packing admission plans per batch size.
         self._lane_plans: dict[int, LanePlan] = {}
-        self._packed_bias_cache: dict[tuple, object] = {}
-
-    def _encrypted_bias(
-        self,
-        stage_index: int,
-        affine_index: int,
-        affine: ScaledAffine,
-        input_exponent: int,
-        public_key: PaillierPublicKey,
-    ):
-        from ..crypto.tensor import EncryptedTensor
-
-        key = (stage_index, affine_index, input_exponent)
-        cached = self._bias_cache.get(key)
-        if cached is None:
-            cached = EncryptedTensor.encrypt(
-                affine.bias_at(input_exponent), public_key, self._rng,
-                exponent=input_exponent + affine.decimals,
-            )
-            self._bias_cache[key] = cached
-        return cached
 
     def register_public_key(self, public_key: PaillierPublicKey) -> None:
-        """Receive the data provider's public key at session setup."""
-        self._public_key = public_key
-        if self._folder is None \
-                or self._folder.public_key.n != public_key.n:
-            self._folder = self.fold.packer(public_key)
-        if self.engine is None or self.engine.public_key.n != public_key.n:
-            self.engine = PaillierEngine(
-                public_key,
-                pool_size=self.config.blinding_pool_size,
-                seed=self.config.seed ^ 0x4D50E,
-                obs=self.obs,
-                backend=self.config.bigint_backend,
-            )
+        """Receive the data provider's public key at session setup.
+
+        Builds the party's engine and one :class:`~repro.protocol
+        .stages.LinearStage` per linear stage for that key; a second
+        registration of the same key keeps them (and their cached
+        encrypted biases).
+        """
+        if self.engine is not None \
+                and self.engine.public_key.n == public_key.n:
+            return
+        self.engine = party_engine(public_key, self.config, self.obs)
+        last = len(self.stages) - 2
+        self._linear_stages = {
+            index: LinearStage(plan, self._obfuscator, self.engine,
+                               self._rng, self.fold, final=index == last)
+            for index, plan in self._linear_plans.items()
+        }
+
+    def linear_stage(self, stage_index: int) -> LinearStage:
+        """The stage object every runtime runs for a linear stage (the
+        threaded stream's executors wrap these; its ``plan`` is what a
+        model-role worker's handshake spec carries)."""
+        if self.engine is None:
+            raise ProtocolError("public key not registered")
+        stage = self._linear_stages.get(stage_index)
+        if stage is None:
+            raise ProtocolError(f"stage {stage_index} is not linear")
+        return stage
 
     def nonlinear_activations(self, stage_index: int) -> List[str]:
         """Activation specs of a non-linear stage (protocol-public).
@@ -192,7 +163,7 @@ class ModelProvider:
 
         One entry per merged stage (aligned with :attr:`stages`):
         ``None`` for non-linear stages (and linear stages without
-        plans), else a :class:`~repro.costs.CompressionStats`
+        layers), else a :class:`~repro.costs.CompressionStats`
         aggregated over the stage's planned affines — feed the list to
         :func:`repro.planner.profiling.profile_primitive_times` so
         stage assignment charges compressed layers their surviving
@@ -201,9 +172,8 @@ class ModelProvider:
         out: List[CompressionStats | None] = []
         for stage in self.stages:
             stage_plan = self._linear_plans.get(stage.index)
-            plans = ([p for p in stage_plan.matvec_plans
-                      if p is not None]
-                     if stage_plan is not None else [])
+            plans = stage_plan.matvec_plans if stage_plan is not None \
+                else []
             if not plans:
                 out.append(None)
                 continue
@@ -221,15 +191,13 @@ class ModelProvider:
     def process_linear_stage(
         self,
         stage_index: int,
-        tensor: EncryptedTensor,
+        tensor: EncryptedTensor | PackedEncryptedTensor,
         inbound_obfuscation_round: int | None,
         final: bool,
-    ) -> tuple[FoldedTensor, int | None]:
-        """Steps (x.5)/(x.6)/(x.7) of Figure 3 for one linear stage.
-
-        The (permuted, or on the final stage unpermuted) outputs leave
-        folded :attr:`fold` ``.lanes`` to a ciphertext, so the data
-        provider decrypts one ciphertext per ``lanes`` values.
+    ) -> tuple[FoldedTensor | PackedEncryptedTensor, int | None]:
+        """Steps (x.5)/(x.6)/(x.7) of Figure 3 for one linear stage:
+        :meth:`LinearStage.run <repro.protocol.stages.LinearStage.run>`
+        on a scalar or lane-packed tensor.
 
         Args:
             stage_index: index of the linear merged primitive.
@@ -237,59 +205,41 @@ class ModelProvider:
             inbound_obfuscation_round: obfuscator round id the inbound
                 tensor is permuted under, or None in the first round.
             final: True for the last linear stage — its output is sent
-                back *without* obfuscation (step 3.4).
+                back *without* obfuscation (step 3.4).  Must agree with
+                the stage's position.
 
         Returns:
-            (folded output tensor, obfuscation round id or None when
-            final).
+            (output tensor — folded when scalar — and the obfuscation
+            round id, or None when final).
+
+        Raises:
+            SecurityViolationError: ``tensor`` is not encrypted.
+            ProtocolError: the key is not registered, the stage is not
+                linear, or ``final`` disagrees with the stage.
         """
-        if self._public_key is None:
-            raise ProtocolError("public key not registered")
-        if not isinstance(tensor, EncryptedTensor):
+        stage = self.linear_stage(stage_index)
+        if not isinstance(tensor, (EncryptedTensor,
+                                   PackedEncryptedTensor)):
             raise SecurityViolationError(
                 "model provider only accepts encrypted tensors"
             )
-        plan = self._linear_plans.get(stage_index)
-        if plan is None:
-            raise ProtocolError(f"stage {stage_index} is not linear")
+        if final != stage.final:
+            raise ProtocolError(
+                f"final={final} for linear stage {stage_index}, which "
+                f"is {'' if stage.final else 'not '}the last one: only "
+                "the last linear stage skips obfuscation"
+            )
         self.observed.append("ciphertext")
-        stage_start = time.perf_counter()
-
-        cells = list(tensor.flatten().cells())
-        if inbound_obfuscation_round is not None:
-            cells = self._obfuscator.deobfuscate(
-                inbound_obfuscation_round, cells
-            )
-        current = EncryptedTensor(
-            tensor.public_key, cells, (len(cells),), tensor.exponent
-        )
-        for affine_index, affine in enumerate(plan.affines):
-            encrypted_bias = self._encrypted_bias(
-                stage_index, affine_index, affine, current.exponent,
-                tensor.public_key,
-            )
-            current = current.affine(
-                affine.weight,
-                encrypted_bias,
-                self._rng,
-                weight_exponent=affine.decimals,
-                engine=self.engine,
-                plan=plan.matvec_plans[affine_index],
-            )
-        round_id = None
-        if not final:
-            round_id, permuted = self._obfuscator.obfuscate(
-                list(current.cells())
-            )
-            current = EncryptedTensor(
-                current.public_key, permuted, (len(permuted),),
-                current.exponent,
-            )
-        folded = FoldedTensor.fold(current, self._folder, self.engine)
+        start = time.perf_counter()
+        result = stage.run(tensor, inbound_obfuscation_round)
         self.obs.registry.histogram(
             "protocol_linear_stage_seconds", stage=str(stage_index)
-        ).observe(time.perf_counter() - stage_start)
-        return folded, round_id
+        ).observe(time.perf_counter() - start)
+        return result
+
+    #: Kept because ``perfbench/layers.py`` calls it; goes with the
+    #: next change to ``perfbench/``.
+    process_linear_stage_packed = process_linear_stage
 
     # -- lane packing ---------------------------------------------------
 
@@ -313,104 +263,15 @@ class ModelProvider:
         the *scaled* model), so sharing the packer with the data
         provider leaks nothing beyond the batch size.
         """
-        if self._public_key is None:
+        if self.engine is None:
             raise ProtocolError("public key not registered")
         plan = self.plan_lane_packing(batch)
         if not plan.admitted:
             return None
         return LanePacker(
-            self._public_key, lanes=batch,
+            self.engine.public_key, lanes=batch,
             mag_bits=plan.mag_bits, guard_bits=plan.guard_bits,
         )
-
-    def _encrypted_bias_packed(
-        self,
-        stage_index: int,
-        affine_index: int,
-        affine: ScaledAffine,
-        input_exponent: int,
-        packer: LanePacker,
-        batch: int,
-    ) -> PackedEncryptedTensor:
-        key = (stage_index, affine_index, input_exponent, batch,
-               packer.lane_bits)
-        cached = self._packed_bias_cache.get(key)
-        if cached is None:
-            bias = affine.bias_at(input_exponent)
-            lanes = [[int(b)] * batch for b in np.asarray(bias).reshape(-1)]
-            cells = self.engine.encrypt_many_packed(
-                lanes, packer, rng=self._rng
-            )
-            cached = PackedEncryptedTensor(
-                packer.public_key, cells, (len(cells),), packer, batch,
-                exponent=input_exponent + affine.decimals,
-            )
-            self._packed_bias_cache[key] = cached
-        return cached
-
-    def process_linear_stage_packed(
-        self,
-        stage_index: int,
-        tensor: PackedEncryptedTensor,
-        inbound_obfuscation_round: int | None,
-        final: bool,
-    ) -> tuple[PackedEncryptedTensor, int | None]:
-        """Lane-packed twin of :meth:`process_linear_stage`.
-
-        One homomorphic pass serves every sample in the batch; the
-        obfuscator permutes packed cells exactly as it permutes scalar
-        ones (all lanes of a position travel together, so the whole
-        batch shares one permutation per round).
-        """
-        if self._public_key is None:
-            raise ProtocolError("public key not registered")
-        if not isinstance(tensor, PackedEncryptedTensor):
-            raise SecurityViolationError(
-                "model provider only accepts encrypted tensors"
-            )
-        plan = self._linear_plans.get(stage_index)
-        if plan is None:
-            raise ProtocolError(f"stage {stage_index} is not linear")
-        self.observed.append("ciphertext")
-        stage_start = time.perf_counter()
-
-        cells = list(tensor.flatten().cells())
-        if inbound_obfuscation_round is not None:
-            cells = self._obfuscator.deobfuscate(
-                inbound_obfuscation_round, cells
-            )
-        current = PackedEncryptedTensor(
-            tensor.public_key, cells, (len(cells),), tensor.packer,
-            tensor.batch, tensor.exponent,
-        )
-        for affine_index, affine in enumerate(plan.affines):
-            encrypted_bias = self._encrypted_bias_packed(
-                stage_index, affine_index, affine, current.exponent,
-                tensor.packer, tensor.batch,
-            )
-            current = current.affine(
-                affine.weight,
-                encrypted_bias,
-                self._rng,
-                weight_exponent=affine.decimals,
-                engine=self.engine,
-                plan=plan.matvec_plans[affine_index],
-            )
-        histogram = self.obs.registry.histogram(
-            "protocol_linear_stage_seconds", stage=str(stage_index)
-        )
-        if final:
-            histogram.observe(time.perf_counter() - stage_start)
-            return current, None
-        round_id, permuted = self._obfuscator.obfuscate(
-            list(current.cells())
-        )
-        permuted_tensor = PackedEncryptedTensor(
-            current.public_key, permuted, (len(permuted),),
-            current.packer, current.batch, current.exponent,
-        )
-        histogram.observe(time.perf_counter() - stage_start)
-        return permuted_tensor, round_id
 
 
 class DataProvider:
@@ -429,28 +290,24 @@ class DataProvider:
         #: Observability sinks (see :class:`ModelProvider.obs`).
         self.obs = obs if obs is not None \
             else Observability.from_config(config)
-        self._rng = random.Random(config.seed ^ 0x4450)
         self.public_key, self._private_key = generate_keypair(
             config.key_size, seed=config.seed ^ 0x6B65
         )
-        #: Batched crypto engine.  As the key holder, the data
-        #: provider's engine blinds from the half-width tables mod p^2
-        #: and q^2 (sound only on this side of the protocol).
-        self.engine = PaillierEngine(
-            self.public_key,
-            private_key=self._private_key,
-            pool_size=config.blinding_pool_size,
-            seed=config.seed ^ 0x4450E,
-            obs=self.obs,
-            backend=config.bigint_backend,
-        )
-        # The paper's offline phase: precompute the blinding-factor
-        # pool now, before any request arrives, so online encryption
-        # during streaming is one modular multiply per ciphertext.
-        self.engine.prefill()
+        #: The key holder's engine (:func:`~repro.crypto.engine
+        #: .party_engine`): half-width blinding tables mod p^2 and
+        #: q^2, batched CRT decryption, and a blinding-factor pool
+        #: precomputed before any request arrives.
+        self.engine = party_engine(self.public_key, config, self.obs,
+                                   private_key=self._private_key)
+        self._nonlinear_stages: dict[tuple, NonLinearStage] = {}
         #: Decrypted intermediate vectors observed (permuted except the
         #: final round) — inspected by the security tests.
         self.observed_plaintexts: List[np.ndarray] = []
+
+    @property
+    def private_key(self) -> PaillierPrivateKey:
+        """The private key, for this party's own data-role workers."""
+        return self._private_key
 
     @staticmethod
     def check_input(x: np.ndarray) -> np.ndarray:
@@ -476,8 +333,6 @@ class DataProvider:
     def encrypt_input(self, x: np.ndarray) -> EncryptedTensor:
         """Step (1.1): scale the raw input and encrypt element-wise
         (after :meth:`check_input`)."""
-        from ..scaling.fixed_point import scale_to_int
-
         start = time.perf_counter()
         x = self.check_input(x)
         scaled = scale_to_int(x, self.value_decimals)
@@ -491,47 +346,54 @@ class DataProvider:
         ).observe(time.perf_counter() - start)
         return tensor
 
+    def nonlinear_stage(self, activations: Sequence[str],
+                        final: bool) -> NonLinearStage:
+        """The stage object every runtime runs for a non-linear stage
+        with these activations (built once; the threaded stream's
+        executors wrap these).
+
+        Raises:
+            SecurityViolationError: SoftMax outside the final round.
+        """
+        key = (tuple(activations), final)
+        stage = self._nonlinear_stages.get(key)
+        if stage is None:
+            stage = NonLinearStage(activations, self._private_key,
+                                   self.value_decimals, self.engine,
+                                   final)
+            self._nonlinear_stages[key] = stage
+        return stage
+
     def process_nonlinear_stage(
         self,
-        tensor: FoldedTensor | EncryptedTensor,
+        tensor: FoldedTensor | EncryptedTensor | PackedEncryptedTensor,
         activations: Sequence[str],
         final: bool,
-    ) -> EncryptedTensor | np.ndarray:
-        """Steps (2.1)-(2.3) (or (3.5)-(3.7) when final) of Figure 3.
+    ) -> EncryptedTensor | PackedEncryptedTensor | np.ndarray:
+        """Steps (2.1)-(2.3) (or (3.5)-(3.7) when final) of Figure 3:
+        :meth:`NonLinearStage.run <repro.protocol.stages
+        .NonLinearStage.run>` on a folded, scalar or lane-packed
+        tensor.
 
-        Decrypt (one CRT decryption per folded ciphertext), run the
-        activations on the (permuted) plaintext, and re-encrypt every
-        value — or, in the final round, return the inference result as
-        floats.
+        The decrypted (permuted) values — a ``(batch, positions)``
+        block for a packed tensor, every row permuted under the same
+        round permutation — are recorded in
+        :attr:`observed_plaintexts`.
+
+        Raises:
+            SecurityViolationError: SoftMax outside the final round.
         """
         start = time.perf_counter()
-        values = tensor.decrypt_float(self._private_key,
-                                      engine=self.engine)
-        self.observed_plaintexts.append(values.copy())
-        flat = values.reshape(-1)
-        for activation in activations:
-            flat = self._apply_activation(activation, flat, final)
-        histogram = self.obs.registry.histogram(
+        result = self.nonlinear_stage(activations, final).run(
+            tensor, observe=self.observed_plaintexts.append)
+        self.obs.registry.histogram(
             "protocol_nonlinear_stage_seconds", final=str(final).lower()
-        )
-        if final:
-            histogram.observe(time.perf_counter() - start)
-            return flat
-        from ..scaling.fixed_point import scale_to_int
-
-        rescaled = scale_to_int(flat, self.value_decimals)
-        result = EncryptedTensor.encrypt(
-            rescaled, self.public_key,
-            exponent=self.value_decimals,
-            engine=self.engine,
-        )
-        histogram.observe(time.perf_counter() - start)
+        ).observe(time.perf_counter() - start)
         return result
 
-    def _apply_activation(
-        self, activation: str, flat: np.ndarray, final: bool
-    ) -> np.ndarray:
-        return apply_activation(activation, flat, final)
+    #: Kept because ``perfbench/layers.py`` calls it; goes with the
+    #: next change to ``perfbench/``.
+    process_nonlinear_stage_packed = process_nonlinear_stage
 
     # -- lane packing ---------------------------------------------------
 
@@ -540,8 +402,6 @@ class DataProvider:
     ) -> PackedEncryptedTensor:
         """Packed step (1.1): one ciphertext per position for the
         whole batch of inputs (shape ``(batch, *sample_shape)``)."""
-        from ..scaling.fixed_point import scale_to_int
-
         start = time.perf_counter()
         xs = np.asarray(xs, dtype=np.float64)
         scaled = scale_to_int(xs, self.value_decimals)
@@ -555,44 +415,6 @@ class DataProvider:
         ).observe(time.perf_counter() - start)
         return tensor
 
-    def process_nonlinear_stage_packed(
-        self,
-        tensor: PackedEncryptedTensor,
-        activations: Sequence[str],
-        final: bool,
-    ) -> PackedEncryptedTensor | np.ndarray:
-        """Lane-packed twin of :meth:`process_nonlinear_stage`.
-
-        One CRT decryption per position serves the whole batch; the
-        activations run row-wise (SoftMax normalizes each sample
-        independently).  The decrypted (batch, positions) block is
-        recorded in ``observed_plaintexts`` like the scalar path —
-        every row is permuted under the same round permutation.
-        """
-        start = time.perf_counter()
-        values = tensor.decrypt_float(self._private_key,
-                                      engine=self.engine)
-        self.observed_plaintexts.append(values.copy())
-        rows = values.reshape(tensor.batch, -1)
-        for activation in activations:
-            rows = apply_activation_batch(activation, rows, final)
-        histogram = self.obs.registry.histogram(
-            "protocol_nonlinear_stage_seconds", final=str(final).lower()
-        )
-        if final:
-            histogram.observe(time.perf_counter() - start)
-            return rows
-        from ..scaling.fixed_point import scale_to_int
-
-        rescaled = scale_to_int(rows, self.value_decimals)
-        result = PackedEncryptedTensor.encrypt_batch(
-            rescaled, tensor.packer,
-            exponent=self.value_decimals,
-            engine=self.engine,
-        )
-        histogram.observe(time.perf_counter() - start)
-        return result
-
 
 def activation_spec(layer) -> str:
     """The protocol-public activation spec string of a layer."""
@@ -601,55 +423,3 @@ def activation_spec(layer) -> str:
     if isinstance(layer, LeakyReLU):
         return f"leaky_relu:{layer.alpha}"
     return layer.name
-
-
-def apply_activation(spec: str, flat: np.ndarray,
-                     final: bool) -> np.ndarray:
-    """Execute one activation spec on a flat (possibly permuted)
-    vector.  ReLU/LeakyReLU/Sigmoid/Tanh are element-wise and legal on
-    permuted data; SoftMax is position-sensitive and only legal in the
-    final round (Section III-C)."""
-    name, _, parameter = spec.partition(":")
-    if name == "relu":
-        return np.maximum(flat, 0.0)
-    if name == "leaky_relu":
-        alpha = float(parameter) if parameter else 0.01
-        return np.where(flat > 0, flat, alpha * flat)
-    if name == "tanh":
-        return np.tanh(flat)
-    if name == "sigmoid":
-        out = np.empty_like(flat)
-        positive = flat >= 0
-        out[positive] = 1.0 / (1.0 + np.exp(-flat[positive]))
-        exp_x = np.exp(flat[~positive])
-        out[~positive] = exp_x / (1.0 + exp_x)
-        return out
-    if name == "softmax":
-        if not final:
-            raise SecurityViolationError(
-                "SoftMax is position-sensitive and only legal in the "
-                "final, non-obfuscated round (Section III-C)"
-            )
-        shifted = flat - flat.max()
-        exp = np.exp(shifted)
-        return exp / exp.sum()
-    raise ProtocolError(f"unknown activation {spec!r}")
-
-
-def apply_activation_batch(spec: str, rows: np.ndarray,
-                           final: bool) -> np.ndarray:
-    """Batch (row-per-sample) form of :func:`apply_activation`.
-
-    Element-wise activations vectorize over the 2-D block unchanged;
-    SoftMax must normalize each sample's row independently."""
-    name = spec.partition(":")[0]
-    if name == "softmax":
-        if not final:
-            raise SecurityViolationError(
-                "SoftMax is position-sensitive and only legal in the "
-                "final, non-obfuscated round (Section III-C)"
-            )
-        shifted = rows - rows.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=1, keepdims=True)
-    return apply_activation(spec, rows, final)

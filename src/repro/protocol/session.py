@@ -131,83 +131,80 @@ class InferenceSession:
         if self.rate_limiter is not None:
             self.rate_limiter.admit()
         start = time.perf_counter()
-
-        def check_deadline(round_index: int) -> None:
-            if deadline is None:
-                return
-            elapsed = time.perf_counter() - start
-            if elapsed > deadline:
-                raise DeadlineExceededError(
-                    f"inference blew its {deadline}s deadline after "
-                    f"{elapsed:.3f}s ({round_index}/{self._num_pairs} "
-                    "rounds complete)"
-                )
-
         transcript = Transcript()
         tracer = self.obs.tracer
-        registry = self.obs.registry
         trace_id = tracer.new_trace_id("inf")
         with tracer.span("inference", trace_id=trace_id) as root:
             with tracer.span("encrypt-input", trace_id=trace_id,
                              parent_id=root.span_id):
                 tensor = self.data_provider.encrypt_input(np.asarray(x))
-            obfuscation_round: int | None = None
+            probabilities = np.asarray(self._walk(
+                tensor, transcript, start, deadline, trace_id, root,
+                "inference",
+            ))
+            elapsed = time.perf_counter() - start
+            root.set_attr("prediction", int(probabilities.argmax()))
+        return InferenceOutcome(
+            probabilities=probabilities,
+            prediction=int(probabilities.argmax()),
+            transcript=transcript,
+            wall_time=elapsed,
+        )
 
-            for pair in range(self._num_pairs):
-                check_deadline(pair)
-                linear_index = 2 * pair
-                nonlinear_index = 2 * pair + 1
-                final = pair == self._num_pairs - 1
-
-                transcript.record(self._message(
-                    "data", tensor, pair, linear_index,
-                    obfuscation_round,
-                ))
-                round_start = time.perf_counter()
-                with tracer.span("linear-round", trace_id=trace_id,
-                                 parent_id=root.span_id, round=pair,
-                                 stage=linear_index):
-                    tensor, outbound_round = \
-                        self.model_provider.process_linear_stage(
-                            linear_index, tensor, obfuscation_round,
-                            final,
-                        )
-                registry.histogram(
-                    "protocol_round_seconds", kind="linear",
-                    stage=str(linear_index),
-                ).observe(time.perf_counter() - round_start)
-                transcript.record(self._message(
-                    "model", tensor, pair, linear_index, outbound_round,
-                ))
-
-                activations = self.model_provider.nonlinear_activations(
-                    nonlinear_index
+    def _walk(self, tensor, transcript: Transcript, start: float,
+              deadline: float | None, trace_id, root, label: str):
+        """The Figure 3 round loop, scalar or lane-packed alike: from
+        the encrypted input to the final non-linear stage's output.
+        ``deadline`` is checked between rounds."""
+        tracer = self.obs.tracer
+        registry = self.obs.registry
+        obfuscation_round: int | None = None
+        for pair in range(self._num_pairs):
+            elapsed = time.perf_counter() - start
+            if deadline is not None and elapsed > deadline:
+                raise DeadlineExceededError(
+                    f"{label} blew its {deadline}s deadline after "
+                    f"{elapsed:.3f}s ({pair}/{self._num_pairs} rounds "
+                    "complete)"
                 )
-                round_start = time.perf_counter()
-                with tracer.span("nonlinear-round", trace_id=trace_id,
-                                 parent_id=root.span_id, round=pair,
-                                 stage=nonlinear_index):
-                    result = self.data_provider.process_nonlinear_stage(
-                        tensor, activations, final,
+            linear_index = 2 * pair
+            nonlinear_index = 2 * pair + 1
+            final = pair == self._num_pairs - 1
+
+            transcript.record(self._message(
+                "data", tensor, pair, linear_index, obfuscation_round,
+            ))
+            round_start = time.perf_counter()
+            with tracer.span("linear-round", trace_id=trace_id,
+                             parent_id=root.span_id, round=pair,
+                             stage=linear_index):
+                tensor, obfuscation_round = \
+                    self.model_provider.process_linear_stage(
+                        linear_index, tensor, obfuscation_round, final,
                     )
-                registry.histogram(
-                    "protocol_round_seconds", kind="nonlinear",
-                    stage=str(nonlinear_index),
-                ).observe(time.perf_counter() - round_start)
-                if final:
-                    probabilities = np.asarray(result)
-                    elapsed = time.perf_counter() - start
-                    root.set_attr("prediction",
-                                  int(probabilities.argmax()))
-                    return InferenceOutcome(
-                        probabilities=probabilities,
-                        prediction=int(probabilities.argmax()),
-                        transcript=transcript,
-                        wall_time=elapsed,
-                    )
-                tensor = result
-                obfuscation_round = outbound_round
-        raise ProtocolError("stage walk ended without a final round")
+            registry.histogram(
+                "protocol_round_seconds", kind="linear",
+                stage=str(linear_index),
+            ).observe(time.perf_counter() - round_start)
+            transcript.record(self._message(
+                "model", tensor, pair, linear_index, obfuscation_round,
+            ))
+
+            activations = self.model_provider.nonlinear_activations(
+                nonlinear_index
+            )
+            round_start = time.perf_counter()
+            with tracer.span("nonlinear-round", trace_id=trace_id,
+                             parent_id=root.span_id, round=pair,
+                             stage=nonlinear_index):
+                tensor = self.data_provider.process_nonlinear_stage(
+                    tensor, activations, final,
+                )
+            registry.histogram(
+                "protocol_round_seconds", kind="nonlinear",
+                stage=str(nonlinear_index),
+            ).observe(time.perf_counter() - round_start)
+        return tensor
 
     def run_batch(self, batch: np.ndarray,
                   deadline: float | None = None
@@ -266,21 +263,8 @@ class InferenceSession:
             for _ in range(len(batch)):
                 self.rate_limiter.admit()
         start = time.perf_counter()
-
-        def check_deadline(round_index: int) -> None:
-            if deadline is None:
-                return
-            elapsed = time.perf_counter() - start
-            if elapsed > deadline:
-                raise DeadlineExceededError(
-                    f"packed inference blew its {deadline}s deadline "
-                    f"after {elapsed:.3f}s ({round_index}/"
-                    f"{self._num_pairs} rounds complete)"
-                )
-
         transcript = Transcript()
         tracer = self.obs.tracer
-        registry = self.obs.registry
         trace_id = tracer.new_trace_id("inf")
         with tracer.span("inference-packed", trace_id=trace_id,
                          batch=len(batch)) as root:
@@ -289,64 +273,19 @@ class InferenceSession:
                 tensor = self.data_provider.encrypt_input_batch(
                     np.asarray(batch), packer
                 )
-            obfuscation_round: int | None = None
-
-            for pair in range(self._num_pairs):
-                check_deadline(pair)
-                linear_index = 2 * pair
-                nonlinear_index = 2 * pair + 1
-                final = pair == self._num_pairs - 1
-
-                transcript.record(self._message(
-                    "data", tensor, pair, linear_index,
-                    obfuscation_round,
-                ))
-                round_start = time.perf_counter()
-                with tracer.span("linear-round", trace_id=trace_id,
-                                 parent_id=root.span_id, round=pair,
-                                 stage=linear_index):
-                    tensor, outbound_round = \
-                        self.model_provider.process_linear_stage_packed(
-                            linear_index, tensor, obfuscation_round,
-                            final,
-                        )
-                registry.histogram(
-                    "protocol_round_seconds", kind="linear",
-                    stage=str(linear_index),
-                ).observe(time.perf_counter() - round_start)
-                transcript.record(self._message(
-                    "model", tensor, pair, linear_index, outbound_round,
-                ))
-
-                activations = self.model_provider.nonlinear_activations(
-                    nonlinear_index
-                )
-                round_start = time.perf_counter()
-                with tracer.span("nonlinear-round", trace_id=trace_id,
-                                 parent_id=root.span_id, round=pair,
-                                 stage=nonlinear_index):
-                    result = \
-                        self.data_provider.process_nonlinear_stage_packed(
-                            tensor, activations, final,
-                        )
-                registry.histogram(
-                    "protocol_round_seconds", kind="nonlinear",
-                    stage=str(nonlinear_index),
-                ).observe(time.perf_counter() - round_start)
-                if final:
-                    rows = np.asarray(result)
-                    elapsed = time.perf_counter() - start
-                    root.set_attr("predictions",
-                                  [int(row.argmax()) for row in rows])
-                    return [
-                        InferenceOutcome(
-                            probabilities=row,
-                            prediction=int(row.argmax()),
-                            transcript=transcript,
-                            wall_time=elapsed,
-                        )
-                        for row in rows
-                    ]
-                tensor = result
-                obfuscation_round = outbound_round
-        raise ProtocolError("stage walk ended without a final round")
+            rows = np.asarray(self._walk(
+                tensor, transcript, start, deadline, trace_id, root,
+                "packed inference",
+            ))
+            elapsed = time.perf_counter() - start
+            root.set_attr("predictions",
+                          [int(row.argmax()) for row in rows])
+        return [
+            InferenceOutcome(
+                probabilities=row,
+                prediction=int(row.argmax()),
+                transcript=transcript,
+                wall_time=elapsed,
+            )
+            for row in rows
+        ]

@@ -253,7 +253,7 @@ class TenantRuntime:
         """This tenant's private key — exposed for the isolation
         tests and loadgen cross-tenant decrypt probes only; nothing
         in the serving path reads it."""
-        return self.data_provider._private_key
+        return self.data_provider.private_key
 
     def run(self, job: Job) -> dict:
         """Execute one job end-to-end; returns the result payload.

@@ -6,12 +6,13 @@ threads), connected by bounded channels.  Inference requests flow
 through the stages concurrently, so multiple requests are in flight at
 once — the paper's "treating inference data as real-time data streams".
 
-Within a stage, tensor partitioning splits each request into per-thread
-tasks (rows of the stage's affine map, or element ranges for
-non-linear stages).  Note: CPython's GIL serializes pure-Python
-big-integer work, so intra-stage threading here demonstrates
-correctness and pipelining rather than linear CPU scaling; the
-multi-server scaling experiments run on the calibrated simulator
+Each stage runs its party's stage object (:mod:`repro.protocol.stages`,
+the same one an in-process session runs).  Within a non-linear stage,
+tensor partitioning splits each request into per-thread runs of
+ciphertexts; a linear stage runs each layer whole.  Note: CPython's GIL
+serializes pure-Python big-integer work, so intra-stage threading here
+demonstrates correctness and pipelining rather than linear CPU scaling;
+the multi-server scaling experiments run on the calibrated simulator
 (DESIGN.md, substitution 1).
 """
 

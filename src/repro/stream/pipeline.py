@@ -213,8 +213,7 @@ class Pipeline:
         self.obs = obs if obs is not None else OBS_OFF
         self._executors = wrap_executors(
             list(executors) if executors is not None
-            else build_executors(model_provider, data_provider, plan,
-                                 obs=self.obs),
+            else build_executors(model_provider, data_provider, plan),
             fault_plan,
         )
         self._channel_capacity = channel_capacity

@@ -57,7 +57,7 @@ class TestFoldSpec:
             assert first.request(Envelope(KIND_HELLO, spec),
                                  timeout=5).kind == KIND_WELCOME
             original = servers[0]._sessions["default"]
-            assert original.executor_for(0).fold == \
+            assert original.executor_for(0).stage.fold == \
                 fold_from_wire(spec["fold"])
             assert second.request(Envelope(KIND_HELLO, changed),
                                   timeout=5).kind == KIND_WELCOME
@@ -66,7 +66,7 @@ class TestFoldSpec:
             first.close()
             second.close()
         assert rebuilt is not original
-        assert rebuilt.executor_for(0).fold.lanes == 2
+        assert rebuilt.executor_for(0).stage.fold.lanes == 2
 
     @pytest.mark.parametrize("record", [
         {},

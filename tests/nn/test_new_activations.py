@@ -68,7 +68,7 @@ class TestProtocolSupport:
         assert activation_spec(LeakyReLU(0.05)) == "leaky_relu:0.05"
 
     def test_apply_activation(self):
-        from repro.protocol.roles import apply_activation
+        from repro.protocol.stages import apply_activation
 
         flat = np.array([-2.0, 1.0])
         assert apply_activation("tanh", flat, False) == pytest.approx(

@@ -44,6 +44,7 @@ from repro.obfuscation.obfuscator import Obfuscator
 from repro.planner.allocation import allocate_even
 from repro.planner.plan import ClusterSpec
 from repro.protocol import DataProvider, ModelProvider
+from repro.protocol.stages import LinearStage, LinearStagePlan
 from repro.scaling.fixed_point import ScaledAffine
 from repro.scaling.headroom import FoldGeometry
 from repro.stream.executors import LinearStageExecutor, StreamItem
@@ -232,28 +233,30 @@ class TestExecutorRoute:
     @given(out_dim=dims, in_dim=dims, seed=seeds, data=st.data())
     def test_linear_executor_equals_the_scalar_loop(
             self, out_dim, in_dim, seed, data):
-        """A stream executor compiles its plan at construction; its
+        """A stream executor runs its stage's compiled plan; its
         folded output is the fold of the scalar loop's ciphertexts."""
         weights = matrix_of(data, out_dim, in_dim)
-        executor = LinearStageExecutor(
-            0, [_affine(weights)], Obfuscator(1), 1,
-            random.Random(seed), final=True,
+        stage = LinearStage(
+            LinearStagePlan(0, [_affine(weights)],
+                            [SparseMatvecPlan.from_dense(weights)]),
+            Obfuscator(1), make_engine(), random.Random(seed),
+            FoldGeometry.single_lane(PUBLIC.key_size), final=True,
         )
-        assert executor.plans == [SparseMatvecPlan.from_dense(weights)]
+        executor = LinearStageExecutor(stage, 1)
         cells = ciphertexts(in_dim, seed)
         tensor = EncryptedTensor(
             PUBLIC, [EncryptedNumber(PUBLIC, c) for c in cells],
             (in_dim,), 0)
         out = executor.process(StreamItem(0, tensor)).tensor
         bias = [c.ciphertext
-                for c in executor._bias_cache[(0, 0)].cells()]
+                for c in stage._bias_cache[(0, 0)].cells()]
         expected = FoldedTensor.fold(
             EncryptedTensor(
                 PUBLIC,
                 [EncryptedNumber(PUBLIC, c)
                  for c in reference(cells, weights, bias)],
                 (out_dim,), 0),
-            executor._folder_for(PUBLIC), make_engine())
+            stage.folder, make_engine())
         assert [c.ciphertext for c in out.cells()] \
             == [c.ciphertext for c in expected.cells()]
 
@@ -317,8 +320,9 @@ class TestTcpRoute:
             assert reply.kind == KIND_RESULT
             out = any_tensor_from_bytes(reply.payload, public)
             executor = server._sessions["default"]._executors[stage_index]
-            assert executor.plans[0] == stage_plan.matvec_plans[0]
-            assert executor.plans[0].schedules \
+            plans = executor.stage.plan.matvec_plans
+            assert plans[0] == stage_plan.matvec_plans[0]
+            assert plans[0].schedules \
                 == stage_plan.matvec_plans[0].schedules
         finally:
             if connection is not None:

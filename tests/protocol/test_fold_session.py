@@ -158,9 +158,8 @@ class TestNonLinearExecutorOnFoldedInput:
         folded = FoldedTensor.fold(tensor, packer)
         assert len(folded.cells()) == -(-23 // packer.lanes)
         executor = NonLinearStageExecutor(
-            1, ["relu"], data_provider._private_key, 2, threads=threads,
-            rng=random.Random(2), final=False,
-            engine=data_provider.engine,
+            data_provider.nonlinear_stage(["relu"], final=False),
+            threads=threads,
         )
         item = executor.process(StreamItem(0, folded,
                                            obfuscation_round=4))

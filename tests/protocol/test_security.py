@@ -53,6 +53,23 @@ class TestModelProviderView:
                 0, np.zeros(30), None, False
             )
 
+    def test_final_must_match_the_stage(self, trained_breast):
+        """Only the last linear stage skips obfuscation: a caller's
+        ``final`` that disagrees with the stage's position is refused
+        before anything runs, so no earlier stage's outputs reach the
+        data provider unpermuted."""
+        model_provider, data_provider = make_pair(trained_breast)
+        model_provider.register_public_key(data_provider.public_key)
+        tensor = data_provider.encrypt_input(np.zeros(30))
+        last = len(model_provider.stages) - 2
+        assert last > 0
+        with pytest.raises(ProtocolError):
+            model_provider.process_linear_stage(0, tensor, None, True)
+        with pytest.raises(ProtocolError):
+            model_provider.process_linear_stage(last, tensor, None,
+                                                False)
+        assert model_provider.observed == []
+
     def test_ciphertexts_fresh_per_round(self, trained_breast,
                                          breast_dataset):
         """Re-encryption (step 2.3) produces fresh randomness: running

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from repro.config import RuntimeConfig
+from repro.crypto.sparse import SparseMatvecPlan
 from repro.crypto.tensor import EncryptedTensor
 from repro.errors import ProtocolError, StreamError
 from repro.obfuscation.obfuscator import Obfuscator
 from repro.planner.allocation import allocate_even
 from repro.planner.plan import ClusterSpec
 from repro.protocol import DataProvider, ModelProvider
+from repro.protocol.stages import LinearStage, LinearStagePlan
 from repro.scaling.fixed_point import scale_to_int, \
     scaled_affine_for_layer
 from repro.stream.executors import (
@@ -33,6 +35,16 @@ def parties(trained_breast):
     return model_provider, data_provider
 
 
+def linear_stage(model_provider, affine, obfuscator, final):
+    """A one-affine linear stage on the model provider's engine."""
+    plan = LinearStagePlan(
+        0, [affine], [SparseMatvecPlan.from_dense(affine.weight)])
+    return LinearStage(
+        plan, obfuscator, model_provider.engine, random.Random(0),
+        model_provider.fold, final,
+    )
+
+
 class TestLinearExecutor:
     def test_matches_scaled_affine(self, parties):
         """One linear stage through the executor == the plain scaled
@@ -40,14 +52,11 @@ class TestLinearExecutor:
         model_provider, data_provider = parties
         layer = model_provider.stages[0].primitives[0].layer
         affine = scaled_affine_for_layer(layer, (30,), 3)
-        rng = random.Random(0)
         executor = LinearStageExecutor(
-            stage_index=0,
-            affines=[affine],
-            obfuscator=Obfuscator(5),
+            # final: skip obfuscation so we can decrypt directly
+            linear_stage(model_provider, affine, Obfuscator(5),
+                         final=True),
             threads=3,
-            rng=rng,
-            final=True,  # skip obfuscation so we can decrypt directly
         )
         x = np.random.default_rng(1).standard_normal(30)
         x_int = scale_to_int(x, 3)
@@ -63,8 +72,8 @@ class TestLinearExecutor:
         affine = scaled_affine_for_layer(layer, (30,), 3)
         obfuscator = Obfuscator(6)
         executor = LinearStageExecutor(
-            0, [affine], obfuscator, threads=2,
-            rng=random.Random(0), final=False,
+            linear_stage(model_provider, affine, obfuscator, final=False),
+            threads=2,
         )
         tensor = data_provider.encrypt_input(np.zeros(30))
         item = executor.process(StreamItem(0, tensor))
@@ -76,8 +85,9 @@ class TestLinearExecutor:
         layer = model_provider.stages[0].primitives[0].layer
         affine = scaled_affine_for_layer(layer, (30,), 3)
         executor = LinearStageExecutor(
-            0, [affine], Obfuscator(7), 1, random.Random(0),
-            final=False,
+            linear_stage(model_provider, affine, Obfuscator(7),
+                         final=False),
+            1,
         )
         with pytest.raises(StreamError):
             executor.process(StreamItem(0, None))
@@ -87,8 +97,11 @@ class TestLinearExecutor:
         layer = model_provider.stages[0].primitives[0].layer
         affine = scaled_affine_for_layer(layer, (30,), 3)
         with pytest.raises(StreamError):
-            LinearStageExecutor(0, [affine], Obfuscator(8), 0,
-                                random.Random(0), final=False)
+            LinearStageExecutor(
+                linear_stage(model_provider, affine, Obfuscator(8),
+                             final=False),
+                0,
+            )
 
 
 class TestNonLinearExecutor:
@@ -101,8 +114,8 @@ class TestNonLinearExecutor:
             exponent=3,
         )
         executor = NonLinearStageExecutor(
-            1, ["relu"], data_provider._private_key, 3, threads=2,
-            rng=rng, final=False,
+            data_provider.nonlinear_stage(["relu"], final=False),
+            threads=2,
         )
         item = executor.process(StreamItem(0, tensor,
                                            obfuscation_round=9))
@@ -120,8 +133,8 @@ class TestNonLinearExecutor:
             exponent=3,
         )
         executor = NonLinearStageExecutor(
-            5, ["softmax"], data_provider._private_key, 3, threads=1,
-            rng=rng, final=True,
+            data_provider.nonlinear_stage(["softmax"], final=True),
+            threads=1,
         )
         item = executor.process(StreamItem(0, tensor))
         assert item.tensor is None
@@ -133,8 +146,8 @@ class TestNonLinearExecutor:
         _, data_provider = parties
         with pytest.raises(ProtocolError):
             NonLinearStageExecutor(
-                1, ["softmax"], data_provider._private_key, 3,
-                threads=1, rng=random.Random(0), final=False,
+                data_provider.nonlinear_stage(["softmax"], final=False),
+                threads=1,
             )
 
 
@@ -157,7 +170,7 @@ class TestBuildExecutors:
         plan = allocate_even(model_provider.stages, cluster).plan
         executors = build_executors(model_provider, data_provider,
                                     plan)
-        assert executors[-1].final            # final softmax
-        assert executors[-2].final            # final linear stage
-        assert not executors[0].final
-        assert not executors[1].final
+        assert executors[-1].stage.final      # final softmax
+        assert executors[-2].stage.final      # final linear stage
+        assert not executors[0].stage.final
+        assert not executors[1].stage.final

@@ -13,9 +13,11 @@ import pytest
 
 from repro.config import RuntimeConfig
 from repro.crypto.encoding import LanePacker
+from repro.crypto.sparse import SparseMatvecPlan
 from repro.crypto.tensor import EncryptedTensor, PackedEncryptedTensor
 from repro.obfuscation.obfuscator import Obfuscator
 from repro.protocol import DataProvider, ModelProvider
+from repro.protocol.stages import LinearStage, LinearStagePlan
 from repro.scaling.fixed_point import scale_to_int, \
     scaled_affine_for_layer
 from repro.stream.executors import (
@@ -41,19 +43,26 @@ def packed_input(data_provider, model_provider, xs):
     return data_provider.encrypt_input_batch(np.asarray(xs), packer)
 
 
+def linear_stage(model_provider, affine, obfuscator, final):
+    """A one-affine linear stage on the model provider's engine."""
+    plan = LinearStagePlan(
+        0, [affine], [SparseMatvecPlan.from_dense(affine.weight)])
+    return LinearStage(
+        plan, obfuscator, model_provider.engine, random.Random(0),
+        model_provider.fold, final,
+    )
+
+
 class TestPackedLinearExecutor:
     def test_matches_per_sample_affine(self, parties):
         model_provider, data_provider = parties
         layer = model_provider.stages[0].primitives[0].layer
         affine = scaled_affine_for_layer(layer, (30,), 3)
         executor = LinearStageExecutor(
-            stage_index=0,
-            affines=[affine],
-            obfuscator=Obfuscator(5),
+            # final: skip obfuscation so we can decrypt directly
+            linear_stage(model_provider, affine, Obfuscator(5),
+                         final=True),
             threads=2,
-            rng=random.Random(0),
-            final=True,  # skip obfuscation so we can decrypt directly
-            config=model_provider.config,
         )
         xs = np.random.default_rng(1).standard_normal((3, 30))
         tensor = packed_input(data_provider, model_provider, xs)
@@ -73,9 +82,8 @@ class TestPackedLinearExecutor:
         affine = scaled_affine_for_layer(layer, (30,), 3)
         obfuscator = Obfuscator(6)
         executor = LinearStageExecutor(
-            0, [affine], obfuscator, threads=1,
-            rng=random.Random(0), final=False,
-            config=model_provider.config,
+            linear_stage(model_provider, affine, obfuscator, final=False),
+            threads=1,
         )
         xs = np.zeros((2, 30))
         tensor = packed_input(data_provider, model_provider, xs)
@@ -99,8 +107,8 @@ class TestPackedNonLinearExecutor:
             scale_to_int(values, 3), packer, exponent=3,
         )
         executor = NonLinearStageExecutor(
-            1, ["relu"], data_provider._private_key, 3, threads=2,
-            rng=random.Random(2), final=False,
+            data_provider.nonlinear_stage(["relu"], final=False),
+            threads=2,
         )
         item = executor.process(StreamItem(0, tensor,
                                            obfuscation_round=9))
@@ -119,8 +127,8 @@ class TestPackedNonLinearExecutor:
             scale_to_int(values, 3), packer, exponent=3,
         )
         executor = NonLinearStageExecutor(
-            5, ["softmax"], data_provider._private_key, 3, threads=1,
-            rng=random.Random(3), final=True,
+            data_provider.nonlinear_stage(["softmax"], final=True),
+            threads=1,
         )
         item = executor.process(StreamItem(0, tensor))
         assert item.tensor is None
@@ -137,8 +145,8 @@ class TestPackedNonLinearExecutor:
             scale_to_int(values, 3), packer, exponent=3,
         )
         executor = NonLinearStageExecutor(
-            1, ["sigmoid"], data_provider._private_key, 3, threads=1,
-            rng=random.Random(4), final=False,
+            data_provider.nonlinear_stage(["sigmoid"], final=False),
+            threads=1,
         )
         packed_out = executor.process(StreamItem(0, packed)) \
             .tensor.decrypt_float(data_provider._private_key)

@@ -163,6 +163,15 @@ class TestTamperedWirePlans:
     the stage fails the task with an error envelope."""
 
     def _run_tampered(self, model, tamper):
+        """Run a task after ``tamper`` rewrote the first layer's plan."""
+        def first_plan(stage):
+            stage["matvec_plans"][0] = tamper(stage["matvec_plans"][0])
+
+        return self._run_tampered_stage(model, first_plan)
+
+    def _run_tampered_stage(self, model, tamper):
+        """Run a task after ``tamper`` edited the last linear stage's
+        spec section in place."""
         model_provider, data_provider = _providers(model, _config())
         model_provider.register_public_key(data_provider.public_key)
         plan = allocate_even(model_provider.stages, CLUSTER).plan
@@ -170,9 +179,8 @@ class TestTamperedWirePlans:
             model_provider, data_provider, plan, ROLE_MODEL)))
         stage_index = [s.index for s in plan.stages
                        if s.kind is LayerKind.LINEAR][-1]
-        stage = spec["stages"][str(stage_index)]
-        stage["matvec_plans"][0] = tamper(stage["matvec_plans"][0])
-        in_dim = model_provider._linear_plans[stage_index] \
+        tamper(spec["stages"][str(stage_index)])
+        in_dim = model_provider.linear_stage(stage_index).plan \
             .affines[0].weight.shape[1]
         tensor = EncryptedTensor.encrypt(
             np.arange(in_dim), data_provider.public_key, exponent=0,
@@ -225,3 +233,24 @@ class TestTamperedWirePlans:
         reply = self._run_tampered(model, widen)
         assert reply.kind == KIND_ERROR
         assert "CryptoError" in reply.header["message"]
+
+    def test_missing_plans_are_a_transport_error(self, model):
+        def drop(stage):
+            del stage["matvec_plans"]
+
+        reply = self._run_tampered_stage(model, drop)
+        assert reply.kind == KIND_ERROR
+        assert "TransportError" in reply.header["message"]
+
+    def test_null_plan_is_a_transport_error(self, model):
+        reply = self._run_tampered(model, lambda wire: None)
+        assert reply.kind == KIND_ERROR
+        assert "TransportError" in reply.header["message"]
+
+    def test_plan_count_mismatch_is_a_transport_error(self, model):
+        def extra(stage):
+            stage["matvec_plans"].append(stage["matvec_plans"][0])
+
+        reply = self._run_tampered_stage(model, extra)
+        assert reply.kind == KIND_ERROR
+        assert "TransportError" in reply.header["message"]
