@@ -34,9 +34,11 @@ from .paillier import PaillierPublicKey
 
 #: Default guard bits per lane: homomorphic accumulation may exceed the
 #: advertised per-value magnitude by up to ``2^guard_bits`` before a
-#: lane could carry into its neighbour.  The protocol path sizes lanes
-#: from the headroom analysis's *peak* intermediate bound, so the guard
-#: is pure safety margin there.
+#: lane could carry into its neighbour.  The protocol path does not use
+#: this default: it sizes lanes from the headroom analysis's *peak*
+#: bound at unit input plus
+#: :data:`repro.scaling.headroom.FOLD_GUARD_BITS`, the guard that
+#: certifies its ``max|x| <= 16`` input contract.
 DEFAULT_GUARD_BITS = 2
 
 

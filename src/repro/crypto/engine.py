@@ -686,13 +686,14 @@ class PaillierEngine:
     # -- output folding -------------------------------------------------
 
     def fold_many(self, ciphertexts: Sequence[int],
-                  packer: LanePacker) -> list[int]:
-        """Fold each run of ``k = packer.lanes`` consecutive raw
-        ciphertexts into one, with public-key operations only.
+                  packer: LanePacker, batch: int = 1) -> list[int]:
+        """Fold each run of ``k = packer.lanes // batch`` consecutive
+        raw ciphertexts into one, with public-key operations only.
 
-        Block ``j`` holds positions ``j*k .. j*k + r - 1`` (``r = k``
-        except possibly for the last block) and becomes, by Horner's
-        rule in base ``2^L`` (``L = packer.lane_bits``)::
+        Scalar ciphertexts (``batch`` 1): block ``j`` holds positions
+        ``j*k .. j*k + r - 1`` (``r = k`` except possibly for the last
+        block) and becomes, by Horner's rule in base ``2^L``
+        (``L = packer.lane_bits``)::
 
             C_j = ((c_{jk+r-1}^(2^L) * c_{jk+r-2})^(2^L) ... * c_{jk})
                   * (1 + n * offset * ones_r)  mod n^2
@@ -700,23 +701,36 @@ class PaillierEngine:
         so lane ``l`` of ``C_j`` decrypts to the value at position
         ``j*k + l`` plus the packer's canonical offset (``ones_r`` has
         a 1 at the bottom of each of the ``r`` occupied lanes; the
-        lanes above stay empty).  That is ``r - 1`` powmods by
-        ``2^L`` and ``r`` multiplies per block and no new randomness:
-        ``C_j`` is a public function of ciphertexts the caller would
-        otherwise have sent one by one.
+        lanes above stay empty).
+
+        Lane-packed cells of ``batch`` lanes each (a full
+        :class:`~repro.crypto.tensor.PackedEncryptedTensor`'s) fold
+        the same way in base ``2^(batch*L)`` with no offset term:
+        their lanes already sit at the canonical offset, so lane
+        ``p*batch + b`` of ``C_j`` is sample ``b``'s value at position
+        ``j*k + p``.
+
+        That is ``r - 1`` powmods and up to ``r`` multiplies per block
+        and no new randomness: ``C_j`` is a public function of
+        ciphertexts the caller would otherwise have sent one by one.
         """
         if packer.public_key.n != self.public_key.n:
             raise KeyMismatchError(
                 "packer was built for a different public key"
             )
+        if batch < 1 or packer.lanes % batch:
+            raise CryptoError(
+                f"{packer.lanes} fold lanes do not hold whole "
+                f"{batch}-lane positions"
+            )
         n = self.public_key.n
         n_sq = self.public_key.n_squared
-        k = packer.lanes
-        shift = 1 << packer.lane_bits
+        k = packer.lanes // batch
+        shift = 1 << (batch * packer.lane_bits)
         powmod = self.backend.powmod
         modulus = self.backend.wrap(n_sq)
         # One offset term per block length (only the last block can
-        # be short).
+        # be short); packed blocks need none.
         offsets: dict[int, int] = {}
         out = []
         for start in range(0, len(ciphertexts), k):
@@ -724,15 +738,17 @@ class PaillierEngine:
             acc = block[-1]
             for cipher in reversed(block[:-1]):
                 acc = powmod(acc, shift, n_sq) * cipher % modulus
-            r = len(block)
-            term = offsets.get(r)
-            if term is None:
-                ones = sum(1 << (lane * packer.lane_bits)
-                           for lane in range(r))
-                term = offsets[r] = 1 + n * (packer.offset * ones % n)
-            out.append(int(acc * term % modulus))
+            if batch == 1:
+                r = len(block)
+                term = offsets.get(r)
+                if term is None:
+                    ones = sum(1 << (lane * packer.lane_bits)
+                               for lane in range(r))
+                    term = offsets[r] = 1 + n * (packer.offset * ones % n)
+                acc = acc * term % modulus
+            out.append(int(acc))
         self._m_fold_cells["fold"].inc(len(out))
-        self._m_fold_values["fold"].inc(len(ciphertexts))
+        self._m_fold_values["fold"].inc(len(ciphertexts) * batch)
         return out
 
     def decrypt_many_folded(

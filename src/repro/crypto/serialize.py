@@ -24,7 +24,12 @@ Frame versions:
   lanes, magnitude bits, guard bits, and the empty lanes of the last
   cell, from which the logical length ``N = cells * lanes - empty``
   follows.  A rank-1 scalar frame and a folded frame therefore have
-  the same 19-byte overhead.
+  the same 19-byte overhead.  A folded lane-packed batch
+  (``FoldedTensor.batch`` > 1) is its own kind: the same header with
+  the empty *positions* of the last cell, plus one byte for the batch
+  (20 bytes of overhead).  Its geometry must be exactly the one
+  :func:`~repro.crypto.tensor.batch_folder` derives for that batch, so
+  a corrupted lane field cannot parse into a misaligned tensor.
 
 All parsers validate framing and raise :class:`EncodingError` on
 malformed input rather than producing garbage tensors.
@@ -47,6 +52,7 @@ from .tensor import (
     EncryptedTensor,
     FoldedTensor,
     PackedEncryptedTensor,
+    batch_folder,
     fold_counts,
 )
 
@@ -66,12 +72,16 @@ _LANES_V2 = struct.Struct(">HHHH")
 #: v2 folded-frame lane header (after the prefix, instead of rank and
 #: dims): lanes, mag_bits, guard_bits, empty lanes of the last cell.
 _FOLD_V2 = struct.Struct(">BHBB")
+#: v2 folded-batch header: the folded fields (the last one counting
+#: empty positions), then the batch.
+_FOLD_BATCH_V2 = struct.Struct(">BHBBB")
 
 #: v2 payload kinds.
 KIND_SCALAR = 0
 KIND_PACKED = 1
 KIND_FOLDED = 2
-_KINDS = (KIND_SCALAR, KIND_PACKED, KIND_FOLDED)
+KIND_FOLDED_BATCH = 3
+_KINDS = (KIND_SCALAR, KIND_PACKED, KIND_FOLDED, KIND_FOLDED_BATCH)
 
 
 def public_key_to_json(key: PaillierPublicKey) -> str:
@@ -128,7 +138,7 @@ def ciphertext_bytes(key_size: int) -> int:
 def tensor_frame_bytes(
     key_size: int, rank: int, size: int,
     packed: bool = False, version: int = _VERSION,
-    folded: bool = False,
+    folded: bool = False, batched: bool = False,
 ) -> int:
     """Exact byte length of a tensor frame, computed analytically.
 
@@ -136,8 +146,9 @@ def tensor_frame_bytes(
     construction — the frame is a fixed header plus ``4 * rank`` dim
     words plus ``size`` fixed-width ciphertexts (a folded frame: the
     prefix plus its lane header plus ``size`` folded ciphertexts;
-    ``rank`` is ignored) — so byte accounting can use real wire sizes
-    without serializing anything.
+    ``rank`` is ignored; ``batched`` for a folded lane-packed batch)
+    — so byte accounting can use real wire sizes without serializing
+    anything.
     """
     if packed and folded:
         raise EncodingError("a frame is either packed or folded")
@@ -150,7 +161,8 @@ def tensor_frame_bytes(
     elif version != _VERSION:
         raise EncodingError(f"unsupported wire version {version}")
     elif folded:
-        return (_PREFIX_V2.size + _FOLD_V2.size
+        lanes = _FOLD_BATCH_V2 if batched else _FOLD_V2
+        return (_PREFIX_V2.size + lanes.size
                 + size * ciphertext_bytes(key_size))
     else:
         header = _HEADER_V2.size + (_LANES_V2.size if packed else 0)
@@ -166,6 +178,7 @@ def frame_bytes(tensor) -> int:
         size=len(tensor.cells()),
         packed=isinstance(tensor, PackedEncryptedTensor),
         folded=isinstance(tensor, FoldedTensor),
+        batched=isinstance(tensor, FoldedTensor) and tensor.batch > 1,
     )
 
 
@@ -257,8 +270,8 @@ def _parse_rank(blob: bytes, offset: int) -> tuple[int, int]:
 
 def frame_kind(blob: bytes) -> int:
     """Peek a frame's payload kind (:data:`KIND_SCALAR` /
-    :data:`KIND_PACKED` / :data:`KIND_FOLDED`) without parsing the
-    body."""
+    :data:`KIND_PACKED` / :data:`KIND_FOLDED` /
+    :data:`KIND_FOLDED_BATCH`) without parsing the body."""
     return _parse_header(blob)[1]
 
 
@@ -368,7 +381,9 @@ def packed_tensor_from_bytes(
 
 
 def folded_tensor_to_bytes(tensor: FoldedTensor) -> bytes:
-    """Serialize a folded tensor (v2 frame with its lane header).
+    """Serialize a folded tensor (v2 frame with its lane header;
+    :data:`KIND_FOLDED_BATCH` with the batch byte for a folded
+    batch).
 
     Only the layout :meth:`FoldedTensor.fold` produces crosses the
     wire (positions in order, only the last cell short); a gathered or
@@ -380,47 +395,67 @@ def folded_tensor_to_bytes(tensor: FoldedTensor) -> bytes:
             "can be serialized"
         )
     packer = tensor.packer
-    empty = len(tensor.counts) * packer.lanes - tensor.size
+    batch = tensor.batch
+    empty = len(tensor.counts) * (packer.lanes // batch) - tensor.size
     for field, value, limit in (("lanes", packer.lanes, 0xFF),
                                 ("mag_bits", packer.mag_bits, 0xFFFF),
-                                ("guard_bits", packer.guard_bits, 0xFF)):
+                                ("guard_bits", packer.guard_bits, 0xFF),
+                                ("batch", batch, 0xFF)):
         if not 0 <= value <= limit:
             raise EncodingError(
                 f"folded-frame {field} {value} exceeds the wire "
                 "format's field"
             )
     key_size = tensor.public_key.key_size
-    header = _PREFIX_V2.pack(_MAGIC, _VERSION, KIND_FOLDED, key_size,
+    kind = KIND_FOLDED if batch == 1 else KIND_FOLDED_BATCH
+    header = _PREFIX_V2.pack(_MAGIC, _VERSION, kind, key_size,
                              tensor.exponent)
-    lanes = _FOLD_V2.pack(packer.lanes, packer.mag_bits,
-                          packer.guard_bits, empty)
+    lanes = (_FOLD_V2.pack(packer.lanes, packer.mag_bits,
+                           packer.guard_bits, empty) if batch == 1
+             else _FOLD_BATCH_V2.pack(packer.lanes, packer.mag_bits,
+                                      packer.guard_bits, empty, batch))
     return header + lanes + _pack_cells(tensor.cells(), key_size)
 
 
 def folded_tensor_from_bytes(
     blob: bytes, public_key: PaillierPublicKey
 ) -> FoldedTensor:
-    """Parse a v2 folded frame back into a folded tensor.
+    """Parse a v2 folded or folded-batch frame back into a folded
+    tensor.
 
     Strict: the geometry must fit the key (the rebuilt packer's
     capacity check), the body must be whole ciphertexts, at least one,
-    and the last cell must hold at least one value.
+    and the last cell must hold at least one position.  A batch must
+    have two or more samples and exactly the folding geometry
+    :func:`~repro.crypto.tensor.batch_folder` gives its lane packer.
     """
     _, kind, key_size, exponent, offset = _parse_header(blob)
-    if kind != KIND_FOLDED:
+    if kind not in (KIND_FOLDED, KIND_FOLDED_BATCH):
         raise EncodingError(
             "frame carries a scalar or packed tensor; parse it with "
             "any_tensor_from_bytes"
         )
     _check_key(key_size, public_key)
-    if offset + _FOLD_V2.size > len(blob):
+    fields = _FOLD_V2 if kind == KIND_FOLDED else _FOLD_BATCH_V2
+    if offset + fields.size > len(blob):
         raise EncodingError("truncated folded lane header")
-    lanes, mag_bits, guard_bits, empty = _FOLD_V2.unpack(
-        blob[offset:offset + _FOLD_V2.size]
+    lanes, mag_bits, guard_bits, empty, *batch = fields.unpack(
+        blob[offset:offset + fields.size]
     )
-    offset += _FOLD_V2.size
+    batch = batch[0] if batch else 1
+    offset += fields.size
     packer = LanePacker(public_key, lanes=lanes, mag_bits=mag_bits,
                         guard_bits=guard_bits)
+    if kind == KIND_FOLDED_BATCH and (
+            batch < 2 or lanes % batch
+            or packer != batch_folder(LanePacker(
+                public_key, lanes=batch, mag_bits=mag_bits,
+                guard_bits=guard_bits))):
+        raise EncodingError(
+            f"{lanes} folded lanes are not the folding geometry of a "
+            f"{batch}-sample batch of {packer.lane_bits}-bit lanes"
+        )
+    per_cell = lanes // batch
     width = ciphertext_bytes(public_key.key_size)
     cells, rest = divmod(len(blob) - offset, width)
     if rest:
@@ -428,15 +463,16 @@ def folded_tensor_from_bytes(
             f"folded body of {len(blob) - offset} bytes is not whole "
             f"{width}-byte ciphertexts"
         )
-    if cells < 1 or empty >= lanes:
+    if cells < 1 or empty >= per_cell:
         raise EncodingError(
-            f"{cells} folded cells with {empty} empty lanes of "
-            f"{lanes} imply no valid logical length"
+            f"{cells} folded cells with {empty} empty positions of "
+            f"{per_cell} imply no valid logical length"
         )
-    length = cells * lanes - empty
+    length = cells * per_cell - empty
     parsed = _parse_cells(blob, offset, (cells,), public_key)
-    return FoldedTensor(public_key, parsed, fold_counts(length, lanes),
-                        packer, exponent)
+    return FoldedTensor(public_key, parsed,
+                        fold_counts(length, per_cell), packer, exponent,
+                        batch=batch)
 
 
 def any_tensor_to_bytes(
@@ -457,6 +493,6 @@ def any_tensor_from_bytes(
     kind = frame_kind(blob)
     if kind == KIND_PACKED:
         return packed_tensor_from_bytes(blob, public_key)
-    if kind == KIND_FOLDED:
+    if kind in (KIND_FOLDED, KIND_FOLDED_BATCH):
         return folded_tensor_from_bytes(blob, public_key)
     return tensor_from_bytes(blob, public_key)

@@ -24,6 +24,8 @@ before returning).
 :class:`FoldedTensor` runs the lanes along the feature axis instead:
 what a linear stage hands the data provider, k consecutive values per
 ciphertext, so decrypting N values costs ceil(N/k) CRT decryptions.
+A lane-packed batch folds the same way, k positions of all B samples
+per ciphertext, when the key has room for two or more positions.
 """
 
 from __future__ import annotations
@@ -736,36 +738,71 @@ def fold_counts(length: int, lanes: int) -> list[int]:
     return [lanes] * full + ([rest] if rest else [])
 
 
+#: Most lanes a folded ciphertext may carry (the wire format holds the
+#: lane count in one byte).
+MAX_FOLDED_LANES = 255
+
+
+def batch_folder(packer: LanePacker) -> LanePacker | None:
+    """The packer that folds ``packer``'s lane-packed cells, or None.
+
+    A cell of a ``B = packer.lanes``-lane batch holds one position of
+    every sample; ``⌊capacity_lanes / B⌋`` positions fit per folded
+    ciphertext (``capacity_lanes`` lanes of the same width fit the
+    key, at most :data:`MAX_FOLDED_LANES`).  The folder has ``B`` lanes
+    per position and the batch packer's magnitude and guard bits;
+    with room for only one position there is nothing to fold.
+    """
+    capacity = min(packer.capacity_bits // packer.lane_bits,
+                   MAX_FOLDED_LANES)
+    positions = capacity // packer.lanes
+    if positions < 2:
+        return None
+    return LanePacker(packer.public_key,
+                      lanes=positions * packer.lanes,
+                      mag_bits=packer.mag_bits,
+                      guard_bits=packer.guard_bits)
+
+
 class FoldedTensor:
     """A flat encrypted vector carrying several values per ciphertext.
 
     What a linear stage hands the data provider: the model provider
-    folds each run of ``k = packer.lanes`` consecutive output
-    ciphertexts into one (:meth:`fold`,
-    :meth:`~repro.crypto.engine.PaillierEngine.fold_many`), so cell
-    ``j`` carries the values at positions ``j*k .. j*k + counts[j] -
-    1`` as lanes at the packer's canonical offset and the key holder
-    pays one CRT decryption per cell instead of one per value.  The
-    decrypted values, their order and the logical shape ``(N,)`` are
-    exactly those of the unfolded :class:`EncryptedTensor`.
+    folds each run of ``k`` consecutive output ciphertexts into one
+    (:meth:`fold`, :meth:`~repro.crypto.engine.PaillierEngine
+    .fold_many`), so cell ``j`` carries positions ``j*k .. j*k +
+    counts[j] - 1`` as lanes at the packer's canonical offset and the
+    key holder pays one CRT decryption per cell instead of one per
+    position.
+
+    One request's outputs fold ``k = packer.lanes`` values to a cell
+    (``batch`` 1).  A lane-packed batch's outputs fold ``k =
+    packer.lanes // batch`` positions to a cell, each position's
+    ``batch`` lanes side by side; decryption then yields a ``(batch,
+    N)`` block, one row per sample, exactly as the unfolded
+    :class:`PackedEncryptedTensor` would.  Either way the decrypted
+    values, their order and the logical length ``N`` are those of the
+    unfolded tensor.
 
     The read side of the :class:`EncryptedTensor` interface —
     :meth:`decrypt`, :meth:`decrypt_float`, :attr:`size` (logical
-    values), :meth:`cells` (the folded ciphertexts), :meth:`flatten`,
-    :meth:`gather`, :meth:`concatenate` — is all a folded tensor
-    offers: its next stop is decryption.  :meth:`gather` keeps the
-    covering cells and records which lanes it selected, so a
-    partitioned decryption decrypts each cell it touches once.
+    positions), :meth:`cells` (the folded ciphertexts),
+    :meth:`flatten`, :meth:`gather`, :meth:`concatenate` — is all a
+    folded tensor offers: its next stop is decryption.  :meth:`gather`
+    keeps the covering cells and records which positions it selected,
+    so a partitioned decryption decrypts each cell it touches once.
 
     Attributes:
         public_key: the Paillier key all cells are encrypted under.
-        packer: lane geometry (``packer.lanes`` values per cell).
+        packer: lane geometry of a folded cell (``packer.lanes`` =
+            ``batch`` times positions per cell).
         exponent: accumulated base-10 fixed-point exponent.
-        counts: occupied lanes of each cell, in cell order.
+        counts: positions held by each cell, in cell order.
+        batch: samples per position (1 for one request's outputs).
     """
 
-    __slots__ = ("public_key", "packer", "exponent", "counts", "_cells",
-                 "_select", "_size")
+    __slots__ = ("public_key", "packer", "exponent", "counts", "batch",
+                 "_cells", "_select", "_size")
 
     def __init__(
         self,
@@ -775,63 +812,86 @@ class FoldedTensor:
         packer: LanePacker,
         exponent: int = 0,
         select: Sequence[int] | None = None,
+        batch: int = 1,
     ):
         if packer.public_key.n != public_key.n:
             raise KeyMismatchError(
                 "packer was built for a different public key"
+            )
+        if batch < 1 or packer.lanes % batch:
+            raise EncodingError(
+                f"{packer.lanes} lanes do not hold whole {batch}-sample "
+                "positions"
             )
         counts = tuple(int(c) for c in counts)
         if len(counts) != len(cells):
             raise EncodingError(
                 f"{len(counts)} lane counts for {len(cells)} cells"
             )
-        if any(not 1 <= c <= packer.lanes for c in counts):
+        per_cell = packer.lanes // batch
+        if any(not 1 <= c <= per_cell for c in counts):
             raise EncodingError(
-                f"lane counts must lie in [1, {packer.lanes}]"
+                f"position counts must lie in [1, {per_cell}]"
             )
-        lanes = sum(counts)
+        positions = sum(counts)
         if select is not None:
             select = tuple(select)
-            if any(not 0 <= f < lanes for f in select):
-                raise EncodingError("lane selection out of range")
+            if any(not 0 <= f < positions for f in select):
+                raise EncodingError("position selection out of range")
         self.public_key = public_key
         self.packer = packer
         self.exponent = exponent
         self.counts = counts
+        self.batch = batch
         self._cells = tuple(cells)
         self._select = select
-        self._size = lanes if select is None else len(select)
+        self._size = positions if select is None else len(select)
 
     @classmethod
     def fold(
         cls,
-        tensor: EncryptedTensor,
+        tensor: "EncryptedTensor | PackedEncryptedTensor",
         packer: LanePacker,
         engine: "PaillierEngine | None" = None,
     ) -> "FoldedTensor":
-        """Fold a flat scalar tensor ``packer.lanes`` values per cell
-        (public-key operations only; no randomness drawn)."""
+        """Fold a flat tensor's cells (public-key operations only; no
+        randomness drawn).
+
+        A scalar tensor folds ``packer.lanes`` values per cell.  A
+        lane-packed one must fill every lane of its packer and folds
+        with the packer :func:`batch_folder` gives for it.
+        """
         from .engine import default_engine
 
         if tensor.public_key.n != packer.public_key.n:
             raise KeyMismatchError(
                 "tensor and packer are under different keys"
             )
+        batch = 1
+        if isinstance(tensor, PackedEncryptedTensor):
+            batch = tensor.batch
+            if batch != tensor.packer.lanes \
+                    or packer != batch_folder(tensor.packer):
+                raise EncodingError(
+                    "a packed tensor folds only with its full batch, "
+                    "by the packer batch_folder gives for it"
+                )
         if engine is None:
             engine = default_engine(packer.public_key)
         raw = engine.fold_many(
-            [cell.ciphertext for cell in tensor.cells()], packer
+            [cell.ciphertext for cell in tensor.cells()], packer,
+            batch=batch,
         )
         key = packer.public_key
         return cls(key, [EncryptedNumber(key, c) for c in raw],
-                   fold_counts(tensor.size, packer.lanes), packer,
-                   tensor.exponent)
+                   fold_counts(tensor.size, packer.lanes // batch),
+                   packer, tensor.exponent, batch=batch)
 
     # ------------------------------------------------------------------
 
     @property
     def size(self) -> int:
-        """Logical values (not ciphertexts — see :meth:`cells`)."""
+        """Logical positions (not ciphertexts — see :meth:`cells`)."""
         return self._size
 
     @property
@@ -843,8 +903,19 @@ class FoldedTensor:
         """Whether the cells hold positions ``0 .. N-1`` in order with
         only the last cell short — the layout :meth:`fold` produces
         and the wire format carries."""
+        per_cell = self.packer.lanes // self.batch
         return (self._select is None
-                and all(c == self.packer.lanes for c in self.counts[:-1]))
+                and all(c == per_cell for c in self.counts[:-1]))
+
+    @property
+    def batch_packer(self) -> LanePacker | None:
+        """The lane packer of the batch this tensor folded (what its
+        values are re-encrypted under), or None for one request."""
+        if self.batch == 1:
+            return None
+        return LanePacker(self.public_key, lanes=self.batch,
+                          mag_bits=self.packer.mag_bits,
+                          guard_bits=self.packer.guard_bits)
 
     def cells(self) -> Tuple[EncryptedNumber, ...]:
         """The folded ciphertexts (read-only view)."""
@@ -853,8 +924,8 @@ class FoldedTensor:
     def flatten(self) -> "FoldedTensor":
         return self
 
-    def _lanes(self) -> Sequence[int]:
-        """Flat lane index (over all cells' occupied lanes, in cell
+    def _positions(self) -> Sequence[int]:
+        """Flat position index (over all cells' positions, in cell
         order) of each logical value."""
         if self._select is None:
             return range(self._size)
@@ -865,23 +936,29 @@ class FoldedTensor:
         private_key: PaillierPrivateKey,
         engine: "PaillierEngine | None" = None,
     ) -> np.ndarray:
-        """Decrypt to a signed-integer ndarray of shape ``(N,)``.
+        """Decrypt to signed integers: shape ``(N,)``, or ``(batch,
+        N)`` for a folded batch (dtype=object).
 
         Raises:
             EncodingError: a lane left its certified range
                 (:meth:`LanePacker.unpack_exact`).
         """
+        batch = self.batch
+        lane_counts = [count * batch for count in self.counts]
         if engine is not None:
             flat = engine.decrypt_many_folded(self._cells, self.packer,
-                                              self.counts)
+                                              lane_counts)
         else:
             flat = []
-            for cell, count in zip(self._cells, self.counts):
+            for cell, count in zip(self._cells, lane_counts):
                 flat.extend(self.packer.unpack_exact(
                     private_key.decrypt(cell), count))
+        rows = np.array(flat, dtype=object).reshape(-1, batch)
         if self._select is not None:
-            flat = [flat[f] for f in self._select]
-        return np.array(flat, dtype=object).reshape(self.shape)
+            rows = rows[list(self._select)]
+        if batch == 1:
+            return rows.reshape(self.shape)
+        return rows.T.reshape((batch,) + self.shape)
 
     def decrypt_float(
         self,
@@ -891,14 +968,15 @@ class FoldedTensor:
         """Decrypt and rescale by the accumulated exponent to float64."""
         ints = self.decrypt(private_key, engine=engine)
         scale = 10 ** self.exponent
-        return np.array([int(v) / scale for v in ints],
-                        dtype=np.float64)
+        return np.array([int(v) / scale for v in ints.reshape(-1)],
+                        dtype=np.float64).reshape(ints.shape)
 
     def gather(self, indices: Sequence[int]) -> "FoldedTensor":
-        """Select logical values by index.  The result holds only the
-        cells those values live in (each once, in cell order)."""
-        lanes = self._lanes()
-        picked = [lanes[i] for i in indices]
+        """Select logical positions by index.  The result holds only
+        the cells those positions live in (each once, in cell
+        order)."""
+        positions = self._positions()
+        picked = [positions[i] for i in indices]
         starts = list(accumulate(self.counts, initial=0))[:-1]
         owner = [bisect_right(starts, f) - 1 for f in picked]
         needed = sorted(set(owner))
@@ -913,14 +991,14 @@ class FoldedTensor:
             select = None
         return FoldedTensor(
             self.public_key, [self._cells[c] for c in needed], counts,
-            self.packer, self.exponent, select,
+            self.packer, self.exponent, select, self.batch,
         )
 
     @classmethod
     def concatenate(
         cls, parts: Sequence["FoldedTensor"]
     ) -> "FoldedTensor":
-        """Concatenate folded tensors (values in part order)."""
+        """Concatenate folded tensors (positions in part order)."""
         if not parts:
             raise EncodingError("cannot concatenate zero tensors")
         first = parts[0]
@@ -938,23 +1016,24 @@ class FoldedTensor:
                     "cannot concatenate tensors with different "
                     f"exponents: {part.exponent} vs {first.exponent}"
                 )
-            if part.packer != first.packer:
+            if part.packer != first.packer or part.batch != first.batch:
                 raise EncodingError(
                     "cannot concatenate tensors with different lane "
                     "geometry"
                 )
             cells.extend(part.cells())
             counts.extend(part.counts)
-            select.extend(base + f for f in part._lanes())
+            select.extend(base + f for f in part._positions())
             base += sum(part.counts)
         if select == list(range(base)):
             select = None
         return cls(first.public_key, cells, counts, first.packer,
-                   first.exponent, select)
+                   first.exponent, select, first.batch)
 
     def __repr__(self) -> str:
         return (
             f"FoldedTensor(size={self._size}, cells={len(self._cells)}, "
-            f"lanes={self.packer.lanes}, exponent={self.exponent}, "
+            f"lanes={self.packer.lanes}, batch={self.batch}, "
+            f"exponent={self.exponent}, "
             f"key_size={self.public_key.key_size})"
         )

@@ -707,6 +707,7 @@ class Coordinator:
         self,
         inputs: Sequence[np.ndarray],
         request_deadline: float | None = None,
+        packed: bool = False,
     ) -> StreamStats:
         """Stream inputs through the remote cluster.
 
@@ -717,8 +718,10 @@ class Coordinator:
         Args:
             request_deadline: per-request deadline for this stream
                 only, overriding the constructor's (the serving
-                gateway threads each job's remaining budget through
-                here).
+                gateway threads each dispatch's earliest remaining
+                budget through here).
+            packed: every input is a batch, run lane-packed (see
+                :meth:`Pipeline.run_stream`).
         """
         if not self._connected:
             self.connect()
@@ -736,7 +739,7 @@ class Coordinator:
             executors=self.executors(),
             obs=self.obs,
         )
-        return pipeline.run_stream(inputs)
+        return pipeline.run_stream(inputs, packed=packed)
 
     # -- teardown ------------------------------------------------------
 

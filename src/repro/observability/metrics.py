@@ -128,11 +128,13 @@ class Histogram:
     bucket (``+Inf``) catches everything beyond the last bound, so an
     observation is never dropped.  Counts are cumulative only at
     export time (Prometheus semantics); internally each bucket holds
-    its own count, which is what the snapshot round-trips.
+    its own count, which is what the snapshot round-trips.  Like a
+    gauge's high-water mark, the largest observation (:attr:`max`) is
+    in-memory introspection only.
     """
 
     __slots__ = ("name", "labels", "buckets", "_lock", "_counts",
-                 "_sum", "_count")
+                 "_sum", "_count", "_max")
 
     def __init__(self, name: str, labels: _LabelKey,
                  buckets: Sequence[float] = DEFAULT_BUCKETS):
@@ -152,6 +154,7 @@ class Histogram:
         self._counts = [0] * (len(bounds) + 1)
         self._sum = 0.0
         self._count = 0
+        self._max: float | None = None
 
     def observe(self, value: float) -> None:
         index = bisect_left(self.buckets, value)
@@ -159,6 +162,8 @@ class Histogram:
             self._counts[index] += 1
             self._sum += value
             self._count += 1
+            if self._max is None or value > self._max:
+                self._max = value
 
     @property
     def count(self) -> int:
@@ -167,6 +172,11 @@ class Histogram:
     @property
     def sum(self) -> float:
         return self._sum
+
+    @property
+    def max(self) -> float | None:
+        """Largest observation (None before the first)."""
+        return self._max
 
     def bucket_counts(self) -> List[int]:
         """Per-bucket (non-cumulative) counts; last is the overflow."""
@@ -374,6 +384,10 @@ class _NullHistogram:
     @property
     def sum(self) -> float:
         return 0.0
+
+    @property
+    def max(self) -> None:
+        return None
 
     def bucket_counts(self) -> List[int]:
         return []

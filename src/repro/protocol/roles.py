@@ -401,9 +401,11 @@ class DataProvider:
         self, xs: np.ndarray, packer: LanePacker
     ) -> PackedEncryptedTensor:
         """Packed step (1.1): one ciphertext per position for the
-        whole batch of inputs (shape ``(batch, *sample_shape)``)."""
+        whole batch of inputs (shape ``(batch, *sample_shape)``),
+        after :meth:`check_input` — packed lanes certify the same
+        ``max|x| <= FOLD_INPUT_BOUND`` range as the fold."""
         start = time.perf_counter()
-        xs = np.asarray(xs, dtype=np.float64)
+        xs = self.check_input(xs)
         scaled = scale_to_int(xs, self.value_decimals)
         tensor = PackedEncryptedTensor.encrypt_batch(
             scaled, packer,

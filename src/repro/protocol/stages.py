@@ -26,6 +26,7 @@ from ..crypto.tensor import (
     EncryptedTensor,
     FoldedTensor,
     PackedEncryptedTensor,
+    batch_folder,
 )
 from ..errors import KeyMismatchError, ProtocolError, SecurityViolationError
 from ..obfuscation.obfuscator import Obfuscator
@@ -71,8 +72,10 @@ class LinearStage:
     ``final`` (the last linear stage, step 3.4), then the fold:
     scalar outputs leave ``fold.lanes`` to a ciphertext, so the data
     provider decrypts one ciphertext per ``lanes`` values.  A packed
-    batch runs the same body; its cells are already full and leave
-    unfolded, and all lanes of a position are permuted together.
+    batch runs the same body, all lanes of a position permuted
+    together; its outputs fold several positions to a ciphertext when
+    the key has room for two or more (:func:`~repro.crypto.tensor
+    .batch_folder`), and leave as they are otherwise.
     ``engine`` is the model provider's (never the private key's);
     ``rng`` drives the bias encryptions.
     """
@@ -133,6 +136,12 @@ class LinearStage:
             current = _with_cells(current, permuted)
         if isinstance(current, EncryptedTensor):
             current = FoldedTensor.fold(current, self.folder, self.engine)
+        elif current.batch == current.packer.lanes:
+            # Only a full batch folds (every lane of its packer holds
+            # a sample), and only with room for two or more positions.
+            folder = batch_folder(current.packer)
+            if folder is not None:
+                current = FoldedTensor.fold(current, folder, self.engine)
         return current, round_id
 
     def _bias(self, position: int, affine: ScaledAffine, tensor):
@@ -164,7 +173,8 @@ class NonLinearStage:
     runs the activations on the still-permuted plaintext and
     re-encrypts every value from the engine's blinding pool — or, in
     the final round, returns the result as floats (one row per sample
-    of a packed batch).
+    of a packed batch).  A batch arrives packed or folded and leaves
+    packed under its lane packer.
 
     Raises:
         SecurityViolationError: SoftMax outside the final round — it
@@ -204,7 +214,13 @@ class NonLinearStage:
                 thread pool's ``map``).
         """
         tensor = tensor.flatten()
-        packed = isinstance(tensor, PackedEncryptedTensor)
+        if isinstance(tensor, PackedEncryptedTensor):
+            packer = tensor.packer
+        elif isinstance(tensor, FoldedTensor):
+            packer = tensor.batch_packer
+        else:
+            packer = None
+        packed = packer is not None
         whole = blocks is None or len(blocks) < 2
         parts = [tensor] if whole else [tensor.gather(b) for b in blocks]
         values = np.concatenate(
@@ -223,7 +239,7 @@ class NonLinearStage:
         def encrypt(span: slice):
             if packed:
                 return PackedEncryptedTensor.encrypt_batch(
-                    rescaled[:, span], tensor.packer,
+                    rescaled[:, span], packer,
                     exponent=self._value_decimals, engine=self.engine,
                 )
             return EncryptedTensor.encrypt(

@@ -232,8 +232,9 @@ class LanePlan:
         lanes: requested batch-axis lane count.
         mag_bits: advertised per-lane magnitude bits, sized from the
             headroom analysis's :attr:`HeadroomReport.peak_bound`.
-        guard_bits: extra slack bits per lane (pure safety margin —
-            the peak bound already covers every intermediate).
+        guard_bits: extra slack bits per lane: the peak bound is
+            taken at unit input, so every input with
+            ``max|x| <= 2^guard_bits`` stays exact.
         lane_bits: total lane width (``mag_bits + guard_bits + 1``).
         capacity: how many such lanes the key can carry.
         peak_bound: the peak magnitude that sized the lanes.
@@ -262,8 +263,11 @@ def plan_lane_packing(
     """Decide whether lane packing can carry ``lanes`` batch samples.
 
     Sizes lanes from the worst-case *peak* intermediate magnitude
-    (:func:`analyze_headroom`), then checks the requested lane count
-    against the key's capacity.  Capacity is computed conservatively
+    (:func:`analyze_headroom`) plus ``guard_bits`` — by default
+    :data:`FOLD_GUARD_BITS`, so packed lanes certify the same
+    ``max|x| <= FOLD_INPUT_BOUND`` inputs as the output fold (and a
+    packed output can be folded in lanes of the same width) — then
+    checks the requested lane count against the key's capacity.  Capacity is computed conservatively
     from ``key_size - 2`` bits so a :class:`LanePacker` built from the
     actual modulus (whose bit length can fall one short of
     ``key_size``) always accepts an admitted plan.
@@ -271,12 +275,10 @@ def plan_lane_packing(
     Returns a :class:`LanePlan`; callers branch on ``plan.admitted``
     and surface ``plan.reason`` in the fallback metrics.
     """
-    from ..crypto.encoding import DEFAULT_GUARD_BITS
-
     if lanes < 1:
         raise ScalingError(f"lanes must be >= 1, got {lanes}")
     if guard_bits is None:
-        guard_bits = DEFAULT_GUARD_BITS
+        guard_bits = FOLD_GUARD_BITS
     report = analyze_headroom(model, decimals, key_size, input_bound)
     peak = max(report.peak_bound, 1)
     mag_bits, lane_bits, capacity = _lane_sizing(report, key_size,

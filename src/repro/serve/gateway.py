@@ -73,6 +73,12 @@ class _GatewayHTTPServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body go into one buffer that the stdlib flushes once
+    # per request, so every reply leaves as one segment; with Nagle
+    # off it leaves at once instead of waiting for the client's
+    # delayed ACK of the previous one.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
 
@@ -240,7 +246,7 @@ class ServeGateway:
             worker_addresses=worker_addresses, obs=self.obs,
             eval_data=eval_data,
         )
-        self.manager = JobManager(self._run_job, config,
+        self.manager = JobManager(self._run_dispatch, config,
                                   obs=self.obs)
         # Idle eviction must never reap a tenant with a job queued or
         # running; quota accounting is the authoritative signal.
@@ -255,8 +261,10 @@ class ServeGateway:
 
     # -- job execution -------------------------------------------------
 
-    def _run_job(self, job) -> dict:
-        return self.registry.get(job.tenant).run(job)
+    def _run_dispatch(self, jobs) -> list:
+        """One tenant's dispatch (the job manager never mixes
+        tenants): one outcome per job."""
+        return self.registry.get(jobs[0].tenant).run(jobs)
 
     def submit(self, tenant: str, values,
                deadline_seconds: float | None = None):

@@ -23,10 +23,17 @@ instead of queueing when the queue is at
 :attr:`~repro.config.RuntimeConfig.serve_queue_capacity` or the
 tenant is at :attr:`~repro.config.RuntimeConfig.serve_tenant_quota`
 in-flight jobs — the gateway maps a shed job to HTTP 503 +
-``Retry-After``.  Queue pops skip tenants that already have a job
-running, so one chatty tenant cannot head-of-line-block the fleet
-(per-tenant runs are serialized anyway: a tenant's pipeline state is
-single-job).
+``Retry-After``.
+
+Scheduling is continuous batching per tenant: when a tenant has
+nothing running, a fleet thread pops **all** of that tenant's queued
+jobs into one dispatch (jobs whose deadline already passed go
+``DEADLINE`` on the way) and hands them to the runner together, which
+returns one outcome per job.  Each job still takes its own FSM edges.
+At most one dispatch per tenant is in flight (a tenant's pipeline
+state is single-dispatch), and queue pops skip tenants that have one
+running, so one chatty tenant cannot head-of-line-block the fleet.
+The ``serve_batch_jobs{tenant}`` histogram counts jobs per dispatch.
 """
 
 from __future__ import annotations
@@ -35,10 +42,11 @@ import threading
 import time
 import uuid
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Sequence
 
 from ..errors import DeadlineExceededError, JobStateError, ServeError
 from ..observability import OBS_OFF, Observability
+from ..observability.metrics import SIZE_BUCKETS
 
 #: Job states (values are the wire/JSON form).
 QUEUED = "queued"
@@ -238,11 +246,15 @@ class JobManager:
     """Bounded admission queue + fixed worker fleet over a runner.
 
     Args:
-        runner: ``runner(job) -> result-dict``; raise
+        runner: ``runner(jobs) -> outcomes``: ``jobs`` is one
+            dispatch (one tenant's jobs, in submission order) and
+            ``outcomes`` holds one entry per job — its result dict
+            (-> ``DONE``), or the exception that ended it: a
             :class:`~repro.errors.DeadlineExceededError` for a blown
-            deadline (-> ``DEADLINE``), anything else fails the job
-            (-> ``FAILED``).  Called on fleet threads, one job per
-            tenant at a time.
+            deadline (-> ``DEADLINE``), anything else (-> ``FAILED``).
+            An exception raised by the runner itself ends every job
+            of the dispatch the same way.  Called on fleet threads,
+            one dispatch per tenant at a time.
         config: supplies the ``serve_*`` knobs (queue capacity, fleet
             size, per-tenant quota, default deadline).
         obs: observability sinks; per-tenant counters
@@ -254,7 +266,7 @@ class JobManager:
             ``config.serve_job_history``).
     """
 
-    def __init__(self, runner: Callable[[Job], Optional[dict]],
+    def __init__(self, runner: Callable[[List[Job]], Sequence],
                  config, obs: Observability | None = None,
                  tracker: JobTracker | None = None):
         self._runner = runner
@@ -358,57 +370,79 @@ class JobManager:
 
     # -- fleet ---------------------------------------------------------
 
-    def _next_job(self) -> Job | None:
-        """Pop the next runnable job, expiring stale ones on the way.
+    def _next_dispatch(self) -> List[Job] | None:
+        """Pop the next dispatch, expiring stale jobs on the way.
 
-        Skips jobs whose tenant already has one running (per-tenant
-        serialization without head-of-line blocking); returns None
-        only when the manager is stopping and the queue is drained.
+        Takes the tenant of the oldest queued job whose tenant has no
+        dispatch running (per-tenant serialization without
+        head-of-line blocking) and pops every queued job of that
+        tenant; returns None only when the manager is stopping and
+        the queue is drained.
         """
         with self._cond:
             while True:
                 if self._stopping and not self._queue:
                     return None
-                now = time.monotonic()
-                picked = None
-                for index, job in enumerate(self._queue):
-                    if job.tenant in self._running_tenants:
-                        continue
-                    picked = index
-                    break
-                if picked is None:
+                tenant = next(
+                    (job.tenant for job in self._queue
+                     if job.tenant not in self._running_tenants),
+                    None,
+                )
+                if tenant is None:
                     self._cond.wait(0.05)
                     continue
-                job = self._queue.pop(picked)
+                now = time.monotonic()
+                batch = []
+                kept = []
+                for job in self._queue:
+                    if job.tenant != tenant:
+                        kept.append(job)
+                    elif job.deadline is not None and now >= job.deadline:
+                        job.error = "deadline expired in queue"
+                        job.transition(DEADLINE)
+                        self._finish_locked(job)
+                    else:
+                        batch.append(job)
+                self._queue = kept
                 self._m_depth.set(len(self._queue))
-                if job.deadline is not None and now >= job.deadline:
-                    job.error = "deadline expired in queue"
-                    job.transition(DEADLINE)
-                    self._finish_locked(job)
+                if not batch:
                     continue
-                self._running_tenants.add(job.tenant)
-                job.transition(RUNNING)
-                return job
+                self._running_tenants.add(tenant)
+                for job in batch:
+                    job.transition(RUNNING)
+                self.obs.registry.histogram(
+                    "serve_batch_jobs", buckets=SIZE_BUCKETS,
+                    tenant=tenant,
+                ).observe(len(batch))
+                return batch
 
     def _work(self) -> None:
         while True:
-            job = self._next_job()
-            if job is None:
+            batch = self._next_dispatch()
+            if batch is None:
                 return
-            outcome, result, error = DONE, None, None
             try:
-                result = self._runner(job)
-            except DeadlineExceededError as exc:
-                outcome, error = DEADLINE, repr(exc)
+                outcomes = list(self._runner(batch))
+                if len(outcomes) != len(batch):
+                    raise ServeError(
+                        f"runner returned {len(outcomes)} outcomes for "
+                        f"{len(batch)} jobs"
+                    )
             except Exception as exc:  # noqa: BLE001 - fleet must survive
-                outcome, error = FAILED, repr(exc)
+                outcomes = [exc] * len(batch)
             with self._cond:
-                self._running_tenants.discard(job.tenant)
-                job.result = result
-                if error is not None:
-                    job.error = error
-                job.transition(outcome)
-                self._finish_locked(job)
+                self._running_tenants.discard(batch[0].tenant)
+                for job, outcome in zip(batch, outcomes):
+                    if isinstance(outcome, BaseException):
+                        job.error = repr(outcome)
+                        job.transition(
+                            DEADLINE if isinstance(
+                                outcome, DeadlineExceededError)
+                            else FAILED)
+                    else:
+                        job.result = outcome
+                        job.transition(DONE)
+                    self._finish_locked(job)
 
     def _finish_locked(self, job: Job) -> None:
         """Quota release + terminal metrics; caller holds the cond."""

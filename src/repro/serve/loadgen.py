@@ -19,6 +19,11 @@ job to a terminal state, and writing ``BENCH_serve.json``
   ``task_connections_opened`` from the gateway's registry, next to
   ``plan_stages`` — connections persist across a tenant's jobs, so
   this never exceeds ``tenants * plan_stages`` on a healthy fleet;
+* continuous batching (self-hosted only): ``batch_jobs`` — the count,
+  sum and max of the ``serve_batch_jobs`` histogram (dispatches, jobs
+  dispatched, the largest dispatch) — next to ``jobs_run``, the jobs
+  that reached ``RUNNING``; every such job is in exactly one dispatch,
+  so the sum equals ``jobs_run``;
 * cross-tenant isolation probes (self-hosted only): for each
   adjacent tenant pair, a ciphertext encrypted under tenant A's
   public key is attacked with tenant B's private key — any
@@ -427,6 +432,20 @@ def run_loadgen(options: LoadgenOptions,
                 (len(gateway.registry.get(name).plan.stages)
                  for name in gateway.registry.names()), default=0,
             )
+            registry = gateway.obs.registry
+            batches = [hist for _labels, hist in registry.find(
+                "histogram", "serve_batch_jobs")]
+            report["batch_jobs"] = {
+                "count": sum(hist.count for hist in batches),
+                "sum": int(sum(hist.sum for hist in batches)),
+                "max": int(max((hist.max for hist in batches),
+                               default=0)),
+            }
+            # A job's service time is observed only when it leaves
+            # RUNNING, so this counts the jobs that reached it.
+            report["jobs_run"] = sum(
+                hist.count for _labels, hist in registry.find(
+                    "histogram", "serve_service_seconds"))
         if options.out:
             with open(options.out, "w") as handle:
                 json.dump(report, handle, indent=2, sort_keys=True)
@@ -458,6 +477,13 @@ def render_report(report: dict) -> str:
         lines.append(
             f"  latency: p50 {latency['p50']:.0f} ms, "
             f"p99 {latency['p99']:.0f} ms"
+        )
+    batches = report.get("batch_jobs")
+    if batches is not None:
+        lines.append(
+            f"  batching: {batches['sum']} of {report['jobs_run']} "
+            f"run job(s) in {batches['count']} dispatch(es), "
+            f"largest {batches['max']}"
         )
     if report.get("mode") == "fleet":
         lines.append(

@@ -30,6 +30,7 @@ import numpy as np
 
 from ..errors import (
     DeadlineExceededError,
+    EncodingError,
     ServeError,
     TenantError,
     TenantRejectedError,
@@ -139,7 +140,7 @@ class TenantRuntime:
         cluster: cluster spec shared by every tenant (it mirrors the
             one worker fleet).
         mode: ``"local"`` executes stages in-process (a fresh
-            pipeline per job over persistent providers); ``"fleet"``
+            pipeline per dispatch over persistent providers); ``"fleet"``
             ships stages to the shared TCP workers through a
             per-tenant coordinator.
         worker_addresses: fleet mode's ``(host, port)`` per cluster
@@ -174,14 +175,20 @@ class TenantRuntime:
         )
         self.plan = allocate_even(self.model_provider.stages,
                                   cluster).plan
+        self.input_shape = tuple(model.input_shape)
+        # The most samples one lane-packed request may carry: the key's
+        # lane capacity when the headroom analysis admits packing at
+        # all, else 1 (every job runs as its own scalar request).
+        lanes = self.model_provider.plan_lane_packing(2)
+        self.max_lanes = lanes.capacity if lanes.admitted else 1
         self.jobs_run = 0
-        #: Monotonic timestamp of creation / last job, read by the
+        #: Monotonic timestamp of creation / last dispatch, read by the
         #: registry's idle-eviction scan.
         self.last_used = time.monotonic()
-        # One job at a time per tenant: the providers' obfuscator and
-        # engine state are session-scoped, not concurrency-safe.  The
-        # job manager already serializes per tenant; this lock is the
-        # enforcement, not a hint.
+        # One dispatch at a time per tenant: the providers' obfuscator
+        # and engine state are session-scoped, not concurrency-safe.
+        # The job manager already serializes per tenant; this lock is
+        # the enforcement, not a hint.
         self._lock = threading.Lock()
         self._coordinator = None
         if mode == "fleet":
@@ -255,48 +262,113 @@ class TenantRuntime:
         in the serving path reads it."""
         return self.data_provider.private_key
 
-    def run(self, job: Job) -> dict:
-        """Execute one job end-to-end; returns the result payload.
+    def run(self, jobs: Sequence[Job]) -> list:
+        """Execute one dispatch of this tenant's jobs.
 
-        Raises :class:`DeadlineExceededError` when the job's budget
-        is already (or becomes) blown — the remaining budget is
-        threaded into the pipeline as its per-request deadline, so
-        the stream runtime's own deadline/dead-letter machinery does
-        the enforcement mid-flight.
+        Returns one outcome per job, in order: its result payload, or
+        the exception that ended it.  Each job's input is checked
+        first (shape and the certified range), so a bad job fails
+        alone.  The rest run in one stream: one job as a scalar
+        request; two or more as lane-packed requests of at most
+        :attr:`max_lanes` samples each (as even as possible), or as
+        scalar requests when packing is not admitted.  A
+        dead-lettered request fails every job in it with its reason
+        (:class:`DeadlineExceededError` for a deadline).
+
+        The earliest remaining deadline of the jobs is threaded into
+        the stream as its per-request deadline, so the stream
+        runtime's own deadline/dead-letter machinery does the
+        enforcement mid-flight; a job whose budget is already blown
+        goes ``DEADLINE`` without running.
         """
-        remaining = None
-        if job.deadline is not None:
-            remaining = job.deadline - time.monotonic()
-            if remaining <= 0:
-                raise DeadlineExceededError(
+        outcomes: list = [None] * len(jobs)
+        ready: list[tuple[int, np.ndarray]] = []
+        now = time.monotonic()
+        for index, job in enumerate(jobs):
+            if job.deadline is not None and job.deadline <= now:
+                outcomes[index] = DeadlineExceededError(
                     f"job {job.job_id} blew its deadline before "
                     "execution"
                 )
-        payload = np.asarray(job.payload, dtype=np.float64)
+                continue
+            try:
+                ready.append((index, self._check_input(job.payload)))
+            except (EncodingError, ServeError) as exc:
+                outcomes[index] = exc
+        if not ready:
+            return outcomes
+        deadlines = [jobs[index].deadline for index, _ in ready
+                     if jobs[index].deadline is not None]
+        remaining = min(deadlines) - now if deadlines else None
+        groups = self._request_groups(len(ready))
+        inputs = [np.stack([x for _, x in ready[start:stop]])
+                  for start, stop in groups]
         with self._lock:
             self.last_used = time.monotonic()
-            stats = self._run_stream([payload], remaining)
-            self.jobs_run += 1
+            stats = self._run_stream(inputs, remaining)
+            self.jobs_run += len(ready)
             self.last_used = time.monotonic()
-        if stats.dead_letters:
-            letter = stats.dead_letters[0]
-            if letter.reason == REASON_DEADLINE:
-                raise DeadlineExceededError(letter.describe())
+        for letter in stats.dead_letters:
+            start, stop = groups[letter.request_id]
+            error = (DeadlineExceededError(letter.describe())
+                     if letter.reason == REASON_DEADLINE
+                     else ServeError(
+                         f"tenant {self.name}: {letter.describe()}"))
+            for index, _ in ready[start:stop]:
+                outcomes[index] = error
+        rows: dict[int, list] = {}
+        for result in stats.results:
+            rows.setdefault(result.request_id, []).append(result)
+        for request_id, results in rows.items():
+            start, stop = groups[request_id]
+            for (index, _), result in zip(ready[start:stop], results):
+                outcomes[index] = {
+                    "prediction": int(result.prediction),
+                    "probabilities": [float(p)
+                                      for p in result.probabilities],
+                }
+        return outcomes
+
+    def _check_input(self, payload) -> np.ndarray:
+        """One job's input as the served model's float64 input tensor.
+
+        Raises:
+            ServeError: not a numeric array of the model's input size.
+            EncodingError: outside the certified range
+                (:meth:`DataProvider.check_input`).
+        """
+        try:
+            x = np.asarray(payload, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ServeError(f"malformed input: {exc}") from exc
+        if x.size != int(np.prod(self.input_shape)):
             raise ServeError(
-                f"tenant {self.name}: {letter.describe()}"
+                f"input of shape {x.shape} does not fit the served "
+                f"model's input shape {self.input_shape}"
             )
-        result = stats.results[0]
-        return {
-            "prediction": int(result.prediction),
-            "probabilities": [float(p)
-                              for p in result.probabilities],
-        }
+        return self.data_provider.check_input(
+            x.reshape(self.input_shape))
+
+    def _request_groups(self, count: int) -> list[tuple[int, int]]:
+        """``[start, stop)`` of each request's jobs among ``count``
+        ready ones: one job per request without packing, else
+        ``ceil(count / max_lanes)`` requests as even as possible."""
+        if self.max_lanes < 2:
+            return [(index, index + 1) for index in range(count)]
+        requests = -(-count // self.max_lanes)
+        base, extra = divmod(count, requests)
+        bounds = [0]
+        for request in range(requests):
+            bounds.append(bounds[-1] + base + (request < extra))
+        return list(zip(bounds, bounds[1:]))
 
     def _run_stream(self, inputs: List[np.ndarray],
                     request_deadline: float | None) -> StreamStats:
+        """One stream of batch inputs (``packed``: a batch of one runs
+        as a scalar request)."""
         if self._coordinator is not None:
             return self._coordinator.run_stream(
-                inputs, request_deadline=request_deadline
+                inputs, request_deadline=request_deadline, packed=True
             )
         pipeline = Pipeline(
             self.model_provider,
@@ -309,7 +381,7 @@ class TenantRuntime:
             request_deadline=request_deadline,
             obs=self.obs,
         )
-        return pipeline.run_stream(inputs)
+        return pipeline.run_stream(inputs, packed=True)
 
     def close(self) -> None:
         with self._lock:

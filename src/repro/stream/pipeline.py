@@ -42,7 +42,10 @@ from .worker import StageWorker
 
 @dataclass(frozen=True)
 class RequestResult:
-    """Outcome of one streamed inference request.
+    """Outcome of one streamed inference sample.
+
+    A lane-packed request yields one result per sample, in lane order,
+    all under its request id.
 
     Attributes:
         request_id: admission order.
@@ -225,8 +228,16 @@ class Pipeline:
         self._restart_budget = restart_budget
         self._sink_timeout = sink_timeout
 
-    def run_stream(self, inputs: Sequence[np.ndarray]) -> StreamStats:
+    def run_stream(self, inputs: Sequence[np.ndarray],
+                   packed: bool = False) -> StreamStats:
         """Push all inputs through the pipeline; block until drained.
+
+        With ``packed``, every input is a batch ``(b, *sample_shape)``
+        and runs as one request: lane-packed with the model provider's
+        :meth:`~repro.protocol.roles.ModelProvider.lane_packer` for
+        ``b`` samples (which must be admitted), or as a scalar request
+        when ``b`` is 1.  A packed request yields ``b`` results, one
+        per sample; a dead-lettered one takes all its samples with it.
 
         Inputs are admitted from a producer thread, so the bounded
         source channel backpressures admission against sink draining
@@ -248,6 +259,23 @@ class Pipeline:
         # Refuse an uncertified input before anything is encrypted or
         # any stage starts (raises EncodingError).
         inputs = [self.data_provider.check_input(raw) for raw in inputs]
+        packers = [None] * len(inputs)
+        if packed:
+            for index, batch in enumerate(inputs):
+                if batch.ndim < 1 or len(batch) < 1:
+                    raise StreamError(
+                        f"packed input {index} has no batch axis"
+                    )
+                if len(batch) == 1:
+                    inputs[index] = batch[0]
+                    continue
+                packers[index] = self.model_provider.lane_packer(
+                    len(batch))
+                if packers[index] is None:
+                    raise StreamError(
+                        f"{len(batch)}-lane packing is not admitted "
+                        "for this model and key"
+                    )
         num_stages = len(self._executors)
         channels = [
             Channel(self._channel_capacity) for _ in range(num_stages + 1)
@@ -296,8 +324,12 @@ class Pipeline:
                         "admit", trace_id=trace_id,
                         parent_id=root.span_id, request_id=request_id,
                     ):
-                        tensor = self.data_provider.encrypt_input(
-                            np.asarray(raw)
+                        packer = packers[request_id]
+                        tensor = (
+                            self.data_provider.encrypt_input(raw)
+                            if packer is None else
+                            self.data_provider.encrypt_input_batch(
+                                raw, packer)
                         )
                         source.put(StreamItem(
                             request_id=request_id,
@@ -343,12 +375,14 @@ class Pipeline:
                 )
                 supervisor.shutdown()
                 break
-            stats.results.append(RequestResult(
-                request_id=item.request_id,
-                prediction=int(np.asarray(item.result).argmax()),
-                probabilities=np.asarray(item.result),
-                latency=time.perf_counter() - item.enqueue_time,
-            ))
+            latency = time.perf_counter() - item.enqueue_time
+            for row in np.atleast_2d(item.result):
+                stats.results.append(RequestResult(
+                    request_id=item.request_id,
+                    prediction=int(row.argmax()),
+                    probabilities=row,
+                    latency=latency,
+                ))
             accounted += 1
             root = roots.pop(item.request_id, None)
             if root is not None:
@@ -375,7 +409,8 @@ class Pipeline:
             raise supervisor.fatal_error
         if drain_error is not None:
             raise drain_error
-        completed = len(stats.results) + len(stats.dead_letters)
+        completed = (len({r.request_id for r in stats.results})
+                     + len(stats.dead_letters))
         if completed < len(inputs):
             raise StreamError(
                 f"pipeline drained after {completed}/{len(inputs)} "

@@ -74,7 +74,7 @@ def test_admission_accounting_identity(submissions, capacity, quota):
     config = RuntimeConfig().with_serve(
         queue_capacity=capacity, workers=1, tenant_quota=quota,
     )
-    manager = JobManager(lambda job: {}, config)
+    manager = JobManager(lambda jobs: [{}] * len(jobs), config)
     # Deliberately NOT started: nothing drains the queue, so the
     # accounting is exact and deterministic.
     jobs = [

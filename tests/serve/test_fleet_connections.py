@@ -62,11 +62,11 @@ class TestWorkerKilledBetweenJobs:
         rebound = None
         try:
             x = _sample(input_shape).tolist()
-            first = runtime.run(Job("t", x))
+            first, = runtime.run([Job("t", x)])
             fleet[victim].stop(abort=True)
             rebound = WorkerServer(port=addresses[victim][1])
             rebound.start()
-            second = runtime.run(Job("t", x))
+            second, = runtime.run([Job("t", x)])
             assert second == first
             handles = runtime._coordinator.handles
             assert all(handle.restarts == 0 for handle in handles)

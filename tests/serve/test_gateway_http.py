@@ -6,6 +6,7 @@ talks real HTTP through the stdlib client wrapper — status codes,
 Prometheus exposition are all asserted on the wire, not on internals.
 """
 
+import http.client
 import time
 
 import numpy as np
@@ -200,6 +201,27 @@ class TestTenantRejection:
             assert status == 403
             assert "allowlist" in body["error"]
             assert "Retry-After" not in headers
+
+
+class TestReplyPath:
+    def test_keepalive_replies_leave_at_once(self, gateway):
+        """Twenty sequential keep-alive requests on one connection:
+        each reply goes out as one segment with Nagle off, so none
+        waits for the client's delayed ACK (about 44 ms a reply when
+        headers and body left as two segments)."""
+        host, port = gateway.address
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/healthz")
+                reply = connection.getresponse()
+                assert reply.status == 200
+                reply.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert elapsed < 0.4, f"20 keep-alive replies took {elapsed:.3f}s"
 
 
 class TestMetricsEndpoint:

@@ -151,13 +151,27 @@ class TestJobTracker:
         assert sum(tracker.counts().values()) == 4
 
 
+def per_job(run_one):
+    """A dispatch runner from a one-job function: one outcome per
+    job, an exception it raises becoming that job's outcome."""
+    def runner(jobs):
+        outcomes = []
+        for job in jobs:
+            try:
+                outcomes.append(run_one(job))
+            except Exception as exc:  # noqa: BLE001 - the outcome
+                outcomes.append(exc)
+        return outcomes
+    return runner
+
+
 def _manager(runner, queue_capacity=8, workers=2, tenant_quota=4,
              default_deadline=30.0):
     config = RuntimeConfig().with_serve(
         queue_capacity=queue_capacity, workers=workers,
         tenant_quota=tenant_quota, default_deadline=default_deadline,
     )
-    return JobManager(runner, config)
+    return JobManager(per_job(runner), config)
 
 
 class TestAdmissionControl:
@@ -288,7 +302,7 @@ class TestManagerHistory:
             queue_capacity=8, workers=2, tenant_quota=8,
             job_history=3,
         )
-        manager = JobManager(lambda job: {"ok": True}, config)
+        manager = JobManager(per_job(lambda job: {"ok": True}), config)
         manager.start()
         try:
             jobs = [manager.submit("t", [float(i)])
@@ -305,23 +319,28 @@ class TestManagerHistory:
 
 
 class TestPerTenantSerialization:
-    def test_one_job_per_tenant_at_a_time(self):
+    def test_one_dispatch_per_tenant_at_a_time(self):
         active = {}
         overlaps = []
         lock = threading.Lock()
 
-        def runner(job):
+        def runner(jobs):
+            tenant = jobs[0].tenant
+            assert all(job.tenant == tenant for job in jobs)
             with lock:
-                if active.get(job.tenant):
-                    overlaps.append(job.tenant)
-                active[job.tenant] = True
+                if active.get(tenant):
+                    overlaps.append(tenant)
+                active[tenant] = True
             time.sleep(0.02)
             with lock:
-                active[job.tenant] = False
-            return {}
+                active[tenant] = False
+            return [{}] * len(jobs)
 
-        manager = _manager(runner, workers=4, queue_capacity=32,
-                           tenant_quota=8)
+        config = RuntimeConfig().with_serve(
+            queue_capacity=32, workers=4, tenant_quota=8,
+            default_deadline=30.0,
+        )
+        manager = JobManager(runner, config)
         manager.start()
         try:
             for round_index in range(4):

@@ -71,6 +71,14 @@ class TestLocalCampaign:
         assert "accounting" in text and "exact" in text
         assert "isolation: 0 cross-tenant decrypts" in text
 
+    def test_every_run_job_in_exactly_one_dispatch(self, report):
+        result, _ = report
+        batches = result["batch_jobs"]
+        assert batches["sum"] == result["jobs_run"] > 0
+        assert 1 <= batches["count"] <= batches["sum"]
+        assert 1 <= batches["max"] <= batches["sum"]
+        assert "batching:" in render_report(result)
+
     def test_local_mode_opens_no_task_connections(self, report):
         result, _ = report
         assert result["task_connections_opened"] == 0

@@ -14,7 +14,12 @@ import pytest
 from repro.config import RuntimeConfig
 from repro.crypto.encoding import LanePacker
 from repro.crypto.sparse import SparseMatvecPlan
-from repro.crypto.tensor import EncryptedTensor, PackedEncryptedTensor
+from repro.crypto.tensor import (
+    EncryptedTensor,
+    FoldedTensor,
+    PackedEncryptedTensor,
+    batch_folder,
+)
 from repro.obfuscation.obfuscator import Obfuscator
 from repro.protocol import DataProvider, ModelProvider
 from repro.protocol.stages import LinearStage, LinearStagePlan
@@ -67,7 +72,9 @@ class TestPackedLinearExecutor:
         xs = np.random.default_rng(1).standard_normal((3, 30))
         tensor = packed_input(data_provider, model_provider, xs)
         item = executor.process(StreamItem(0, tensor))
-        assert isinstance(item.tensor, PackedEncryptedTensor)
+        # Two or more positions of a 3-lane batch fit a 256-bit key,
+        # so the packed output comes back folded.
+        assert isinstance(item.tensor, FoldedTensor)
         decrypted = item.tensor.decrypt(data_provider._private_key)
         for row, x in zip(decrypted, xs):
             expected = affine.apply_plain(scale_to_int(x, 3),
@@ -88,7 +95,7 @@ class TestPackedLinearExecutor:
         xs = np.zeros((2, 30))
         tensor = packed_input(data_provider, model_provider, xs)
         item = executor.process(StreamItem(0, tensor))
-        assert isinstance(item.tensor, PackedEncryptedTensor)
+        assert isinstance(item.tensor, FoldedTensor)
         assert item.obfuscation_round == 0
         assert obfuscator.rounds_started == 1
 
@@ -158,3 +165,32 @@ class TestPackedNonLinearExecutor:
             lane_out = executor.process(StreamItem(0, single)) \
                 .tensor.decrypt_float(data_provider._private_key)
             assert np.allclose(packed_out[lane], lane_out)
+
+
+class TestFoldedBatchNonLinearExecutor:
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_folded_batch_reencrypts_packed(self, parties, threads):
+        """A folded batch split over threads (each thread a run of
+        whole folded cells) decrypts to one row per sample and leaves
+        re-encrypted under the batch's lane packer."""
+        _, data_provider = parties
+        packer = LanePacker(data_provider.public_key, lanes=2,
+                            mag_bits=24)
+        values = np.array([[1.5, -2.0, 0.5, -0.1, 3.0, -0.25, 0.75],
+                           [-1.5, 2.0, -0.5, 0.1, -3.0, 0.25, 0.0]])
+        packed = PackedEncryptedTensor.encrypt_batch(
+            scale_to_int(values, 3), packer, exponent=3,
+        )
+        folded = FoldedTensor.fold(packed, batch_folder(packer))
+        assert folded.batch == 2 and len(folded.cells()) < 7
+        executor = NonLinearStageExecutor(
+            data_provider.nonlinear_stage(["relu"], final=False),
+            threads=threads,
+        )
+        item = executor.process(StreamItem(0, folded,
+                                           obfuscation_round=4))
+        assert isinstance(item.tensor, PackedEncryptedTensor)
+        assert item.tensor.packer == packer
+        out = item.tensor.decrypt_float(data_provider._private_key)
+        assert np.array_equal(out, np.maximum(values, 0.0))
+        assert item.obfuscation_round == 4

@@ -146,10 +146,10 @@ class TestOncePerSession:
             per_tenant = layers * (2 if mode == "fleet" else 1)
             for runtime in runtimes:
                 for x in inputs:
-                    runtime.run(Job(runtime.name, x.tolist()))
+                    runtime.run([Job(runtime.name, x.tolist())])
             assert len(compiles) == len(runtimes) * per_tenant
             for runtime in runtimes:
-                runtime.run(Job(runtime.name, inputs[0].tolist()))
+                runtime.run([Job(runtime.name, inputs[0].tolist())])
             assert len(compiles) == len(runtimes) * per_tenant
         finally:
             for runtime in runtimes:

@@ -140,7 +140,7 @@ class TestOneEnginePerParty:
                                 mode="local")
         try:
             for x in inputs:
-                runtime.run(Job(runtime.name, x.tolist()))
+                runtime.run([Job(runtime.name, x.tolist())])
             assert runtime.jobs_run == REQUESTS
         finally:
             runtime.close()
