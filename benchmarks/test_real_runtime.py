@@ -2,7 +2,7 @@
 
 Unlike the simulator-backed figure benches, this streams encrypted
 requests through the real runtime (Paillier arithmetic, permutations,
-per-stage thread pools) at a small key size — the crypto-correct path
+one thread per stage) at a small key size — the crypto-correct path
 the test suite verifies, timed end-to-end.
 """
 

@@ -9,10 +9,12 @@ Public API tour:
 * ``repro.datasets`` — synthetic Table III dataset stand-ins.
 * ``repro.scaling`` — the paper's parameter-scaling procedure.
 * ``repro.planner`` — primitive merging, profiling, the allocation ILP.
-* ``repro.partitioning`` — input/output tensor partitioning.
+* ``repro.partitioning`` — the simulator's input/output tensor
+  partitioning model (receptive-field counts per planned thread).
 * ``repro.protocol`` — the Figure 3 collaborative workflow (roles,
   sessions, transcripts).
-* ``repro.stream`` — the real threaded stream-processing runtime.
+* ``repro.stream`` — the real threaded stream-processing runtime, one
+  thread per stage.
 * ``repro.net`` — the networked twin: framed TCP transport, remote
   stage workers, coordinator with heartbeat failover.
 * ``repro.serve`` — the multi-tenant serving gateway: HTTP front

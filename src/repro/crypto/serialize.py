@@ -53,7 +53,6 @@ from .tensor import (
     FoldedTensor,
     PackedEncryptedTensor,
     batch_folder,
-    fold_counts,
 )
 
 #: Frame magic for encrypted-tensor blobs.
@@ -383,20 +382,10 @@ def packed_tensor_from_bytes(
 def folded_tensor_to_bytes(tensor: FoldedTensor) -> bytes:
     """Serialize a folded tensor (v2 frame with its lane header;
     :data:`KIND_FOLDED_BATCH` with the batch byte for a folded
-    batch).
-
-    Only the layout :meth:`FoldedTensor.fold` produces crosses the
-    wire (positions in order, only the last cell short); a gathered or
-    concatenated view raises.
-    """
-    if not tensor.contiguous:
-        raise EncodingError(
-            "only a contiguous fold (as FoldedTensor.fold lays it out) "
-            "can be serialized"
-        )
+    batch)."""
     packer = tensor.packer
     batch = tensor.batch
-    empty = len(tensor.counts) * (packer.lanes // batch) - tensor.size
+    empty = len(tensor.cells()) * (packer.lanes // batch) - tensor.size
     for field, value, limit in (("lanes", packer.lanes, 0xFF),
                                 ("mag_bits", packer.mag_bits, 0xFFFF),
                                 ("guard_bits", packer.guard_bits, 0xFF),
@@ -470,8 +459,7 @@ def folded_tensor_from_bytes(
         )
     length = cells * per_cell - empty
     parsed = _parse_cells(blob, offset, (cells,), public_key)
-    return FoldedTensor(public_key, parsed,
-                        fold_counts(length, per_cell), packer, exponent,
+    return FoldedTensor(public_key, parsed, length, packer, exponent,
                         batch=batch)
 
 

@@ -7,9 +7,9 @@ ciphertexts, with the accumulated fixed-point exponent threaded through so
 the data provider knows how to rescale after decryption.
 
 The linear primitives a neural network needs are provided directly:
-element-wise addition, element-wise plaintext multiplication, and the
-affine map ``y = W x + b`` (Eq. (3) of the paper), which fully-connected
-and (via im2col) convolution layers reduce to.
+element-wise addition and the affine map ``y = W x + b`` (Eq. (3) of
+the paper), which fully-connected and (via im2col) convolution layers
+reduce to.
 
 :class:`PackedEncryptedTensor` is the lane-packed counterpart for
 batched inference: one ciphertext per tensor *position*, carrying the
@@ -31,8 +31,6 @@ per ciphertext, when the key has room for two or more positions.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
-from itertools import accumulate
 from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
@@ -186,36 +184,6 @@ class EncryptedTensor:
     def flatten(self) -> "EncryptedTensor":
         return self.reshape((self.size,))
 
-    def gather(self, indices: Sequence[int]) -> "EncryptedTensor":
-        """Select flat cells by index, e.g. a conv receptive field."""
-        cells = [self._cells[i] for i in indices]
-        return EncryptedTensor(
-            self.public_key, cells, (len(cells),), self.exponent
-        )
-
-    @classmethod
-    def concatenate(
-        cls, parts: Sequence["EncryptedTensor"]
-    ) -> "EncryptedTensor":
-        """Concatenate flat tensors produced by partitioned threads."""
-        if not parts:
-            raise EncodingError("cannot concatenate zero tensors")
-        key = parts[0].public_key
-        exponent = parts[0].exponent
-        cells: list[EncryptedNumber] = []
-        for part in parts:
-            if part.public_key.n != key.n:
-                raise KeyMismatchError(
-                    "cannot concatenate tensors under different keys"
-                )
-            if part.exponent != exponent:
-                raise EncodingError(
-                    "cannot concatenate tensors with different exponents: "
-                    f"{part.exponent} vs {exponent}"
-                )
-            cells.extend(part.cells())
-        return cls(key, cells, (len(cells),), exponent)
-
     # ------------------------------------------------------------------
     # Homomorphic arithmetic
     # ------------------------------------------------------------------
@@ -241,42 +209,6 @@ class EncryptedTensor:
         cells = [a + b for a, b in zip(self._cells, other.cells())]
         return EncryptedTensor(self.public_key, cells, self.shape,
                                self.exponent)
-
-    def add_plain(
-        self, values: np.ndarray, rng: random.Random, exponent: int = 0
-    ) -> "EncryptedTensor":
-        """Add a plaintext integer array (encrypted on the fly)."""
-        plain = EncryptedTensor.encrypt(
-            np.asarray(values), self.public_key, rng, exponent
-        )
-        return self.add(plain)
-
-    def mul_plain(self, weights: np.ndarray) -> "EncryptedTensor":
-        """Element-wise homomorphic multiplication by integer weights.
-
-        The result's exponent is the sum of both operands' exponents
-        when the weights carry one; callers pass scaled-integer weights
-        and bump the exponent via :meth:`with_exponent`.
-        """
-        flat_w = _flatten_int_array(np.asarray(weights))
-        if len(flat_w) != self.size:
-            raise EncodingError(
-                f"weight count {len(flat_w)} != tensor size {self.size}"
-            )
-        cells = [c * w for c, w in zip(self._cells, flat_w)]
-        return EncryptedTensor(self.public_key, cells, self.shape,
-                               self.exponent)
-
-    def rerandomized(self, rng: random.Random) -> "EncryptedTensor":
-        """Refresh every cell's randomness (same plaintexts)."""
-        cells = [cell.rerandomized(rng) for cell in self._cells]
-        return EncryptedTensor(self.public_key, cells, self.shape,
-                               self.exponent)
-
-    def with_exponent(self, exponent: int) -> "EncryptedTensor":
-        """Return the same ciphertexts tagged with a new exponent."""
-        return EncryptedTensor(self.public_key, self._cells, self.shape,
-                               exponent)
 
     def affine(
         self,
@@ -539,11 +471,10 @@ class PackedEncryptedTensor:
         return self._cells
 
     def _like(self, cells: Sequence[EncryptedNumber],
-              shape: Tuple[int, ...],
-              exponent: int | None = None) -> "PackedEncryptedTensor":
+              shape: Tuple[int, ...]) -> "PackedEncryptedTensor":
         return PackedEncryptedTensor(
             self.public_key, cells, shape, self.packer, self.batch,
-            self.exponent if exponent is None else exponent,
+            self.exponent,
         )
 
     def reshape(self, shape: Tuple[int, ...]) -> "PackedEncryptedTensor":
@@ -552,47 +483,6 @@ class PackedEncryptedTensor:
 
     def flatten(self) -> "PackedEncryptedTensor":
         return self.reshape((self.size,))
-
-    def gather(self, indices: Sequence[int]) -> "PackedEncryptedTensor":
-        """Select flat cells by index, e.g. a conv receptive field."""
-        cells = [self._cells[i] for i in indices]
-        return self._like(cells, (len(cells),))
-
-    @classmethod
-    def concatenate(
-        cls, parts: Sequence["PackedEncryptedTensor"]
-    ) -> "PackedEncryptedTensor":
-        """Concatenate flat packed tensors from partitioned threads."""
-        if not parts:
-            raise EncodingError("cannot concatenate zero tensors")
-        first = parts[0]
-        cells: list[EncryptedNumber] = []
-        for part in parts:
-            if part.public_key.n != first.public_key.n:
-                raise KeyMismatchError(
-                    "cannot concatenate tensors under different keys"
-                )
-            if part.exponent != first.exponent:
-                raise EncodingError(
-                    "cannot concatenate tensors with different "
-                    f"exponents: {part.exponent} vs {first.exponent}"
-                )
-            if part.packer != first.packer or part.batch != first.batch:
-                raise EncodingError(
-                    "cannot concatenate tensors with different lane "
-                    "geometry"
-                )
-            cells.extend(part.cells())
-        return first._like(cells, (len(cells),))
-
-    def with_exponent(self, exponent: int) -> "PackedEncryptedTensor":
-        """Return the same ciphertexts tagged with a new exponent."""
-        return self._like(self._cells, self.shape, exponent)
-
-    def rerandomized(self, rng: random.Random) -> "PackedEncryptedTensor":
-        """Refresh every cell's randomness (same plaintexts)."""
-        cells = [cell.rerandomized(rng) for cell in self._cells]
-        return self._like(cells, self.shape)
 
     # ------------------------------------------------------------------
     # Homomorphic arithmetic
@@ -634,21 +524,6 @@ class PackedEncryptedTensor:
         # Lane contents now carry 2x the canonical offset; subtract one.
         rebias = self.packer.rebias_residue(-self.packer.offset)
         cells = self._add_plain_residue(summed, [rebias] * len(summed))
-        return self._like(cells, self.shape)
-
-    def mul_plain(self, weights: np.ndarray) -> "PackedEncryptedTensor":
-        """Element-wise multiplication by integer weights, all lanes."""
-        flat_w = _flatten_int_array(np.asarray(weights))
-        if len(flat_w) != self.size:
-            raise EncodingError(
-                f"weight count {len(flat_w)} != tensor size {self.size}"
-            )
-        scaled = [c * w for c, w in zip(self._cells, flat_w)]
-        # Lane k now holds w*v + w*offset; bring it back to v' + offset.
-        offset = self.packer.offset
-        rebias = [self.packer.rebias_residue(offset - w * offset)
-                  for w in flat_w]
-        cells = self._add_plain_residue(scaled, rebias)
         return self._like(cells, self.shape)
 
     def affine(
@@ -773,7 +648,8 @@ class FoldedTensor:
     .fold_many`), so cell ``j`` carries positions ``j*k .. j*k +
     counts[j] - 1`` as lanes at the packer's canonical offset and the
     key holder pays one CRT decryption per cell instead of one per
-    position.
+    position.  Every cell but the last is full: a tensor of ``N``
+    positions has exactly ``ceil(N/k)`` cells.
 
     One request's outputs fold ``k = packer.lanes`` values to a cell
     (``batch`` 1).  A lane-packed batch's outputs fold ``k =
@@ -787,31 +663,27 @@ class FoldedTensor:
     The read side of the :class:`EncryptedTensor` interface —
     :meth:`decrypt`, :meth:`decrypt_float`, :attr:`size` (logical
     positions), :meth:`cells` (the folded ciphertexts),
-    :meth:`flatten`, :meth:`gather`, :meth:`concatenate` — is all a
-    folded tensor offers: its next stop is decryption.  :meth:`gather`
-    keeps the covering cells and records which positions it selected,
-    so a partitioned decryption decrypts each cell it touches once.
+    :meth:`flatten` — is all a folded tensor offers: its next stop is
+    decryption.
 
     Attributes:
         public_key: the Paillier key all cells are encrypted under.
         packer: lane geometry of a folded cell (``packer.lanes`` =
             ``batch`` times positions per cell).
         exponent: accumulated base-10 fixed-point exponent.
-        counts: positions held by each cell, in cell order.
         batch: samples per position (1 for one request's outputs).
     """
 
-    __slots__ = ("public_key", "packer", "exponent", "counts", "batch",
-                 "_cells", "_select", "_size")
+    __slots__ = ("public_key", "packer", "exponent", "batch", "_cells",
+                 "_size")
 
     def __init__(
         self,
         public_key: PaillierPublicKey,
         cells: Sequence[EncryptedNumber],
-        counts: Sequence[int],
+        size: int,
         packer: LanePacker,
         exponent: int = 0,
-        select: Sequence[int] | None = None,
         batch: int = 1,
     ):
         if packer.public_key.n != public_key.n:
@@ -823,29 +695,19 @@ class FoldedTensor:
                 f"{packer.lanes} lanes do not hold whole {batch}-sample "
                 "positions"
             )
-        counts = tuple(int(c) for c in counts)
-        if len(counts) != len(cells):
-            raise EncodingError(
-                f"{len(counts)} lane counts for {len(cells)} cells"
-            )
         per_cell = packer.lanes // batch
-        if any(not 1 <= c <= per_cell for c in counts):
+        needed = -(-size // per_cell)
+        if size < 0 or len(cells) != needed:
             raise EncodingError(
-                f"position counts must lie in [1, {per_cell}]"
+                f"{size} positions folded {per_cell} to a cell need "
+                f"{needed} cells, got {len(cells)}"
             )
-        positions = sum(counts)
-        if select is not None:
-            select = tuple(select)
-            if any(not 0 <= f < positions for f in select):
-                raise EncodingError("position selection out of range")
         self.public_key = public_key
         self.packer = packer
         self.exponent = exponent
-        self.counts = counts
         self.batch = batch
         self._cells = tuple(cells)
-        self._select = select
-        self._size = positions if select is None else len(select)
+        self._size = size
 
     @classmethod
     def fold(
@@ -884,8 +746,7 @@ class FoldedTensor:
         )
         key = packer.public_key
         return cls(key, [EncryptedNumber(key, c) for c in raw],
-                   fold_counts(tensor.size, packer.lanes // batch),
-                   packer, tensor.exponent, batch=batch)
+                   tensor.size, packer, tensor.exponent, batch=batch)
 
     # ------------------------------------------------------------------
 
@@ -899,13 +760,10 @@ class FoldedTensor:
         return (self._size,)
 
     @property
-    def contiguous(self) -> bool:
-        """Whether the cells hold positions ``0 .. N-1`` in order with
-        only the last cell short — the layout :meth:`fold` produces
-        and the wire format carries."""
-        per_cell = self.packer.lanes // self.batch
-        return (self._select is None
-                and all(c == per_cell for c in self.counts[:-1]))
+    def counts(self) -> Tuple[int, ...]:
+        """Positions held by each cell, in cell order."""
+        return tuple(fold_counts(self._size,
+                                 self.packer.lanes // self.batch))
 
     @property
     def batch_packer(self) -> LanePacker | None:
@@ -923,13 +781,6 @@ class FoldedTensor:
 
     def flatten(self) -> "FoldedTensor":
         return self
-
-    def _positions(self) -> Sequence[int]:
-        """Flat position index (over all cells' positions, in cell
-        order) of each logical value."""
-        if self._select is None:
-            return range(self._size)
-        return self._select
 
     def decrypt(
         self,
@@ -954,8 +805,6 @@ class FoldedTensor:
                 flat.extend(self.packer.unpack_exact(
                     private_key.decrypt(cell), count))
         rows = np.array(flat, dtype=object).reshape(-1, batch)
-        if self._select is not None:
-            rows = rows[list(self._select)]
         if batch == 1:
             return rows.reshape(self.shape)
         return rows.T.reshape((batch,) + self.shape)
@@ -970,65 +819,6 @@ class FoldedTensor:
         scale = 10 ** self.exponent
         return np.array([int(v) / scale for v in ints.reshape(-1)],
                         dtype=np.float64).reshape(ints.shape)
-
-    def gather(self, indices: Sequence[int]) -> "FoldedTensor":
-        """Select logical positions by index.  The result holds only
-        the cells those positions live in (each once, in cell
-        order)."""
-        positions = self._positions()
-        picked = [positions[i] for i in indices]
-        starts = list(accumulate(self.counts, initial=0))[:-1]
-        owner = [bisect_right(starts, f) - 1 for f in picked]
-        needed = sorted(set(owner))
-        new_start = dict(zip(
-            needed,
-            accumulate((self.counts[c] for c in needed), initial=0),
-        ))
-        select = tuple(new_start[c] + f - starts[c]
-                       for c, f in zip(owner, picked))
-        counts = [self.counts[c] for c in needed]
-        if select == tuple(range(sum(counts))):
-            select = None
-        return FoldedTensor(
-            self.public_key, [self._cells[c] for c in needed], counts,
-            self.packer, self.exponent, select, self.batch,
-        )
-
-    @classmethod
-    def concatenate(
-        cls, parts: Sequence["FoldedTensor"]
-    ) -> "FoldedTensor":
-        """Concatenate folded tensors (positions in part order)."""
-        if not parts:
-            raise EncodingError("cannot concatenate zero tensors")
-        first = parts[0]
-        cells: list[EncryptedNumber] = []
-        counts: list[int] = []
-        select: list[int] = []
-        base = 0
-        for part in parts:
-            if part.public_key.n != first.public_key.n:
-                raise KeyMismatchError(
-                    "cannot concatenate tensors under different keys"
-                )
-            if part.exponent != first.exponent:
-                raise EncodingError(
-                    "cannot concatenate tensors with different "
-                    f"exponents: {part.exponent} vs {first.exponent}"
-                )
-            if part.packer != first.packer or part.batch != first.batch:
-                raise EncodingError(
-                    "cannot concatenate tensors with different lane "
-                    "geometry"
-                )
-            cells.extend(part.cells())
-            counts.extend(part.counts)
-            select.extend(base + f for f in part._positions())
-            base += sum(part.counts)
-        if select == list(range(base)):
-            select = None
-        return cls(first.public_key, cells, counts, first.packer,
-                   first.exponent, select, first.batch)
 
     def __repr__(self) -> str:
         return (

@@ -181,7 +181,6 @@ class _Session:
             if executor is not None:
                 return executor
             stage = self._stage_spec(stage_index)
-            threads = int(stage.get("threads", 1))
             if self.role == ROLE_MODEL:
                 # The wire plans are recompiled here, once per stage
                 # per session: this worker's layers run the same
@@ -198,7 +197,7 @@ class _Session:
                     self._rng,
                     self.fold,
                     final=stage_index == self.num_stages - 2,
-                ), threads)
+                ))
             else:
                 executor = NonLinearStageExecutor(NonLinearStage(
                     stage["activations"],
@@ -206,16 +205,12 @@ class _Session:
                     self.value_decimals,
                     self.engine,
                     final=stage_index == self.num_stages - 1,
-                ), threads)
+                ))
             self._executors[stage_index] = executor
             return executor
 
     def shutdown(self) -> None:
         with self._lock:
-            for executor in self._executors.values():
-                shutdown = getattr(executor, "shutdown", None)
-                if shutdown is not None:
-                    shutdown()
             self._executors.clear()
 
 

@@ -127,8 +127,9 @@ def partitioned_input_elements(
 ) -> list[int]:
     """Per-thread input element counts for a partitioned linear stage.
 
-    Output elements are split into contiguous near-equal blocks (as
-    :func:`repro.partitioning.partition_affine` does) and each block's
+    Output elements are split into contiguous near-equal blocks, the
+    first ``output_size % threads`` one element longer (the paper's
+    output tensor partitioning, Section IV-D), and each block's
     required inputs are chained backwards.
     """
     if threads < 1:

@@ -6,7 +6,7 @@ sequentially or as a pipelined stream operator changes only *where* it
 runs.  So each stage kind has one implementation, built once per stage
 from its party's engine (:func:`repro.crypto.engine.party_engine`),
 obfuscator, RNG, plans and fold geometry, and run by the in-process
-providers (:mod:`repro.protocol.roles`), the threaded stream executors
+providers (:mod:`repro.protocol.roles`), the stream executors
 (:mod:`repro.stream.executors`) and the TCP worker sessions
 (:mod:`repro.net.worker`) alike.
 """
@@ -200,18 +200,12 @@ class NonLinearStage:
         self,
         tensor: EncryptedTensor | FoldedTensor | PackedEncryptedTensor,
         observe: Callable[[np.ndarray], object] | None = None,
-        blocks: Sequence[range] | None = None,
-        map_blocks: Callable = map,
     ) -> EncryptedTensor | PackedEncryptedTensor | np.ndarray:
         """One request through the stage.
 
         Args:
             tensor: the linear stage's output.
             observe: called with a copy of the decrypted values.
-            blocks: optional split of the value indices into runs on
-                ciphertext boundaries; each run is decrypted and
-                re-encrypted as one task through ``map_blocks`` (a
-                thread pool's ``map``).
         """
         tensor = tensor.flatten()
         if isinstance(tensor, PackedEncryptedTensor):
@@ -221,10 +215,7 @@ class NonLinearStage:
         else:
             packer = None
         packed = packer is not None
-        whole = blocks is None or len(blocks) < 2
-        parts = [tensor] if whole else [tensor.gather(b) for b in blocks]
-        values = np.concatenate(
-            list(map_blocks(self._decrypt, parts)), axis=-1)
+        values = tensor.decrypt_float(self._private_key, engine=self.engine)
         if observe is not None:
             observe(values.copy())
         for spec in self.activations:
@@ -233,30 +224,21 @@ class NonLinearStage:
         if self.final:
             return values
         rescaled = scale_to_int(values, self._value_decimals)
-        spans = ([slice(None)] if whole
-                 else [slice(b.start, b.stop) for b in blocks])
-
-        def encrypt(span: slice):
-            if packed:
-                return PackedEncryptedTensor.encrypt_batch(
-                    rescaled[:, span], packer,
-                    exponent=self._value_decimals, engine=self.engine,
-                )
-            return EncryptedTensor.encrypt(
-                rescaled[span], self.engine.public_key,
+        if packed:
+            out = PackedEncryptedTensor.encrypt_batch(
+                rescaled, packer,
                 exponent=self._value_decimals, engine=self.engine,
             )
-
-        out = (PackedEncryptedTensor if packed else EncryptedTensor) \
-            .concatenate(list(map_blocks(encrypt, spans)))
+        else:
+            out = EncryptedTensor.encrypt(
+                rescaled, self.engine.public_key,
+                exponent=self._value_decimals, engine=self.engine,
+            )
         if out.size != tensor.size:
             raise ProtocolError(
                 f"re-encrypted {out.size} of {tensor.size} values"
             )
         return out
-
-    def _decrypt(self, part) -> np.ndarray:
-        return part.decrypt_float(self._private_key, engine=self.engine)
 
 
 def apply_activation(spec: str, flat: np.ndarray,

@@ -16,9 +16,8 @@ The sentinels here capture that state:
   under a documented tolerance.
 
 Teardown in this codebase is deliberately asynchronous in places
-(stage executors use ``shutdown(wait=False)``; worker connection
-threads exit when their sockets close), so :meth:`LeakSentinel.finish`
-*settles*: it re-captures with short sleeps (after a ``gc.collect``)
+(worker connection threads exit when their sockets close), so
+:meth:`LeakSentinel.finish` *settles*: it re-captures with short sleeps (after a ``gc.collect``)
 until the census matches the baseline or the settle timeout expires —
 only then is a delta reported as a leak.
 
@@ -170,8 +169,7 @@ class LeakSentinel:
     def finish(self) -> LeakReport:
         """Capture the post-teardown state, settling first.
 
-        Asynchronous teardown (executor threads draining after
-        ``shutdown(wait=False)``, connection threads noticing their
+        Asynchronous teardown (connection threads noticing their
         closed sockets) is given up to ``settle_timeout`` seconds to
         converge; the report reflects the *last* capture.
         """

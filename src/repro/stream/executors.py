@@ -5,15 +5,12 @@ A linear stage's executor runs the model provider's
 data provider's :class:`~repro.protocol.stages.NonLinearStage` — the
 same objects an in-process session runs through the providers.  An
 executor only moves a :class:`StreamItem`'s tensor, obfuscation round
-and result through its stage; the non-linear one also splits a request
-across its planned threads.
+and result through its stage, on the stage's one thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import List
 
 import numpy as np
@@ -25,7 +22,6 @@ from ..crypto.tensor import (
 )
 from ..errors import StreamError
 from ..nn.layers import LayerKind
-from ..partitioning.partition import partition_elementwise
 from ..planner.plan import Plan
 from ..protocol.roles import DataProvider, ModelProvider
 from ..protocol.stages import LinearStage, NonLinearStage
@@ -68,19 +64,10 @@ class StreamItem:
 
 class LinearStageExecutor:
     """Model-provider stream operator: one :class:`LinearStage` run per
-    item.
+    item."""
 
-    ``threads`` is the stage's planned allocation, validated like the
-    non-linear stages'.  Each affine runs whole-layer through the
-    engine's planned matvec: big-int arithmetic holds the GIL, so
-    row-block threads would only fragment the per-column schedules.
-    """
-
-    def __init__(self, stage: LinearStage, threads: int):
-        if threads < 1:
-            raise StreamError("executor needs >= 1 thread")
+    def __init__(self, stage: LinearStage):
         self.stage = stage
-        self.threads = threads
 
     def process(self, item: StreamItem) -> StreamItem:
         if item.tensor is None:
@@ -93,31 +80,15 @@ class LinearStageExecutor:
 
 class NonLinearStageExecutor:
     """Data-provider stream operator: one :class:`NonLinearStage` run
-    per item.
+    per item."""
 
-    Threads split a request by ciphertext: each takes a run of whole
-    cells (a folded cell's values stay with one thread, so each cell
-    is decrypted once) and re-encrypts every value those cells held.
-    """
-
-    def __init__(self, stage: NonLinearStage, threads: int):
-        if threads < 1:
-            raise StreamError("executor needs >= 1 thread")
+    def __init__(self, stage: NonLinearStage):
         self.stage = stage
-        self.threads = threads
-        # Lazily (re)created: a drained pipeline shuts the pool down,
-        # but executors outlive streams — a reused Pipeline must get a
-        # fresh pool, not "cannot schedule new futures after shutdown".
-        self._pool: ThreadPoolExecutor | None = None
 
     def process(self, item: StreamItem) -> StreamItem:
         if item.tensor is None:
             raise StreamError("non-linear stage received an empty item")
-        blocks = _value_blocks(item.tensor.flatten(), self.threads)
-        out = self.stage.run(
-            item.tensor, blocks=blocks,
-            map_blocks=self._pool_for().map if len(blocks) > 1 else map,
-        )
+        out = self.stage.run(item.tensor)
         if self.stage.final:
             item.result = out
             item.tensor = None
@@ -127,32 +98,6 @@ class NonLinearStageExecutor:
             # id is carried through untouched for the next linear stage.
             item.tensor = out
         return item
-
-    def _pool_for(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.threads,
-                thread_name_prefix="repro-nonlinear",
-            )
-        return self._pool
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-            self._pool = None
-
-
-def _value_blocks(tensor, threads: int) -> list[range]:
-    """Per-thread runs of value indices covering ``tensor``, split on
-    ciphertext boundaries (one value per cell except for a folded
-    tensor)."""
-    counts = (tensor.counts
-              if isinstance(tensor, FoldedTensor) and tensor.contiguous
-              else [1] * tensor.size)
-    starts = list(accumulate(counts, initial=0))
-    return [range(starts[task.input_indices[0]],
-                  starts[task.input_indices[-1] + 1])
-            for task in partition_elementwise(len(counts), threads)]
 
 
 def build_executors(
@@ -170,10 +115,9 @@ def build_executors(
     executors: List[object] = []
     num_stages = len(plan.stages)
     for stage in plan.stages:
-        threads = plan.threads_for(stage.index)
         if stage.kind is LayerKind.LINEAR:
             executors.append(LinearStageExecutor(
-                model_provider.linear_stage(stage.index), threads,
+                model_provider.linear_stage(stage.index),
             ))
         else:
             executors.append(NonLinearStageExecutor(
@@ -181,6 +125,5 @@ def build_executors(
                     model_provider.nonlinear_activations(stage.index),
                     final=stage.index == num_stages - 1,
                 ),
-                threads,
             ))
     return executors

@@ -270,11 +270,6 @@ class FaultInjector:
                 time.sleep(spec.delay)
         return result
 
-    def shutdown(self) -> None:
-        shutdown = getattr(self.executor, "shutdown", None)
-        if shutdown is not None:
-            shutdown()
-
 
 def wrap_executors(executors, plan: FaultPlan | None):
     """Wrap each executor whose stage the plan targets."""

@@ -54,8 +54,7 @@ class StageWorker:
 
     Args:
         name: thread / diagnostic name.
-        executor: object with ``process(item)`` (and optional
-            ``shutdown()``).
+        executor: object with ``process(item)``.
         inbound: channel the worker consumes.
         outbound: channel the worker produces into (None for a final
             consumer).
@@ -384,7 +383,7 @@ class StageWorker:
         self.finalize()
 
     def finalize(self) -> None:
-        """Close the outbound channel and shut the executor down.
+        """Close the outbound channel.
 
         Idempotent; called on normal completion, on unsupervised
         crash, and by the supervisor when it gives a stage up.
@@ -402,9 +401,6 @@ class StageWorker:
             self._drain_to_dead_letters()
         if self.outbound is not None:
             self.outbound.close()
-        shutdown = getattr(self.executor, "shutdown", None)
-        if shutdown is not None:
-            shutdown()
 
     def _drain_to_dead_letters(self) -> None:
         for item in self.inbound.drain():

@@ -27,6 +27,7 @@ from repro.crypto.tensor import (
     EncryptedTensor,
     FoldedTensor,
     PackedEncryptedTensor,
+    fold_counts,
 )
 from repro.errors import EncodingError, KeyMismatchError
 
@@ -60,6 +61,14 @@ class TestFoldedRoundTrip:
             [c.ciphertext for c in tensor.cells()]
         assert np.array_equal(restored.decrypt(priv), values)
         assert any_tensor_to_bytes(restored) == blob
+        # N values k to a cell are exactly ceil(N/k) cells; any other
+        # count is refused.
+        assert restored.counts == tuple(fold_counts(10, 4))
+        cells = restored.cells()
+        for bad_cells, size in ((cells[:2], 10), (cells + cells[:1], 10),
+                                (cells, 8), (cells, 13), (cells, -1)):
+            with pytest.raises(EncodingError):
+                FoldedTensor(pub, bad_cells, size, restored.packer)
 
     def test_frame_size_is_exact(self, keypair, folded):
         pub, _ = keypair
@@ -91,13 +100,6 @@ class TestFoldedRoundTrip:
             folded_tensor_from_bytes(
                 any_tensor_to_bytes(EncryptedTensor.encrypt(
                     np.arange(2), pub, random.Random(0))), pub)
-
-    def test_views_do_not_serialize(self, folded):
-        tensor, _ = folded
-        with pytest.raises(EncodingError):
-            folded_tensor_to_bytes(tensor.gather([5, 1]))
-        # A cell-aligned prefix is still a contiguous fold.
-        assert folded_tensor_to_bytes(tensor.gather(range(8)))
 
     def test_frame_flags_are_exclusive(self, keypair):
         pub, _ = keypair

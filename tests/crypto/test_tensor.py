@@ -49,28 +49,6 @@ class TestShapeOps:
         assert flat.shape == (6,)
         assert np.array_equal(flat.decrypt(keypair[1]), np.arange(6))
 
-    def test_gather(self, keypair, rng):
-        tensor = encrypt([10, 20, 30, 40], keypair, rng)
-        sub = tensor.gather([3, 0])
-        assert np.array_equal(sub.decrypt(keypair[1]), [40, 10])
-
-    def test_concatenate(self, keypair, rng):
-        a = encrypt([1, 2], keypair, rng, exponent=1)
-        b = encrypt([3], keypair, rng, exponent=1)
-        joined = EncryptedTensor.concatenate([a, b])
-        assert np.array_equal(joined.decrypt(keypair[1]), [1, 2, 3])
-        assert joined.exponent == 1
-
-    def test_concatenate_exponent_mismatch(self, keypair, rng):
-        a = encrypt([1], keypair, rng, exponent=1)
-        b = encrypt([2], keypair, rng, exponent=2)
-        with pytest.raises(EncodingError):
-            EncryptedTensor.concatenate([a, b])
-
-    def test_concatenate_empty(self):
-        with pytest.raises(EncodingError):
-            EncryptedTensor.concatenate([])
-
 
 class TestArithmetic:
     def test_elementwise_add(self, keypair, rng):
@@ -91,21 +69,6 @@ class TestArithmetic:
         b = EncryptedTensor.encrypt(np.array([1]), other[0], rng)
         with pytest.raises(KeyMismatchError):
             a.add(b)
-
-    def test_add_plain(self, keypair, rng):
-        a = encrypt([5, -5], keypair, rng)
-        result = a.add_plain(np.array([1, 2]), rng).decrypt(keypair[1])
-        assert np.array_equal(result, [6, -3])
-
-    def test_mul_plain(self, keypair, rng):
-        a = encrypt([2, -3, 4], keypair, rng)
-        result = a.mul_plain(np.array([5, 6, 0])).decrypt(keypair[1])
-        assert np.array_equal(result, [10, -18, 0])
-
-    def test_mul_plain_size_mismatch(self, keypair, rng):
-        a = encrypt([1, 2], keypair, rng)
-        with pytest.raises(EncodingError):
-            a.mul_plain(np.array([1, 2, 3]))
 
 
 class TestAffine:

@@ -13,7 +13,6 @@ with ``-k gmpy2``).
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -198,34 +197,3 @@ class TestCertifiedRange:
             packer.unpack_exact(residue, 1)
         assert packer.unpack_exact(packer.offset + bottom + 1, 1) \
             == [bottom + 1]
-
-
-class TestViews:
-    @settings(max_examples=20, deadline=None)
-    @given(data=st.data())
-    def test_gather_and_concatenate_keep_the_values(self, data):
-        engine = engine_for(128, "python")
-        packer = packer_for(128, 12)
-        length = data.draw(st.integers(1, 40))
-        values = data.draw(st.lists(st.integers(-4000, 4000),
-                                    min_size=length, max_size=length))
-        folded = FoldedTensor.fold(encrypt(engine, values, length),
-                                   packer, engine)
-        indices = data.draw(st.lists(st.integers(0, length - 1),
-                                     max_size=60))
-        private = engine.private_key
-        if indices:
-            view = folded.gather(indices)
-            assert list(view.decrypt(private, engine=engine)) \
-                == [values[i] for i in indices]
-            # A view holds only the cells its values live in.
-            assert len(view.cells()) == len(
-                {i // packer.lanes for i in indices})
-        cut = data.draw(st.integers(1, length))
-        parts = [folded.gather(range(cut))]
-        if cut < length:
-            parts.append(folded.gather(range(cut, length)))
-        joined = FoldedTensor.concatenate(parts)
-        assert list(joined.decrypt(private)) == values
-        assert np.array_equal(joined.decrypt(private),
-                              folded.decrypt(private))

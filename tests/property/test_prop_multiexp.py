@@ -242,7 +242,7 @@ class TestExecutorRoute:
             Obfuscator(1), make_engine(), random.Random(seed),
             FoldGeometry.single_lane(PUBLIC.key_size), final=True,
         )
-        executor = LinearStageExecutor(stage, 1)
+        executor = LinearStageExecutor(stage)
         cells = ciphertexts(in_dim, seed)
         tensor = EncryptedTensor(
             PUBLIC, [EncryptedNumber(PUBLIC, c) for c in cells],

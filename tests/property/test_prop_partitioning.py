@@ -3,43 +3,9 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.nn.layers import Conv2d, FullyConnected
-from repro.partitioning.partition import (
-    partition_affine,
-    partition_elementwise,
-)
+from repro.nn.layers import Conv2d
 from repro.partitioning.receptive import required_inputs
 from repro.scaling.fixed_point import scaled_affine_for_layer
-
-
-class TestCoverageProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(out_features=st.integers(min_value=1, max_value=40),
-           in_features=st.integers(min_value=1, max_value=20),
-           threads=st.integers(min_value=1, max_value=12),
-           input_partitioning=st.booleans())
-    def test_every_output_exactly_once(self, out_features, in_features,
-                                       threads, input_partitioning):
-        layer = FullyConnected(in_features, out_features,
-                               rng=np.random.default_rng(0))
-        affine = scaled_affine_for_layer(layer, (in_features,), 3)
-        tasks = partition_affine(affine, threads, input_partitioning)
-        outputs = sorted(
-            i for task in tasks for i in task.output_indices
-        )
-        assert outputs == list(range(out_features))
-
-    @settings(max_examples=40, deadline=None)
-    @given(size=st.integers(min_value=1, max_value=200),
-           threads=st.integers(min_value=1, max_value=16))
-    def test_elementwise_partition_covers(self, size, threads):
-        tasks = partition_elementwise(size, threads)
-        covered = sorted(
-            i for task in tasks for i in task.output_indices
-        )
-        assert covered == list(range(size))
-        sizes = [task.output_elements for task in tasks]
-        assert max(sizes) - min(sizes) <= 1
 
 
 class TestReceptiveFieldProperties:

@@ -143,14 +143,13 @@ class TestThreadedStream:
 
 
 class TestNonLinearExecutorOnFoldedInput:
-    @pytest.mark.parametrize("threads", [2, 3, 5])
-    def test_threads_reencrypt_all_values(self, threads):
-        """Threads split on cell boundaries but re-encrypt every value
-        the cells held — N, not ceil(N/k)."""
+    def test_reencrypts_all_values(self):
+        """The stage decrypts ceil(N/k) cells but re-encrypts every
+        value they held — N, not ceil(N/k)."""
         model_provider, data_provider = providers(
             _peak_model(), decimals=2, key_size=128)
         packer = model_provider.fold.packer(data_provider.public_key)
-        rng = np.random.default_rng(threads)
+        rng = np.random.default_rng(2)
         values = rng.uniform(-3, 3, 23)
         tensor = EncryptedTensor.encrypt(
             scale_to_int(values, 2), data_provider.public_key,
@@ -159,7 +158,6 @@ class TestNonLinearExecutorOnFoldedInput:
         assert len(folded.cells()) == -(-23 // packer.lanes)
         executor = NonLinearStageExecutor(
             data_provider.nonlinear_stage(["relu"], final=False),
-            threads=threads,
         )
         item = executor.process(StreamItem(0, folded,
                                            obfuscation_round=4))

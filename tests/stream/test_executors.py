@@ -56,7 +56,6 @@ class TestLinearExecutor:
             # final: skip obfuscation so we can decrypt directly
             linear_stage(model_provider, affine, Obfuscator(5),
                          final=True),
-            threads=3,
         )
         x = np.random.default_rng(1).standard_normal(30)
         x_int = scale_to_int(x, 3)
@@ -73,7 +72,6 @@ class TestLinearExecutor:
         obfuscator = Obfuscator(6)
         executor = LinearStageExecutor(
             linear_stage(model_provider, affine, obfuscator, final=False),
-            threads=2,
         )
         tensor = data_provider.encrypt_input(np.zeros(30))
         item = executor.process(StreamItem(0, tensor))
@@ -87,21 +85,9 @@ class TestLinearExecutor:
         executor = LinearStageExecutor(
             linear_stage(model_provider, affine, Obfuscator(7),
                          final=False),
-            1,
         )
         with pytest.raises(StreamError):
             executor.process(StreamItem(0, None))
-
-    def test_thread_validation(self, parties):
-        model_provider, _ = parties
-        layer = model_provider.stages[0].primitives[0].layer
-        affine = scaled_affine_for_layer(layer, (30,), 3)
-        with pytest.raises(StreamError):
-            LinearStageExecutor(
-                linear_stage(model_provider, affine, Obfuscator(8),
-                             final=False),
-                0,
-            )
 
 
 class TestNonLinearExecutor:
@@ -115,7 +101,6 @@ class TestNonLinearExecutor:
         )
         executor = NonLinearStageExecutor(
             data_provider.nonlinear_stage(["relu"], final=False),
-            threads=2,
         )
         item = executor.process(StreamItem(0, tensor,
                                            obfuscation_round=9))
@@ -134,7 +119,6 @@ class TestNonLinearExecutor:
         )
         executor = NonLinearStageExecutor(
             data_provider.nonlinear_stage(["softmax"], final=True),
-            threads=1,
         )
         item = executor.process(StreamItem(0, tensor))
         assert item.tensor is None
@@ -147,7 +131,6 @@ class TestNonLinearExecutor:
         with pytest.raises(ProtocolError):
             NonLinearStageExecutor(
                 data_provider.nonlinear_stage(["softmax"], final=False),
-                threads=1,
             )
 
 

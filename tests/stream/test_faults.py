@@ -106,14 +106,10 @@ class _Item:
 class _Echo:
     def __init__(self):
         self.calls = 0
-        self.shutdowns = 0
 
     def process(self, item):
         self.calls += 1
         return item
-
-    def shutdown(self):
-        self.shutdowns += 1
 
 
 class TestFaultInjector:
@@ -148,11 +144,6 @@ class TestFaultInjector:
         injector.process(_Item(4))
         assert executor.calls == 1
         assert injector.injected_faults == 0
-
-    def test_shutdown_delegates(self):
-        executor = _Echo()
-        FaultInjector(executor, 0, FaultPlan()).shutdown()
-        assert executor.shutdowns == 1
 
 
 class TestRetryPolicy:

@@ -67,7 +67,6 @@ class TestPackedLinearExecutor:
             # final: skip obfuscation so we can decrypt directly
             linear_stage(model_provider, affine, Obfuscator(5),
                          final=True),
-            threads=2,
         )
         xs = np.random.default_rng(1).standard_normal((3, 30))
         tensor = packed_input(data_provider, model_provider, xs)
@@ -90,7 +89,6 @@ class TestPackedLinearExecutor:
         obfuscator = Obfuscator(6)
         executor = LinearStageExecutor(
             linear_stage(model_provider, affine, obfuscator, final=False),
-            threads=1,
         )
         xs = np.zeros((2, 30))
         tensor = packed_input(data_provider, model_provider, xs)
@@ -115,7 +113,6 @@ class TestPackedNonLinearExecutor:
         )
         executor = NonLinearStageExecutor(
             data_provider.nonlinear_stage(["relu"], final=False),
-            threads=2,
         )
         item = executor.process(StreamItem(0, tensor,
                                            obfuscation_round=9))
@@ -135,7 +132,6 @@ class TestPackedNonLinearExecutor:
         )
         executor = NonLinearStageExecutor(
             data_provider.nonlinear_stage(["softmax"], final=True),
-            threads=1,
         )
         item = executor.process(StreamItem(0, tensor))
         assert item.tensor is None
@@ -153,7 +149,6 @@ class TestPackedNonLinearExecutor:
         )
         executor = NonLinearStageExecutor(
             data_provider.nonlinear_stage(["sigmoid"], final=False),
-            threads=1,
         )
         packed_out = executor.process(StreamItem(0, packed)) \
             .tensor.decrypt_float(data_provider._private_key)
@@ -168,10 +163,8 @@ class TestPackedNonLinearExecutor:
 
 
 class TestFoldedBatchNonLinearExecutor:
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_folded_batch_reencrypts_packed(self, parties, threads):
-        """A folded batch split over threads (each thread a run of
-        whole folded cells) decrypts to one row per sample and leaves
+    def test_folded_batch_reencrypts_packed(self, parties):
+        """A folded batch decrypts to one row per sample and leaves
         re-encrypted under the batch's lane packer."""
         _, data_provider = parties
         packer = LanePacker(data_provider.public_key, lanes=2,
@@ -185,7 +178,6 @@ class TestFoldedBatchNonLinearExecutor:
         assert folded.batch == 2 and len(folded.cells()) < 7
         executor = NonLinearStageExecutor(
             data_provider.nonlinear_stage(["relu"], final=False),
-            threads=threads,
         )
         item = executor.process(StreamItem(0, folded,
                                            obfuscation_round=4))

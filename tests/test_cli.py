@@ -15,6 +15,15 @@ class TestTopLevelCli:
         assert "agreement" in output
         assert "ciphertexts only: True" in output
 
+    def test_stream_runs(self, capsys):
+        """The default stream plan gives stages 0-1 two threads each;
+        every request still completes."""
+        code = repro_main(["stream", "--samples", "2", "--key-size",
+                           "128"])
+        output = capsys.readouterr().out
+        assert code == 0, output
+        assert "no dead-lettered requests" in output
+
     def test_summary(self, capsys):
         assert repro_main(["summary"]) == 0
         assert "PP-Stream" in capsys.readouterr().out

@@ -102,21 +102,6 @@ class TestRerandomization:
         assert fresh.ciphertext != cipher.ciphertext
         assert priv.decrypt(fresh) == 42
 
-    def test_tensor_rerandomize(self, keypair, rng):
-        from repro.crypto.tensor import EncryptedTensor
-
-        tensor = EncryptedTensor.encrypt(
-            np.array([1, -2, 3]), keypair[0], rng, exponent=1
-        )
-        fresh = tensor.rerandomized(rng)
-        assert fresh.exponent == 1
-        assert np.array_equal(fresh.decrypt(keypair[1]),
-                              tensor.decrypt(keypair[1]))
-        assert all(
-            a.ciphertext != b.ciphertext
-            for a, b in zip(tensor.cells(), fresh.cells())
-        )
-
 
 class TestRateLimiter:
     def test_window_enforced(self):
