@@ -417,7 +417,6 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             key_size=args.key_size, seed=args.seed,
         ).with_serve(
             queue_capacity=args.queue_capacity,
-            workers=args.job_workers,
             tenant_quota=args.tenant_quota,
             default_deadline=args.deadline,
             tenant_rps=args.tenant_rps,
@@ -484,7 +483,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             seed=args.seed,
             deadline=args.deadline,
             queue_capacity=args.queue_capacity,
-            serve_workers=args.job_workers,
             tenant_quota=args.tenant_quota,
             url=args.url,
             out=args.out,
@@ -702,10 +700,6 @@ def main(argv: list[str] | None = None) -> int:
                             dest="queue_capacity",
                             help="bounded request queue depth before "
                                  "shedding (default: 32)")
-    serve_http.add_argument("--job-workers", type=int, default=4,
-                            dest="job_workers",
-                            help="job-worker threads draining the "
-                                 "queue (default: 4)")
     serve_http.add_argument("--tenant-quota", type=int, default=8,
                             dest="tenant_quota",
                             help="per-tenant in-flight job ceiling "
@@ -754,8 +748,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="per-request deadline in seconds")
     loadgen.add_argument("--queue-capacity", type=int, default=8,
                          dest="queue_capacity")
-    loadgen.add_argument("--job-workers", type=int, default=2,
-                         dest="job_workers")
     loadgen.add_argument("--tenant-quota", type=int, default=4,
                          dest="tenant_quota")
     loadgen.add_argument("--out", default="BENCH_serve.json",

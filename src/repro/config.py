@@ -134,8 +134,6 @@ class RuntimeConfig:
             submit that finds the queue full is **shed** (HTTP 503 +
             ``Retry-After``) instead of queued — admission control
             before queues blow up.
-        serve_workers: job-worker threads draining the gateway queue
-            (the shared execution slots all tenants multiplex onto).
         serve_tenant_quota: per-tenant in-flight job ceiling (queued +
             running).  A tenant at quota has further submits shed with
             reason ``quota`` while other tenants keep being admitted.
@@ -239,7 +237,6 @@ class RuntimeConfig:
     chaos_slow_read_rate: float = 0.0
     chaos_slow_read_seconds: float = 0.02
     serve_queue_capacity: int = 32
-    serve_workers: int = 4
     serve_tenant_quota: int = 8
     serve_max_tenants: int = 16
     serve_default_deadline: float = 30.0
@@ -337,8 +334,8 @@ class RuntimeConfig:
                     f"{knob} must be non-negative seconds, got "
                     f"{getattr(self, knob)}"
                 )
-        for knob in ("serve_queue_capacity", "serve_workers",
-                     "serve_tenant_quota", "serve_max_tenants"):
+        for knob in ("serve_queue_capacity", "serve_tenant_quota",
+                     "serve_max_tenants"):
             if getattr(self, knob) < 1:
                 raise ConfigurationError(
                     f"{knob} must be >= 1, got {getattr(self, knob)}"
@@ -534,7 +531,6 @@ class RuntimeConfig:
     def with_serve(
         self,
         queue_capacity: int | None = None,
-        workers: int | None = None,
         tenant_quota: int | None = None,
         max_tenants: int | None = None,
         default_deadline: float | None = None,
@@ -548,7 +544,6 @@ class RuntimeConfig:
         (omitted ones keep their current values)."""
         updates = {
             "serve_queue_capacity": queue_capacity,
-            "serve_workers": workers,
             "serve_tenant_quota": tenant_quota,
             "serve_max_tenants": max_tenants,
             "serve_default_deadline": default_deadline,

@@ -27,9 +27,12 @@ Frame versions:
   the same 19-byte overhead.  A folded lane-packed batch
   (``FoldedTensor.batch`` > 1) is its own kind: the same header with
   the empty *positions* of the last cell, plus one byte for the batch
-  (20 bytes of overhead).  Its geometry must be exactly the one
-  :func:`~repro.crypto.tensor.batch_folder` derives for that batch, so
-  a corrupted lane field cannot parse into a misaligned tensor.
+  and four for the cell count (24 bytes of overhead).  Its geometry
+  must be exactly the one :func:`~repro.crypto.tensor.batch_folder`
+  derives for that batch, so a corrupted lane field cannot parse into
+  a misaligned tensor, and its body must hold exactly the declared
+  cells, so a frame cut at a ciphertext boundary cannot parse into a
+  shorter tensor.
 
 All parsers validate framing and raise :class:`EncodingError` on
 malformed input rather than producing garbage tensors.
@@ -72,8 +75,8 @@ _LANES_V2 = struct.Struct(">HHHH")
 #: dims): lanes, mag_bits, guard_bits, empty lanes of the last cell.
 _FOLD_V2 = struct.Struct(">BHBB")
 #: v2 folded-batch header: the folded fields (the last one counting
-#: empty positions), then the batch.
-_FOLD_BATCH_V2 = struct.Struct(">BHBBB")
+#: empty positions), then the batch and the number of cells.
+_FOLD_BATCH_V2 = struct.Struct(">BHBBBI")
 
 #: v2 payload kinds.
 KIND_SCALAR = 0
@@ -385,11 +388,13 @@ def folded_tensor_to_bytes(tensor: FoldedTensor) -> bytes:
     batch)."""
     packer = tensor.packer
     batch = tensor.batch
-    empty = len(tensor.cells()) * (packer.lanes // batch) - tensor.size
+    cells = len(tensor.cells())
+    empty = cells * (packer.lanes // batch) - tensor.size
     for field, value, limit in (("lanes", packer.lanes, 0xFF),
                                 ("mag_bits", packer.mag_bits, 0xFFFF),
                                 ("guard_bits", packer.guard_bits, 0xFF),
-                                ("batch", batch, 0xFF)):
+                                ("batch", batch, 0xFF),
+                                ("cells", cells, 0xFFFFFFFF)):
         if not 0 <= value <= limit:
             raise EncodingError(
                 f"folded-frame {field} {value} exceeds the wire "
@@ -402,7 +407,8 @@ def folded_tensor_to_bytes(tensor: FoldedTensor) -> bytes:
     lanes = (_FOLD_V2.pack(packer.lanes, packer.mag_bits,
                            packer.guard_bits, empty) if batch == 1
              else _FOLD_BATCH_V2.pack(packer.lanes, packer.mag_bits,
-                                      packer.guard_bits, empty, batch))
+                                      packer.guard_bits, empty, batch,
+                                      cells))
     return header + lanes + _pack_cells(tensor.cells(), key_size)
 
 
@@ -415,8 +421,9 @@ def folded_tensor_from_bytes(
     Strict: the geometry must fit the key (the rebuilt packer's
     capacity check), the body must be whole ciphertexts, at least one,
     and the last cell must hold at least one position.  A batch must
-    have two or more samples and exactly the folding geometry
-    :func:`~repro.crypto.tensor.batch_folder` gives its lane packer.
+    have two or more samples, exactly the folding geometry
+    :func:`~repro.crypto.tensor.batch_folder` gives its lane packer,
+    and exactly the cells its header declares.
     """
     _, kind, key_size, exponent, offset = _parse_header(blob)
     if kind not in (KIND_FOLDED, KIND_FOLDED_BATCH):
@@ -431,7 +438,7 @@ def folded_tensor_from_bytes(
     lanes, mag_bits, guard_bits, empty, *batch = fields.unpack(
         blob[offset:offset + fields.size]
     )
-    batch = batch[0] if batch else 1
+    batch, declared = batch if batch else (1, None)
     offset += fields.size
     packer = LanePacker(public_key, lanes=lanes, mag_bits=mag_bits,
                         guard_bits=guard_bits)
@@ -451,6 +458,11 @@ def folded_tensor_from_bytes(
         raise EncodingError(
             f"folded body of {len(blob) - offset} bytes is not whole "
             f"{width}-byte ciphertexts"
+        )
+    if declared is not None and cells != declared:
+        raise EncodingError(
+            f"folded-batch body holds {cells} cells, its header "
+            f"declares {declared}"
         )
     if cells < 1 or empty >= per_cell:
         raise EncodingError(

@@ -188,28 +188,6 @@ class EncryptedTensor:
     # Homomorphic arithmetic
     # ------------------------------------------------------------------
 
-    def _check_compatible(self, other: "EncryptedTensor") -> None:
-        if other.public_key.n != self.public_key.n:
-            raise KeyMismatchError(
-                "operands are encrypted under different keys"
-            )
-        if other.shape != self.shape:
-            raise EncodingError(
-                f"shape mismatch: {self.shape} vs {other.shape}"
-            )
-        if other.exponent != self.exponent:
-            raise EncodingError(
-                "fixed-point exponents differ: "
-                f"{self.exponent} vs {other.exponent}"
-            )
-
-    def add(self, other: "EncryptedTensor") -> "EncryptedTensor":
-        """Element-wise homomorphic addition of two encrypted tensors."""
-        self._check_compatible(other)
-        cells = [a + b for a, b in zip(self._cells, other.cells())]
-        return EncryptedTensor(self.public_key, cells, self.shape,
-                               self.exponent)
-
     def affine(
         self,
         weights: np.ndarray,
@@ -487,44 +465,6 @@ class PackedEncryptedTensor:
     # ------------------------------------------------------------------
     # Homomorphic arithmetic
     # ------------------------------------------------------------------
-
-    def _add_plain_residue(self, cells: Sequence[EncryptedNumber],
-                           residues: Sequence[int]
-                           ) -> list[EncryptedNumber]:
-        """``E(m) * (1 + n*r) = E(m + r)`` per cell — the rebias step."""
-        n = self.public_key.n
-        n_sq = self.public_key.n_squared
-        return [
-            EncryptedNumber(
-                self.public_key,
-                c.ciphertext * (1 + n * (r % n)) % n_sq,
-            )
-            for c, r in zip(cells, residues)
-        ]
-
-    def add(self, other: "PackedEncryptedTensor"
-            ) -> "PackedEncryptedTensor":
-        """Element-wise homomorphic addition across all lanes at once."""
-        if other.public_key.n != self.public_key.n:
-            raise KeyMismatchError(
-                "operands are encrypted under different keys"
-            )
-        if other.shape != self.shape:
-            raise EncodingError(
-                f"shape mismatch: {self.shape} vs {other.shape}"
-            )
-        if other.exponent != self.exponent:
-            raise EncodingError(
-                "fixed-point exponents differ: "
-                f"{self.exponent} vs {other.exponent}"
-            )
-        if other.packer != self.packer or other.batch != self.batch:
-            raise EncodingError("lane geometry differs between operands")
-        summed = [a + b for a, b in zip(self._cells, other.cells())]
-        # Lane contents now carry 2x the canonical offset; subtract one.
-        rebias = self.packer.rebias_residue(-self.packer.offset)
-        cells = self._add_plain_residue(summed, [rebias] * len(summed))
-        return self._like(cells, self.shape)
 
     def affine(
         self,

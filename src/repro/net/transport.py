@@ -132,6 +132,12 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 def read_envelope(sock: socket.socket,
                   max_frame_bytes: int) -> Envelope:
     """Read one framed envelope from a socket (blocking)."""
+    return _read_frame(sock, max_frame_bytes)[0]
+
+
+def _read_frame(sock: socket.socket,
+                max_frame_bytes: int) -> tuple[Envelope, int]:
+    """Read one framed envelope; returns it with its wire length."""
     head = _recv_exact(sock, _FRAME.size)
     magic, version, kind_byte, header_len, payload_len = \
         _FRAME.unpack(head)
@@ -163,7 +169,7 @@ def read_envelope(sock: socket.socket,
             f"envelope header must be a JSON object, got "
             f"{type(header).__name__}"
         )
-    return Envelope(kind, header, payload)
+    return Envelope(kind, header, payload), total
 
 
 class Connection:
@@ -229,11 +235,9 @@ class Connection:
                 raise TransportError(
                     f"connection to {self.peer} is unusable: {exc}"
                 ) from exc
-            envelope = read_envelope(self._sock, self._max_frame_bytes)
-        self._m_received.inc(
-            _FRAME.size + len(envelope.payload)
-            + len(json.dumps(envelope.header, separators=(",", ":")))
-        )
+            envelope, size = _read_frame(self._sock,
+                                         self._max_frame_bytes)
+        self._m_received.inc(size)
         return envelope
 
     def request(self, envelope: Envelope,

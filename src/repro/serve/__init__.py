@@ -10,7 +10,7 @@ shared worker fleet.
 Layers (each importable on its own):
 
 * :mod:`repro.serve.jobs` — job FSM, tracker, and the
-  :class:`~repro.serve.jobs.JobManager` worker fleet;
+  :class:`~repro.serve.jobs.JobManager` dispatcher;
 * :mod:`repro.serve.tenants` — per-tenant runtimes (keypair, plan,
   pipeline or per-tenant coordinator) and the bounded registry;
 * :mod:`repro.serve.gateway` — the stdlib HTTP server exposing

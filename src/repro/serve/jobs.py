@@ -1,4 +1,4 @@
-"""Job lifecycle for the serving gateway: FSM, tracker, worker fleet.
+"""Job lifecycle for the serving gateway: FSM, tracker, dispatcher.
 
 Every request admitted through the gateway becomes a :class:`Job`
 stepping through a small state machine::
@@ -17,23 +17,30 @@ double-terminal and the accounting identity *accepted + shed ==
 submitted* holds exactly under any interleaving (the concurrency test
 battery hammers this).
 
-The :class:`JobManager` owns a bounded queue plus a fixed fleet of
-worker threads (``repro-serve-worker-<i>``).  Admission control sheds
-instead of queueing when the queue is at
+The :class:`JobManager` owns a bounded queue plus one dispatcher
+thread (``repro-serve-dispatch``).  Admission control sheds instead
+of queueing when the queue is at
 :attr:`~repro.config.RuntimeConfig.serve_queue_capacity` or the
 tenant is at :attr:`~repro.config.RuntimeConfig.serve_tenant_quota`
 in-flight jobs — the gateway maps a shed job to HTTP 503 +
 ``Retry-After``.
 
-Scheduling is continuous batching per tenant: when a tenant has
-nothing running, a fleet thread pops **all** of that tenant's queued
-jobs into one dispatch (jobs whose deadline already passed go
-``DEADLINE`` on the way) and hands them to the runner together, which
-returns one outcome per job.  Each job still takes its own FSM edges.
-At most one dispatch per tenant is in flight (a tenant's pipeline
-state is single-dispatch), and queue pops skip tenants that have one
-running, so one chatty tenant cannot head-of-line-block the fleet.
-The ``serve_batch_jobs{tenant}`` histogram counts jobs per dispatch.
+Scheduling is continuous batching per tenant, one dispatch at a time:
+the dispatcher takes the tenant of the oldest queued job, pops **all**
+of that tenant's queued jobs into one dispatch (jobs whose deadline
+already passed go ``DEADLINE`` on the way) and hands them to the
+runner together, which returns one outcome per job.  Each job still
+takes its own FSM edges.  A dispatch's coordinator work runs on the
+gateway's one interpreter, as do the fleets hosted beside a gateway,
+so a second dispatch beside the first would buy no parallelism;
+running them in turn lets the other tenants' queues fill meanwhile,
+and each dispatch packs more jobs into the same crypto.  The oldest
+job picks the next tenant, so a chatty tenant still gets one dispatch
+per turn, bounded by its quota.  The cost: a dispatch that blocks (a
+retry backoff, a reconnect after a fleet worker died) holds the other
+tenants back until the stream's retry policy or the jobs' deadlines
+end it.  The ``serve_batch_jobs{tenant}`` histogram counts jobs per
+dispatch.
 """
 
 from __future__ import annotations
@@ -243,7 +250,7 @@ class JobTracker:
 
 
 class JobManager:
-    """Bounded admission queue + fixed worker fleet over a runner.
+    """Bounded admission queue + one dispatcher thread over a runner.
 
     Args:
         runner: ``runner(jobs) -> outcomes``: ``jobs`` is one
@@ -253,10 +260,10 @@ class JobManager:
             :class:`~repro.errors.DeadlineExceededError` for a blown
             deadline (-> ``DEADLINE``), anything else (-> ``FAILED``).
             An exception raised by the runner itself ends every job
-            of the dispatch the same way.  Called on fleet threads,
-            one dispatch per tenant at a time.
-        config: supplies the ``serve_*`` knobs (queue capacity, fleet
-            size, per-tenant quota, default deadline).
+            of the dispatch the same way.  Called on the dispatcher
+            thread, one dispatch at a time.
+        config: supplies the ``serve_*`` knobs (queue capacity,
+            per-tenant quota, default deadline, job history).
         obs: observability sinks; per-tenant counters
             (``serve_jobs_submitted`` / ``serve_jobs_shed`` /
             ``serve_jobs_terminal``), queue/service histograms, and
@@ -278,29 +285,25 @@ class JobManager:
         self._queue: List[Job] = []
         self._cond = threading.Condition()
         self._inflight: Dict[str, int] = {}
-        self._running_tenants: set = set()
         self._stopping = False
-        self._threads: List[threading.Thread] = []
+        self._thread: threading.Thread | None = None
         self._m_depth = self.obs.registry.gauge("serve_queue_depth")
 
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> None:
-        """Spawn the worker fleet (``serve_workers`` threads)."""
-        if self._threads:
+        """Spawn the dispatcher thread."""
+        if self._thread is not None:
             return
-        for index in range(self.config.serve_workers):
-            thread = threading.Thread(
-                target=self._work, daemon=True,
-                name=f"repro-serve-worker-{index}",
-            )
-            self._threads.append(thread)
-            thread.start()
+        self._thread = threading.Thread(
+            target=self._work, daemon=True, name="repro-serve-dispatch",
+        )
+        self._thread.start()
 
     def shutdown(self, timeout: float = 30.0) -> None:
         """Stop admission, fail every still-queued job
-        (``error="gateway shutdown"``), and join the fleet.  Jobs
-        already running finish normally."""
+        (``error="gateway shutdown"``), and join the dispatcher.  A
+        dispatch already running finishes normally."""
         with self._cond:
             if self._stopping:
                 return
@@ -313,11 +316,9 @@ class JobManager:
                 job.transition(FAILED)
                 self._finish_locked(job)
             self._cond.notify_all()
-        deadline = time.monotonic() + timeout
-        for thread in self._threads:
-            remaining = max(0.0, deadline - time.monotonic())
-            thread.join(timeout=remaining)
-        self._threads = []
+        if self._thread is not None:
+            self._thread.join(timeout=timeout)
+            self._thread = None
 
     # -- admission -----------------------------------------------------
 
@@ -368,29 +369,24 @@ class JobManager:
         with self._cond:
             return self._inflight.get(tenant, 0)
 
-    # -- fleet ---------------------------------------------------------
+    # -- dispatcher ----------------------------------------------------
 
     def _next_dispatch(self) -> List[Job] | None:
         """Pop the next dispatch, expiring stale jobs on the way.
 
-        Takes the tenant of the oldest queued job whose tenant has no
-        dispatch running (per-tenant serialization without
-        head-of-line blocking) and pops every queued job of that
-        tenant; returns None only when the manager is stopping and
-        the queue is drained.
+        Takes the tenant of the oldest queued job and pops every
+        queued job of that tenant; waits while the queue is empty and
+        returns None only when the manager is stopping and the queue
+        is drained.
         """
         with self._cond:
             while True:
-                if self._stopping and not self._queue:
-                    return None
-                tenant = next(
-                    (job.tenant for job in self._queue
-                     if job.tenant not in self._running_tenants),
-                    None,
-                )
-                if tenant is None:
-                    self._cond.wait(0.05)
+                if not self._queue:
+                    if self._stopping:
+                        return None
+                    self._cond.wait()
                     continue
+                tenant = self._queue[0].tenant
                 now = time.monotonic()
                 batch = []
                 kept = []
@@ -407,7 +403,6 @@ class JobManager:
                 self._m_depth.set(len(self._queue))
                 if not batch:
                     continue
-                self._running_tenants.add(tenant)
                 for job in batch:
                     job.transition(RUNNING)
                 self.obs.registry.histogram(
@@ -428,10 +423,9 @@ class JobManager:
                         f"runner returned {len(outcomes)} outcomes for "
                         f"{len(batch)} jobs"
                     )
-            except Exception as exc:  # noqa: BLE001 - fleet must survive
+            except Exception as exc:  # noqa: BLE001 - dispatcher must survive
                 outcomes = [exc] * len(batch)
             with self._cond:
-                self._running_tenants.discard(batch[0].tenant)
                 for job, outcome in zip(batch, outcomes):
                     if isinstance(outcome, BaseException):
                         job.error = repr(outcome)
@@ -452,7 +446,6 @@ class JobManager:
         else:
             self._inflight.pop(job.tenant, None)
         self._record_terminal(job)
-        self._cond.notify_all()
 
     def _record_terminal(self, job: Job) -> None:
         self.tracker.note_terminal(job)

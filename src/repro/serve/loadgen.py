@@ -65,7 +65,6 @@ class LoadgenOptions:
     seed: int = 11
     deadline: float | None = None
     queue_capacity: int = 8
-    serve_workers: int = 2
     tenant_quota: int = 4
     url: str | None = None      # drive an external gateway instead
     out: str | None = "BENCH_serve.json"
@@ -291,7 +290,6 @@ def run_loadgen(options: LoadgenOptions,
                 key_size=options.key_size, seed=options.seed,
             ).with_serve(
                 queue_capacity=options.queue_capacity,
-                workers=options.serve_workers,
                 tenant_quota=options.tenant_quota,
             )
             addresses = None
@@ -313,8 +311,7 @@ def run_loadgen(options: LoadgenOptions,
             host, port = gateway.start()
             base = f"http://{host}:{port}"
             mode = options.mode
-            progress(f"gateway: {base} ({mode} stages, "
-                     f"{options.serve_workers} job workers)")
+            progress(f"gateway: {base} ({mode} stages)")
 
         client = _Client(base)
         tenants = [f"tenant-{i}" for i in range(options.tenants)]
@@ -398,7 +395,6 @@ def run_loadgen(options: LoadgenOptions,
                 "seed": options.seed,
                 "model": options.model,
                 "queue_capacity": options.queue_capacity,
-                "serve_workers": options.serve_workers,
                 "tenant_quota": options.tenant_quota,
                 "fleet_workers": (options.fleet_workers
                                   if mode == "fleet" else None),

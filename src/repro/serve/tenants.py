@@ -473,7 +473,7 @@ class TenantRegistry:
         The expensive construction (keygen, fleet handshakes) happens
         outside the registry lock; concurrent ``ensure`` calls for the
         same name share one construction, and calls for *other*
-        names — including plain ``get`` from the job workers — never
+        names — including plain ``get`` from the dispatcher — never
         block behind it.
         """
         if not isinstance(name, str) or not _TENANT_NAME.match(name):

@@ -706,7 +706,7 @@ class _ServeGatewayScenario(_Scenario):
         ).with_reconnect(
             attempts=6, base_delay=0.02, max_delay=0.2,
         ).with_serve(
-            queue_capacity=16, workers=2, tenant_quota=8,
+            queue_capacity=16, tenant_quota=8,
         )
         self._fleet = [WorkerServer(), WorkerServer()]
         addresses = [server.start() for server in self._fleet]

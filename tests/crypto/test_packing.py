@@ -258,15 +258,6 @@ class TestPackedEncryptedTensor:
         tensor = PackedEncryptedTensor.encrypt_batch(xs, packer)
         assert tensor.decrypt(priv).tolist() == xs.tolist()
 
-    def test_add(self, keypair):
-        pub, priv = keypair
-        packer = LanePacker(pub, lanes=2, mag_bits=12)
-        a = np.array([[10, -20], [30, -40]], dtype=np.int64)
-        b = np.array([[1, 2], [-3, -4]], dtype=np.int64)
-        ta = PackedEncryptedTensor.encrypt_batch(a, packer)
-        tb = PackedEncryptedTensor.encrypt_batch(b, packer)
-        assert ta.add(tb).decrypt(priv).tolist() == (a + b).tolist()
-
     def test_affine_plaintext_bias(self, keypair):
         pub, priv = keypair
         packer = LanePacker(pub, lanes=2, mag_bits=18)

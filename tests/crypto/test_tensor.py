@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.crypto.paillier import generate_keypair
 from repro.crypto.tensor import EncryptedTensor
-from repro.errors import EncodingError, KeyMismatchError
+from repro.errors import EncodingError
 
 
 def encrypt(values, keypair, rng, exponent=0):
@@ -48,27 +47,6 @@ class TestShapeOps:
         flat = tensor.flatten()
         assert flat.shape == (6,)
         assert np.array_equal(flat.decrypt(keypair[1]), np.arange(6))
-
-
-class TestArithmetic:
-    def test_elementwise_add(self, keypair, rng):
-        a = encrypt([[1, 2], [3, 4]], keypair, rng)
-        b = encrypt([[10, -20], [30, -40]], keypair, rng)
-        result = a.add(b).decrypt(keypair[1])
-        assert np.array_equal(result, [[11, -18], [33, -36]])
-
-    def test_add_shape_mismatch(self, keypair, rng):
-        a = encrypt([1, 2], keypair, rng)
-        b = encrypt([1, 2, 3], keypair, rng)
-        with pytest.raises(EncodingError):
-            a.add(b)
-
-    def test_add_key_mismatch(self, keypair, rng):
-        other = generate_keypair(128, seed=55)
-        a = encrypt([1], keypair, rng)
-        b = EncryptedTensor.encrypt(np.array([1]), other[0], rng)
-        with pytest.raises(KeyMismatchError):
-            a.add(b)
 
 
 class TestAffine:

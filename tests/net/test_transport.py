@@ -185,20 +185,28 @@ class TestConnection:
 
     def test_byte_counters(self):
         obs = Observability(enabled=True)
-        client, server = self._pair(obs=obs)
-        def serve():
-            server.recv(timeout=5)
-            server.send(Envelope(KIND_WELCOME))
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        client.request(Envelope(KIND_HELLO, {"role": "model"}),
-                       timeout=5)
-        thread.join(5)
-        sent = obs.registry.counter("net_bytes_sent", peer="server")
+        a, b = _pipe()
+        client = Connection(a, LIMIT, obs=obs, peer="server")
+        server = Connection(b, LIMIT, obs=obs, peer="client")
+        frames = [Envelope(KIND_HELLO, {"role": "model", "x": [1.5]}),
+                  Envelope(KIND_RESULT, {}, b"payload"),
+                  Envelope(KIND_WELCOME)]
+        for envelope in frames:
+            server.send(envelope)
+            client.recv(timeout=5)
+        sent = obs.registry.counter("net_bytes_sent", peer="client")
         received = obs.registry.counter("net_bytes_received",
                                         peer="server")
-        assert sent.value >= _FRAME.size
-        assert received.value >= _FRAME.size
+        assert sent.value == sum(len(envelope.encode(LIMIT))
+                                 for envelope in frames)
+        assert received.value == sent.value
+        # A peer that spaces its header JSON counts at wire length.
+        header = b'{"a": 1}'
+        raw = _FRAME.pack(MAGIC, VERSION, 1, len(header), 3) \
+            + header + b"xyz"
+        b.sendall(raw)
+        assert client.recv(timeout=5).header == {"a": 1}
+        assert received.value == sent.value + len(raw)
         client.close()
         server.close()
 

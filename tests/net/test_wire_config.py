@@ -27,7 +27,7 @@ CUSTOM = RuntimeConfig(
 ).with_net(request_timeout=9.5, max_frame_bytes=4096).with_chaos(
     seed=3, drop_rate=0.25,
 ).with_serve(
-    workers=2, tenant_allowlist=("a", "b"), tenant_rps=5,
+    tenant_allowlist=("a", "b"), tenant_rps=5,
 ).with_compress(
     enabled=True, sparsity=0.5, clusters=4, tenants=("a",),
 ).with_cluster(backlog_high=6.0, backlog_low=1.0)

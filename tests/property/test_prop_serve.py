@@ -72,7 +72,7 @@ def test_admission_accounting_identity(submissions, capacity, quota):
     """With no worker fleet running, admission is a pure function of
     queue depth and quota — audit the identity over any pattern."""
     config = RuntimeConfig().with_serve(
-        queue_capacity=capacity, workers=1, tenant_quota=quota,
+        queue_capacity=capacity, tenant_quota=quota,
     )
     manager = JobManager(lambda jobs: [{}] * len(jobs), config)
     # Deliberately NOT started: nothing drains the queue, so the

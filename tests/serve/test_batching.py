@@ -57,13 +57,13 @@ def _assert_twin(twin, x, result):
                           reference.probabilities)
 
 
-def _queued_gateway(served, key_size, submissions, workers=2):
+def _queued_gateway(served, key_size, submissions):
     """A local gateway with ``submissions`` (tenant, input) queued
     before its fleet starts, so each tenant's jobs form one dispatch;
     returns the gateway (started) and the jobs."""
     model, decimals, _shape = served
     config = RuntimeConfig(key_size=key_size, seed=SEED).with_serve(
-        queue_capacity=32, workers=workers, tenant_quota=16,
+        queue_capacity=32, tenant_quota=16,
     )
     gateway = ServeGateway(model, decimals, config)
     jobs = [gateway.submit(tenant, x) for tenant, x in submissions]

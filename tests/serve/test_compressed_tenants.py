@@ -22,7 +22,7 @@ SEED = 53
 
 def _config(**compress):
     config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED).with_serve(
-        queue_capacity=8, workers=2, tenant_quota=4,
+        queue_capacity=8, tenant_quota=4,
     )
     return config.with_compress(**compress) if compress else config
 

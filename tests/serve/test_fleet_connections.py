@@ -33,7 +33,7 @@ def served():
 
 def _config():
     return RuntimeConfig(key_size=KEY_SIZE, seed=SEED).with_serve(
-        queue_capacity=8, workers=2, tenant_quota=4,
+        queue_capacity=8, tenant_quota=4,
     )
 
 

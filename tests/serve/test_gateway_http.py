@@ -25,7 +25,7 @@ SEED = 31
 def gateway():
     model, decimals, input_shape = build_serve_model("tiny")
     config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED).with_serve(
-        queue_capacity=8, workers=2, tenant_quota=2,
+        queue_capacity=8, tenant_quota=2,
         retry_after=2.0,
     )
     gateway = ServeGateway(model, decimals, config)
@@ -165,7 +165,7 @@ class TestTenantRejection:
     def test_full_tenant_table_403_without_retry_after(self):
         model, decimals, input_shape = build_serve_model("tiny")
         config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED) \
-            .with_serve(workers=1, max_tenants=1)
+            .with_serve(max_tenants=1)
         with ServeGateway(model, decimals, config) as gateway:
             host, port = gateway.address
             client = _Client(f"http://{host}:{port}")
@@ -185,7 +185,7 @@ class TestTenantRejection:
     def test_allowlist_miss_403(self):
         model, decimals, input_shape = build_serve_model("tiny")
         config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED) \
-            .with_serve(workers=1, tenant_allowlist=("vip",))
+            .with_serve(tenant_allowlist=("vip",))
         with ServeGateway(model, decimals, config) as gateway:
             host, port = gateway.address
             client = _Client(f"http://{host}:{port}")

@@ -165,10 +165,10 @@ def per_job(run_one):
     return runner
 
 
-def _manager(runner, queue_capacity=8, workers=2, tenant_quota=4,
+def _manager(runner, queue_capacity=8, tenant_quota=4,
              default_deadline=30.0):
     config = RuntimeConfig().with_serve(
-        queue_capacity=queue_capacity, workers=workers,
+        queue_capacity=queue_capacity,
         tenant_quota=tenant_quota, default_deadline=default_deadline,
     )
     return JobManager(per_job(runner), config)
@@ -202,10 +202,9 @@ class TestAdmissionControl:
             release.wait(10.0)
             return {}
 
-        # Capacity 1, one worker: job 0 runs, job 1 fills the queue,
+        # Capacity 1, one dispatcher: job 0 runs, job 1 fills the queue,
         # the rest shed regardless of tenant.
-        manager = _manager(runner, queue_capacity=1,
-                           workers=1, tenant_quota=10)
+        manager = _manager(runner, queue_capacity=1, tenant_quota=10)
         manager.start()
         try:
             first = manager.submit("t0", 0)
@@ -233,10 +232,9 @@ class TestAdmissionControl:
             release.wait(10.0)
             return {}
 
-        manager = _manager(runner, workers=1, queue_capacity=8,
-                           tenant_quota=8)
+        manager = _manager(runner, queue_capacity=8, tenant_quota=8)
         manager.start()
-        manager.submit("t", 0)          # occupies the worker
+        manager.submit("t", 0)          # occupies the dispatcher
         queued = manager.submit("u", 1)  # waits in the queue
         time.sleep(0.1)
         release.set()
@@ -254,11 +252,10 @@ class TestAdmissionControl:
             release.wait(10.0)
             return {}
 
-        manager = _manager(runner, workers=1, queue_capacity=8,
-                           tenant_quota=8)
+        manager = _manager(runner, queue_capacity=8, tenant_quota=8)
         manager.start()
         try:
-            manager.submit("t", 0)  # occupies the only worker
+            manager.submit("t", 0)  # occupies the dispatcher
             doomed = manager.submit("u", 1, deadline_seconds=0.05)
             time.sleep(0.2)
             release.set()
@@ -299,7 +296,7 @@ class TestManagerHistory:
         than serve_job_history terminal jobs) on a long-running
         gateway, while the accounting identity survives eviction."""
         config = RuntimeConfig().with_serve(
-            queue_capacity=8, workers=2, tenant_quota=8,
+            queue_capacity=8, tenant_quota=8,
             job_history=3,
         )
         manager = JobManager(per_job(lambda job: {"ok": True}), config)
@@ -318,9 +315,9 @@ class TestManagerHistory:
         assert set(counts) <= TERMINAL_STATES
 
 
-class TestPerTenantSerialization:
-    def test_one_dispatch_per_tenant_at_a_time(self):
-        active = {}
+class TestOneDispatchAtATime:
+    def test_no_two_dispatches_overlap_across_tenants(self):
+        active = []
         overlaps = []
         lock = threading.Lock()
 
@@ -328,17 +325,16 @@ class TestPerTenantSerialization:
             tenant = jobs[0].tenant
             assert all(job.tenant == tenant for job in jobs)
             with lock:
-                if active.get(tenant):
-                    overlaps.append(tenant)
-                active[tenant] = True
+                if active:
+                    overlaps.append((tuple(active), tenant))
+                active.append(tenant)
             time.sleep(0.02)
             with lock:
-                active[tenant] = False
+                active.remove(tenant)
             return [{}] * len(jobs)
 
         config = RuntimeConfig().with_serve(
-            queue_capacity=32, workers=4, tenant_quota=8,
-            default_deadline=30.0,
+            queue_capacity=32, tenant_quota=8, default_deadline=30.0,
         )
         manager = JobManager(runner, config)
         manager.start()
@@ -352,6 +348,46 @@ class TestPerTenantSerialization:
         finally:
             manager.shutdown()
 
+    def test_oldest_queued_job_picks_the_next_tenant(self):
+        """While ``a``'s dispatch runs, ``b`` queues one job and then
+        ``a`` queues eight: ``b``'s job is the very next dispatch, and
+        ``a``'s eight run together after it."""
+        started = threading.Event()
+        release = threading.Event()
+        dispatches = []
+
+        def runner(jobs):
+            dispatches.append([(job.tenant, job.payload)
+                               for job in jobs])
+            if jobs[0].payload == "hold":
+                started.set()
+                release.wait(10.0)
+            return [{}] * len(jobs)
+
+        config = RuntimeConfig().with_serve(
+            queue_capacity=16, tenant_quota=9, default_deadline=30.0,
+        )
+        manager = JobManager(runner, config)
+        manager.start()
+        try:
+            manager.submit("a", "hold")
+            assert started.wait(10.0)
+            queued = [manager.submit("b", 0)]
+            queued += [manager.submit("a", index) for index in range(8)]
+            time.sleep(0.05)
+            assert all(job.state == QUEUED for job in queued)
+            release.set()
+            assert _wait_all_terminal(manager.tracker)
+        finally:
+            release.set()
+            manager.shutdown()
+        assert dispatches == [
+            [("a", "hold")],
+            [("b", 0)],
+            [("a", index) for index in range(8)],
+        ]
+        assert manager.tracker.counts() == {DONE: 10}
+
 
 class TestHammer:
     """Thread storm at tiny capacity: the accounting identity must
@@ -362,8 +398,7 @@ class TestHammer:
             time.sleep(0.002)
             return {"ok": True}
 
-        manager = _manager(runner, queue_capacity=4, workers=3,
-                           tenant_quota=2)
+        manager = _manager(runner, queue_capacity=4, tenant_quota=2)
         manager.start()
         submitted_per_thread = 25
         tenants = ("a", "b", "c", "d")

@@ -33,7 +33,7 @@ class TestLocalCampaign:
         options = LoadgenOptions(
             tenants=2, requests=2, mode="local", key_size=128,
             seed=9, tenant_quota=4, queue_capacity=8,
-            serve_workers=2, out=str(out),
+            out=str(out),
         )
         return run_loadgen(options), out
 
@@ -89,7 +89,7 @@ class TestFleetCampaign:
         options = LoadgenOptions(
             tenants=2, requests=3, mode="fleet", fleet_workers=2,
             key_size=128, seed=9, tenant_quota=4, queue_capacity=8,
-            serve_workers=2, out=None,
+            out=None,
         )
         result = run_loadgen(options)
         assert result["accounting_ok"], result["errors"]
@@ -106,7 +106,7 @@ class TestOversubscribed:
         options = LoadgenOptions(
             tenants=2, requests=5, mode="local", key_size=128,
             seed=13, tenant_quota=2, queue_capacity=16,
-            serve_workers=2, out=None, submit_retries=0,
+            out=None, submit_retries=0,
         )
         result = run_loadgen(options)
         assert result["accounting_ok"], result["errors"]
@@ -122,7 +122,7 @@ class TestOversubscribed:
         options = LoadgenOptions(
             tenants=2, requests=5, mode="local", key_size=128,
             seed=13, tenant_quota=2, queue_capacity=16,
-            serve_workers=2, out=None, submit_retries=4,
+            out=None, submit_retries=4,
         )
         result = run_loadgen(options)
         assert result["accounting_ok"], result["errors"]

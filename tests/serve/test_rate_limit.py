@@ -28,7 +28,7 @@ RPS = 2
 def limited_gateway():
     model, decimals, input_shape = build_serve_model("tiny")
     config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED).with_serve(
-        queue_capacity=16, workers=2, tenant_quota=8,
+        queue_capacity=16, tenant_quota=8,
         tenant_rps=RPS,
     )
     gateway = ServeGateway(model, decimals, config)
@@ -135,7 +135,7 @@ class TestDisabledByDefault:
         model, decimals, input_shape = build_serve_model("tiny")
         config = RuntimeConfig(
             key_size=KEY_SIZE, seed=SEED,
-        ).with_serve(queue_capacity=16, workers=2, tenant_quota=8)
+        ).with_serve(queue_capacity=16, tenant_quota=8)
         assert config.serve_tenant_rps == 0
         with ServeGateway(model, decimals, config) as gateway:
             sample = np.random.default_rng(SEED).uniform(

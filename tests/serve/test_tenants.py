@@ -246,8 +246,7 @@ class TestCrossTenantIsolation:
         """Run one real job per tenant through a shared gateway, then
         attack each tenant's fresh ciphertexts with the other key."""
         model, decimals, input_shape = served
-        config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED) \
-            .with_serve(workers=2)
+        config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED)
         rng = np.random.default_rng(SEED)
         with ServeGateway(model, decimals, config) as gateway:
             jobs = {
@@ -288,8 +287,7 @@ class TestMetricPartitioning:
         equals the tenant set, and per-tenant totals match what each
         tenant actually submitted — zero cross-tenant bleed."""
         model, decimals, input_shape = served
-        config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED) \
-            .with_serve(workers=2)
+        config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED)
         obs = Observability(enabled=True, tracer=NULL_TRACER)
         rng = np.random.default_rng(SEED + 1)
         submissions = {"alice": 3, "bob": 1}

@@ -59,9 +59,7 @@ class TestLiveConvention:
 
         baseline = {id(t) for t in threading.enumerate()}
         model, decimals, input_shape = build_serve_model("tiny")
-        config = RuntimeConfig(key_size=128, seed=41).with_serve(
-            workers=2,
-        )
+        config = RuntimeConfig(key_size=128, seed=41)
         rng = np.random.default_rng(41)
         with ServeGateway(model, decimals, config) as gateway:
             host, port = gateway.address
