@@ -146,9 +146,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from .protocol import DataProvider, InferenceSession, ModelProvider
 
     prepared = prepare_model(args.model)
-    config = RuntimeConfig(
-        key_size=args.key_size
-    ).with_observability()
+    config = RuntimeConfig(key_size=args.key_size, observability=True)
     # One shared Observability: both parties, the session/pipeline,
     # and every engine report into the same registry and tracer.
     obs = Observability(enabled=True)
@@ -415,14 +413,12 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
         model, decimals, _shape = build_serve_model(args.model)
         config = RuntimeConfig(
             key_size=args.key_size, seed=args.seed,
-        ).with_serve(
-            queue_capacity=args.queue_capacity,
-            tenant_quota=args.tenant_quota,
-            default_deadline=args.deadline,
-            tenant_rps=args.tenant_rps,
+            serve_queue_capacity=args.queue_capacity,
+            serve_tenant_quota=args.tenant_quota,
+            serve_default_deadline=args.deadline,
+            serve_tenant_rps=args.tenant_rps,
+            compress_enabled=args.compress,
         )
-        if args.compress:
-            config = config.with_compress(enabled=True)
     except (ValueError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

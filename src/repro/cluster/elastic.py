@@ -155,10 +155,7 @@ class ElasticCoordinator(Coordinator):
             self.plan = Plan(cluster, old.stages, old.assignments,
                              old.use_tensor_partitioning)
             handle = WorkerHandle(server_id, role, address)
-            handle.breaker = CircuitBreaker(
-                threshold=self.config.net_breaker_threshold,
-                cooldown=self.config.net_breaker_cooldown,
-            )
+            handle.breaker = CircuitBreaker()
             self.handles.append(handle)
             connected = self._connected
         epoch = self.state.apply_join(server_id, role, address, cores)

@@ -31,6 +31,7 @@ from ..net.transport import (
     Connection,
 )
 from ..net.wire import (
+    JOIN_TIMEOUT,
     announce_envelope,
     error_envelope,
     join_from_envelope,
@@ -119,10 +120,7 @@ class MembershipListener:
     def _serve_connection(self, connection: Connection) -> None:
         try:
             try:
-                envelope = connection.recv(
-                    timeout=self._coordinator.config
-                    .cluster_join_timeout
-                )
+                envelope = connection.recv(timeout=JOIN_TIMEOUT)
                 reply = self._dispatch(envelope)
             except (ClusterError, HandshakeError) as exc:
                 reply = error_envelope(0, "membership", str(exc))

@@ -30,6 +30,10 @@ from ..errors import (
     PlannerError,
 )
 
+#: Period in seconds of the background control loop (:meth:`Rebalancer
+#: .start`).
+REBALANCE_INTERVAL = 1.0
+
 
 class Rebalancer:
     """One control loop bound to one elastic coordinator.
@@ -156,8 +160,8 @@ class Rebalancer:
     # -- background loop -----------------------------------------------
 
     def start(self) -> None:
-        """Run :meth:`step` every ``cluster_rebalance_interval``
-        seconds on a daemon thread until :meth:`stop`."""
+        """Run :meth:`step` every :data:`REBALANCE_INTERVAL` seconds on
+        a daemon thread until :meth:`stop`."""
         if self._thread is not None:
             return
         self._stop.clear()
@@ -168,8 +172,7 @@ class Rebalancer:
         self._thread.start()
 
     def _loop(self) -> None:
-        interval = self.config.cluster_rebalance_interval
-        while not self._stop.wait(interval):
+        while not self._stop.wait(REBALANCE_INTERVAL):
             self.step()
 
     def stop(self) -> None:

@@ -39,12 +39,21 @@ SCALING_ACCURACY_THRESHOLD = 0.01
 class RuntimeConfig:
     """Immutable bundle of cross-cutting runtime settings.
 
+    A field is set one way: by name, in ``RuntimeConfig(...)`` or in
+    ``dataclasses.replace(config, ...)``; both run the same validation
+    (``__post_init__``).  Timeouts and thresholds that no caller varies
+    are constants next to their one reader, not fields: the connect
+    (5 s) and handshake (60 s) timeouts in :mod:`repro.net`, the
+    circuit breaker's defaults in :mod:`repro.net.reconnect`, the
+    rebalancer's 1 s control period, the 10 s fleet-join deadline and
+    the 0.01 compression accuracy budget.  The hyper-threading switch
+    of the allocation ILP is :attr:`repro.planner.plan.ClusterSpec
+    .hyperthreading`.
+
     Attributes:
         key_size: Paillier modulus size in bits.
         seed: master RNG seed; all randomness in the package derives from
             it so experiments are reproducible.
-        hyperthreading: whether a physical core may host two threads
-            (constraint (8) of the allocation ILP multiplies capacity by 2).
         blinding_pool_size: target number of precomputed ``h_s^x mod
             n^2`` blinding factors the engine keeps ready; online
             encryption then costs one modular multiply.
@@ -69,13 +78,6 @@ class RuntimeConfig:
             observability hands every hot path shared no-op objects,
             so the instrumented code costs one empty method call per
             point (docs/OBSERVABILITY.md has the measurements).
-        net_connect_timeout: seconds the networked runtime
-            (:mod:`repro.net`) waits for a TCP connect (coordinator
-            dialing a worker, including failover redials).
-        net_handshake_timeout: seconds the coordinator waits for a
-            worker's handshake ack — larger than the connect timeout
-            because a fresh worker may train its model stage state
-            before acking.
         net_request_timeout: seconds a stage proxy waits for one
             stage-task round trip before declaring the worker dead and
             raising a transient error (the retry policy then re-runs
@@ -101,12 +103,6 @@ class RuntimeConfig:
             attempt; doubles per attempt up to
             ``net_reconnect_max_delay``.
         net_reconnect_max_delay: reconnect backoff ceiling in seconds.
-        net_breaker_threshold: consecutive connection failures on one
-            worker slot before its circuit breaker opens and reconnect
-            attempts are suspended (protection against reconnect
-            storms on a flapping worker).
-        net_breaker_cooldown: seconds an open circuit breaker waits
-            before allowing one half-open probe dial.
         chaos_seed: extra seed folded into the master seed for the
             network chaos plan (:mod:`repro.net.chaos`), so chaos
             schedules can vary independently of the crypto RNG.
@@ -126,7 +122,7 @@ class RuntimeConfig:
         chaos_slow_read_seconds: slow-read stall duration.
 
         All ``chaos_*`` rates default to 0.0: chaos is off unless a
-        knob is raised (``with_chaos``); handshake frames are always
+        knob is raised; handshake frames are always
         exempt so a chaos-enabled run can still connect.
 
         serve_queue_capacity: bounded request-queue depth of the
@@ -188,11 +184,6 @@ class RuntimeConfig:
             per layer when ``compress_enabled``.
         compress_clusters: distinct weight values per layer after
             clustering when ``compress_enabled``.
-        compress_accuracy_budget: largest accuracy drop (fraction)
-            the compressed model may cost versus the dense baseline.
-            Enforced wherever labeled evaluation data is available
-            (serving, when the gateway is handed an eval set); pruning
-            backs off its sparsity target to stay inside the budget.
         cluster_backlog_high: per-stage queue depth at which the
             :class:`~repro.cluster.rebalancer.Rebalancer` triggers an
             online re-plan (docs/ELASTIC.md).
@@ -201,25 +192,18 @@ class RuntimeConfig:
             threshold).
         cluster_rebalance_cooldown: minimum seconds between two
             applied re-plans, so a noisy gauge cannot thrash plans.
-        cluster_rebalance_interval: period of the rebalancer's
-            background control loop when started as a thread.
         cluster_min_service_samples: observations a stage's
             service-time histogram needs before its measured mean is
             trusted as a planner input.
-        cluster_join_timeout: deadline for the join/announce round
-            trip against the coordinator's membership listener.
     """
 
     key_size: int = DEFAULT_KEY_SIZE
     seed: int = 20240519
-    hyperthreading: bool = True
     blinding_pool_size: int = 128
     power_window_bits: int = 4
     bigint_backend: str = "auto"
     pack_lanes: int = 0
     observability: bool = False
-    net_connect_timeout: float = 5.0
-    net_handshake_timeout: float = 60.0
     net_request_timeout: float = 120.0
     net_heartbeat_interval: float = 0.5
     net_heartbeat_timeout: float = 5.0
@@ -227,8 +211,6 @@ class RuntimeConfig:
     net_reconnect_attempts: int = 3
     net_reconnect_base_delay: float = 0.05
     net_reconnect_max_delay: float = 2.0
-    net_breaker_threshold: int = 5
-    net_breaker_cooldown: float = 5.0
     chaos_seed: int = 0
     chaos_delay_rate: float = 0.0
     chaos_delay_seconds: float = 0.02
@@ -249,13 +231,10 @@ class RuntimeConfig:
     compress_enabled: bool = False
     compress_sparsity: float = 0.7
     compress_clusters: int = 8
-    compress_accuracy_budget: float = 0.01
     cluster_backlog_high: float = 8.0
     cluster_backlog_low: float = 2.0
     cluster_rebalance_cooldown: float = 5.0
-    cluster_rebalance_interval: float = 1.0
     cluster_min_service_samples: int = 3
-    cluster_join_timeout: float = 10.0
 
     def __post_init__(self) -> None:
         if self.key_size < 64:
@@ -280,8 +259,7 @@ class RuntimeConfig:
             raise ConfigurationError(
                 f"pack_lanes must be non-negative, got {self.pack_lanes}"
             )
-        for knob in ("net_connect_timeout", "net_handshake_timeout",
-                     "net_request_timeout", "net_heartbeat_interval",
+        for knob in ("net_request_timeout", "net_heartbeat_interval",
                      "net_heartbeat_timeout"):
             if getattr(self, knob) <= 0:
                 raise ConfigurationError(
@@ -311,16 +289,6 @@ class RuntimeConfig:
                     f"{knob} must be non-negative seconds, got "
                     f"{getattr(self, knob)}"
                 )
-        if self.net_breaker_threshold < 1:
-            raise ConfigurationError(
-                "net_breaker_threshold must be >= 1, got "
-                f"{self.net_breaker_threshold}"
-            )
-        if self.net_breaker_cooldown <= 0:
-            raise ConfigurationError(
-                "net_breaker_cooldown must be positive seconds, got "
-                f"{self.net_breaker_cooldown}"
-            )
         for knob in ("chaos_delay_rate", "chaos_drop_rate",
                      "chaos_dup_heartbeat_rate", "chaos_slow_read_rate"):
             if not 0.0 <= getattr(self, knob) <= 1.0:
@@ -395,11 +363,6 @@ class RuntimeConfig:
                 "compress_clusters must be >= 1, got "
                 f"{self.compress_clusters}"
             )
-        if self.compress_accuracy_budget < 0:
-            raise ConfigurationError(
-                "compress_accuracy_budget must be non-negative, got "
-                f"{self.compress_accuracy_budget}"
-            )
         if self.cluster_backlog_high <= 0:
             raise ConfigurationError(
                 "cluster_backlog_high must be positive, got "
@@ -421,185 +384,28 @@ class RuntimeConfig:
                 "cluster_rebalance_cooldown must be non-negative "
                 f"seconds, got {self.cluster_rebalance_cooldown}"
             )
-        if self.cluster_rebalance_interval <= 0:
-            raise ConfigurationError(
-                "cluster_rebalance_interval must be positive seconds, "
-                f"got {self.cluster_rebalance_interval}"
-            )
         if self.cluster_min_service_samples < 1:
             raise ConfigurationError(
                 "cluster_min_service_samples must be >= 1, got "
                 f"{self.cluster_min_service_samples}"
             )
-        if self.cluster_join_timeout <= 0:
-            raise ConfigurationError(
-                "cluster_join_timeout must be positive seconds, got "
-                f"{self.cluster_join_timeout}"
-            )
-
-    def with_key_size(self, key_size: int) -> "RuntimeConfig":
-        """Return a copy of this config with a different key size."""
-        return replace(self, key_size=key_size)
-
-    def with_seed(self, seed: int) -> "RuntimeConfig":
-        """Return a copy of this config with a different master seed."""
-        return replace(self, seed=seed)
 
     def with_observability(self, enabled: bool = True) -> "RuntimeConfig":
-        """Return a copy of this config with observability toggled."""
+        """Return a copy of this config with observability toggled.
+
+        Same as ``replace(config, observability=enabled)``; it stays
+        only because ``perfbench/`` calls it, and goes with the next
+        PR that edits ``perfbench/``."""
         return replace(self, observability=enabled)
 
     def with_pack_lanes(self, pack_lanes: int) -> "RuntimeConfig":
         """Return a copy of this config with a different batch-axis
-        lane count for lane-packed inference."""
+        lane count for lane-packed inference.
+
+        Same as ``replace(config, pack_lanes=pack_lanes)``; it stays
+        only because ``perfbench/`` calls it, and goes with the next
+        PR that edits ``perfbench/``."""
         return replace(self, pack_lanes=pack_lanes)
-
-    def with_bigint_backend(self, bigint_backend: str) -> "RuntimeConfig":
-        """Return a copy of this config with a different bigint
-        backend ('auto', 'python', or 'gmpy2')."""
-        return replace(self, bigint_backend=bigint_backend)
-
-    def with_net(
-        self,
-        connect_timeout: float | None = None,
-        handshake_timeout: float | None = None,
-        request_timeout: float | None = None,
-        heartbeat_interval: float | None = None,
-        heartbeat_timeout: float | None = None,
-        max_frame_bytes: int | None = None,
-    ) -> "RuntimeConfig":
-        """Return a copy with the given networked-runtime knobs
-        replaced (omitted ones keep their current values)."""
-        updates = {
-            "net_connect_timeout": connect_timeout,
-            "net_handshake_timeout": handshake_timeout,
-            "net_request_timeout": request_timeout,
-            "net_heartbeat_interval": heartbeat_interval,
-            "net_heartbeat_timeout": heartbeat_timeout,
-            "net_max_frame_bytes": max_frame_bytes,
-        }
-        return replace(self, **{key: value
-                                for key, value in updates.items()
-                                if value is not None})
-
-    def with_reconnect(
-        self,
-        attempts: int | None = None,
-        base_delay: float | None = None,
-        max_delay: float | None = None,
-        breaker_threshold: int | None = None,
-        breaker_cooldown: float | None = None,
-    ) -> "RuntimeConfig":
-        """Return a copy with the reconnect / circuit-breaker knobs
-        replaced (omitted ones keep their current values)."""
-        updates = {
-            "net_reconnect_attempts": attempts,
-            "net_reconnect_base_delay": base_delay,
-            "net_reconnect_max_delay": max_delay,
-            "net_breaker_threshold": breaker_threshold,
-            "net_breaker_cooldown": breaker_cooldown,
-        }
-        return replace(self, **{key: value
-                                for key, value in updates.items()
-                                if value is not None})
-
-    def with_chaos(
-        self,
-        seed: int | None = None,
-        delay_rate: float | None = None,
-        delay_seconds: float | None = None,
-        drop_rate: float | None = None,
-        dup_heartbeat_rate: float | None = None,
-        slow_read_rate: float | None = None,
-        slow_read_seconds: float | None = None,
-    ) -> "RuntimeConfig":
-        """Return a copy with the network-chaos knobs replaced
-        (omitted ones keep their current values)."""
-        updates = {
-            "chaos_seed": seed,
-            "chaos_delay_rate": delay_rate,
-            "chaos_delay_seconds": delay_seconds,
-            "chaos_drop_rate": drop_rate,
-            "chaos_dup_heartbeat_rate": dup_heartbeat_rate,
-            "chaos_slow_read_rate": slow_read_rate,
-            "chaos_slow_read_seconds": slow_read_seconds,
-        }
-        return replace(self, **{key: value
-                                for key, value in updates.items()
-                                if value is not None})
-
-    def with_serve(
-        self,
-        queue_capacity: int | None = None,
-        tenant_quota: int | None = None,
-        max_tenants: int | None = None,
-        default_deadline: float | None = None,
-        retry_after: float | None = None,
-        tenant_allowlist: tuple | None = None,
-        tenant_idle_seconds: float | None = None,
-        job_history: int | None = None,
-        tenant_rps: int | None = None,
-    ) -> "RuntimeConfig":
-        """Return a copy with the serving-gateway knobs replaced
-        (omitted ones keep their current values)."""
-        updates = {
-            "serve_queue_capacity": queue_capacity,
-            "serve_tenant_quota": tenant_quota,
-            "serve_max_tenants": max_tenants,
-            "serve_default_deadline": default_deadline,
-            "serve_retry_after": retry_after,
-            "serve_tenant_allowlist": tenant_allowlist,
-            "serve_tenant_idle_seconds": tenant_idle_seconds,
-            "serve_job_history": job_history,
-            "serve_tenant_rps": tenant_rps,
-        }
-        return replace(self, **{key: value
-                                for key, value in updates.items()
-                                if value is not None})
-
-    def with_compress(
-        self,
-        enabled: bool | None = None,
-        sparsity: float | None = None,
-        clusters: int | None = None,
-        accuracy_budget: float | None = None,
-        tenants: tuple | None = None,
-    ) -> "RuntimeConfig":
-        """Return a copy with the model-compression knobs replaced
-        (omitted ones keep their current values)."""
-        updates = {
-            "compress_enabled": enabled,
-            "compress_sparsity": sparsity,
-            "compress_clusters": clusters,
-            "compress_accuracy_budget": accuracy_budget,
-            "serve_compress_tenants": tenants,
-        }
-        return replace(self, **{key: value
-                                for key, value in updates.items()
-                                if value is not None})
-
-    def with_cluster(
-        self,
-        backlog_high: float | None = None,
-        backlog_low: float | None = None,
-        rebalance_cooldown: float | None = None,
-        rebalance_interval: float | None = None,
-        min_service_samples: int | None = None,
-        join_timeout: float | None = None,
-    ) -> "RuntimeConfig":
-        """Return a copy with the elastic-fleet knobs replaced
-        (omitted ones keep their current values)."""
-        updates = {
-            "cluster_backlog_high": backlog_high,
-            "cluster_backlog_low": backlog_low,
-            "cluster_rebalance_cooldown": rebalance_cooldown,
-            "cluster_rebalance_interval": rebalance_interval,
-            "cluster_min_service_samples": min_service_samples,
-            "cluster_join_timeout": join_timeout,
-        }
-        return replace(self, **{key: value
-                                for key, value in updates.items()
-                                if value is not None})
 
     @property
     def chaos_enabled(self) -> bool:

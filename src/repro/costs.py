@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .errors import ConfigurationError
+from .nn.layers import LayerKind
 
 
 @dataclass(frozen=True)
@@ -382,3 +383,54 @@ class CostModel:
             network_bandwidth=1.25e9,
             ciphertext_bytes=2 * key_size // 8,
         )
+
+
+def stage_compute_seconds(stage, cost_model: CostModel, decimals: int,
+                          fold=None,
+                          compression: CompressionStats | None = None
+                          ) -> float:
+    """Single-thread compute seconds of one merged primitive layer
+    serving one input tensor — the one formula the planner's profile
+    and the simulator's stage costs share.
+
+    A linear stage pays inverse obfuscation, homomorphic arithmetic at
+    the bit length of weights scaled by ``10^decimals``, obfuscation
+    and, with ``fold`` (a :class:`~repro.scaling.headroom.FoldGeometry`),
+    the Horner fold of its outputs.  A pruned/clustered stage
+    (``compression``) is charged only its surviving exponentiations —
+    one per (ciphertext, cluster) pair — plus one ciphertext-add-priced
+    multiply per deduplicated reuse.  A non-linear stage pays
+    decryption (one per folded ciphertext plus one unpack per value
+    with ``fold``, else one per value), plaintext non-linear work and
+    re-encryption.  These are the stage contents of the paper's
+    Figure 4; ``fold=None`` prices outputs that leave unfolded, as in
+    CipherBase.
+    """
+    counts = stage.op_counts()
+    if stage.kind is not LayerKind.LINEAR:
+        decrypt = (counts.input_size * cost_model.decrypt if fold is None
+                   else cost_model.folded_decrypt_seconds(
+                       counts.input_size, fold.lanes))
+        return (decrypt
+                + counts.plain_ops * cost_model.plain_op
+                + counts.output_size * cost_model.encrypt
+                + cost_model.stage_overhead)
+    muls = counts.ciphertext_muls
+    adds = counts.ciphertext_adds
+    if compression is not None:
+        muls = compression.exponentiations(counts.ciphertext_muls,
+                                           counts.input_size)
+        adds += compression.reuse_mults(counts.ciphertext_muls,
+                                        counts.input_size)
+    scalar_bits = cost_model.scalar_bits_for_decimals(decimals)
+    total = (
+        muls * cost_model.ciphertext_mul(scalar_bits)
+        + adds * cost_model.ciphertext_add
+        + counts.input_size * cost_model.permute_element
+        + counts.output_size * cost_model.permute_element
+        + counts.input_size * cost_model.ciphertext_mul_setup
+    )
+    if fold is not None:
+        total += cost_model.fold_seconds(counts.output_size, fold.lanes,
+                                         fold.lane_bits)
+    return total + cost_model.stage_overhead

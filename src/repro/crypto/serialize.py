@@ -10,29 +10,24 @@ deployments, tests, and byte-accounting agree:
   version, payload kind, key size, exponent, rank, dims) followed by
   fixed-width big-endian ciphertexts (``2 * key_size / 8`` bytes each).
 
-Frame versions:
-
-* **v1** (historical): scalar tensors only — magic, version, key size,
-  exponent, rank.  Still parsed for backward compatibility.
-* **v2** (current): adds a payload-kind byte after the version, and for
-  lane-packed tensors an extended header carrying the lane geometry
-  (lanes, magnitude bits, guard bits, occupied batch lanes) so a
-  :class:`~repro.crypto.tensor.PackedEncryptedTensor` can cross a wire
-  and be rebuilt — packer and all — on the other side.  Folded tensors
-  (:class:`~repro.crypto.tensor.FoldedTensor`, always flat) carry, in
-  place of the rank byte and dimension words, a 5-byte lane header:
-  lanes, magnitude bits, guard bits, and the empty lanes of the last
-  cell, from which the logical length ``N = cells * lanes - empty``
-  follows.  A rank-1 scalar frame and a folded frame therefore have
-  the same 19-byte overhead.  A folded lane-packed batch
-  (``FoldedTensor.batch`` > 1) is its own kind: the same header with
-  the empty *positions* of the last cell, plus one byte for the batch
-  and four for the cell count (24 bytes of overhead).  Its geometry
-  must be exactly the one :func:`~repro.crypto.tensor.batch_folder`
-  derives for that batch, so a corrupted lane field cannot parse into
-  a misaligned tensor, and its body must hold exactly the declared
-  cells, so a frame cut at a ciphertext boundary cannot parse into a
-  shorter tensor.
+Frames carry a payload-kind byte after the version, and lane-packed
+tensors an extended header carrying the lane geometry (lanes,
+magnitude bits, guard bits, occupied batch lanes) so a
+:class:`~repro.crypto.tensor.PackedEncryptedTensor` can cross a wire
+and be rebuilt — packer and all — on the other side.  Folded tensors
+(:class:`~repro.crypto.tensor.FoldedTensor`, always flat) carry, in
+place of the rank byte and dimension words, a 9-byte lane header:
+lanes, magnitude bits, guard bits, the empty lanes of the last cell
+and the cell count, from which the logical length
+``N = cells * lanes - empty`` follows (23 bytes of overhead, against
+19 for a rank-1 scalar frame).  A folded lane-packed batch
+(``FoldedTensor.batch`` > 1) is its own kind: the same header with the
+empty *positions* of the last cell and one more byte for the batch
+(24 bytes of overhead).  Its geometry must be exactly the one
+:func:`~repro.crypto.tensor.batch_folder` derives for that batch, so a
+corrupted lane field cannot parse into a misaligned tensor.  A folded
+body must hold exactly the declared cells, so a frame cut at a
+ciphertext boundary cannot parse into a shorter tensor.
 
 All parsers validate framing and raise :class:`EncodingError` on
 malformed input rather than producing garbage tensors.
@@ -60,11 +55,8 @@ from .tensor import (
 
 #: Frame magic for encrypted-tensor blobs.
 _MAGIC = b"PPST"
-#: Current frame version.  v1 frames (scalar only, no kind byte) are
-#: still parsed; v2 is what the writers emit.
+#: Frame version: the only one written and parsed.
 _VERSION = 2
-_V1 = 1
-_HEADER_V1 = struct.Struct(">4sBIiB")   # magic, ver, key_size, exp, rank
 _PREFIX_V2 = struct.Struct(">4sBBIi")   # magic, ver, kind, key_size,
 #                                         exponent
 _HEADER_V2 = struct.Struct(">4sBBIiB")  # the prefix, then rank
@@ -72,8 +64,9 @@ _HEADER_V2 = struct.Struct(">4sBBIiB")  # the prefix, then rank
 #: guard_bits, batch.
 _LANES_V2 = struct.Struct(">HHHH")
 #: v2 folded-frame lane header (after the prefix, instead of rank and
-#: dims): lanes, mag_bits, guard_bits, empty lanes of the last cell.
-_FOLD_V2 = struct.Struct(">BHBB")
+#: dims): lanes, mag_bits, guard_bits, empty lanes of the last cell,
+#: and the number of cells.
+_FOLD_V2 = struct.Struct(">BHBBI")
 #: v2 folded-batch header: the folded fields (the last one counting
 #: empty positions), then the batch and the number of cells.
 _FOLD_BATCH_V2 = struct.Struct(">BHBBBI")
@@ -139,8 +132,7 @@ def ciphertext_bytes(key_size: int) -> int:
 
 def tensor_frame_bytes(
     key_size: int, rank: int, size: int,
-    packed: bool = False, version: int = _VERSION,
-    folded: bool = False, batched: bool = False,
+    packed: bool = False, folded: bool = False, batched: bool = False,
 ) -> int:
     """Exact byte length of a tensor frame, computed analytically.
 
@@ -154,20 +146,11 @@ def tensor_frame_bytes(
     """
     if packed and folded:
         raise EncodingError("a frame is either packed or folded")
-    if version == _V1:
-        if packed or folded:
-            raise EncodingError(
-                "v1 frames carry scalar tensors only"
-            )
-        header = _HEADER_V1.size
-    elif version != _VERSION:
-        raise EncodingError(f"unsupported wire version {version}")
-    elif folded:
+    if folded:
         lanes = _FOLD_BATCH_V2 if batched else _FOLD_V2
         return (_PREFIX_V2.size + lanes.size
                 + size * ciphertext_bytes(key_size))
-    else:
-        header = _HEADER_V2.size + (_LANES_V2.size if packed else 0)
+    header = _HEADER_V2.size + (_LANES_V2.size if packed else 0)
     return header + 4 * rank + size * ciphertext_bytes(key_size)
 
 
@@ -197,24 +180,13 @@ def _pack_cells(cells, key_size: int) -> bytes:
     )
 
 
-def tensor_to_bytes(tensor: EncryptedTensor,
-                    version: int = _VERSION) -> bytes:
-    """Serialize a scalar encrypted tensor to the framed binary format.
-
-    Emits a v2 frame by default; ``version=1`` writes the historical
-    layout (for interop/regression tests).
-    """
+def tensor_to_bytes(tensor: EncryptedTensor) -> bytes:
+    """Serialize a scalar encrypted tensor to the framed binary
+    format."""
     key_size = tensor.public_key.key_size
     dims = _pack_dims(tensor.shape)
-    if version == _V1:
-        header = _HEADER_V1.pack(_MAGIC, _V1, key_size,
-                                 tensor.exponent, len(tensor.shape))
-    elif version == _VERSION:
-        header = _HEADER_V2.pack(_MAGIC, _VERSION, KIND_SCALAR,
-                                 key_size, tensor.exponent,
-                                 len(tensor.shape))
-    else:
-        raise EncodingError(f"unsupported wire version {version}")
+    header = _HEADER_V2.pack(_MAGIC, _VERSION, KIND_SCALAR, key_size,
+                             tensor.exponent, len(tensor.shape))
     return header + dims + _pack_cells(tensor.cells(), key_size)
 
 
@@ -239,29 +211,23 @@ def packed_tensor_to_bytes(tensor: PackedEncryptedTensor) -> bytes:
             + _pack_cells(tensor.cells(), key_size))
 
 
-def _parse_header(blob: bytes) -> tuple[int, int, int, int, int]:
-    """Common header parse -> (version, kind, key_size, exponent,
+def _parse_header(blob: bytes) -> tuple[int, int, int, int]:
+    """Common header parse -> (kind, key_size, exponent,
     offset-of-next-field).  Scalar and packed frames continue with the
     rank byte (:func:`_parse_rank`), folded frames with their lane
     header."""
     if len(blob) < _PREFIX_V2.size:
         raise EncodingError("blob shorter than the frame header")
-    magic, version = struct.unpack(">4sB", blob[:5])
+    magic, version, kind, key_size, exponent = _PREFIX_V2.unpack(
+        blob[:_PREFIX_V2.size]
+    )
     if magic != _MAGIC:
         raise EncodingError(f"bad magic {magic!r}")
-    if version == _V1:
-        _, _, key_size, exponent = struct.unpack(
-            ">4sBIi", blob[:_HEADER_V1.size - 1]
-        )
-        return _V1, KIND_SCALAR, key_size, exponent, _HEADER_V1.size - 1
-    if version == _VERSION:
-        _, _, kind, key_size, exponent = _PREFIX_V2.unpack(
-            blob[:_PREFIX_V2.size]
-        )
-        if kind not in _KINDS:
-            raise EncodingError(f"unknown v2 payload kind {kind}")
-        return version, kind, key_size, exponent, _PREFIX_V2.size
-    raise EncodingError(f"unsupported wire version {version}")
+    if version != _VERSION:
+        raise EncodingError(f"unsupported wire version {version}")
+    if kind not in _KINDS:
+        raise EncodingError(f"unknown v2 payload kind {kind}")
+    return kind, key_size, exponent, _PREFIX_V2.size
 
 
 def _parse_rank(blob: bytes, offset: int) -> tuple[int, int]:
@@ -274,7 +240,7 @@ def frame_kind(blob: bytes) -> int:
     """Peek a frame's payload kind (:data:`KIND_SCALAR` /
     :data:`KIND_PACKED` / :data:`KIND_FOLDED` /
     :data:`KIND_FOLDED_BATCH`) without parsing the body."""
-    return _parse_header(blob)[1]
+    return _parse_header(blob)[0]
 
 
 def _parse_dims(blob: bytes, offset: int,
@@ -324,7 +290,7 @@ def _check_key(key_size: int, public_key: PaillierPublicKey) -> None:
 def tensor_from_bytes(
     blob: bytes, public_key: PaillierPublicKey
 ) -> EncryptedTensor:
-    """Parse a framed blob (v1 or v2 scalar) into an encrypted tensor.
+    """Parse a scalar frame into an encrypted tensor.
 
     Raises:
         EncodingError: on bad framing, truncation, trailing bytes, or
@@ -333,7 +299,7 @@ def tensor_from_bytes(
         KeyMismatchError: when the frame's key size differs from the
             supplied public key's.
     """
-    _, kind, key_size, exponent, offset = _parse_header(blob)
+    kind, key_size, exponent, offset = _parse_header(blob)
     if kind != KIND_SCALAR:
         raise EncodingError(
             "frame carries a lane-packed or folded tensor; parse it "
@@ -356,7 +322,7 @@ def packed_tensor_from_bytes(
     geometry cannot fit the key fails here rather than producing
     garbage lanes.
     """
-    _, kind, key_size, exponent, offset = _parse_header(blob)
+    kind, key_size, exponent, offset = _parse_header(blob)
     if kind != KIND_PACKED:
         raise EncodingError(
             "frame carries a scalar or folded tensor; parse it with "
@@ -405,7 +371,7 @@ def folded_tensor_to_bytes(tensor: FoldedTensor) -> bytes:
     header = _PREFIX_V2.pack(_MAGIC, _VERSION, kind, key_size,
                              tensor.exponent)
     lanes = (_FOLD_V2.pack(packer.lanes, packer.mag_bits,
-                           packer.guard_bits, empty) if batch == 1
+                           packer.guard_bits, empty, cells) if batch == 1
              else _FOLD_BATCH_V2.pack(packer.lanes, packer.mag_bits,
                                       packer.guard_bits, empty, batch,
                                       cells))
@@ -420,12 +386,12 @@ def folded_tensor_from_bytes(
 
     Strict: the geometry must fit the key (the rebuilt packer's
     capacity check), the body must be whole ciphertexts, at least one,
-    and the last cell must hold at least one position.  A batch must
-    have two or more samples, exactly the folding geometry
-    :func:`~repro.crypto.tensor.batch_folder` gives its lane packer,
-    and exactly the cells its header declares.
+    exactly the cells the header declares, and the last cell must hold
+    at least one position.  A batch must have two or more samples and
+    exactly the folding geometry :func:`~repro.crypto.tensor
+    .batch_folder` gives its lane packer.
     """
-    _, kind, key_size, exponent, offset = _parse_header(blob)
+    kind, key_size, exponent, offset = _parse_header(blob)
     if kind not in (KIND_FOLDED, KIND_FOLDED_BATCH):
         raise EncodingError(
             "frame carries a scalar or packed tensor; parse it with "
@@ -435,10 +401,9 @@ def folded_tensor_from_bytes(
     fields = _FOLD_V2 if kind == KIND_FOLDED else _FOLD_BATCH_V2
     if offset + fields.size > len(blob):
         raise EncodingError("truncated folded lane header")
-    lanes, mag_bits, guard_bits, empty, *batch = fields.unpack(
-        blob[offset:offset + fields.size]
-    )
-    batch, declared = batch if batch else (1, None)
+    lanes, mag_bits, guard_bits, empty, *batch, declared = \
+        fields.unpack(blob[offset:offset + fields.size])
+    batch = batch[0] if batch else 1
     offset += fields.size
     packer = LanePacker(public_key, lanes=lanes, mag_bits=mag_bits,
                         guard_bits=guard_bits)
@@ -459,10 +424,10 @@ def folded_tensor_from_bytes(
             f"folded body of {len(blob) - offset} bytes is not whole "
             f"{width}-byte ciphertexts"
         )
-    if declared is not None and cells != declared:
+    if cells != declared:
         raise EncodingError(
-            f"folded-batch body holds {cells} cells, its header "
-            f"declares {declared}"
+            f"folded body holds {cells} cells, its header declares "
+            f"{declared}"
         )
     if cells < 1 or empty >= per_cell:
         raise EncodingError(

@@ -100,6 +100,11 @@ RespawnFn = Callable[[int, str], tuple[str, int]]
 _RECONNECT_SALT = 0xBAC0FF
 _RETRY_JITTER_SALT = 0x9177E4
 
+#: Seconds the coordinator waits for a worker's handshake ack — longer
+#: than the connect timeout because a fresh worker may train its model
+#: stage state before acking.
+HANDSHAKE_TIMEOUT = 60.0
+
 
 class WorkerHandle:
     """One cluster-server slot bound to a live (or dead) worker."""
@@ -400,10 +405,7 @@ class Coordinator:
             for server, address in zip(servers, workers)
         ]
         for handle in self.handles:
-            handle.breaker = CircuitBreaker(
-                threshold=self.config.net_breaker_threshold,
-                cooldown=self.config.net_breaker_cooldown,
-            )
+            handle.breaker = CircuitBreaker()
         self._lock = threading.Lock()
         self._monitors: List[threading.Thread] = []
         self._recoveries: List[threading.Thread] = []
@@ -429,7 +431,6 @@ class Coordinator:
         connection (used for both control and task connections)."""
         connection = dial(
             handle.address[0], handle.address[1],
-            connect_timeout=self.config.net_connect_timeout,
             max_frame_bytes=self.config.net_max_frame_bytes,
             obs=self.obs, peer=peer,
             factory=(self.chaos.connection_factory
@@ -438,7 +439,7 @@ class Coordinator:
         try:
             reply = connection.request(
                 Envelope(KIND_HELLO, header=self._specs[handle.role]),
-                timeout=self.config.net_handshake_timeout,
+                timeout=HANDSHAKE_TIMEOUT,
             )
         except TransportError:
             connection.close()

@@ -73,6 +73,10 @@ _KIND_TO_BYTE = {
 }
 _BYTE_TO_KIND = {byte: kind for kind, byte in _KIND_TO_BYTE.items()}
 
+#: Seconds :func:`dial` waits for a TCP connect (and, with the timeout
+#: left armed, for the handshake round trip that follows).
+CONNECT_TIMEOUT = 5.0
+
 
 @dataclass
 class Envelope:
@@ -276,7 +280,7 @@ class Connection:
 
 
 def dial(host: str, port: int,
-         connect_timeout: float = DEFAULT_CONFIG.net_connect_timeout,
+         connect_timeout: float = CONNECT_TIMEOUT,
          max_frame_bytes: int = DEFAULT_CONFIG.net_max_frame_bytes,
          obs=None, peer: str | None = None,
          factory=None) -> Connection:

@@ -453,6 +453,10 @@ def raise_remote_error(envelope: Envelope) -> None:
 # normal hello handshake); ``announce`` is the coordinator's reply for
 # both joins and leaves, carrying the new membership epoch.
 
+#: Deadline in seconds for one join/leave/announce round trip, on the
+#: worker that dials and on the listener that reads the request.
+JOIN_TIMEOUT = 10.0
+
 
 def join_envelope(host: str, port: int, role: str,
                   cores: int) -> Envelope:

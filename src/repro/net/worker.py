@@ -77,6 +77,7 @@ from .wire import (
     CLASS_PERMANENT,
     CLASS_TRANSIENT,
     CLASS_UNCLASSIFIED,
+    JOIN_TIMEOUT,
     ROLE_DATA,
     ROLE_MODEL,
     announce_from_envelope,
@@ -354,8 +355,7 @@ class WorkerServer:
             host, port,
             join_envelope(self.address[0], self.address[1], role,
                           cores),
-            timeout if timeout is not None
-            else DEFAULT_CONFIG.cluster_join_timeout,
+            timeout if timeout is not None else JOIN_TIMEOUT,
         )
 
     def leave_fleet(self, host: str, port: int, server_id: int,
@@ -365,8 +365,7 @@ class WorkerServer:
         is still in flight until the drain quiesces it)."""
         return self._membership_roundtrip(
             host, port, leave_envelope(server_id),
-            timeout if timeout is not None
-            else DEFAULT_CONFIG.cluster_join_timeout,
+            timeout if timeout is not None else JOIN_TIMEOUT,
         )
 
     # -- serving -------------------------------------------------------

@@ -22,9 +22,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..costs import CompressionStats, CostModel
+from ..costs import CompressionStats, CostModel, stage_compute_seconds
 from ..errors import PlannerError
-from ..nn.layers import LayerKind
 from .primitive import MergedPrimitive
 
 
@@ -34,15 +33,11 @@ def profile_primitive_times(
     scaling_decimals: int = 4,
     compression: Sequence[CompressionStats | None] | None = None,
 ) -> List[float]:
-    """Analytic T_i for each stage (seconds per input tensor).
-
-    Linear stages are charged inverse-obfuscation + homomorphic
-    arithmetic + obfuscation + the output fold; non-linear stages are
-    charged decryption (one per folded ciphertext, plus one unpack per
-    value) + plaintext non-linear work + re-encryption, following the
-    stage contents of the paper's Figure 4.  The fold geometry is the
-    runtime's own (:func:`repro.scaling.headroom.fold_geometry` at the
-    cost model's key size).
+    """Analytic T_i for each stage (seconds per input tensor):
+    :func:`repro.costs.stage_compute_seconds` with the output fold.
+    The fold geometry is the runtime's own
+    (:func:`repro.scaling.headroom.fold_geometry` at the cost model's
+    key size).
 
     Args:
         stages: merged primitive layers in pipeline order.
@@ -51,10 +46,7 @@ def profile_primitive_times(
             scalar-multiplication bit lengths).
         compression: optional per-stage
             :class:`~repro.costs.CompressionStats` (``None`` entries
-            for uncompressed stages).  A pruned/clustered linear stage
-            is charged only its surviving exponentiations — one per
-            (ciphertext, cluster) pair — plus one ciphertext-add-priced
-            multiply per deduplicated reuse, so stage assignment sees
+            for uncompressed stages), so stage assignment sees
             compressed layers as the cheaper stages they really are.
     """
     # Deferred: the headroom analysis imports this package's stages.
@@ -67,40 +59,13 @@ def profile_primitive_times(
             f"compression entries ({len(compression)}) != stages "
             f"({len(stages)})"
         )
-    scalar_bits = cost_model.scalar_bits_for_decimals(scaling_decimals)
     fold = fold_geometry(stages, scaling_decimals, cost_model.key_size)
-    times: List[float] = []
-    for index, stage in enumerate(stages):
-        counts = stage.op_counts()
-        stats = compression[index] if compression is not None else None
-        if stage.kind is LayerKind.LINEAR:
-            muls = counts.ciphertext_muls
-            adds = counts.ciphertext_adds
-            if stats is not None:
-                muls = stats.exponentiations(counts.ciphertext_muls,
-                                             counts.input_size)
-                adds += stats.reuse_mults(counts.ciphertext_muls,
-                                          counts.input_size)
-            total = (
-                muls * cost_model.ciphertext_mul(scalar_bits)
-                + adds * cost_model.ciphertext_add
-                + counts.input_size * cost_model.permute_element
-                + counts.output_size * cost_model.permute_element
-                + counts.input_size * cost_model.ciphertext_mul_setup
-                + cost_model.fold_seconds(counts.output_size, fold.lanes,
-                                          fold.lane_bits)
-                + cost_model.stage_overhead
-            )
-        else:
-            total = (
-                cost_model.folded_decrypt_seconds(counts.input_size,
-                                                  fold.lanes)
-                + counts.plain_ops * cost_model.plain_op
-                + counts.output_size * cost_model.encrypt
-                + cost_model.stage_overhead
-            )
-        times.append(total)
-    return times
+    return [
+        stage_compute_seconds(
+            stage, cost_model, scaling_decimals, fold,
+            compression[index] if compression is not None else None)
+        for index, stage in enumerate(stages)
+    ]
 
 
 def profile_live(

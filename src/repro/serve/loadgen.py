@@ -288,9 +288,8 @@ def run_loadgen(options: LoadgenOptions,
             )
             config = RuntimeConfig(
                 key_size=options.key_size, seed=options.seed,
-            ).with_serve(
-                queue_capacity=options.queue_capacity,
-                tenant_quota=options.tenant_quota,
+                serve_queue_capacity=options.queue_capacity,
+                serve_tenant_quota=options.tenant_quota,
             )
             addresses = None
             if options.mode == "fleet":

@@ -50,6 +50,10 @@ _TENANT_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 #: Seed salt separating loadgen/test probe RNGs from tenant streams.
 _PROBE_SALT = 0x7E57
 
+#: Largest accuracy drop (fraction) the compressed model may cost
+#: against the dense one, where labeled evaluation data exists.
+COMPRESS_ACCURACY_BUDGET = 0.01
+
 
 def compress_served_model(model, config, eval_data=None):
     """The pruned + clustered form of the served model, plus a report.
@@ -62,7 +66,7 @@ def compress_served_model(model, config, eval_data=None):
     weights (and therefore identical handshake spec digests on the
     fleet).  With ``eval_data`` (an ``(inputs, labels)`` pair) the
     pruning pass backs off to stay inside
-    ``config.compress_accuracy_budget`` and the combined dense-vs-
+    :data:`COMPRESS_ACCURACY_BUDGET` and the combined dense-vs-
     compressed accuracy drop is gated — a budget-blowing compression
     raises :class:`~repro.errors.ServeError` at startup instead of
     silently serving a degraded model.  Without eval data (e.g. the
@@ -79,7 +83,7 @@ def compress_served_model(model, config, eval_data=None):
     pruned, prune_report = prune_model(
         model, config.compress_sparsity,
         inputs=inputs, labels=labels,
-        accuracy_budget=config.compress_accuracy_budget,
+        accuracy_budget=COMPRESS_ACCURACY_BUDGET,
     )
     clustered, cluster_report = cluster_model(
         pruned, config.compress_clusters,
@@ -98,10 +102,10 @@ def compress_served_model(model, config, eval_data=None):
         drop = (prune_report.baseline_accuracy
                 - cluster_report.clustered_accuracy)
         report["accuracy_drop"] = drop
-        if drop > config.compress_accuracy_budget + 1e-12:
+        if drop > COMPRESS_ACCURACY_BUDGET + 1e-12:
             raise ServeError(
                 f"compressed model blows the accuracy budget: drop "
-                f"{drop:.4f} > {config.compress_accuracy_budget}"
+                f"{drop:.4f} > {COMPRESS_ACCURACY_BUDGET}"
             )
     return clustered, report
 

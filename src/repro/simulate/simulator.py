@@ -14,9 +14,8 @@ from typing import List, Sequence
 
 import numpy as np  # noqa: F401 - jitter sampling
 
-from ..costs import CostModel
+from ..costs import CostModel, stage_compute_seconds
 from ..errors import SimulationError
-from ..nn.layers import LayerKind
 from ..planner.plan import Plan
 from ..planner.primitive import MergedPrimitive
 from ..stream.faults import FaultKind, FaultPlan
@@ -27,12 +26,7 @@ from ..stream.retry import (
     RetryPolicy,
 )
 from .events import EventDrivenPipeline
-from .stagecosts import (
-    StageCost,
-    _linear_compute_seconds,
-    _nonlinear_compute_seconds,
-    stage_costs,
-)
+from .stagecosts import StageCost, stage_costs
 
 
 @dataclass(frozen=True)
@@ -314,13 +308,8 @@ def centralized_cipher_latency(
     ciphertexts — the total homomorphic + activation cost, no pipeline,
     no network, and no output fold (CipherBase decrypts every value,
     as :class:`repro.baselines.CipherBase` does)."""
-    total = 0.0
-    for stage in stages:
-        if stage.kind is LayerKind.LINEAR:
-            total += _linear_compute_seconds(stage, cost_model, decimals)
-        else:
-            total += _nonlinear_compute_seconds(stage, cost_model)
-    return total
+    return sum(stage_compute_seconds(stage, cost_model, decimals)
+               for stage in stages)
 
 
 def centralized_plain_latency(

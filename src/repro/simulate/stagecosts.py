@@ -28,12 +28,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List
 
-from ..costs import CostModel
+from ..costs import CostModel, stage_compute_seconds
 from ..errors import SimulationError
 from ..nn.layers import Flatten, FullyConnected, LayerKind
 from ..partitioning.receptive import partitioned_input_elements
 from ..planner.plan import Plan
-from ..scaling.headroom import FoldGeometry, fold_geometry
+from ..scaling.headroom import fold_geometry
 
 
 @dataclass(frozen=True)
@@ -52,45 +52,6 @@ class StageCost:
     @property
     def total(self) -> float:
         return self.service + self.transfer
-
-
-def _linear_compute_seconds(stage, cost_model: CostModel,
-                            decimals: int,
-                            fold: FoldGeometry | None = None) -> float:
-    """Homomorphic work of a linear stage, plus the output fold when
-    ``fold`` is given (``None``: outputs leave unfolded, as in
-    CipherBase)."""
-    counts = stage.op_counts()
-    scalar_bits = cost_model.scalar_bits_for_decimals(decimals)
-    total = (
-        counts.ciphertext_muls * cost_model.ciphertext_mul(scalar_bits)
-        + counts.ciphertext_adds * cost_model.ciphertext_add
-        + counts.input_size * cost_model.permute_element
-        + counts.output_size * cost_model.permute_element
-        + counts.input_size * cost_model.ciphertext_mul_setup
-        + cost_model.stage_overhead
-    )
-    if fold is not None:
-        total += cost_model.fold_seconds(counts.output_size, fold.lanes,
-                                         fold.lane_bits)
-    return total
-
-
-def _nonlinear_compute_seconds(stage, cost_model: CostModel,
-                               fold: FoldGeometry | None = None
-                               ) -> float:
-    """Decrypt (one CRT decryption per folded ciphertext when ``fold``
-    is given), activate, re-encrypt every value."""
-    counts = stage.op_counts()
-    decrypt = (counts.input_size * cost_model.decrypt if fold is None
-               else cost_model.folded_decrypt_seconds(counts.input_size,
-                                                      fold.lanes))
-    return (
-        decrypt
-        + counts.plain_ops * cost_model.plain_op
-        + counts.output_size * cost_model.encrypt
-        + cost_model.stage_overhead
-    )
 
 
 @lru_cache(maxsize=4096)
@@ -187,14 +148,12 @@ def stage_costs(
     for stage in plan.stages:
         threads = plan.threads_for(stage.index)
         counts = stage.op_counts()
+        compute = stage_compute_seconds(stage, cost_model, decimals,
+                                        fold) / threads
         if stage.kind is LayerKind.LINEAR:
-            compute = _linear_compute_seconds(stage, cost_model,
-                                              decimals, fold) / threads
             # The output crosses the network folded.
             wire = -(-counts.output_size // fold.lanes)
         else:
-            compute = _nonlinear_compute_seconds(stage, cost_model,
-                                                 fold) / threads
             wire = counts.output_size
         intra = intra_comm_seconds(stage, threads, partitioning,
                                    cost_model)

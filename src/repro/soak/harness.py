@@ -423,16 +423,14 @@ class _NetChaosScenario(_Scenario):
         )
         config = RuntimeConfig(
             key_size=self.options.key_size, seed=self.options.seed,
-        ).with_net(
-            heartbeat_interval=0.2, heartbeat_timeout=3.0,
-        ).with_chaos(
-            seed=self.options.seed,
-            delay_rate=0.10, delay_seconds=0.005,
-            drop_rate=0.05,
-            dup_heartbeat_rate=0.20,
-            slow_read_rate=0.10, slow_read_seconds=0.005,
-        ).with_reconnect(
-            attempts=4, base_delay=0.02, max_delay=0.2,
+            net_heartbeat_interval=0.2, net_heartbeat_timeout=3.0,
+            chaos_seed=self.options.seed,
+            chaos_delay_rate=0.10, chaos_delay_seconds=0.005,
+            chaos_drop_rate=0.05,
+            chaos_dup_heartbeat_rate=0.20,
+            chaos_slow_read_rate=0.10, chaos_slow_read_seconds=0.005,
+            net_reconnect_attempts=4, net_reconnect_base_delay=0.02,
+            net_reconnect_max_delay=0.2,
         )
 
         def providers(cfg):
@@ -558,10 +556,9 @@ class _NetKillScenario(_Scenario):
         )
         self._config = RuntimeConfig(
             key_size=self.options.key_size, seed=self.options.seed,
-        ).with_net(
-            heartbeat_interval=0.2, heartbeat_timeout=3.0,
-        ).with_reconnect(
-            attempts=2, base_delay=0.02, max_delay=0.1,
+            net_heartbeat_interval=0.2, net_heartbeat_timeout=3.0,
+            net_reconnect_attempts=2, net_reconnect_base_delay=0.02,
+            net_reconnect_max_delay=0.1,
         )
         self._model_provider = ModelProvider(
             self._model, decimals=2, config=self._config
@@ -701,12 +698,10 @@ class _ServeGatewayScenario(_Scenario):
         model, decimals, input_shape = build_serve_model("tiny")
         config = RuntimeConfig(
             key_size=self.options.key_size, seed=self.options.seed,
-        ).with_net(
-            heartbeat_interval=0.1, heartbeat_timeout=1.0,
-        ).with_reconnect(
-            attempts=6, base_delay=0.02, max_delay=0.2,
-        ).with_serve(
-            queue_capacity=16, tenant_quota=8,
+            net_heartbeat_interval=0.1, net_heartbeat_timeout=1.0,
+            net_reconnect_attempts=6, net_reconnect_base_delay=0.02,
+            net_reconnect_max_delay=0.2,
+            serve_queue_capacity=16, serve_tenant_quota=8,
         )
         self._fleet = [WorkerServer(), WorkerServer()]
         addresses = [server.start() for server in self._fleet]
@@ -845,10 +840,9 @@ class _ElasticScenario(_Scenario):
         )
         config = RuntimeConfig(
             key_size=self.options.key_size, seed=self.options.seed,
-        ).with_net(
-            heartbeat_interval=0.2, heartbeat_timeout=3.0,
-        ).with_reconnect(
-            attempts=4, base_delay=0.02, max_delay=0.2,
+            net_heartbeat_interval=0.2, net_heartbeat_timeout=3.0,
+            net_reconnect_attempts=4, net_reconnect_base_delay=0.02,
+            net_reconnect_max_delay=0.2,
         )
 
         def providers(cfg):

@@ -167,9 +167,8 @@ class Pipeline:
         model_provider / data_provider / plan: the two parties and the
             stage plan (as before).
         channel_capacity: bounded inter-stage queue depth.
-        max_retries: legacy knob — when ``retry_policy`` is omitted,
-            builds an immediate (no-backoff) policy.
-        retry_policy: backoff + classification policy for every stage.
+        retry_policy: backoff + classification policy for every stage;
+            omitted, no retries (``RetryPolicy.immediate(0)``).
         request_deadline: per-request seconds from admission before a
             request is dead-lettered instead of processed further.
         fault_plan: scripted faults for robustness testing
@@ -194,7 +193,6 @@ class Pipeline:
         data_provider: DataProvider,
         plan: Plan,
         channel_capacity: int = 8,
-        max_retries: int = 0,
         retry_policy: RetryPolicy | None = None,
         request_deadline: float | None = None,
         fault_plan: FaultPlan | None = None,
@@ -222,7 +220,7 @@ class Pipeline:
         self._channel_capacity = channel_capacity
         self._retry_policy = (
             retry_policy if retry_policy is not None
-            else RetryPolicy.immediate(max_retries)
+            else RetryPolicy.immediate(0)
         )
         self._request_deadline = request_deadline
         self._restart_budget = restart_budget

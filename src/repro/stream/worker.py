@@ -58,9 +58,8 @@ class StageWorker:
         inbound: channel the worker consumes.
         outbound: channel the worker produces into (None for a final
             consumer).
-        max_retries: legacy knob — builds an immediate (no-backoff)
-            :class:`RetryPolicy` when ``retry_policy`` is not given.
-        retry_policy: full backoff/classification policy.
+        retry_policy: full backoff/classification policy; omitted,
+            no retries (``RetryPolicy.immediate(0)``).
         deadline: per-request seconds from admission
             (``item.enqueue_time``) before the request is
             dead-lettered unprocessed.
@@ -83,7 +82,6 @@ class StageWorker:
         executor,
         inbound: Channel,
         outbound: Optional[Channel],
-        max_retries: int = 0,
         retry_policy: RetryPolicy | None = None,
         deadline: float | None = None,
         dead_letter: bool = False,
@@ -91,8 +89,6 @@ class StageWorker:
         seed: int = 0,
         obs: Observability | None = None,
     ):
-        if max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
         if deadline is not None and deadline <= 0:
             raise ValueError("deadline must be positive seconds")
         self.name = name
@@ -100,7 +96,7 @@ class StageWorker:
         self.inbound = inbound
         self.outbound = outbound
         self.retry_policy = (retry_policy if retry_policy is not None
-                             else RetryPolicy.immediate(max_retries))
+                             else RetryPolicy.immediate(0))
         self.deadline = deadline
         self.dead_letter = dead_letter
         self.stage_index = stage_index

@@ -39,13 +39,13 @@ def cluster_config():
     # arms the rebalancer.  min_service_samples=1 accepts the same
     # stream as service-time telemetry; cooldown 0 keeps tests
     # synchronous.
-    return RuntimeConfig(key_size=128, seed=78).with_net(
-        heartbeat_interval=0.2, heartbeat_timeout=3.0,
-    ).with_reconnect(
-        attempts=4, base_delay=0.02, max_delay=0.2,
-    ).with_cluster(
-        backlog_high=1.0, backlog_low=0.0, rebalance_cooldown=0.0,
-        min_service_samples=1,
+    return RuntimeConfig(
+        key_size=128, seed=78,
+        net_heartbeat_interval=0.2, net_heartbeat_timeout=3.0,
+        net_reconnect_attempts=4, net_reconnect_base_delay=0.02,
+        net_reconnect_max_delay=0.2,
+        cluster_backlog_high=1.0, cluster_backlog_low=0.0,
+        cluster_rebalance_cooldown=0.0, cluster_min_service_samples=1,
     )
 
 

@@ -8,6 +8,13 @@ global per-test ceiling, overridable per test with
 wedged channel/worker regression fails fast with a TimeoutGuard error
 instead of hanging the whole suite; on platforms without SIGALRM it is
 a no-op.
+
+Property tests run under the ``tier1`` hypothesis profile: derandomized
+(each test's examples derive from its own source, so every run draws
+the same ones) and printing a reproduction blob on failure.  The CI
+fuzz job passes ``--hypothesis-profile=fuzz --hypothesis-seed=N``
+instead: random examples from a printed seed, and ten times every
+test's example budget.
 """
 
 from __future__ import annotations
@@ -18,12 +25,22 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.config import RuntimeConfig
 from repro.crypto.paillier import generate_keypair
 from repro.datasets import load_dataset
 from repro.nn import model_zoo
 from repro.nn.training import SGDTrainer
+
+
+#: Example budget multiplier of the ``fuzz`` profile.
+FUZZ_EXAMPLES_FACTOR = 10
+
+settings.register_profile("tier1", derandomize=True, print_blob=True)
+settings.register_profile("fuzz", derandomize=False, print_blob=True)
+# Loaded at import; ``--hypothesis-profile`` replaces it afterwards.
+settings.load_profile("tier1")
 
 
 class TimeoutGuardError(Exception):
@@ -45,7 +62,28 @@ def pytest_addoption(parser):
     )
 
 
+def _scale_fuzz_examples(items) -> None:
+    """Under the ``fuzz`` profile, multiply every property test's
+    example budget — including one a test pins with its own
+    ``@settings(max_examples=...)``, which a profile cannot override."""
+    if settings.default is not settings.get_profile("fuzz"):
+        return
+    scaled = set()
+    for item in items:
+        test = getattr(item, "obj", None)
+        test = getattr(test, "__func__", test)
+        # Where @given / @settings keep a test's settings; hypothesis
+        # has no public way to change them after decoration.
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if own is None or id(test) in scaled:
+            continue    # not a property test, or a parametrized twin
+        scaled.add(id(test))
+        test._hypothesis_internal_use_settings = settings(
+            own, max_examples=own.max_examples * FUZZ_EXAMPLES_FACTOR)
+
+
 def pytest_collection_modifyitems(config, items):
+    _scale_fuzz_examples(items)
     if not config.getoption("--tier1"):
         return
     selected, deselected = [], []

@@ -7,6 +7,8 @@ gmpy2 leg runs wherever gmpy2 is importable and is skipped (not
 failed) elsewhere, so one test file serves both CI matrix legs.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.config import RuntimeConfig
@@ -122,7 +124,8 @@ class TestConfigKnob:
         assert RuntimeConfig().bigint_backend == "auto"
 
     def test_with_bigint_backend(self):
-        config = RuntimeConfig().with_bigint_backend("python")
+        config = dataclasses.replace(RuntimeConfig(),
+                                     bigint_backend="python")
         assert config.bigint_backend == "python"
 
     def test_bad_backend_name_rejected(self):

@@ -1,5 +1,7 @@
 """Unit tests for key and tensor wire formats."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -63,16 +65,14 @@ class TestTensorSerialization:
         assert len(blob) == tensor_frame_bytes(pub.key_size, rank=1,
                                                size=5)
 
-    def test_v1_frame_still_parses(self, keypair, rng):
-        pub, priv = keypair
-        values = np.array([7, -8, 9])
-        tensor = EncryptedTensor.encrypt(values, pub, rng)
-        blob = tensor_to_bytes(tensor, version=1)
-        assert blob[4] == 1
-        assert len(blob) == tensor_frame_bytes(pub.key_size, rank=1,
-                                               size=3, version=1)
-        restored = tensor_from_bytes(blob, pub)
-        assert np.array_equal(restored.decrypt(priv), values)
+    def test_v1_frame_is_refused(self, keypair, rng):
+        """Version 1 (no payload-kind byte) is no longer a frame."""
+        pub, _ = keypair
+        tensor = EncryptedTensor.encrypt(np.array([7, -8, 9]), pub, rng)
+        blob = (struct.pack(">4sBIiBI", b"PPST", 1, pub.key_size, 0, 1, 3)
+                + tensor_to_bytes(tensor)[19:])
+        with pytest.raises(EncodingError, match="version 1"):
+            tensor_from_bytes(blob, pub)
 
     def test_negative_exponent_not_produced_but_header_signed(
             self, keypair, rng):

@@ -32,8 +32,10 @@ from repro.crypto.tensor import (
 from repro.errors import EncodingError, KeyMismatchError
 
 #: The folded lane header follows the 14-byte v2 prefix: lanes (B),
-#: mag_bits (H), guard_bits (B), empty lanes of the last cell (B).
+#: mag_bits (H), guard_bits (B), empty lanes of the last cell (B),
+#: cells (I).
 LANE_HEADER = 14
+LANE_HEADER_BYTES = 9
 
 
 @pytest.fixture()
@@ -76,10 +78,10 @@ class TestFoldedRoundTrip:
         blob = folded_tensor_to_bytes(tensor)
         assert len(blob) == frame_bytes(tensor) == tensor_frame_bytes(
             pub.key_size, rank=1, size=3, folded=True)
-        # The lane header replaces rank + dims: same overhead as a
-        # rank-1 scalar frame.
+        # The lane header replaces rank + dims: a rank-1 scalar
+        # frame's overhead plus the 4-byte cell count.
         assert len(blob) == tensor_frame_bytes(pub.key_size, rank=1,
-                                               size=3)
+                                               size=3) + 4
 
     def test_frame_bytes_covers_every_kind(self, keypair, rng, folded):
         pub, _ = keypair
@@ -106,9 +108,6 @@ class TestFoldedRoundTrip:
         with pytest.raises(EncodingError):
             tensor_frame_bytes(pub.key_size, rank=1, size=1,
                                packed=True, folded=True)
-        with pytest.raises(EncodingError):
-            tensor_frame_bytes(pub.key_size, rank=1, size=1,
-                               folded=True, version=1)
 
 
 class TestMalformedFoldedFrames:
@@ -124,7 +123,8 @@ class TestMalformedFoldedFrames:
         pub, _ = keypair
         blob = folded_tensor_to_bytes(folded[0])
         with pytest.raises(EncodingError):
-            folded_tensor_from_bytes(blob[:LANE_HEADER + 5], pub)
+            folded_tensor_from_bytes(
+                blob[:LANE_HEADER + LANE_HEADER_BYTES], pub)
 
     @pytest.mark.parametrize("field,fmt,value", [
         ("lanes", ">B", 200),      # 200 x 21-bit lanes > 127 bits
@@ -145,7 +145,7 @@ class TestMalformedFoldedFrames:
     def test_truncated_lane_header(self, keypair, folded):
         pub, _ = keypair
         blob = folded_tensor_to_bytes(folded[0])
-        for cut in range(LANE_HEADER, LANE_HEADER + 5):
+        for cut in range(LANE_HEADER, LANE_HEADER + LANE_HEADER_BYTES):
             with pytest.raises(EncodingError):
                 any_tensor_from_bytes(blob[:cut], pub)
 
@@ -153,7 +153,9 @@ class TestMalformedFoldedFrames:
         pub, _ = keypair
         blob = folded_tensor_to_bytes(folded[0])
         width = ciphertext_bytes(pub.key_size)
-        for bad in (blob[:-1], blob + b"\x00", blob[:-width // 2]):
+        # blob[:-width] is whole ciphertexts, one fewer than declared.
+        for bad in (blob[:-1], blob + b"\x00", blob[:-width // 2],
+                    blob[:-width]):
             with pytest.raises(EncodingError):
                 folded_tensor_from_bytes(bad, pub)
 

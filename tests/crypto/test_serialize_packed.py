@@ -95,12 +95,6 @@ class TestPackedRoundTrip:
         with pytest.raises(EncodingError):
             packed_tensor_from_bytes(blob, pub)
 
-    def test_v1_frames_cannot_be_packed(self, keypair):
-        pub, _ = keypair
-        with pytest.raises(EncodingError):
-            tensor_frame_bytes(pub.key_size, rank=1, size=2,
-                               packed=True, version=1)
-
 
 class TestMalformedPackedFrames:
     def test_key_mismatch(self, keypair, packed_tensor):

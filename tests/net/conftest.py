@@ -50,8 +50,9 @@ def net_config():
     # monitor thread for over a second, and the executor path already
     # detects closed connections instantly — heartbeats only need to
     # catch silent stalls.
-    return RuntimeConfig(key_size=128, seed=78).with_net(
-        heartbeat_interval=0.2, heartbeat_timeout=3.0,
+    return RuntimeConfig(
+        key_size=128, seed=78,
+        net_heartbeat_interval=0.2, net_heartbeat_timeout=3.0,
     )
 
 

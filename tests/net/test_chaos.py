@@ -2,6 +2,8 @@
 criterion that transient connection drops heal via reconnect-with-
 backoff *without* consuming the worker restart budget."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,9 @@ class TestChaosPlan:
         assert ChaosPlan.from_config(RuntimeConfig(key_size=128)) is None
 
     def test_from_config_carries_knobs(self):
-        config = RuntimeConfig(key_size=128, seed=9).with_chaos(
-            drop_rate=0.25, delay_rate=0.5, delay_seconds=0.001
+        config = RuntimeConfig(
+            key_size=128, seed=9, chaos_drop_rate=0.25,
+            chaos_delay_rate=0.5, chaos_delay_seconds=0.001,
         )
         plan = ChaosPlan.from_config(config)
         assert plan is not None and plan
@@ -41,7 +44,7 @@ class TestChaosPlan:
     def test_config_chaos_enabled_property(self):
         config = RuntimeConfig(key_size=128)
         assert not config.chaos_enabled
-        assert config.with_chaos(drop_rate=0.1).chaos_enabled
+        assert replace(config, chaos_drop_rate=0.1).chaos_enabled
 
 
 class TestChaosScriptDeterminism:
@@ -90,13 +93,13 @@ class TestChaosHealsViaReconnect:
         via reconnect-with-backoff — bit-identical results, zero dead
         letters, zero restart-budget consumed, and at least one actual
         reconnect observed."""
-        config = RuntimeConfig(key_size=128, seed=78).with_net(
-            heartbeat_interval=0.2, heartbeat_timeout=3.0,
-        ).with_chaos(
-            seed=7, drop_rate=0.08, delay_rate=0.1,
-            delay_seconds=0.002,
-        ).with_reconnect(
-            attempts=4, base_delay=0.02, max_delay=0.2,
+        config = RuntimeConfig(
+            key_size=128, seed=78,
+            net_heartbeat_interval=0.2, net_heartbeat_timeout=3.0,
+            chaos_seed=7, chaos_drop_rate=0.08, chaos_delay_rate=0.1,
+            chaos_delay_seconds=0.002,
+            net_reconnect_attempts=4, net_reconnect_base_delay=0.02,
+            net_reconnect_max_delay=0.2,
         )
         providers = make_providers(config)
         plan = make_plan(ClusterSpec.homogeneous(2, 1, 2))

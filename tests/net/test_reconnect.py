@@ -83,9 +83,12 @@ class TestReconnectRecovery:
         """A failure report against a still-listening worker heals by
         re-dialing the same address: generation bumps, alive returns,
         restarts stays zero and the reconnect is counted."""
-        config = RuntimeConfig(key_size=128, seed=78).with_net(
-            heartbeat_interval=0.2, heartbeat_timeout=3.0,
-        ).with_reconnect(attempts=4, base_delay=0.02, max_delay=0.2)
+        config = RuntimeConfig(
+            key_size=128, seed=78,
+            net_heartbeat_interval=0.2, net_heartbeat_timeout=3.0,
+            net_reconnect_attempts=4, net_reconnect_base_delay=0.02,
+            net_reconnect_max_delay=0.2,
+        )
         plan = make_plan(ClusterSpec.homogeneous(1, 1, 2))
         _, addresses = worker_farm(WorkerServer(), WorkerServer())
         model_provider, data_provider = make_providers(config)
@@ -107,9 +110,12 @@ class TestReconnectRecovery:
             self, make_providers, make_plan, worker_farm):
         """With the original address truly dead, reconnect attempts
         exhaust and the respawn hook runs — once, within budget."""
-        config = RuntimeConfig(key_size=128, seed=78).with_net(
-            heartbeat_interval=0.2, heartbeat_timeout=3.0,
-        ).with_reconnect(attempts=2, base_delay=0.02, max_delay=0.1)
+        config = RuntimeConfig(
+            key_size=128, seed=78,
+            net_heartbeat_interval=0.2, net_heartbeat_timeout=3.0,
+            net_reconnect_attempts=2, net_reconnect_base_delay=0.02,
+            net_reconnect_max_delay=0.1,
+        )
         plan = make_plan(ClusterSpec.homogeneous(1, 1, 2))
         victim, data_worker = WorkerServer(), WorkerServer()
         _, addresses = worker_farm(victim, data_worker)
@@ -210,9 +216,11 @@ class TestHeartbeatIndependence:
         past the heartbeat timeout, worker 1's probes must keep
         landing on schedule (detection latency independent of fleet
         size)."""
-        config = RuntimeConfig(key_size=128, seed=78).with_net(
-            heartbeat_interval=0.1, heartbeat_timeout=0.6,
-        ).with_reconnect(attempts=0)
+        config = RuntimeConfig(
+            key_size=128, seed=78,
+            net_heartbeat_interval=0.1, net_heartbeat_timeout=0.6,
+            net_reconnect_attempts=0,
+        )
         plan = make_plan(ClusterSpec.homogeneous(1, 1, 2))
         stalled = StallingWorker(stall=30.0)
         healthy = WorkerServer()

@@ -6,6 +6,8 @@ thread pipeline, because both run the identical deterministic
 plaintext arithmetic — only the transport differs.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -219,7 +221,7 @@ class TestHandshake:
         plan = make_plan(ClusterSpec.homogeneous(1, 1, 2))
         specs = []
         for seed in (78, 79):
-            config = net_config.with_seed(seed)
+            config = replace(net_config, seed=seed)
             model_provider = ModelProvider(net_model, decimals=2,
                                            config=config)
             data_provider = DataProvider(value_decimals=2,

@@ -22,15 +22,15 @@ from repro.net.wire import ROLE_MODEL, config_from_wire, config_to_wire
 from repro.planner.plan import ClusterSpec
 
 CUSTOM = RuntimeConfig(
-    key_size=512, seed=11, hyperthreading=False, blinding_pool_size=7,
+    key_size=512, seed=11, blinding_pool_size=7,
     bigint_backend="python", pack_lanes=4, observability=True,
-).with_net(request_timeout=9.5, max_frame_bytes=4096).with_chaos(
-    seed=3, drop_rate=0.25,
-).with_serve(
-    tenant_allowlist=("a", "b"), tenant_rps=5,
-).with_compress(
-    enabled=True, sparsity=0.5, clusters=4, tenants=("a",),
-).with_cluster(backlog_high=6.0, backlog_low=1.0)
+    net_request_timeout=9.5, net_max_frame_bytes=4096,
+    chaos_seed=3, chaos_drop_rate=0.25,
+    serve_tenant_allowlist=("a", "b"), serve_tenant_rps=5,
+    compress_enabled=True, compress_sparsity=0.5, compress_clusters=4,
+    serve_compress_tenants=("a",),
+    cluster_backlog_high=6.0, cluster_backlog_low=1.0,
+)
 
 
 class TestRoundTrip:
@@ -46,6 +46,9 @@ class TestMalformedRecords:
     @pytest.mark.parametrize("field, value", [
         ("workers", 2),
         ("no_such_knob", 0),
+        # Fields an older coordinator's hello may still carry.
+        ("hyperthreading", False),
+        ("net_connect_timeout", 5.0),
     ])
     def test_unknown_field_is_a_transport_error(self, field, value):
         record = config_to_wire(RuntimeConfig())

@@ -2,13 +2,19 @@
 
 import pytest
 
+from repro.config import RuntimeConfig
 from repro.costs import CostModel
 from repro.errors import PlannerError
 from repro.nn.layers import FullyConnected, ReLU, SoftMax
 from repro.nn.model import Sequential
+from repro.planner.allocation import allocate_even, allocate_load_balanced
+from repro.planner.plan import ClusterSpec
 from repro.planner.primitive import model_stages
 from repro.planner.profiling import profile_live, profile_primitive_times
+from repro.protocol import ModelProvider
 from repro.scaling.headroom import fold_geometry
+from repro.serve.gateway import build_serve_model
+from repro.simulate.stagecosts import stage_costs
 
 
 def stages_fixture(hidden=16):
@@ -153,3 +159,41 @@ class TestCompressionAwareProfile:
             profile_primitive_times(
                 stages_fixture(), CostModel.reference(), 4,
                 compression=[CompressionStats()])
+
+
+#: ``profile_primitive_times`` of the served tiny model (the
+#: ``conv_stream_tcp`` benchmark workload: reference costs, its scaling
+#: decimals and compression stats), as exact float hex.
+TINY_TIMES = (
+    "0x1.e3cf8d9c60488p-6", "0x1.4a3d81d1e2f26p-1",
+    "0x1.93e956704f1d8p-8", "0x1.4cccddfad8b4fp-3",
+    "0x1.aa029d6931f2dp-7", "0x1.5c2906f09b445p-5",
+    "0x1.798b873238e25p-10", "0x1.1eb878931fe91p-6",
+)
+
+
+class TestPinnedProfile:
+    def test_tiny_profile_and_plan_are_bit_identical(self):
+        """A change to the stage cost formula that moves the planner's
+        profile or the plan built on it, by as little as one bit, shows
+        here."""
+        model, decimals, _shape = build_serve_model("tiny")
+        provider = ModelProvider(model, decimals=decimals,
+                                 config=RuntimeConfig(key_size=128))
+        times = profile_primitive_times(
+            provider.stages, CostModel.reference(), decimals,
+            compression=provider.compression_stats())
+        assert tuple(t.hex() for t in times) == TINY_TIMES
+        plan = allocate_load_balanced(
+            provider.stages, times, ClusterSpec.homogeneous(1, 1, 2)).plan
+        assert [(a.stage_index, a.server_id, a.threads)
+                for a in plan.assignments] == [
+            (index, index % 2, 1) for index in range(8)]
+
+    def test_planner_and_simulator_price_a_stage_alike(self):
+        stages = stages_fixture()
+        cost_model = CostModel.reference()
+        plan = allocate_even(stages, ClusterSpec.homogeneous(1, 1, 1)).plan
+        assert all(plan.threads_for(s.index) == 1 for s in stages)
+        assert [cost.compute for cost in stage_costs(plan, cost_model, 4)] \
+            == profile_primitive_times(stages, cost_model, 4)

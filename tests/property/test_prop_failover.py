@@ -30,8 +30,9 @@ def _state():
         model = model_zoo.conv_fc((1, 8, 8), 3, conv_channels=(2,),
                                   fc_hidden=8, seed=3,
                                   name="prop-conv")
-        config = RuntimeConfig(key_size=128, seed=78).with_net(
-            heartbeat_interval=0.2, heartbeat_timeout=3.0,
+        config = RuntimeConfig(
+            key_size=128, seed=78,
+            net_heartbeat_interval=0.2, net_heartbeat_timeout=3.0,
         )
         rng = np.random.default_rng(5)
         inputs = [rng.uniform(0, 1, (1, 8, 8)) for _ in range(5)]

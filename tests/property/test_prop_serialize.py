@@ -8,10 +8,10 @@ that fails to decrypt.
 Frames carry no checksum (their bytes are pinned: see
 :class:`TestFoldedFramePinned`), so a flipped ciphertext bit is another
 well-formed ciphertext.  What the parsers guarantee is structural: a
-truncated frame always fails, a parsed frame re-serializes to exactly
-its own bytes, and the folded-batch frame refuses any lane count,
-empty-position count or batch that is not the folding geometry of its
-batch.
+truncated frame always fails (folded frames declare their cell count),
+a parsed frame re-serializes to exactly its own bytes, and the
+folded-batch frame refuses any lane count, empty-position count or
+batch that is not the folding geometry of its batch.
 """
 
 import hashlib
@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.encoding import LanePacker
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.serialize import (
+    KIND_FOLDED,
     KIND_FOLDED_BATCH,
     KIND_PACKED,
     any_tensor_from_bytes,
@@ -133,6 +134,22 @@ def folded_batch(batch, mag_bits, guard_bits, positions, seed):
     return FoldedTensor.fold(tensor, batch_folder(tensor.packer)), values
 
 
+def folded_scalar(lanes, mag_bits, guard_bits, positions, seed):
+    """``positions`` values per batch lane, folded ``lanes`` to a
+    ciphertext as one flat ``KIND_FOLDED`` tensor."""
+    packer = LanePacker(PUBLIC, lanes=lanes, mag_bits=mag_bits,
+                        guard_bits=guard_bits)
+    values = np.random.default_rng(seed).integers(
+        -(1 << mag_bits) + 1, 1 << mag_bits, lanes * positions)
+    tensor = EncryptedTensor.encrypt(values, PUBLIC, random.Random(seed),
+                                     exponent=seed % 5)
+    return FoldedTensor.fold(tensor, packer), values
+
+
+BUILDERS = {"packed": packed_tensor, "folded": folded_scalar,
+            "folded-batch": folded_batch}
+
+
 def reparse(blob):
     """Parse ``blob``; a frame that parses must re-serialize to exactly
     its own bytes and decrypt (or refuse to) in a controlled way."""
@@ -146,7 +163,7 @@ def reparse(blob):
     return tensor
 
 
-frames = st.sampled_from(["packed", "folded-batch"])
+frames = st.sampled_from(sorted(BUILDERS))
 
 
 class TestFoldedBatchFrame:
@@ -197,8 +214,7 @@ class TestMutatedFrames:
            seed=st.integers(min_value=0, max_value=2 ** 20))
     def test_truncation_always_fails(self, kind, geometry, truncate_to,
                                      seed):
-        tensor, _values = (packed_tensor if kind == "packed"
-                           else folded_batch)(*geometry, 5, seed)
+        tensor, _values = BUILDERS[kind](*geometry, 5, seed)
         blob = any_tensor_to_bytes(tensor)
         cut = blob[:truncate_to % len(blob)]
         with pytest.raises(CONTROLLED):
@@ -211,8 +227,7 @@ class TestMutatedFrames:
            seed=st.integers(min_value=0, max_value=2 ** 20))
     def test_single_bitflip_is_controlled(self, kind, geometry,
                                           flip_position, flip_bit, seed):
-        tensor, _values = (packed_tensor if kind == "packed"
-                           else folded_batch)(*geometry, 5, seed)
+        tensor, _values = BUILDERS[kind](*geometry, 5, seed)
         blob = bytearray(any_tensor_to_bytes(tensor))
         blob[flip_position % len(blob)] ^= 1 << flip_bit
         try:
@@ -222,19 +237,21 @@ class TestMutatedFrames:
         assert type(restored) is type(tensor)
 
     def test_trailing_bytes_fail(self):
-        for build in (packed_tensor, folded_batch):
+        for build in BUILDERS.values():
             tensor, _values = build(2, 16, 4, 5, 3)
             blob = any_tensor_to_bytes(tensor)
-            assert frame_kind(blob) in (KIND_PACKED, KIND_FOLDED_BATCH)
+            assert frame_kind(blob) in (KIND_PACKED, KIND_FOLDED,
+                                        KIND_FOLDED_BATCH)
             with pytest.raises(CONTROLLED):
                 any_tensor_from_bytes(blob + b"\x00", PUBLIC)
 
 
 class TestFoldedFramePinned:
     def test_scalar_folded_frame_bytes(self):
-        """A one-request ``KIND_FOLDED`` frame is byte-for-byte what
-        it was before folded batches had a frame of their own: the
-        19-byte header and the whole frame's digest are pinned."""
+        """A one-request ``KIND_FOLDED`` frame is pinned: its 23-byte
+        header and the whole frame's digest.  Without its 4-byte cell
+        count (after the empty-lane byte) it is the 115-byte frame of
+        the layout that had none, digest for digest."""
         tensor = EncryptedTensor.encrypt(
             np.array([5, -7, 300, 0, 12, -40000, 9, 1, -1, 2]), PUBLIC,
             random.Random(3), exponent=2)
@@ -242,8 +259,10 @@ class TestFoldedFramePinned:
             tensor, LanePacker(PUBLIC, lanes=4, mag_bits=16,
                                guard_bits=4))
         blob = any_tensor_to_bytes(folded)
-        assert len(blob) == 115 == frame_bytes(folded)
-        assert blob[:19].hex() == \
-            "50505354020200000080000000020400100402"
+        assert len(blob) == 119 == frame_bytes(folded)
+        assert blob[:23].hex() == \
+            "5050535402020000008000000002040010040200000003"
         assert hashlib.sha256(blob).hexdigest() == (
+            "64eee87bae1c4a4b6375ab80c543870512c6b8bfe8b4826c452c6b95abebb7b2")
+        assert hashlib.sha256(blob[:19] + blob[23:]).hexdigest() == (
             "04f7b13d2d2e3d286037c31e63363bebf814f4e61ccc76731797b8163de15ed2")

@@ -71,8 +71,8 @@ def test_fsm_only_takes_legal_edges(attack):
 def test_admission_accounting_identity(submissions, capacity, quota):
     """With no worker fleet running, admission is a pure function of
     queue depth and quota — audit the identity over any pattern."""
-    config = RuntimeConfig().with_serve(
-        queue_capacity=capacity, tenant_quota=quota,
+    config = RuntimeConfig(
+        serve_queue_capacity=capacity, serve_tenant_quota=quota,
     )
     manager = JobManager(lambda jobs: [{}] * len(jobs), config)
     # Deliberately NOT started: nothing drains the queue, so the

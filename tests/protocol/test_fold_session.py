@@ -120,9 +120,10 @@ class TestSessionBitIdentity:
                                                         False)
         assert isinstance(folded, FoldedTensor)
         assert len(any_tensor_to_bytes(folded)) == frame_bytes(folded)
-        # Same 19-byte overhead as a rank-1 scalar frame.
+        # A rank-1 scalar frame's 19-byte overhead plus the 4-byte
+        # cell count.
         assert frame_bytes(folded) - 10 * ciphertext_bytes(KEY_SIZE) \
-            == frame_bytes(tensor) - 30 * ciphertext_bytes(KEY_SIZE)
+            == frame_bytes(tensor) - 30 * ciphertext_bytes(KEY_SIZE) + 4
 
 
 class TestThreadedStream:
@@ -172,8 +173,9 @@ class TestNonLinearExecutorOnFoldedInput:
 class TestTcp:
     def test_tcp_matches_unfolded_session(self, tiny_conv_model,
                                           unfolded):
-        config = RuntimeConfig(key_size=128, seed=78).with_net(
-            heartbeat_interval=0.2, heartbeat_timeout=3.0)
+        config = RuntimeConfig(
+            key_size=128, seed=78,
+            net_heartbeat_interval=0.2, net_heartbeat_timeout=3.0)
         model_provider = ModelProvider(tiny_conv_model, decimals=2,
                                        config=config)
         data_provider = DataProvider(value_decimals=2, config=config)

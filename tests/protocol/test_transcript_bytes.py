@@ -11,9 +11,14 @@ from repro.protocol import DataProvider, InferenceSession, ModelProvider
 KEY_SIZE = 128
 
 # A rank-1 scalar v2 frame over the analytic estimate: 15-byte header
-# + one 4-byte dim word.  Packed frames add the 8-byte lane extension.
+# + one 4-byte dim word.  Packed frames add the 8-byte lane extension;
+# folded frames carry a 9-byte lane header in place of rank and dims.
 SCALAR_RANK1_OVERHEAD = (
     tensor_frame_bytes(KEY_SIZE, rank=1, size=1)
+    - ciphertext_bytes(KEY_SIZE)
+)
+FOLDED_OVERHEAD = (
+    tensor_frame_bytes(KEY_SIZE, rank=1, size=1, folded=True)
     - ciphertext_bytes(KEY_SIZE)
 )
 
@@ -51,15 +56,18 @@ class TestActualBytes:
     def test_agreement_is_exactly_the_frame_overhead(
             self, trained_breast, breast_dataset):
         """The analytic estimate is ``elements * ciphertext_bytes``;
-        the actual size adds exactly one frame header per message (all
-        breast-model tensors are rank-1 scalar frames)."""
+        the actual size adds exactly one frame header per message: the
+        data provider sends rank-1 scalar frames, the model provider
+        folded linear outputs."""
         session = make_session(trained_breast)
         transcript = session.run(breast_dataset.test_x[0]).transcript
         cipher = ciphertext_bytes(KEY_SIZE)
+        overhead = {"data": SCALAR_RANK1_OVERHEAD,
+                    "model": FOLDED_OVERHEAD}
         for message in transcript.messages:
             assert message.bytes_estimate == message.elements * cipher
             assert (message.bytes_actual - message.bytes_estimate
-                    == SCALAR_RANK1_OVERHEAD)
+                    == overhead[message.sender])
 
     def test_packed_messages_carry_the_lane_extension(
             self, trained_breast, breast_dataset):

@@ -62,9 +62,8 @@ def _queued_gateway(served, key_size, submissions):
     before its fleet starts, so each tenant's jobs form one dispatch;
     returns the gateway (started) and the jobs."""
     model, decimals, _shape = served
-    config = RuntimeConfig(key_size=key_size, seed=SEED).with_serve(
-        queue_capacity=32, tenant_quota=16,
-    )
+    config = RuntimeConfig(key_size=key_size, seed=SEED,
+                           serve_queue_capacity=32, serve_tenant_quota=16)
     gateway = ServeGateway(model, decimals, config)
     jobs = [gateway.submit(tenant, x) for tenant, x in submissions]
     gateway.start()

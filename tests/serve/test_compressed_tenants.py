@@ -21,10 +21,9 @@ SEED = 53
 
 
 def _config(**compress):
-    config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED).with_serve(
-        queue_capacity=8, tenant_quota=4,
-    )
-    return config.with_compress(**compress) if compress else config
+    return RuntimeConfig(key_size=KEY_SIZE, seed=SEED,
+                         serve_queue_capacity=8, serve_tenant_quota=4,
+                         **compress)
 
 
 def _run_one(gateway, tenant, input_shape):
@@ -42,7 +41,7 @@ def _run_one(gateway, tenant, input_shape):
 class TestCompressServedModel:
     def test_deterministic_under_the_master_seed(self):
         model, _, _ = build_serve_model("tiny")
-        config = _config(enabled=True)
+        config = _config(compress_enabled=True)
         first, report_a = compress_served_model(model, config)
         second, report_b = compress_served_model(model, config)
         assert report_a == report_b
@@ -53,9 +52,10 @@ class TestCompressServedModel:
 
     def test_report_shape(self):
         model, _, _ = build_serve_model("tiny")
-        _, report = compress_served_model(model, _config(enabled=True))
+        config = _config(compress_enabled=True)
+        _, report = compress_served_model(model, config)
         assert report["target_sparsity"] == \
-            pytest.approx(_config(enabled=True).compress_sparsity)
+            pytest.approx(config.compress_sparsity)
         assert report["applied_sparsity"] > 0
         assert report["clusters"] >= 1
         # Untrained tiny model has no evaluation data: accuracies are
@@ -67,7 +67,8 @@ class TestCompressServedModel:
 class TestCompressedLocalServing:
     def test_all_tenants_get_the_compressed_model(self):
         model, decimals, input_shape = build_serve_model("tiny")
-        config = _config(enabled=True, sparsity=0.6, clusters=4)
+        config = _config(compress_enabled=True, compress_sparsity=0.6,
+                         compress_clusters=4)
         with ServeGateway(model, decimals, config) as gateway:
             assert gateway.registry.compression is not None
             assert gateway.registry.compression["applied_sparsity"] \
@@ -80,7 +81,8 @@ class TestCompressedLocalServing:
 
     def test_allowlist_narrows_the_opt_in(self):
         model, decimals, input_shape = build_serve_model("tiny")
-        config = _config(enabled=True, tenants=("vip",))
+        config = _config(compress_enabled=True,
+                         serve_compress_tenants=("vip",))
         with ServeGateway(model, decimals, config) as gateway:
             _run_one(gateway, "vip", input_shape)
             _run_one(gateway, "walkin", input_shape)
@@ -103,7 +105,8 @@ class TestCompressedFleetServing:
         fleet workers rebuild them and the job completes with the
         same result the local-mode compressed gateway computes."""
         model, decimals, input_shape = build_serve_model("tiny")
-        config = _config(enabled=True, sparsity=0.6, clusters=4)
+        config = _config(compress_enabled=True, compress_sparsity=0.6,
+                         compress_clusters=4)
         with ServeGateway(model, decimals, config) as local:
             expected = _run_one(local, "t", input_shape)
         fleet = [WorkerServer(), WorkerServer()]

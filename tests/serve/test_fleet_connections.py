@@ -32,9 +32,8 @@ def served():
 
 
 def _config():
-    return RuntimeConfig(key_size=KEY_SIZE, seed=SEED).with_serve(
-        queue_capacity=8, tenant_quota=4,
-    )
+    return RuntimeConfig(key_size=KEY_SIZE, seed=SEED,
+                         serve_queue_capacity=8, serve_tenant_quota=4)
 
 
 def _sample(input_shape, index=0):

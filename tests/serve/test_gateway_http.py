@@ -24,9 +24,10 @@ SEED = 31
 @pytest.fixture(scope="module")
 def gateway():
     model, decimals, input_shape = build_serve_model("tiny")
-    config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED).with_serve(
-        queue_capacity=8, tenant_quota=2,
-        retry_after=2.0,
+    config = RuntimeConfig(
+        key_size=KEY_SIZE, seed=SEED,
+        serve_queue_capacity=8, serve_tenant_quota=2,
+        serve_retry_after=2.0,
     )
     gateway = ServeGateway(model, decimals, config)
     gateway.input_shape = input_shape
@@ -164,8 +165,8 @@ class TestTenantRejection:
 
     def test_full_tenant_table_403_without_retry_after(self):
         model, decimals, input_shape = build_serve_model("tiny")
-        config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED) \
-            .with_serve(max_tenants=1)
+        config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED,
+                               serve_max_tenants=1)
         with ServeGateway(model, decimals, config) as gateway:
             host, port = gateway.address
             client = _Client(f"http://{host}:{port}")
@@ -184,8 +185,8 @@ class TestTenantRejection:
 
     def test_allowlist_miss_403(self):
         model, decimals, input_shape = build_serve_model("tiny")
-        config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED) \
-            .with_serve(tenant_allowlist=("vip",))
+        config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED,
+                               serve_tenant_allowlist=("vip",))
         with ServeGateway(model, decimals, config) as gateway:
             host, port = gateway.address
             client = _Client(f"http://{host}:{port}")

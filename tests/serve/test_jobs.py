@@ -167,9 +167,10 @@ def per_job(run_one):
 
 def _manager(runner, queue_capacity=8, tenant_quota=4,
              default_deadline=30.0):
-    config = RuntimeConfig().with_serve(
-        queue_capacity=queue_capacity,
-        tenant_quota=tenant_quota, default_deadline=default_deadline,
+    config = RuntimeConfig(
+        serve_queue_capacity=queue_capacity,
+        serve_tenant_quota=tenant_quota,
+        serve_default_deadline=default_deadline,
     )
     return JobManager(per_job(runner), config)
 
@@ -295,9 +296,9 @@ class TestManagerHistory:
         """The manager's tracker must not retain payloads (or more
         than serve_job_history terminal jobs) on a long-running
         gateway, while the accounting identity survives eviction."""
-        config = RuntimeConfig().with_serve(
-            queue_capacity=8, tenant_quota=8,
-            job_history=3,
+        config = RuntimeConfig(
+            serve_queue_capacity=8, serve_tenant_quota=8,
+            serve_job_history=3,
         )
         manager = JobManager(per_job(lambda job: {"ok": True}), config)
         manager.start()
@@ -333,8 +334,9 @@ class TestOneDispatchAtATime:
                 active.remove(tenant)
             return [{}] * len(jobs)
 
-        config = RuntimeConfig().with_serve(
-            queue_capacity=32, tenant_quota=8, default_deadline=30.0,
+        config = RuntimeConfig(
+            serve_queue_capacity=32, serve_tenant_quota=8,
+            serve_default_deadline=30.0,
         )
         manager = JobManager(runner, config)
         manager.start()
@@ -364,8 +366,9 @@ class TestOneDispatchAtATime:
                 release.wait(10.0)
             return [{}] * len(jobs)
 
-        config = RuntimeConfig().with_serve(
-            queue_capacity=16, tenant_quota=9, default_deadline=30.0,
+        config = RuntimeConfig(
+            serve_queue_capacity=16, serve_tenant_quota=9,
+            serve_default_deadline=30.0,
         )
         manager = JobManager(runner, config)
         manager.start()

@@ -27,9 +27,10 @@ RPS = 2
 @pytest.fixture(scope="module")
 def limited_gateway():
     model, decimals, input_shape = build_serve_model("tiny")
-    config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED).with_serve(
-        queue_capacity=16, tenant_quota=8,
-        tenant_rps=RPS,
+    config = RuntimeConfig(
+        key_size=KEY_SIZE, seed=SEED,
+        serve_queue_capacity=16, serve_tenant_quota=8,
+        serve_tenant_rps=RPS,
     )
     gateway = ServeGateway(model, decimals, config)
     gateway.input_shape = input_shape
@@ -135,7 +136,8 @@ class TestDisabledByDefault:
         model, decimals, input_shape = build_serve_model("tiny")
         config = RuntimeConfig(
             key_size=KEY_SIZE, seed=SEED,
-        ).with_serve(queue_capacity=16, tenant_quota=8)
+            serve_queue_capacity=16, serve_tenant_quota=8,
+        )
         assert config.serve_tenant_rps == 0
         with ServeGateway(model, decimals, config) as gateway:
             sample = np.random.default_rng(SEED).uniform(

@@ -38,9 +38,8 @@ def served():
 @pytest.fixture()
 def registry(served):
     model, decimals, _ = served
-    config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED).with_serve(
-        max_tenants=4,
-    )
+    config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED,
+                           serve_max_tenants=4)
     registry = TenantRegistry(model, decimals, config)
     yield registry
     registry.close()
@@ -162,8 +161,8 @@ class TestTenantRegistry:
 class TestTenantAllowlist:
     def test_allowlist_refuses_unlisted_names(self, served):
         model, decimals, _ = served
-        config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED) \
-            .with_serve(tenant_allowlist=("alice", "bob"))
+        config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED,
+                               serve_tenant_allowlist=("alice", "bob"))
         registry = TenantRegistry(model, decimals, config)
         try:
             assert registry.ensure("alice").name == "alice"
@@ -179,13 +178,13 @@ class TestTenantAllowlist:
 class TestIdleEviction:
     def _registry(self, served, **serve_kwargs):
         model, decimals, _ = served
-        config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED) \
-            .with_serve(**serve_kwargs)
+        config = RuntimeConfig(key_size=KEY_SIZE, seed=SEED,
+                               **serve_kwargs)
         return TenantRegistry(model, decimals, config)
 
     def test_full_table_evicts_lru_idle_tenant(self, served):
         registry = self._registry(
-            served, max_tenants=2, tenant_idle_seconds=0.01,
+            served, serve_max_tenants=2, serve_tenant_idle_seconds=0.01,
         )
         try:
             registry.ensure("old")
@@ -201,7 +200,7 @@ class TestIdleEviction:
 
     def test_in_use_tenants_are_never_evicted(self, served):
         registry = self._registry(
-            served, max_tenants=2, tenant_idle_seconds=0.01,
+            served, serve_max_tenants=2, serve_tenant_idle_seconds=0.01,
         )
         try:
             registry.ensure("busy")
@@ -214,7 +213,7 @@ class TestIdleEviction:
             registry.close()
 
     def test_eviction_disabled_keeps_table_full(self, served):
-        registry = self._registry(served, max_tenants=2)
+        registry = self._registry(served, serve_max_tenants=2)
         try:
             registry.ensure("a")
             registry.ensure("b")

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.config import RuntimeConfig
-from repro.errors import StageFailedError
+from repro.errors import StageFailedError, StreamError
 from repro.planner.allocation import allocate_even
 from repro.planner.plan import ClusterSpec
 from repro.protocol import DataProvider, ModelProvider
@@ -67,7 +67,7 @@ class TestStandaloneWorkerRetries:
     def test_transient_failures_recovered(self):
         executor = FlakyExecutor(failures=2)
         worker = StageWorker("flaky", executor, Channel(), Channel(),
-                             max_retries=3)
+                             retry_policy=RetryPolicy.immediate(3))
         results = drive(worker, [1, 2, 3])
         worker.join(timeout=2)
         assert results == [10, 20, 30]
@@ -77,7 +77,7 @@ class TestStandaloneWorkerRetries:
     def test_persistent_failure_raises(self):
         executor = FlakyExecutor(failures=10)
         worker = StageWorker("doomed", executor, Channel(), Channel(),
-                             max_retries=2)
+                             retry_policy=RetryPolicy.immediate(2))
         results = drive(worker, [1])
         assert results == []
         with pytest.raises(StageFailedError, match="transient"):
@@ -86,15 +86,14 @@ class TestStandaloneWorkerRetries:
     def test_zero_retries_fails_immediately(self):
         executor = FlakyExecutor(failures=1)
         worker = StageWorker("strict", executor, Channel(), Channel(),
-                             max_retries=0)
+                             retry_policy=RetryPolicy.immediate(0))
         drive(worker, [1])
         with pytest.raises(StageFailedError):
             worker.join(timeout=2)
 
     def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError):
-            StageWorker("bad", FlakyExecutor(0), Channel(), Channel(),
-                        max_retries=-1)
+        with pytest.raises(StreamError, match="non-negative"):
+            RetryPolicy.immediate(-1)
 
     def test_backoff_policy_sleeps_and_counts(self):
         executor = FlakyExecutor(failures=2)
@@ -156,8 +155,8 @@ class TestPipelineFaultTolerance:
     def test_pipeline_with_retries_noop_when_healthy(
             self, trained_breast, streamed_baseline):
         inputs, expected = streamed_baseline
-        pipeline, plan = _build_pipeline(trained_breast, max_retries=2,
-                                         retry_policy=None)
+        pipeline, plan = _build_pipeline(
+            trained_breast, retry_policy=RetryPolicy.immediate(2))
         stats = pipeline.run_stream(inputs)
         assert len(stats.results) == len(inputs)
         assert stats.stage_retries == [0] * len(plan.stages)

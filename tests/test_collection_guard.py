@@ -7,7 +7,9 @@ Two failure modes this catches:
   tests as packages and invites basename collisions between
   directories;
 * the ``[tool.repro]`` tier-1 alias in pyproject.toml drifting away
-  from the markers / options it refers to.
+  from the markers / options it refers to;
+* property tests drawing random examples in tier 1, where a run must
+  repeat the last one.
 """
 
 from __future__ import annotations
@@ -81,3 +83,13 @@ class TestTier1Alias:
         import tests.test_collection_guard as self_module
 
         assert not getattr(self_module, "pytestmark", None)
+
+
+class TestTier1Hypothesis:
+    def test_tier1_profile_is_deterministic(self, pytestconfig):
+        from hypothesis import settings
+
+        profile = settings.get_profile("tier1")
+        assert profile.derandomize and profile.print_blob
+        if pytestconfig.getoption("hypothesis_profile", None) is None:
+            assert settings.default is profile

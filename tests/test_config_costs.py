@@ -1,5 +1,7 @@
 """Unit tests for RuntimeConfig and the cost model."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import DEFAULT_CONFIG, PAPER_KEY_SIZE, RuntimeConfig
@@ -19,12 +21,30 @@ class TestRuntimeConfig:
             RuntimeConfig(key_size=129)
 
     def test_with_key_size(self):
-        config = RuntimeConfig().with_key_size(512)
+        config = dataclasses.replace(RuntimeConfig(), key_size=512)
         assert config.key_size == 512
         assert config.seed == RuntimeConfig().seed
+        # replace() runs the same validation as the constructor.
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(config, key_size=63)
 
     def test_with_seed(self):
-        assert RuntimeConfig().with_seed(7).seed == 7
+        assert dataclasses.replace(RuntimeConfig(), seed=7).seed == 7
+
+    def test_one_way_to_set_a_field(self):
+        """Fields are set by name; the only builders left are the two
+        the benchmark harness calls."""
+        names = {field.name for field in dataclasses.fields(RuntimeConfig)}
+        assert len(names) == 38
+        assert not names & {
+            "hyperthreading", "net_connect_timeout",
+            "net_handshake_timeout", "net_breaker_threshold",
+            "net_breaker_cooldown", "cluster_rebalance_interval",
+            "cluster_join_timeout", "compress_accuracy_budget",
+        }
+        builders = {name for name in dir(RuntimeConfig)
+                    if name.startswith("with_")}
+        assert builders == {"with_observability", "with_pack_lanes"}
 
     def test_frozen(self):
         with pytest.raises(Exception):
