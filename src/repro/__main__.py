@@ -260,26 +260,81 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spawn_local_worker(env: dict) -> tuple:
-    """Start ``python -m repro worker`` on an ephemeral port; returns
-    ``(process, (host, port))`` once the worker reports its address."""
-    import subprocess
+#: Shared deadline, in seconds, for every spawned worker's ready line.
+_WORKER_READY_TIMEOUT_S = 30.0
 
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "worker",
-         "--listen", "127.0.0.1:0"],
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        text=True, env=env,
-    )
-    line = process.stdout.readline()
+
+def _spawn_local_workers(count: int, env: dict) -> list:
+    """Start ``count`` ``python -m repro worker`` processes on ephemeral
+    ports at once; returns ``[(process, (host, port)), ...]`` once each
+    has reported its address.
+
+    The ready lines are read against one shared deadline.  A worker
+    that exits, says anything else or misses the deadline raises
+    :class:`~repro.errors.TransportError` naming it, after every
+    started process has been killed and reaped.
+    """
+    import subprocess
+    import time
+
+    processes = []
+    try:
+        for _ in range(count):
+            processes.append(subprocess.Popen(
+                [sys.executable, "-m", "repro", "worker",
+                 "--listen", "127.0.0.1:0"],
+                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                env=env,
+            ))
+        deadline = time.monotonic() + _WORKER_READY_TIMEOUT_S
+        return [(process, _read_worker_address(index, process, deadline))
+                for index, process in enumerate(processes)]
+    except BaseException:
+        for process in processes:
+            process.kill()
+        for process in processes:
+            process.wait()
+        raise
+
+
+def _read_worker_address(index: int, process, deadline: float) -> tuple:
+    """Read a spawned worker's ``worker listening on host:port`` line
+    from its (binary) stdout pipe, waiting no later than ``deadline``."""
+    import os
+    import select
+    import subprocess
+    import time
+
+    from .errors import TransportError
+
+    fd = process.stdout.fileno()
+    said = b""
+    while not said.endswith(b"\n"):
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+            raise TransportError(
+                f"worker {index} (pid {process.pid}) did not report its "
+                f"address within {_WORKER_READY_TIMEOUT_S:g}s "
+                f"(said {said!r})"
+            )
+        chunk = os.read(fd, 4096)
+        if not chunk:
+            break
+        said += chunk
+    line = said.decode(errors="replace").partition("\n")[0]
     prefix = "worker listening on "
     if not line.startswith(prefix):
-        process.kill()
-        raise RuntimeError(
-            f"worker failed to start (said {line!r})"
+        try:
+            status = process.wait(timeout=max(deadline - time.monotonic(),
+                                              0.1))
+        except subprocess.TimeoutExpired:
+            status = "none, still running"
+        raise TransportError(
+            f"worker {index} (pid {process.pid}) failed to start: "
+            f"said {line!r}, exit status {status}"
         )
     host, _, port_text = line[len(prefix):].strip().rpartition(":")
-    return process, (host, int(port_text))
+    return host, int(port_text)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -317,12 +372,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             os.path.abspath(__file__))),
             env.get("PYTHONPATH")) if path
     )
-    processes, addresses = [], []
+    processes = []
     try:
-        for _ in range(args.workers):
-            process, address = _spawn_local_worker(env)
-            processes.append(process)
-            addresses.append(address)
+        spawned = _spawn_local_workers(args.workers, env)
+        processes = [process for process, _ in spawned]
+        addresses = [address for _, address in spawned]
         print(f"spawned {args.workers} workers "
               f"({model_workers} model / {data_workers} data) on "
               + ", ".join(f"{h}:{p}" for h, p in addresses))
@@ -385,7 +439,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if stats.dead_letters and not args.kill_one:
             return 1
         return 0
-    except (TransportError, RuntimeError) as exc:
+    except TransportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..errors import SolverError
 
@@ -114,6 +113,11 @@ def _solve_relaxation(
                 and new_low > new_high + 1e-12:
             return None, None
         bounds[index] = (new_low, new_high)
+    # Imported here, not at module level: only the planner's ILP uses
+    # scipy, and workers and gateways import this module without
+    # ever solving.  After the first solve the import is a dict lookup.
+    from scipy.optimize import linprog
+
     result = linprog(
         problem.c,
         A_ub=problem.a_ub,

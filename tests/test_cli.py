@@ -1,5 +1,8 @@
 """Smoke tests for the command-line interfaces."""
 
+import os
+import sys
+
 import pytest
 
 from repro.__main__ import main as repro_main
@@ -57,6 +60,34 @@ class TestNetCli:
         assert code == 0, output
         assert "2/2 requests completed over TCP" in output
         assert "bit-identical" in output
+
+    def test_serve_worker_fails_to_start(self, capsys, monkeypatch,
+                                         tmp_path):
+        """One spawned worker says something else and exits 3: serve
+        exits 1 with a TransportError naming it, and reaps every worker
+        it started, the one that came up included."""
+        fake = tmp_path / "python"
+        fake.write_text(
+            "#!/bin/sh\n"
+            f"echo $$ >> '{tmp_path}/pids'\n"
+            f"if mkdir '{tmp_path}/first' 2>/dev/null; then\n"
+            f"  exec '{sys.executable}' \"$@\"\n"
+            "fi\n"
+            "echo boom\n"
+            "exit 3\n"
+        )
+        fake.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(fake))
+        code = repro_main(["serve", "--workers", "2", "--samples", "1",
+                           "--key-size", "128"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "failed to start: said 'boom', exit status 3" in err
+        pids = (tmp_path / "pids").read_text().split()
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(int(pid), 0)
 
 
 class TestExperimentsCli:
