@@ -112,7 +112,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     data_provider = DataProvider(
         value_decimals=prepared.decimals, config=config
     )
-    cluster = ClusterSpec.homogeneous(1, 1, args.threads)
+    cluster = ClusterSpec.homogeneous(1, 1, 2)
     plan = allocate_even(model_provider.stages, cluster).plan
     pipeline = Pipeline(
         model_provider, data_provider, plan,
@@ -169,7 +169,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         except StreamError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        cluster = ClusterSpec.homogeneous(1, 1, args.threads)
+        cluster = ClusterSpec.homogeneous(1, 1, 2)
         plan = allocate_even(model_provider.stages, cluster).plan
         pipeline = Pipeline(
             model_provider, data_provider, plan,
@@ -618,8 +618,6 @@ def main(argv: list[str] | None = None) -> int:
     stream.add_argument("--samples", type=int, default=4)
     stream.add_argument("--key-size", type=int, default=256,
                         dest="key_size")
-    stream.add_argument("--threads", type=int, default=2,
-                        help="threads per stage server")
     stream.add_argument("--channel-capacity", type=int, default=8,
                         dest="channel_capacity")
     stream.add_argument(
@@ -655,8 +653,6 @@ def main(argv: list[str] | None = None) -> int:
                          default="session",
                          help="sequential protocol session or the "
                               "threaded stream runtime")
-    metrics.add_argument("--threads", type=int, default=2,
-                         help="threads per stage server (stream)")
     metrics.add_argument("--faults", default=None,
                          help="fault plan for the stream workload "
                               "(same syntax as 'stream --faults')")

@@ -1,6 +1,6 @@
-"""Elastic worker fleet: membership, live state, online re-planning.
+"""Elastic worker fleet: membership, live state, explicit re-planning.
 
-Layers three pieces over the fixed-fleet TCP runtime
+Layers two pieces over the fixed-fleet TCP runtime
 (docs/ELASTIC.md):
 
 * :class:`~repro.cluster.state.ClusterState` — the epoch-numbered
@@ -12,14 +12,10 @@ Layers three pieces over the fixed-fleet TCP runtime
   ``join``/``leave``/``announce`` wire protocol and the coordinator
   that admits, drains, and re-plans a running fleet with zero dead
   letters and bit-identical results.
-* :class:`~repro.cluster.rebalancer.Rebalancer` — hysteresis-gated
-  online re-planning from live queue-depth and service-time
-  telemetry, replacing offline profiles with measured means.
 """
 
 from .elastic import ElasticCoordinator
 from .membership import MembershipListener
-from .rebalancer import Rebalancer
 from .state import ClusterSnapshot, ClusterState, Member
 
 __all__ = [
@@ -28,5 +24,4 @@ __all__ = [
     "ElasticCoordinator",
     "Member",
     "MembershipListener",
-    "Rebalancer",
 ]

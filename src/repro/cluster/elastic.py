@@ -182,9 +182,12 @@ class ElasticCoordinator(Coordinator):
         masked members holding zero assignments.
 
         Args:
-            times: measured per-stage service times for
+            times: per-stage service times (profiled or measured) to
+                water-fill from with
                 :func:`~repro.planner.allocation.allocate_load_balanced`;
-                ``None`` falls back to the even baseline.
+                ``None`` takes the even baseline, which splits each
+                role's stages by position and can leave a joined
+                member idle.
         """
         with self._lock:
             plan = self.plan

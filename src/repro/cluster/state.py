@@ -4,8 +4,8 @@
 member table, generalizing the fixed ``WorkerHandle`` list: every
 join and leave bumps a monotone **epoch** and records who is present,
 in which role, with how much capacity.  Mutations happen only on the
-coordinator's control path (under its lock); everyone else — the
-rebalancer, benchmarks, operators — reads immutable
+coordinator's control path (under its lock); everyone else —
+operators, tests, the soak — reads immutable
 :class:`ClusterSnapshot` views, so there is never a torn read of a
 half-applied membership change.
 

@@ -2,7 +2,7 @@
 
 A single :class:`RuntimeConfig` object gathers the knobs that cut across
 subsystems: the Paillier key size, RNG seeding, the crypto engine, the
-networked runtime, serving, compression and the elastic fleet.
+networked runtime, serving and compression.
 
 The paper's prototype fixes the key size at 2048 bits (Section V).  Pure
 Python is slower than the GMP-based prototype, so the *default* here is a
@@ -13,7 +13,8 @@ never a separate code path, and the Fig. 1 benchmark exercises the real
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigurationError
 
@@ -45,10 +46,10 @@ class RuntimeConfig:
     are constants next to their one reader, not fields: the connect
     (5 s) and handshake (60 s) timeouts in :mod:`repro.net`, the
     circuit breaker's defaults in :mod:`repro.net.reconnect`, the
-    rebalancer's 1 s control period, the 10 s fleet-join deadline and
-    the 0.01 compression accuracy budget.  The hyper-threading switch
-    of the allocation ILP is :attr:`repro.planner.plan.ClusterSpec
-    .hyperthreading`.
+    10 s fleet-join deadline and the 0.01 compression accuracy budget.
+    The hyper-threading switch of the allocation ILP is
+    :attr:`repro.planner.plan.ClusterSpec.hyperthreading`.  Every float
+    field must be finite: NaN or infinity fails validation.
 
     Attributes:
         key_size: Paillier modulus size in bits.
@@ -184,17 +185,6 @@ class RuntimeConfig:
             per layer when ``compress_enabled``.
         compress_clusters: distinct weight values per layer after
             clustering when ``compress_enabled``.
-        cluster_backlog_high: per-stage queue depth at which the
-            :class:`~repro.cluster.rebalancer.Rebalancer` triggers an
-            online re-plan (docs/ELASTIC.md).
-        cluster_backlog_low: depth the backlog must fall below before
-            the trigger re-arms (hysteresis; must be <= the high
-            threshold).
-        cluster_rebalance_cooldown: minimum seconds between two
-            applied re-plans, so a noisy gauge cannot thrash plans.
-        cluster_min_service_samples: observations a stage's
-            service-time histogram needs before its measured mean is
-            trusted as a planner input.
     """
 
     key_size: int = DEFAULT_KEY_SIZE
@@ -231,12 +221,15 @@ class RuntimeConfig:
     compress_enabled: bool = False
     compress_sparsity: float = 0.7
     compress_clusters: int = 8
-    cluster_backlog_high: float = 8.0
-    cluster_backlog_low: float = 2.0
-    cluster_rebalance_cooldown: float = 5.0
-    cluster_min_service_samples: int = 3
 
     def __post_init__(self) -> None:
+        for knob in fields(self):
+            if knob.type == "float" \
+                    and not math.isfinite(getattr(self, knob.name)):
+                raise ConfigurationError(
+                    f"{knob.name} must be finite, got "
+                    f"{getattr(self, knob.name)}"
+                )
         if self.key_size < 64:
             raise ConfigurationError(
                 f"key_size must be >= 64 bits, got {self.key_size}"
@@ -362,32 +355,6 @@ class RuntimeConfig:
             raise ConfigurationError(
                 "compress_clusters must be >= 1, got "
                 f"{self.compress_clusters}"
-            )
-        if self.cluster_backlog_high <= 0:
-            raise ConfigurationError(
-                "cluster_backlog_high must be positive, got "
-                f"{self.cluster_backlog_high}"
-            )
-        if self.cluster_backlog_low < 0:
-            raise ConfigurationError(
-                "cluster_backlog_low must be non-negative, got "
-                f"{self.cluster_backlog_low}"
-            )
-        if self.cluster_backlog_low > self.cluster_backlog_high:
-            raise ConfigurationError(
-                "cluster_backlog_low must be <= cluster_backlog_high "
-                f"({self.cluster_backlog_low} > "
-                f"{self.cluster_backlog_high})"
-            )
-        if self.cluster_rebalance_cooldown < 0:
-            raise ConfigurationError(
-                "cluster_rebalance_cooldown must be non-negative "
-                f"seconds, got {self.cluster_rebalance_cooldown}"
-            )
-        if self.cluster_min_service_samples < 1:
-            raise ConfigurationError(
-                "cluster_min_service_samples must be >= 1, got "
-                f"{self.cluster_min_service_samples}"
             )
 
     def with_observability(self, enabled: bool = True) -> "RuntimeConfig":

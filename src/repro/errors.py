@@ -77,10 +77,6 @@ class StreamError(ReproError):
     """Base class for stream-runtime failures."""
 
 
-class PipelineShutdownError(StreamError):
-    """An operation was attempted on a pipeline that is shut down."""
-
-
 class StageFailedError(StreamError):
     """A stage worker raised; the original traceback is chained."""
 

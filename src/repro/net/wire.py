@@ -227,7 +227,9 @@ def config_from_wire(state: dict) -> RuntimeConfig:
             )
     try:
         return RuntimeConfig(**state)
-    except ConfigurationError as exc:
+    except (ConfigurationError, OverflowError) as exc:
+        # OverflowError: a float field sent as an int too large for a
+        # float fails the finiteness check in the conversion itself.
         raise HandshakeError(f"bad config record: {exc}") from exc
 
 

@@ -55,14 +55,6 @@ class AllocationResult:
     nodes_explored: int = 0
 
 
-def _pairwise_imbalance(per_thread: Sequence[float]) -> float:
-    total = 0.0
-    for i, t_i in enumerate(per_thread):
-        for t_j in per_thread:
-            total += abs(t_i - t_j)
-    return total
-
-
 # ---------------------------------------------------------------------
 # Bin packing of stage thread-counts onto role-compatible servers
 # ---------------------------------------------------------------------

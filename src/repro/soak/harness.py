@@ -21,12 +21,12 @@ Six scenarios cover the runtime's load-bearing surfaces:
             must reach ``done`` and reproduce the reference
 ``elastic`` a persistent :class:`~repro.cluster.ElasticCoordinator`
             under seeded membership churn (docs/ELASTIC.md): on a
-            cadence a fresh worker joins over the wire and is
-            re-planned into the fleet, streams run against the grown
-            fleet, then the member drains back out and its process
-            stops immediately (leak sentinels see no drift); zero
-            dead letters, zero restarts, bit-identical outputs across
-            every epoch
+            cadence a fresh 4-core worker joins over the wire, a
+            re-plan water-filled from the profiled stage times routes
+            stages onto it, the stream must pass through it, then the
+            member drains back out and its process stops immediately
+            (leak sentinels see no drift); zero dead letters, zero
+            restarts, bit-identical outputs across every epoch
 ========== ==========================================================
 
 The driver round-robins a seeded weighted schedule until the duration
@@ -139,8 +139,9 @@ class SoakReport:
         if elastic:
             lines.append(
                 f"elastic fleet: {elastic['joins']} join(s), "
-                f"{elastic['drains']} drain(s), final epoch "
-                f"{elastic['final_epoch']}"
+                f"{elastic['drains']} drain(s), "
+                f"{elastic['joined_items']} stage item(s) served by "
+                f"joined members, final epoch {elastic['final_epoch']}"
             )
         lines.append(
             f"channel depth high-water: "
@@ -193,16 +194,10 @@ class _Scenario:
         raise NotImplementedError
 
     def teardown(self) -> None:
-        raise NotImplementedError
+        """Stop what setup started (workers, coordinators, gateways);
+        in-process scenarios start nothing."""
 
     # -- shared helpers ------------------------------------------------
-
-    @staticmethod
-    def _close_engines(*providers) -> None:
-        for provider in providers:
-            engine = getattr(provider, "engine", None)
-            if engine is not None:
-                engine.close()
 
     @staticmethod
     def _check_identical(name: str, reference, got) -> None:
@@ -235,14 +230,13 @@ class _SingleShotScenario(_Scenario):
         prepared = prepare_model("breast")
         config = RuntimeConfig(key_size=self.options.key_size,
                                seed=self.options.seed)
-        self._model_provider = ModelProvider(
+        model_provider = ModelProvider(
             prepared.model, decimals=prepared.decimals, config=config
         )
-        self._data_provider = DataProvider(
+        data_provider = DataProvider(
             value_decimals=prepared.decimals, config=config
         )
-        self._session = InferenceSession(self._model_provider,
-                                         self._data_provider)
+        self._session = InferenceSession(model_provider, data_provider)
         self._inputs = [np.asarray(x)
                         for x in prepared.dataset.test_x[:2]]
         self._reference: List[np.ndarray] | None = None
@@ -259,9 +253,6 @@ class _SingleShotScenario(_Scenario):
         else:
             self._check_identical(self.name, self._reference, outputs)
         return len(outputs)
-
-    def teardown(self) -> None:
-        self._close_engines(self._model_provider, self._data_provider)
 
 
 class _PackedScenario(_Scenario):
@@ -283,20 +274,19 @@ class _PackedScenario(_Scenario):
         # lanes for this model (asserted below), 128-bit does not.
         config = RuntimeConfig(key_size=256, seed=self.options.seed,
                                pack_lanes=self._LANES)
-        self._model_provider = ModelProvider(
+        model_provider = ModelProvider(
             prepared.model, decimals=prepared.decimals, config=config
         )
-        self._data_provider = DataProvider(
+        data_provider = DataProvider(
             value_decimals=prepared.decimals, config=config
         )
-        plan = self._model_provider.plan_lane_packing(self._LANES)
+        plan = model_provider.plan_lane_packing(self._LANES)
         if not plan.admitted:
             raise SoakCheckError(
                 f"packed: lane plan refused ({plan.reason}); the "
                 "scenario would silently soak the fallback path"
             )
-        self._session = InferenceSession(self._model_provider,
-                                         self._data_provider)
+        self._session = InferenceSession(model_provider, data_provider)
         self._batch = np.asarray(
             prepared.dataset.test_x[:self._LANES]
         )
@@ -313,9 +303,6 @@ class _PackedScenario(_Scenario):
         else:
             self._check_identical(self.name, self._reference, outputs)
         return len(outputs)
-
-    def teardown(self) -> None:
-        self._close_engines(self._model_provider, self._data_provider)
 
 
 class _FaultedPipelineScenario(_Scenario):
@@ -394,9 +381,6 @@ class _FaultedPipelineScenario(_Scenario):
             )
         return count
 
-    def teardown(self) -> None:
-        self._close_engines(self._model_provider, self._data_provider)
-
 
 class _NetChaosScenario(_Scenario):
     """Distributed runs over a persistent chaos-wrapped coordinator.
@@ -440,9 +424,9 @@ class _NetChaosScenario(_Scenario):
             )
 
         cluster = ClusterSpec.homogeneous(2, 1, 2)
-        self._model_provider, self._data_provider = providers(config)
+        model_provider, data_provider = providers(config)
         plan = allocate_even(
-            self._model_provider.stages, cluster
+            model_provider.stages, cluster
         ).plan
         rng = np.random.default_rng(self.options.seed + 1)
         self._inputs = [rng.uniform(0, 1, (1, 8, 8))
@@ -455,12 +439,11 @@ class _NetChaosScenario(_Scenario):
         )
         self._reference = {r.request_id: r.probabilities
                            for r in ref_stats.results}
-        self._close_engines(ref_model, ref_data)
 
         self._servers = [WorkerServer(), WorkerServer(), WorkerServer()]
         addresses = [server.start() for server in self._servers]
         self._coordinator = Coordinator(
-            self._model_provider, self._data_provider, plan, addresses,
+            model_provider, data_provider, plan, addresses,
             retry_policy=RetryPolicy(
                 max_retries=8, base_delay=0.02,
                 jitter_seed=self.options.seed ^ _SOAK_SALT,
@@ -509,7 +492,6 @@ class _NetChaosScenario(_Scenario):
         self._coordinator.close(shutdown_workers=True)
         for server in self._servers:
             server.stop(abort=True)
-        self._close_engines(self._model_provider, self._data_provider)
 
 
 class _SoakDyingWorker:
@@ -583,7 +565,6 @@ class _NetKillScenario(_Scenario):
                              self._plan).run_stream(self._inputs)
         self._reference = {r.request_id: r.probabilities
                            for r in ref_stats.results}
-        self._close_engines(ref_model, ref_data)
         self.recovery_times: List[float] = []
         self.deaths = 0
         self.respawns = 0
@@ -664,9 +645,6 @@ class _NetKillScenario(_Scenario):
                              key=lambda r: r.request_id)],
         )
         return count
-
-    def teardown(self) -> None:
-        self._close_engines(self._model_provider, self._data_provider)
 
 
 class _ServeGatewayScenario(_Scenario):
@@ -812,11 +790,16 @@ class _ElasticScenario(_Scenario):
 
     One :class:`~repro.cluster.ElasticCoordinator` lives across every
     iteration.  On a fixed cadence an iteration *churns*: a fresh
-    model worker registers over the wire (``join_fleet`` against the
-    membership listener), the fleet re-plans onto it, the stream runs
-    on the grown fleet, and the member is drained back out — its
-    process stopped immediately, so the leak sentinels would catch a
-    connection or thread left behind by the drain.  Server ids are
+    4-core model worker registers over the wire (``join_fleet``
+    against the membership listener), the fleet re-plans by
+    water-filling the soak model's profiled stage times, which puts
+    stages on the joiner (the even split would leave it idle), the
+    stream runs on the grown fleet and must pass every item of every
+    stage assigned to the joiner through it (counted from the
+    worker-labelled ``net_stage_roundtrip_seconds`` histograms), and
+    the member is drained back out — its process stopped immediately,
+    so the leak sentinels would catch a connection or thread left
+    behind by the drain.  Server ids are
     append-only, so the epoch and cluster table grow monotonically
     while every output stays bit-identical to the in-process
     reference and no restart budget is ever consumed.
@@ -827,10 +810,12 @@ class _ElasticScenario(_Scenario):
 
     def setup(self) -> None:
         from ..cluster import ElasticCoordinator
+        from ..costs import CostModel
         from ..net import WorkerServer
         from ..nn import model_zoo
         from ..planner.allocation import allocate_even
         from ..planner.plan import ClusterSpec
+        from ..planner.profiling import profile_primitive_times
         from ..protocol import DataProvider, ModelProvider
         from ..stream import Pipeline
 
@@ -852,10 +837,15 @@ class _ElasticScenario(_Scenario):
             )
 
         cluster = ClusterSpec.homogeneous(1, 1, 2)
-        self._model_provider, self._data_provider = providers(config)
+        model_provider, data_provider = providers(config)
         plan = allocate_even(
-            self._model_provider.stages, cluster
+            model_provider.stages, cluster
         ).plan
+        # Deterministic analytic stage times (no solver, no scipy):
+        # what every churn re-plans from.
+        self._times = profile_primitive_times(
+            model_provider.stages, CostModel.reference(), 2
+        )
         rng = np.random.default_rng(self.options.seed + 4)
         self._inputs = [rng.uniform(0, 1, (1, 8, 8))
                         for _ in range(3)]
@@ -865,12 +855,11 @@ class _ElasticScenario(_Scenario):
         )
         self._reference = {r.request_id: r.probabilities
                            for r in ref_stats.results}
-        self._close_engines(ref_model, ref_data)
 
         self._servers = [WorkerServer(), WorkerServer()]
         addresses = [server.start() for server in self._servers]
         self._coordinator = ElasticCoordinator(
-            self._model_provider, self._data_provider, plan,
+            model_provider, data_provider, plan,
             addresses,
             retry_policy=RetryPolicy(
                 max_retries=6, base_delay=0.05,
@@ -881,6 +870,17 @@ class _ElasticScenario(_Scenario):
         self._coordinator.connect()
         self.joins = 0
         self.drains = 0
+        self.joined_items = 0
+
+    def _served_by(self, server_id: int) -> Dict[str, int]:
+        """Round trips per stage that worker ``server_id`` served."""
+        label = str(server_id)
+        return {
+            labels["stage"]: hist.count
+            for labels, hist in self.obs.registry.find(
+                "histogram", "net_stage_roundtrip_seconds")
+            if labels.get("worker") == label
+        }
 
     def run_once(self, iteration: int) -> int:
         from ..net import WorkerServer
@@ -898,12 +898,21 @@ class _ElasticScenario(_Scenario):
             reply = spare.join_fleet(host, port, "model", cores=4)
             spare_id = reply["server_id"]
             self.joins += 1
-            # Route real work onto the member: re-plan the grown
-            # fleet (the joined 4-core worker out-bids the 2-core
-            # original for linear stages).
+            # Route real work onto the member: water-filling gives the
+            # joined 4-core worker linear stages the 2-core original
+            # would otherwise keep.
             self._coordinator.apply_plan(
-                self._coordinator.allocation_for()
+                self._coordinator.allocation_for(times=self._times)
             )
+            moved = {str(a.stage_index)
+                     for a in self._coordinator.plan.assignments
+                     if a.server_id == spare_id}
+            if not moved:
+                raise SoakCheckError(
+                    f"elastic: the re-plan left joined member "
+                    f"{spare_id} idle"
+                )
+            before = self._served_by(spare_id)
         start = time.perf_counter()
         stats = self._coordinator.run_stream(self._inputs)
         elapsed = time.perf_counter() - start
@@ -930,6 +939,16 @@ class _ElasticScenario(_Scenario):
                              key=lambda r: r.request_id)],
         )
         if churn:
+            after = self._served_by(spare_id)
+            served = {stage: after.get(stage, 0) - before.get(stage, 0)
+                      for stage in moved}
+            if min(served.values()) < count:
+                raise SoakCheckError(
+                    f"elastic: joined member {spare_id} served "
+                    f"{served} round trips per stage, expected "
+                    f"{count} on each"
+                )
+            self.joined_items += sum(served.values())
             self._coordinator.drain_member(spare_id)
             spare.stop(abort=True)  # sentinels must see no residue
             self.drains += 1
@@ -943,7 +962,6 @@ class _ElasticScenario(_Scenario):
         self._coordinator.close()
         for server in self._servers:
             server.stop(abort=True)
-        self._close_engines(self._model_provider, self._data_provider)
 
 
 _SCENARIO_CLASSES = {
@@ -1098,6 +1116,7 @@ def run_soak(options: SoakOptions,
                   if serve_scenario else {}),
         "elastic": ({"joins": elastic_scenario.joins,
                      "drains": elastic_scenario.drains,
+                     "joined_items": elastic_scenario.joined_items,
                      "final_epoch": elastic_scenario.final_epoch}
                     if elastic_scenario else {}),
         "channel_depth_high_water": depth_high_water,

@@ -2,10 +2,9 @@
 
 Mirrors ``tests/net/conftest.py`` — the same tiny conv model and a
 128-bit key — but every coordinator here is an
-:class:`~repro.cluster.ElasticCoordinator` with observability on (the
-rebalancer reads live gauges/histograms) and the ``cluster_*`` knobs
-tuned so a single six-request stream is enough telemetry to trigger a
-re-plan deterministically.
+:class:`~repro.cluster.ElasticCoordinator` with observability on, so
+the tests can read the per-worker labelled gauges and histograms that
+prove a re-plan moved work onto a joined member.
 """
 
 from __future__ import annotations
@@ -34,18 +33,11 @@ def cluster_model():
 
 @pytest.fixture(scope="session")
 def cluster_config():
-    # backlog_high=1 with the high-water watermark: any stream that
-    # ever queued a single item is "backed up", so one warm-up stream
-    # arms the rebalancer.  min_service_samples=1 accepts the same
-    # stream as service-time telemetry; cooldown 0 keeps tests
-    # synchronous.
     return RuntimeConfig(
         key_size=128, seed=78,
         net_heartbeat_interval=0.2, net_heartbeat_timeout=3.0,
         net_reconnect_attempts=4, net_reconnect_base_delay=0.02,
         net_reconnect_max_delay=0.2,
-        cluster_backlog_high=1.0, cluster_backlog_low=0.0,
-        cluster_rebalance_cooldown=0.0, cluster_min_service_samples=1,
     )
 
 

@@ -5,9 +5,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cluster import Rebalancer
+from repro.costs import CostModel
 from repro.errors import ClusterMembershipError
 from repro.net import WorkerServer
+from repro.planner.profiling import profile_primitive_times
 
 
 class TestWireJoin:
@@ -73,18 +74,18 @@ class TestWireLeave:
         coordinator, _servers, plan = make_elastic()
         reference = reference_results(plan)
         host, port = coordinator.membership_address
-        # A warm-up stream leaves service-time telemetry behind so the
-        # re-plan below can water-fill onto the big joiner.
+        # Stream on the seed plan first, so the re-plans below retire
+        # live stage connections.
         warmup = coordinator.run_stream(cluster_inputs)
         assert not warmup.dead_letters
         (spare,), _ = worker_farm(WorkerServer())
         joined = spare.join_fleet(host, port, "model", cores=6)
         server_id = joined["server_id"]
-        # Route real work onto the member before it leaves.
-        measured = Rebalancer(coordinator).measured_times()
-        vector = [max(measured[s.index], 1e-9) for s in plan.stages]
-        coordinator.apply_plan(
-            coordinator.allocation_for(times=vector))
+        # Route real work onto the member before it leaves: water-fill
+        # the profiled stage times onto the big joiner.
+        times = profile_primitive_times(plan.stages,
+                                        CostModel.reference(), 2)
+        coordinator.apply_plan(coordinator.allocation_for(times=times))
         assert any(a.server_id == server_id
                    for a in coordinator.plan.assignments)
 

@@ -1,31 +1,29 @@
-"""Telemetry-driven re-planning: trigger, hysteresis, migration."""
+"""Re-planning onto a joined worker: the migration, proved from the
+per-worker labelled telemetry rather than from the plan alone."""
 
 import numpy as np
 
-from repro.cluster import Rebalancer
+from repro.costs import CostModel
 from repro.net import WorkerServer
+from repro.planner.profiling import profile_primitive_times
 
 
 class TestRebalancer:
     def test_moves_backed_up_stages_onto_the_joined_worker(
             self, make_elastic, worker_farm, cluster_inputs,
             reference_results):
-        """The acceptance path: a stream backs stages up, a bigger
-        worker joins, and the re-plan provably routes those stages
-        onto it — asserted via the per-worker labeled metrics."""
+        """The acceptance path: a fleet streams, a bigger worker
+        joins, and a re-plan water-filled from the profiled stage
+        times routes stages onto it — asserted via the per-worker
+        labelled metrics."""
         coordinator, _servers, plan = make_elastic()
         reference = reference_results(plan)
         registry = coordinator.obs.registry
 
-        # Deliberately back the stages up: a burst of six requests
-        # against two workers leaves queue-depth high-water marks and
-        # per-stage service-time histograms behind.
+        # Stream on the seed plan first, so the re-plan below has live
+        # stage connections to retire.
         warmup = coordinator.run_stream(cluster_inputs)
         assert not warmup.dead_letters
-        rebalancer = Rebalancer(coordinator, watermark="high")
-        backlog = rebalancer.backlog_by_stage()
-        assert max(backlog.values()) >= 1.0, backlog
-        assert len(rebalancer.measured_times()) == len(plan.stages)
 
         (_big,), (address,) = worker_farm(WorkerServer())
         handle, _epoch = coordinator.admit_join(address, "model",
@@ -36,7 +34,9 @@ class TestRebalancer:
         assert all(a.server_id != joined_id
                    for a in coordinator.plan.assignments)
 
-        assert rebalancer.step() is True
+        times = profile_primitive_times(plan.stages,
+                                        CostModel.reference(), 2)
+        coordinator.apply_plan(coordinator.allocation_for(times=times))
         moved = sorted(
             a.stage_index for a in coordinator.plan.assignments
             if a.server_id == joined_id
@@ -73,40 +73,3 @@ class TestRebalancer:
             for labels, _g in registry.find(
                 "histogram", "net_stage_roundtrip_seconds")
         )
-
-    def test_hysteresis_disarms_until_backlog_recedes(
-            self, make_elastic, worker_farm, cluster_inputs):
-        coordinator, _servers, _plan = make_elastic()
-        (_big,), (address,) = worker_farm(WorkerServer())
-        coordinator.run_stream(cluster_inputs)
-        coordinator.admit_join(address, "model", cores=6)
-        rebalancer = Rebalancer(coordinator, watermark="high")
-        assert rebalancer.step() is True
-        assert rebalancer.armed is False
-        # High-water marks never recede, so with backlog_low=0 the
-        # trigger stays disarmed: no thrash on the same telemetry.
-        assert rebalancer.step() is False
-        assert rebalancer.rebalances == 1
-
-    def test_no_telemetry_means_no_replan(self, make_elastic):
-        coordinator, _servers, _plan = make_elastic()
-        rebalancer = Rebalancer(coordinator)
-        assert rebalancer.backlog_by_stage() == {}
-        assert rebalancer.step() is False
-        assert coordinator.plans_applied == 0
-
-    def test_identical_allocation_is_skipped(
-            self, make_elastic, cluster_inputs):
-        """Backlog over threshold but no better placement available:
-        the step declines rather than churning specs."""
-        coordinator, _servers, _plan = make_elastic()
-        coordinator.run_stream(cluster_inputs)
-        rebalancer = Rebalancer(coordinator, watermark="high")
-        before = coordinator.plan.assignments
-        stepped = rebalancer.step()
-        if not stepped:
-            # Either the measured times reproduce the live plan
-            # (skip) or they reshuffle within the same two workers —
-            # both are valid; what's asserted is consistency.
-            assert coordinator.plan.assignments == before
-        assert coordinator.state.epoch == 2  # no membership change

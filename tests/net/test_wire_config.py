@@ -9,12 +9,14 @@ envelope, never an exception that kills its connection thread.
 """
 
 import copy
+import dataclasses
 import json
+import math
 
 import pytest
 
 from repro.config import RuntimeConfig
-from repro.errors import TransportError
+from repro.errors import HandshakeError, TransportError
 from repro.net import WorkerServer, build_worker_spec
 from repro.net.transport import KIND_ERROR, KIND_HELLO, KIND_WELCOME, \
     Envelope, dial
@@ -29,7 +31,6 @@ CUSTOM = RuntimeConfig(
     serve_tenant_allowlist=("a", "b"), serve_tenant_rps=5,
     compress_enabled=True, compress_sparsity=0.5, compress_clusters=4,
     serve_compress_tenants=("a",),
-    cluster_backlog_high=6.0, cluster_backlog_low=1.0,
 )
 
 
@@ -49,6 +50,7 @@ class TestMalformedRecords:
         # Fields an older coordinator's hello may still carry.
         ("hyperthreading", False),
         ("net_connect_timeout", 5.0),
+        ("cluster_backlog_high", 8.0),
     ])
     def test_unknown_field_is_a_transport_error(self, field, value):
         record = config_to_wire(RuntimeConfig())
@@ -75,6 +77,26 @@ class TestMalformedRecords:
         record = config_to_wire(RuntimeConfig())
         record["key_size"] = 32
         with pytest.raises(TransportError):
+            config_from_wire(record)
+
+    @pytest.mark.parametrize("field", [
+        field.name for field in dataclasses.fields(RuntimeConfig)
+        if field.type == "float"
+    ])
+    def test_nan_is_a_transport_error(self, field):
+        # json writes NaN as a bare token and reads it back as a float,
+        # so a hello header can carry one.
+        record = config_to_wire(RuntimeConfig())
+        record[field] = math.nan
+        record = json.loads(json.dumps(record))
+        with pytest.raises(HandshakeError, match=field):
+            config_from_wire(record)
+
+    def test_float_field_too_large_for_a_float_is_a_transport_error(
+            self):
+        record = config_to_wire(RuntimeConfig())
+        record["net_request_timeout"] = 10 ** 400
+        with pytest.raises(HandshakeError):
             config_from_wire(record)
 
     def test_non_object_record_is_a_transport_error(self):

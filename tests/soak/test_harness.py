@@ -6,12 +6,14 @@ import json
 import pytest
 
 from repro.errors import ReproError
+from repro.observability import NULL_TRACER, Observability
 from repro.soak import (
     SCENARIO_NAMES,
     SoakOptions,
     SoakReport,
     run_soak,
 )
+from repro.soak.harness import _ElasticScenario
 
 
 class TestSoakOptions:
@@ -85,3 +87,24 @@ class TestShortSoakRun:
         # repeat matched its frozen reference.
         result, _ = report
         assert result.ok
+
+
+class TestElasticScenario:
+    def test_churn_streams_through_the_joined_worker(self):
+        """The warm-up iteration, a plain one, then one churn: the
+        joined 4-core member gets stages 0 and 6 from the water-filled
+        re-plan and serves all three requests on each."""
+        options = SoakOptions(duration=1.0, seed=7,
+                              scenarios=("elastic",))
+        scenario = _ElasticScenario(
+            options, Observability(enabled=True, tracer=NULL_TRACER)
+        )
+        scenario.setup()
+        try:
+            for iteration in range(3):
+                assert scenario.run_once(iteration) == 3
+                scenario.iterations += 1
+        finally:
+            scenario.teardown()
+        assert scenario.joins == scenario.drains == 1
+        assert scenario.joined_items >= 2 * 3

@@ -1,12 +1,16 @@
 """Unit tests for RuntimeConfig and the cost model."""
 
 import dataclasses
+import math
 
 import pytest
 
 from repro.config import DEFAULT_CONFIG, PAPER_KEY_SIZE, RuntimeConfig
 from repro.costs import CostModel
 from repro.errors import ConfigurationError
+
+FLOAT_FIELDS = [field.name for field in dataclasses.fields(RuntimeConfig)
+                if field.type == "float"]
 
 
 class TestRuntimeConfig:
@@ -35,16 +39,25 @@ class TestRuntimeConfig:
         """Fields are set by name; the only builders left are the two
         the benchmark harness calls."""
         names = {field.name for field in dataclasses.fields(RuntimeConfig)}
-        assert len(names) == 38
+        assert len(names) == 34
         assert not names & {
             "hyperthreading", "net_connect_timeout",
             "net_handshake_timeout", "net_breaker_threshold",
             "net_breaker_cooldown", "cluster_rebalance_interval",
             "cluster_join_timeout", "compress_accuracy_budget",
+            "cluster_backlog_high", "cluster_backlog_low",
+            "cluster_rebalance_cooldown", "cluster_min_service_samples",
         }
         builders = {name for name in dir(RuntimeConfig)
                     if name.startswith("with_")}
         assert builders == {"with_observability", "with_pack_lanes"}
+
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_float_fields_must_be_finite(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            RuntimeConfig(**{field: value})
 
     def test_frozen(self):
         with pytest.raises(Exception):
