@@ -116,7 +116,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     plan = allocate_even(model_provider.stages, cluster).plan
     pipeline = Pipeline(
         model_provider, data_provider, plan,
-        channel_capacity=args.channel_capacity,
         retry_policy=retry_policy,
         request_deadline=args.deadline,
         fault_plan=fault_plan,
@@ -618,8 +617,6 @@ def main(argv: list[str] | None = None) -> int:
     stream.add_argument("--samples", type=int, default=4)
     stream.add_argument("--key-size", type=int, default=256,
                         dest="key_size")
-    stream.add_argument("--channel-capacity", type=int, default=8,
-                        dest="channel_capacity")
     stream.add_argument(
         "--faults", default=None,
         help="fault plan, e.g. "

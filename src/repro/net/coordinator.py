@@ -329,8 +329,8 @@ class Coordinator:
             returns its address.  At most ``worker_restart_budget``
             respawns per server slot.
         worker_restart_budget: respawns allowed per server slot.
-        retry_policy / request_deadline / channel_capacity /
-            restart_budget / sink_timeout: forwarded to the underlying
+        retry_policy / request_deadline / restart_budget /
+            sink_timeout: forwarded to the underlying
             :class:`~repro.stream.pipeline.Pipeline` untouched.
         obs: observability sinks (defaults from the providers, like the
             in-process pipeline).
@@ -346,7 +346,6 @@ class Coordinator:
         worker_restart_budget: int = 0,
         retry_policy: RetryPolicy | None = None,
         request_deadline: float | None = None,
-        channel_capacity: int = 8,
         restart_budget: int = 2,
         sink_timeout: float = 300.0,
         obs: Observability | None = None,
@@ -388,7 +387,6 @@ class Coordinator:
         self.chaos = (ChaosInjector(chaos_plan)
                       if chaos_plan is not None else None)
         self._request_deadline = request_deadline
-        self._channel_capacity = channel_capacity
         self._restart_budget = restart_budget
         self._sink_timeout = sink_timeout
         #: Tenant name carried in every handshake: workers host one
@@ -730,7 +728,6 @@ class Coordinator:
             self.model_provider,
             self.data_provider,
             self.plan,
-            channel_capacity=self._channel_capacity,
             retry_policy=self._retry_policy,
             request_deadline=(request_deadline
                               if request_deadline is not None

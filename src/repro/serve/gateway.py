@@ -7,8 +7,9 @@ Endpoints (JSON in/out; see docs/SERVING.md for full shapes):
   when admission control sheds the request (a *transient* capacity
   condition), **403 without** ``Retry-After`` when tenant
   registration is refused outright (name off the allowlist, tenant
-  table full — retrying cannot help), 400 on malformed input, 404 on
-  an unknown route.
+  table full — retrying cannot help), 400 on malformed input (a
+  negative or non-finite ``deadline`` included), 404 on an unknown
+  route.
 * ``GET /v1/jobs/<id>?tenant=<name>`` — job status document; 403
   when the job belongs to a different tenant (cross-tenant status
   reads are refused, and counted), 404 when unknown.
@@ -39,7 +40,7 @@ from ..errors import (
 from ..observability import NULL_TRACER, Observability
 from ..planner.plan import ClusterSpec
 from ..protocol.ratelimit import RateLimiter, RateLimitExceeded
-from .jobs import JobManager, SHED
+from .jobs import JobManager, SHED, check_deadline
 from .tenants import TenantRegistry
 
 
@@ -114,8 +115,8 @@ class _Handler(BaseHTTPRequestHandler):
             values = doc["input"]
             deadline = doc.get("deadline")
             if deadline is not None:
-                deadline = float(deadline)
-        except (KeyError, TypeError, ValueError) as exc:
+                deadline = check_deadline(float(deadline))
+        except (KeyError, TypeError, ValueError, ServeError) as exc:
             self._reply(400, {"error": f"malformed request: {exc}"})
             return
         try:

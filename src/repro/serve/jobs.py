@@ -45,6 +45,7 @@ dispatch.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 import uuid
@@ -75,6 +76,18 @@ LEGAL_TRANSITIONS: Dict[str, frozenset] = {
 
 #: States with no outgoing edges.
 TERMINAL_STATES = frozenset({DONE, FAILED, SHED, DEADLINE})
+
+
+def check_deadline(seconds: float) -> float:
+    """Return a per-request deadline in seconds, refusing a malformed
+    one: NaN, ±inf or a negative budget is a client error, not "no
+    deadline" (0 keeps its documented meaning: disabled)."""
+    if not math.isfinite(seconds) or seconds < 0:
+        raise ServeError(
+            "deadline must be finite, non-negative seconds "
+            f"(0 disables), got {seconds!r}"
+        )
+    return seconds
 
 
 class Job:
@@ -334,12 +347,17 @@ class JobManager:
         Args:
             deadline_seconds: end-to-end budget from now; defaults to
                 ``config.serve_default_deadline`` (0 disables).
+
+        Raises:
+            ServeError: ``deadline_seconds`` is negative or not finite
+                (:func:`check_deadline`).
         """
         if deadline_seconds is None:
             deadline_seconds = self.config.serve_default_deadline
+        else:
+            check_deadline(deadline_seconds)
         absolute = (time.monotonic() + deadline_seconds
-                    if deadline_seconds and deadline_seconds > 0
-                    else None)
+                    if deadline_seconds > 0 else None)
         job = Job(tenant, payload, deadline=absolute)
         self.tracker.add(job)
         self.obs.registry.counter(

@@ -1,7 +1,7 @@
 """The assembled inference pipeline: source -> stages -> sink.
 
 :class:`Pipeline` wires one :class:`StageWorker` per merged primitive
-layer with bounded channels, admits a stream of raw input tensors from
+layer with one-slot channels, admits a stream of raw input tensors from
 a producer thread, and collects per-request latency plus aggregate
 throughput.  This is the real (threaded, crypto-correct) counterpart
 of the discrete-event simulator: identical plans, identical stage
@@ -39,6 +39,14 @@ from .retry import DeadLetter, RetryPolicy
 from .supervisor import Supervisor
 from .worker import StageWorker
 
+#: Items each inter-stage channel holds.  A pipeline's throughput is
+#: its bottleneck stage's; one waiting item is enough to keep that
+#: stage fed the moment it finishes, and every deeper slot only adds
+#: queue wait to each request's latency (Little's law) for no
+#: throughput.  Stages upstream of the bottleneck block in their
+#: forward instead (``StreamStats.stage_blocked_seconds``).
+CHANNEL_SLOTS = 1
+
 
 @dataclass(frozen=True)
 class RequestResult:
@@ -68,6 +76,8 @@ class StreamStats:
     dead_letters: List[DeadLetter] = field(default_factory=list)
     wall_time: float = 0.0
     stage_busy_seconds: List[float] = field(default_factory=list)
+    #: Seconds each stage waited for room downstream (backpressure).
+    stage_blocked_seconds: List[float] = field(default_factory=list)
     stage_items: List[int] = field(default_factory=list)
     stage_retries: List[int] = field(default_factory=list)
     stage_backoff_events: List[int] = field(default_factory=list)
@@ -123,7 +133,9 @@ class StreamStats:
         return "\n".join(lines)
 
     def utilization_report(self) -> str:
-        """Human-readable per-stage occupancy table for one run."""
+        """Human-readable per-stage occupancy table for one run: each
+        stage's busy share (bar) and the share it spent blocked
+        forwarding into a full downstream channel."""
         completed = len(self.results)
         latency = (f", mean latency {self.mean_latency:.2f}s"
                    if self.results else "")
@@ -141,6 +153,9 @@ class StreamStats:
             bar = "#" * int(round(utilization * 30))
             marker = "  <- bottleneck" if index == bottleneck else ""
             extras = ""
+            if index < len(self.stage_blocked_seconds):
+                blocked = self.stage_blocked_seconds[index]
+                extras += f" blocked {blocked / self.wall_time:6.1%}"
             if index < len(self.stage_retries) \
                     and self.stage_retries[index]:
                 extras += f" retries={self.stage_retries[index]}"
@@ -152,7 +167,7 @@ class StreamStats:
                     and self.stage_restarts[index]:
                 extras += f" restarts={self.stage_restarts[index]}"
             lines.append(
-                f"  stage {index}: {utilization:6.1%} |{bar:<30}|"
+                f"  stage {index}: busy {utilization:6.1%} |{bar:<30}|"
                 f"{extras}{marker}"
             )
         if self.dead_letters:
@@ -166,7 +181,6 @@ class Pipeline:
     Args:
         model_provider / data_provider / plan: the two parties and the
             stage plan (as before).
-        channel_capacity: bounded inter-stage queue depth.
         retry_policy: backoff + classification policy for every stage;
             omitted, no retries (``RetryPolicy.immediate(0)``).
         request_deadline: per-request seconds from admission before a
@@ -192,7 +206,6 @@ class Pipeline:
         model_provider: ModelProvider,
         data_provider: DataProvider,
         plan: Plan,
-        channel_capacity: int = 8,
         retry_policy: RetryPolicy | None = None,
         request_deadline: float | None = None,
         fault_plan: FaultPlan | None = None,
@@ -217,7 +230,6 @@ class Pipeline:
             else build_executors(model_provider, data_provider, plan),
             fault_plan,
         )
-        self._channel_capacity = channel_capacity
         self._retry_policy = (
             retry_policy if retry_policy is not None
             else RetryPolicy.immediate(0)
@@ -276,7 +288,7 @@ class Pipeline:
                     )
         num_stages = len(self._executors)
         channels = [
-            Channel(self._channel_capacity) for _ in range(num_stages + 1)
+            Channel(CHANNEL_SLOTS) for _ in range(num_stages + 1)
         ]
         workers = [
             StageWorker(
@@ -397,6 +409,7 @@ class Pipeline:
             root.finish()
         roots.clear()
         stats.stage_busy_seconds = supervisor.stage_busy_seconds()
+        stats.stage_blocked_seconds = supervisor.stage_blocked_seconds()
         stats.stage_items = supervisor.stage_items()
         stats.stage_retries = supervisor.stage_retries()
         stats.stage_backoff_events = supervisor.stage_backoff_events()

@@ -47,6 +47,7 @@ class _StageSlot:
     restarts: int = 0
     items_processed: int = 0
     busy_seconds: float = 0.0
+    blocked_seconds: float = 0.0
     crash_log: List[str] = field(default_factory=list)
 
     def total_items(self) -> int:
@@ -55,9 +56,13 @@ class _StageSlot:
     def total_busy(self) -> float:
         return self.busy_seconds + self.worker.busy_seconds
 
+    def total_blocked(self) -> float:
+        return self.blocked_seconds + self.worker.blocked_seconds
+
     def absorb_dead(self, dead: StageWorker) -> None:
         self.items_processed += dead.items_processed
         self.busy_seconds += dead.busy_seconds
+        self.blocked_seconds += dead.blocked_seconds
 
 
 class Supervisor:
@@ -235,6 +240,9 @@ class Supervisor:
 
     def stage_busy_seconds(self) -> List[float]:
         return [slot.total_busy() for slot in self._slots]
+
+    def stage_blocked_seconds(self) -> List[float]:
+        return [slot.total_blocked() for slot in self._slots]
 
     def stage_retries(self) -> List[int]:
         return [slot.worker.ledger.retries for slot in self._slots]

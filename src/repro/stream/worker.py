@@ -71,7 +71,8 @@ class StageWorker:
         seed: backoff-jitter RNG seed (deterministic per worker).
         obs: observability sinks (:mod:`repro.observability`); the
             worker records a per-stage service-time histogram, a
-            queue-depth gauge, retry/dead-letter counters, and one
+            queue-depth gauge, retry/dead-letter counters, a counter of
+            seconds spent blocked forwarding downstream, and one
             ``stage-N`` span per item (with ``retry`` / ``dead-letter``
             child events) into them.  Defaults to the no-op twins.
     """
@@ -102,6 +103,9 @@ class StageWorker:
         self.stage_index = stage_index
         self.items_processed = 0
         self.busy_seconds = 0.0
+        #: Seconds spent waiting for room downstream (backpressure
+        #: from a slower stage), kept apart from ``busy_seconds``.
+        self.blocked_seconds = 0.0
         self.ledger = RetryBudgetLedger()
         self.last_heartbeat = time.monotonic()
         self.inflight = None
@@ -132,6 +136,9 @@ class StageWorker:
                                        stage=stage_label)
         self._m_retries = registry.counter("stream_retries",
                                            stage=stage_label)
+        self._m_blocked = registry.counter(
+            "stream_stage_blocked_seconds", stage=stage_label
+        )
         # Per-worker twins of the queue gauge: remote executors report
         # which cluster member served the last item (worker_label), so
         # backlog attributes to a specific member while the unlabeled
@@ -297,6 +304,7 @@ class StageWorker:
     def _forward(self, item) -> None:
         if self.outbound is None:
             return
+        start = time.perf_counter()
         try:
             self.outbound.put(item)
         except StreamError as exc:
@@ -306,6 +314,10 @@ class StageWorker:
                 f"stage {self.name} could not forward request "
                 f"{request_id} downstream: {exc}"
             ) from exc
+        finally:
+            blocked = time.perf_counter() - start
+            self.blocked_seconds += blocked
+            self._m_blocked.inc(blocked)
 
     def _run(self) -> None:
         try:

@@ -96,6 +96,22 @@ class TestRejections:
         assert status == 400
         assert "malformed" in body["error"]
 
+    @pytest.mark.parametrize("seconds", [
+        float("nan"), float("inf"), float("-inf"), -5.0,
+    ])
+    def test_malformed_deadline_400(self, gateway, client, seconds):
+        """Regression: a NaN or negative deadline was admitted (202)
+        with no deadline at all.  ``json`` sends NaN and ±inf as the
+        ``NaN`` / ``Infinity`` literals the gateway's parser reads."""
+        status, body, _ = client.post(
+            "/v1/infer",
+            {"tenant": "dl", "input": _sample(gateway),
+             "deadline": seconds},
+        )
+        assert status == 400
+        assert "deadline" in body["error"]
+        assert "dl" not in gateway.registry.names()
+
     def test_bad_tenant_name_400(self, gateway, client):
         status, body, _ = client.post(
             "/v1/infer",

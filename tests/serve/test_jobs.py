@@ -267,6 +267,27 @@ class TestAdmissionControl:
             release.set()
             manager.shutdown()
 
+    @pytest.mark.parametrize("seconds", [
+        float("nan"), float("inf"), float("-inf"), -5.0,
+    ])
+    def test_malformed_deadline_is_refused(self, seconds):
+        """Regression: NaN and negative budgets were taken as "no
+        deadline", skipping ``serve_default_deadline``; inf gave an
+        infinite one.  All are refused before a job is tracked."""
+        manager = _manager(lambda job: {})
+        with pytest.raises(ServeError, match="deadline"):
+            manager.submit("t", 0, deadline_seconds=seconds)
+        assert manager.tracker.jobs() == []
+
+    def test_zero_deadline_disables_and_none_takes_the_default(self):
+        manager = _manager(lambda job: {}, default_deadline=30.0)
+        assert manager.submit("t", 0, deadline_seconds=0).deadline \
+            is None
+        before = time.monotonic()
+        job = manager.submit("t", 1)
+        assert before + 30.0 <= job.deadline <= time.monotonic() + 30.0
+        manager.shutdown()
+
     def test_runner_exceptions_map_to_states(self):
         def runner(job):
             if job.payload == "deadline":

@@ -122,9 +122,8 @@ class TestPipelineCorrectness:
         a producer thread concurrent with draining."""
         trained, model_provider, data_provider, plan = \
             breast_pipeline_parts
-        pipeline = Pipeline(model_provider, data_provider, plan,
-                            channel_capacity=1)
-        # 16 inputs vs total buffering of ~(stages + 1) slots
+        pipeline = Pipeline(model_provider, data_provider, plan)
+        # 16 inputs vs total buffering of (stages + 1) one-slot channels
         inputs = [breast_dataset.test_x[i % 8] for i in range(16)]
         stats = pipeline.run_stream(inputs)
         assert len(stats.results) == 16
