@@ -203,6 +203,15 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+#: GIL switch interval, in seconds, of a ``worker`` process.  One
+#: worker process serves several stage connections; while one of their
+#: threads computes, the others' I/O threads wait up to the default
+#: 5 ms for the GIL after every socket call, and a streamed request
+#: pays that wait at every stage.  ``WorkerServer`` leaves the
+#: interval alone, so in-process servers keep the interpreter default.
+WORKER_SWITCH_INTERVAL_S = 0.001
+
+
 def _cmd_worker(args: argparse.Namespace) -> int:
     from .errors import ClusterMembershipError, TransportError
     from .net import WorkerServer
@@ -217,6 +226,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         print(f"error: cannot listen on {args.listen!r}: {exc}",
               file=sys.stderr)
         return 2
+    sys.setswitchinterval(WORKER_SWITCH_INTERVAL_S)
     host, port = server.address
     # The exact line the serve command (and any orchestrator) parses
     # to learn an ephemeral port.

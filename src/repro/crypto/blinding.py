@@ -36,10 +36,13 @@ from .math_utils import invmod, powmod
 
 #: Digit width of the fixed-base tables.  Counted multiplies per
 #: factor are ``ceil(|x|/w) - 1`` and a table holds ``ceil(|x|/w) *
-#: (2^w - 1)`` residues: at the benchmark's 256/320-bit keys w = 6
-#: costs 21/26 multiplies from 87/133 KB; w = 8 would save a quarter
-#: of the multiplies for three times the table and build time.
-BLINDING_DIGIT_BITS = 6
+#: (2^w - 1)`` residues.  At w = 8 a digit is one byte of the
+#: exponent, read with ``int.to_bytes`` rather than a shift and a mask
+#: per digit.  Against w = 6, on the benchmark's 256/320-bit keys, that
+#: cuts the key holder's time per factor to x0.71/x0.73 (measured,
+#: docs/PERFORMANCE.md) for three times the table (255/398 KiB on the
+#: public side) and build time.
+BLINDING_DIGIT_BITS = 8
 
 #: Byte budget per table.  A key too large for ``BLINDING_DIGIT_BITS``
 #: under it gets the widest digit that fits (w = 5 at 1024 bits, w = 2
@@ -109,9 +112,24 @@ class FixedBaseTable:
         modulus = backend.wrap(self.modulus)
         one = backend.wrap(1)
         width = self.digit_bits
-        mask = (1 << width) - 1
         rows = self.rows
         out = []
+        if width == 8:
+            for x in exponents:
+                try:
+                    digits = x.to_bytes(len(rows), "little")
+                except OverflowError as exc:
+                    raise CryptoError(
+                        f"blinding exponent out of range "
+                        f"[0, 2^{8 * len(rows)})"
+                    ) from exc
+                acc = one
+                for row, digit in zip(rows, digits):
+                    if digit:
+                        acc = acc * row[digit] % modulus
+                out.append(acc)
+            return out
+        mask = (1 << width) - 1
         for x in exponents:
             acc = one
             for row in rows:

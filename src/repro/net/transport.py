@@ -141,7 +141,14 @@ def read_envelope(sock: socket.socket,
 
 def _read_frame(sock: socket.socket,
                 max_frame_bytes: int) -> tuple[Envelope, int]:
-    """Read one framed envelope; returns it with its wire length."""
+    """Read one framed envelope; returns it with its wire length.
+
+    Two reads: the fixed head, then header and payload together once
+    the head's lengths have passed the frame limit.  Each socket call
+    releases and retakes the GIL, and in a worker process that runs a
+    compute thread every retake can wait out a switch interval, so a
+    frame that has arrived whole costs exactly two ``recv`` calls.
+    """
     head = _recv_exact(sock, _FRAME.size)
     magic, version, kind_byte, header_len, payload_len = \
         _FRAME.unpack(head)
@@ -161,10 +168,10 @@ def _read_frame(sock: socket.socket,
             f"peer declared a {total}-byte frame, over the "
             f"{max_frame_bytes}-byte limit"
         )
-    header_bytes = _recv_exact(sock, header_len)
-    payload = _recv_exact(sock, payload_len) if payload_len else b""
+    body = _recv_exact(sock, header_len + payload_len)
+    payload = body[header_len:]
     try:
-        header = json.loads(header_bytes.decode("utf-8")) \
+        header = json.loads(body[:header_len].decode("utf-8")) \
             if header_len else {}
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TransportError(f"malformed envelope header: {exc}") from exc
@@ -199,6 +206,9 @@ class Connection:
         self._recv_lock = threading.Lock()
         self._rpc_lock = threading.Lock()
         self._closed = False
+        # The timeout the socket holds, so a receive with an unchanged
+        # timeout skips ``settimeout`` (a GIL release per call).
+        self._timeout = sock.gettimeout()
         self.peer = peer
         self.obs = obs if obs is not None else OBS_OFF
         self._m_sent = self.obs.registry.counter(
@@ -233,12 +243,8 @@ class Connection:
                 raise TransportError(
                     f"connection to {self.peer} is closed"
                 )
-            try:
-                self._sock.settimeout(timeout)
-            except OSError as exc:
-                raise TransportError(
-                    f"connection to {self.peer} is unusable: {exc}"
-                ) from exc
+            if timeout != self._timeout:
+                self.set_socket_timeout(timeout)
             envelope, size = _read_frame(self._sock,
                                          self._max_frame_bytes)
         self._m_received.inc(size)
@@ -264,6 +270,7 @@ class Connection:
             raise TransportError(
                 f"connection to {self.peer} is unusable: {exc}"
             ) from exc
+        self._timeout = timeout
 
     def close(self) -> None:
         """Close the socket; any thread blocked in recv wakes with a

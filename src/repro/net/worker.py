@@ -484,7 +484,15 @@ class WorkerServer:
 
     def _run_task(self, session: _Session,
                   envelope: Envelope) -> Envelope:
-        request_id = int(envelope.header.get("request_id", -1))
+        try:
+            request_id = int(envelope.header.get("request_id", -1))
+        except (TypeError, ValueError) as exc:
+            # Answered, not raised: an uncaught error here would close
+            # the connection, and the coordinator would read a dead
+            # worker.
+            return error_envelope(
+                -1, CLASS_PERMANENT, f"malformed task header: {exc!r}"
+            )
         try:
             item = item_from_task(envelope, session.public_key)
             stage_index = int(envelope.header["stage_index"])

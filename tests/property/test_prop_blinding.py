@@ -169,6 +169,33 @@ class TestBase:
         x = (1 << 1024) - 12345
         assert wide.powers([x], resolve_backend("python")) \
             == [pow(3, x, (1 << 4096) - 1)]
+        # A narrowed table reads digits by shift and mask; it rejects
+        # what it cannot cover as the byte-digit tables do.
+        covered = wide.digit_bits * len(wide.rows)
+        for bad in (1 << covered, -1):
+            with pytest.raises(CryptoError):
+                wide.powers([bad], resolve_backend("python"))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_byte_digits_match_shift_and_mask(self, backend,
+                                              monkeypatch):
+        """The byte-digit read and the shift-and-mask loop are one
+        function: a w = 8 table gives what the same table gives with
+        its width read the general way."""
+        import repro.crypto.blinding as blinding
+
+        modulus = PUBLIC.n_squared
+        table = FixedBaseTable(PUBLIC.blinding.h_s, modulus, 64)
+        assert table.digit_bits == 8
+        backend = resolve_backend(backend)
+        xs = PUBLIC.blinding.exponents(random.Random(4), 16) \
+            + [0, 1, 0xFF, 0x100, (1 << 64) - 1]
+        by_bytes = table.powers(xs, backend)
+        monkeypatch.setattr(blinding, "BLINDING_DIGIT_BITS", 7)
+        narrow = FixedBaseTable(PUBLIC.blinding.h_s, modulus, 64)
+        assert narrow.digit_bits == 7
+        assert narrow.powers(xs, backend) == by_bytes \
+            == [pow(PUBLIC.blinding.h_s, x, modulus) for x in xs]
 
     def test_scalar_and_holder_forms_are_one_function(self):
         public, private = ordered_keypair(256, True)

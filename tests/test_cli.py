@@ -47,6 +47,32 @@ class TestNetCli:
                            "definitely:not:a:port"]) == 2
         assert "cannot listen" in capsys.readouterr().err
 
+    def test_worker_serves_with_a_short_switch_interval(self, capsys,
+                                                        monkeypatch):
+        """`repro worker` serves with WORKER_SWITCH_INTERVAL_S; an
+        in-process WorkerServer keeps the interpreter's interval."""
+        from repro.__main__ import WORKER_SWITCH_INTERVAL_S
+        from repro.net import WorkerServer
+
+        default = sys.getswitchinterval()
+        server = WorkerServer()
+        server.start()
+        server.stop()
+        assert sys.getswitchinterval() == default
+        seen = []
+
+        def serve_forever(self):
+            seen.append(sys.getswitchinterval())
+            self.stop()
+
+        monkeypatch.setattr(WorkerServer, "serve_forever", serve_forever)
+        try:
+            assert repro_main(["worker", "--listen", "127.0.0.1:0"]) == 0
+        finally:
+            sys.setswitchinterval(default)
+        assert seen == [pytest.approx(WORKER_SWITCH_INTERVAL_S)]
+        assert "worker listening on" in capsys.readouterr().out
+
     def test_serve_requires_two_workers(self, capsys):
         assert repro_main(["serve", "--workers", "1"]) == 2
         assert "--workers" in capsys.readouterr().err
