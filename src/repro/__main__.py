@@ -209,6 +209,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 #: 5 ms for the GIL after every socket call, and a streamed request
 #: pays that wait at every stage.  ``WorkerServer`` leaves the
 #: interval alone, so in-process servers keep the interpreter default.
+#: For the same reason only a worker process refills its blinding pools
+#: while idle (:meth:`~repro.net.WorkerServer.start_idle_refill`).
 WORKER_SWITCH_INTERVAL_S = 0.001
 
 
@@ -227,6 +229,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     sys.setswitchinterval(WORKER_SWITCH_INTERVAL_S)
+    server.start_idle_refill()
     host, port = server.address
     # The exact line the serve command (and any orchestrator) parses
     # to learn an ephemeral port.

@@ -454,10 +454,8 @@ class Coordinator:
                 f"expected welcome from {handle.describe()}, got "
                 f"{reply.kind}"
             )
-        # The dial left the connect timeout armed so the handshake
-        # could not stall on a silent peer; clear it so large task
-        # frames (or chaos-delayed sends) are not spuriously bounded.
-        connection.set_socket_timeout(None)
+        # Every later request bounds its own round trip, send
+        # included (task connections by ``net_request_timeout``).
         return connection
 
     def _open_task_connection(self, handle: WorkerHandle) -> Connection:

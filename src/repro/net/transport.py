@@ -252,18 +252,24 @@ class Connection:
 
     def request(self, envelope: Envelope,
                 timeout: float | None = None) -> Envelope:
-        """One strict round trip: send, then receive the reply."""
+        """One strict round trip: send, then receive the reply.
+
+        ``timeout`` bounds the whole round trip, the send included: it
+        is armed before the send, so a peer that stops reading fails
+        the request like one that stops answering.
+        """
         with self._rpc_lock:
+            if timeout != self._timeout:
+                self.set_socket_timeout(timeout)
             self.send(envelope)
             return self.recv(timeout)
 
     def set_socket_timeout(self, timeout: float | None) -> None:
-        """Set the socket-level timeout that bounds *sends* (receives
-        set their own per-call timeout).  :func:`dial` leaves the
-        connect timeout armed so the handshake cannot stall on a
-        black-holed peer; callers clear it (``None``) once the
-        handshake completes so large task frames are not spuriously
-        bounded."""
+        """Set the socket-level timeout, which bounds every send and
+        receive until it is changed.  :meth:`recv` and :meth:`request`
+        arm their own ``timeout`` (only when it differs from the armed
+        one), so a bare :meth:`send` is bounded by the latest one
+        armed — the connect timeout after :func:`dial`."""
         try:
             self._sock.settimeout(timeout)
         except OSError as exc:
@@ -298,8 +304,7 @@ def dial(host: str, port: int,
     listening-but-silent peer (accepted by the kernel backlog, never
     served) fails the hello/welcome round trip with
     :class:`TransportError` instead of stalling the dialer forever.
-    Call :meth:`Connection.set_socket_timeout` with ``None`` once the
-    handshake completes.
+    Each later :meth:`Connection.request` arms its own timeout.
 
     Args:
         factory: optional ``factory(sock, max_frame_bytes, obs, peer)

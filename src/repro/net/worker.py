@@ -18,8 +18,16 @@ Connection protocol (strict request/response per connection):
 
 Role pinning enforces the paper's privacy separation at the process
 boundary: a worker that ever accepted model-provider state refuses a
-data-role handshake (and vice versa), so no single OS process holds
-both the model parameters and the private key.
+data-role handshake (and vice versa), so no worker process holds both
+the model parameters and the private key.  The coordinator does: it
+builds both roles' handshake specs (:func:`repro.net.wire
+.build_worker_spec`), so it holds both providers, the private key
+included, and must run where both parties' secrets may be.
+
+Idle refill: ``python -m repro worker`` calls
+:meth:`WorkerServer.start_idle_refill`, so the key holder's worker
+computes blinding factors while no task runs, and a stage draws them
+ready-made instead of paying for them in its service time.
 
 Obfuscation across processes: linear executors get *stateless*
 obfuscators (permutations rederived from ``(master_seed, round_id)``),
@@ -36,6 +44,7 @@ import json
 import random
 import socket
 import threading
+import time
 
 from ..config import DEFAULT_CONFIG
 from ..crypto.engine import party_engine
@@ -241,9 +250,10 @@ class WorkerServer:
         self._listener.bind((host, port))
         self._listener.listen(16)
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
-        #: Per-tenant sessions; the *role* is pinned server-wide (one
-        #: process never holds both model parameters and a private
-        #: key), the handshake *spec digest* is pinned per tenant: an
+        #: Per-tenant sessions; the *role* is pinned server-wide (no
+        #: worker holds both model parameters and a private key; the
+        #: coordinator, which builds both specs, does), the handshake
+        #: *spec digest* is pinned per tenant: an
         #: identical re-handshake reuses the session, the same keypair
         #: with a changed spec rebuilds it, a different keypair is
         #: refused.
@@ -254,6 +264,12 @@ class WorkerServer:
         self._connections_lock = threading.Lock()
         self._stopped = threading.Event()
         self._accept_thread: threading.Thread | None = None
+        #: Tasks running now and tasks ended so far; the idle refill
+        #: waits on ``_idle`` for a task's end (which notifies it).
+        self._tasks_running = 0
+        self._tasks_ended = 0
+        self._idle = threading.Condition()
+        self._refill_thread: threading.Thread | None = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -270,6 +286,54 @@ class WorkerServer:
         """Serve on the calling thread until :meth:`stop` (CLI path)."""
         self._accept_loop()
 
+    def start_idle_refill(self) -> None:
+        """Top up every key-holder session's blinding pool to its
+        target from one background thread, while no task runs.
+
+        Only a dedicated worker process (``python -m repro worker``)
+        has idle time to harvest; an in-process server shares its
+        interpreter with the caller, so it keeps the pools' synchronous
+        refill.  The thread ends with :meth:`stop`.
+        """
+        if self._refill_thread is not None or self._stopped.is_set():
+            return
+        self._refill_thread = threading.Thread(
+            target=self._refill_while_idle,
+            name=f"repro-worker-refill-{self.address[1]}", daemon=True,
+        )
+        self._refill_thread.start()
+
+    def _refill_while_idle(self) -> None:
+        seen = -1
+        while True:
+            with self._idle:
+                # Pools shrink only inside tasks, so once they are
+                # topped up the next thing to do follows a task's end.
+                while not self._stopped.is_set() and (
+                        self._tasks_running
+                        or self._tasks_ended == seen):
+                    self._idle.wait()
+                if self._stopped.is_set():
+                    return
+                seen = self._tasks_ended
+            with self._session_lock:
+                pools = [session.engine.pool
+                         for session in self._sessions.values()
+                         if session.role == ROLE_DATA]
+            for pool in pools:
+                # One factor at a time through the pool's own locked
+                # refill (seeded order, no factor twice), yielding the
+                # GIL between factors and stopping once a task starts.
+                # ``sleep(0)`` really sleeps (the timer slack), so a
+                # thread waiting for the GIL gets it; a yield that
+                # retakes the GIL at once resets the waiter's switch
+                # timer and can starve it for many milliseconds.
+                while len(pool) < pool.target_size \
+                        and not self._tasks_running \
+                        and not self._stopped.is_set():
+                    pool.refill(1)
+                    time.sleep(0)
+
     def stop(self, abort: bool = False) -> None:
         """Stop serving.
 
@@ -281,6 +345,8 @@ class WorkerServer:
         if self._stopped.is_set():
             return
         self._stopped.set()
+        with self._idle:
+            self._idle.notify_all()
         try:
             # close() alone does not wake a thread blocked in accept()
             # on Linux; shutdown() makes it return immediately.
@@ -300,9 +366,10 @@ class WorkerServer:
             for session in self._sessions.values():
                 session.shutdown()
             self._sessions.clear()
-        thread = self._accept_thread
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout=5.0)
+        for thread in (self._accept_thread, self._refill_thread):
+            if thread is not None \
+                    and thread is not threading.current_thread():
+                thread.join(timeout=5.0)
 
     @property
     def running(self) -> bool:
@@ -455,7 +522,17 @@ class WorkerServer:
                 if envelope.kind == KIND_HEARTBEAT:
                     connection.send(self._heartbeat_ack(envelope))
                 elif envelope.kind == KIND_TASK:
-                    connection.send(self._run_task(session, envelope))
+                    with self._idle:
+                        self._tasks_running += 1
+                    try:
+                        reply = self._run_task(session, envelope)
+                    finally:
+                        with self._idle:
+                            self._tasks_running -= 1
+                            self._tasks_ended += 1
+                            if not self._tasks_running:
+                                self._idle.notify()
+                    connection.send(reply)
                 elif envelope.kind == KIND_SHUTDOWN:
                     if envelope.header.get("scope") == "server":
                         self.stop()

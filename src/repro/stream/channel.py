@@ -63,6 +63,25 @@ class Channel:
             self._items.append(item)
             self._not_empty.notify()
 
+    def wait_for_room(self) -> None:
+        """Block until the channel has a free slot, without taking it.
+
+        Admission waits here before it builds an item, so it never
+        holds one the channel cannot take: the credit of credit-based
+        flow control.  The slot is not reserved, but a channel with one
+        producer keeps it until that producer's :meth:`put`.
+
+        Raises:
+            StreamError: the channel is (or becomes, while blocked)
+                closed.
+        """
+        with self._not_full:
+            while not self._closed \
+                    and len(self._items) >= self._capacity:
+                self._not_full.wait()
+            if self._closed:
+                raise StreamError("cannot put into a closed channel")
+
     def put_front(self, item: Any) -> None:
         """Re-inject an item at the head, ignoring capacity.
 

@@ -252,7 +252,10 @@ class Pipeline:
         Inputs are admitted from a producer thread, so the bounded
         source channel backpressures admission against sink draining
         instead of deadlocking when ``len(inputs)`` exceeds total
-        channel capacity.
+        channel capacity.  A request is encrypted, stamped and admitted
+        only once the source has room, so a stream holds at most 2·S
+        requests (S stages, S one-slot inboxes) and a request's
+        deadline starts when the pipeline can take it.
 
         Returns partial results plus a failure report
         (:class:`StreamStats.dead_letters`) when some requests were
@@ -321,9 +324,12 @@ class Pipeline:
         roots: dict = {}
 
         def admit() -> None:
-            # Producer thread: encrypt + enqueue under backpressure.
+            # Producer thread: wait for room, then encrypt + enqueue.
+            # Encrypting first would hold a request whose deadline
+            # clock runs while the source cannot take it.
             try:
                 for request_id, raw in enumerate(inputs):
+                    source.wait_for_room()
                     trace_id = tracer.new_trace_id(f"req{request_id}")
                     root = tracer.begin_span(
                         "request", trace_id=trace_id,

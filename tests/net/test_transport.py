@@ -7,6 +7,7 @@ import random
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -216,6 +217,21 @@ class TestConnection:
             client.recv(timeout=0.1)
         client.close()
         server.close()
+
+    @pytest.mark.timeout(10)
+    def test_request_timeout_bounds_its_send(self):
+        """A peer that never reads fills the socket buffers, and the
+        very first request must fail in about its timeout, not block
+        in the send for ever."""
+        a, b = _pipe()
+        client = Connection(a, 64 * LIMIT, peer="server")
+        big = Envelope(KIND_TASK, {}, bytes(32 * LIMIT))
+        start = time.monotonic()
+        with pytest.raises(TransportError):
+            client.request(big, timeout=0.2)
+        assert time.monotonic() - start < 3.0
+        client.close()
+        b.close()
 
     def test_close_wakes_blocked_recv(self):
         client, server = self._pair()

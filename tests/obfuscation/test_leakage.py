@@ -7,6 +7,7 @@ from repro.errors import ObfuscationError
 from repro.obfuscation.leakage import (
     distance_correlation,
     distance_covariance,
+    distance_variance,
     leakage_by_length,
     permutation_leakage,
 )
@@ -61,6 +62,28 @@ class TestDistanceCorrelation:
         x = np.linspace(-1, 1, 60)
         y = x ** 2
         assert distance_correlation(x, y) > 0.4
+
+
+class TestDistanceVariance:
+    @pytest.mark.parametrize("n", [2, 3, 7, 32, 513, 2048])
+    def test_equals_the_pairwise_form(self, n):
+        """The sorted closed form is the O(n^2) pass, to 1e-12
+        relative, on continuous, tied and offset samples."""
+        rng = np.random.default_rng(n)
+        for x in (rng.standard_normal(n),
+                  rng.integers(0, 4, n).astype(float),
+                  1e3 * rng.standard_normal(n) + 50.0,
+                  np.abs(rng.standard_cauchy(n))):
+            expected = distance_covariance(x, x)
+            assert distance_variance(x) == pytest.approx(
+                expected, rel=1e-12, abs=1e-300)
+
+    def test_constant_sample_is_zero(self):
+        assert distance_variance(np.full(9, 2.5)) == 0.0
+
+    def test_too_short(self):
+        with pytest.raises(ObfuscationError):
+            distance_variance(np.array([1.0]))
 
 
 class TestPermutationLeakage:

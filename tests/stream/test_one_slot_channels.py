@@ -1,11 +1,12 @@
 """One-slot stage hand-off: the in-flight bound and visible backpressure.
 
-Every channel a :class:`Pipeline` builds holds one waiting item, so a
-stream can never hold more than 2·S + 1 admitted-but-undrained
-requests (S stages in service, S one-slot inboxes, one request blocked
-at admission), and a stage upstream of a slower one spends the
-difference blocked in its forward — which ``stage_blocked_seconds``
-and the ``stream_stage_blocked_seconds`` counter record.
+Every channel a :class:`Pipeline` builds holds one waiting item, and
+admission encrypts a request only once the source has room, so a
+stalled stream holds exactly 2·S admitted-but-undrained requests (S
+stages in service, S one-slot inboxes), and a stage upstream of a
+slower one spends the difference blocked in its forward — which
+``stage_blocked_seconds`` and the ``stream_stage_blocked_seconds``
+counter record.
 """
 
 import threading
@@ -49,11 +50,13 @@ class _Gate:
 
 class TestInFlightBound:
     @pytest.mark.timeout(120)
-    def test_a_stalled_last_stage_admits_at_most_2s_plus_1(
+    def test_a_stalled_last_stage_admits_at_most_2s(
             self, trained_breast, breast_dataset, monkeypatch):
         """With the last stage holding request 0, nothing drains, so
         every request admitted is in flight.  Admission must stop at
-        exactly 2·S + 1 (8-slot channels let all 4·S inputs in)."""
+        exactly 2·S: no request is encrypted while the source is full
+        (encrypting first held a (2·S + 1)-th, and 8-slot channels let
+        all 4·S inputs in)."""
         model_provider, data_provider, plan = _parties(trained_breast)
         executors = build_executors(model_provider, data_provider, plan)
         gate = _Gate(executors[-1])
@@ -81,7 +84,7 @@ class TestInFlightBound:
         runner.start()
         try:
             deadline = time.monotonic() + 60.0
-            while (len(admitted) < 2 * stages + 1
+            while (len(admitted) < 2 * stages
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
             # Give a deeper queue time to show itself before reading.
@@ -91,7 +94,7 @@ class TestInFlightBound:
             gate.release.set()
             runner.join(90.0)
         assert not runner.is_alive()
-        assert held == 2 * stages + 1
+        assert held == 2 * stages
         stats = outcome["stats"]
         assert len(stats.results) == len(inputs)
         rounded = round_parameters(trained_breast, 3)

@@ -2,6 +2,7 @@
 
 import os
 import sys
+import threading
 
 import pytest
 
@@ -71,6 +72,38 @@ class TestNetCli:
         finally:
             sys.setswitchinterval(default)
         assert seen == [pytest.approx(WORKER_SWITCH_INTERVAL_S)]
+        assert "worker listening on" in capsys.readouterr().out
+
+    def test_worker_starts_the_idle_refill(self, capsys, monkeypatch):
+        """`repro worker` refills its blinding pools while idle; an
+        in-process WorkerServer does not, and the refiller ends with
+        the server."""
+        from repro.net import WorkerServer
+
+        def refillers():
+            return [thread for thread in threading.enumerate()
+                    if thread.name.startswith("repro-worker-refill-")]
+
+        server = WorkerServer()
+        server.start()
+        try:
+            assert refillers() == []
+        finally:
+            server.stop()
+        seen = []
+
+        def serve_forever(self):
+            seen.append([thread.name for thread in refillers()])
+            self.stop()
+
+        monkeypatch.setattr(WorkerServer, "serve_forever", serve_forever)
+        default = sys.getswitchinterval()
+        try:
+            assert repro_main(["worker", "--listen", "127.0.0.1:0"]) == 0
+        finally:
+            sys.setswitchinterval(default)
+        assert len(seen) == 1 and len(seen[0]) == 1
+        assert refillers() == []
         assert "worker listening on" in capsys.readouterr().out
 
     def test_serve_requires_two_workers(self, capsys):
