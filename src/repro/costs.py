@@ -168,20 +168,28 @@ class CostModel:
         return self.ciphertext_mul_base \
             + self.ciphertext_mul_per_bit * max(scalar_bits, 1)
 
-    def fold_seconds(self, values: int, lanes: int,
-                     lane_bits: int) -> float:
-        """Model-provider cost of folding a linear stage's ``values``
-        outputs ``lanes`` to a ciphertext: Horner's rule raises the
-        accumulator to ``2^lane_bits`` once per value beyond the first
-        of each ciphertext."""
-        cells = -(-values // lanes)
-        return (values - cells) * self.ciphertext_mul(lane_bits)
-
-    def folded_decrypt_seconds(self, values: int, lanes: int) -> float:
-        """Key-holder cost of decrypting ``values`` folded ``lanes`` to
-        a ciphertext: one CRT decryption per ciphertext, one unpack (a
-        plaintext op) per value."""
-        return -(-values // lanes) * self.decrypt + values * self.plain_op
+    def lane_decrypt_seconds(self, values: int,
+                             lane_bits: int | None) -> float:
+        """Key-holder cost of decrypting a linear stage's ``values``
+        outputs certified to ``lane_bits``-bit lanes
+        (:meth:`repro.crypto.engine.PaillierEngine.decrypt_lanes`):
+        runs of ``k = ⌊(|p| - 2) / lane_bits⌋`` values with ``|p| =
+        key_size / 2``, each run one exponentiation mod ``p^2`` (half a
+        CRT decryption) plus ``lane_bits`` squarings mod ``p^2`` per
+        value beyond its first (priced at that exponentiation's cost
+        per exponent bit), and one unpack (a plaintext op) per value.
+        Outputs with no certified width, or lanes too wide for ``p``,
+        pay one CRT decryption each."""
+        half_bits = self.key_size // 2
+        k = (half_bits - 2) // lane_bits if lane_bits else 0
+        if k < 1:
+            return values * self.decrypt
+        runs = -(-values // k)
+        exponentiation = self.decrypt / 2
+        return (runs * exponentiation
+                + (values - runs) * lane_bits
+                * exponentiation / half_bits
+                + values * self.plain_op)
 
     def scalar_bits_for_decimals(self, decimals: int,
                                  weight_magnitude: float = 1.0) -> int:
@@ -274,9 +282,8 @@ class CostModel:
         from .crypto.engine import PaillierEngine
         from .crypto.paillier import generate_keypair
         from .crypto.sparse import SparseMatvecPlan
-        from .crypto.tensor import EncryptedTensor, FoldedTensor
+        from .crypto.tensor import EncryptedTensor
         from .obfuscation.permutation import Permutation
-        from .scaling.headroom import FoldGeometry
         from .protocol.stages import NonLinearStage
 
         if samples < 8:
@@ -306,16 +313,14 @@ class CostModel:
 
         # A stage also pays per request for what its kernels do not
         # cover.  Time the smallest stage the runtime runs — a final
-        # non-linear stage decrypting one folded value, through the
-        # stage body every runtime calls — and keep what its one
-        # decryption does not explain.
-        folded = FoldedTensor.fold(
-            EncryptedTensor(public, ciphers[:1], (1,), 0),
-            FoldGeometry.single_lane(key_size).packer(public), holder)
+        # non-linear stage decrypting one value, through the stage
+        # body every runtime calls — and keep what its one decryption
+        # does not explain.
+        single = EncryptedTensor(public, ciphers[:1], (1,), 0)
         final_stage = NonLinearStage(["softmax"], private, 0, holder,
                                      final=True)
         stage_overhead = max(best_of_five(
-            lambda: final_stage.run(folded)
+            lambda: final_stage.run(single)
         ) - decrypt_cost, 0.0)
 
         # The add and permutation loops take microseconds, so one
@@ -385,8 +390,29 @@ class CostModel:
         )
 
 
+def stage_lane_bits(stages, decimals: int,
+                    key_size: int) -> list[int | None]:
+    """The lane width each stage's input is decrypted in: for a
+    non-linear stage after a certified linear stage, that stage's
+    certified output bits plus one (:func:`repro.scaling.headroom
+    .output_bound_bits`, the bound the runtime's tensors carry); None
+    everywhere else.  Pass entry ``i`` to :func:`stage_compute_seconds`
+    for stage ``i``."""
+    # Deferred: the headroom analysis imports the planner's stages.
+    from .scaling.headroom import output_bound_bits
+
+    bounds = output_bound_bits(stages, decimals, key_size)
+    out: list[int | None] = []
+    for position, stage in enumerate(stages):
+        bits = None
+        if position and stage.kind is not LayerKind.LINEAR:
+            bits = bounds.get(stages[position - 1].index)
+        out.append(None if bits is None else bits + 1)
+    return out
+
+
 def stage_compute_seconds(stage, cost_model: CostModel, decimals: int,
-                          fold=None,
+                          lane_bits: int | None = None,
                           compression: CompressionStats | None = None
                           ) -> float:
     """Single-thread compute seconds of one merged primitive layer
@@ -394,24 +420,21 @@ def stage_compute_seconds(stage, cost_model: CostModel, decimals: int,
     and the simulator's stage costs share.
 
     A linear stage pays inverse obfuscation, homomorphic arithmetic at
-    the bit length of weights scaled by ``10^decimals``, obfuscation
-    and, with ``fold`` (a :class:`~repro.scaling.headroom.FoldGeometry`),
-    the Horner fold of its outputs.  A pruned/clustered stage
-    (``compression``) is charged only its surviving exponentiations —
-    one per (ciphertext, cluster) pair — plus one ciphertext-add-priced
-    multiply per deduplicated reuse.  A non-linear stage pays
-    decryption (one per folded ciphertext plus one unpack per value
-    with ``fold``, else one per value), plaintext non-linear work and
-    re-encryption.  These are the stage contents of the paper's
-    Figure 4; ``fold=None`` prices outputs that leave unfolded, as in
-    CipherBase.
+    the bit length of weights scaled by ``10^decimals`` and
+    obfuscation; its N outputs leave as N ciphertexts.  A
+    pruned/clustered stage (``compression``) is charged only its
+    surviving exponentiations — one per (ciphertext, cluster) pair —
+    plus one ciphertext-add-priced multiply per deduplicated reuse.  A
+    non-linear stage pays decryption — folded in ``lane_bits``-bit
+    lanes (:meth:`CostModel.lane_decrypt_seconds`, the width
+    :func:`stage_lane_bits` gives), one CRT decryption per value with
+    ``lane_bits=None`` — plaintext non-linear work and re-encryption.
+    These are the stage contents of the paper's Figure 4.
     """
     counts = stage.op_counts()
     if stage.kind is not LayerKind.LINEAR:
-        decrypt = (counts.input_size * cost_model.decrypt if fold is None
-                   else cost_model.folded_decrypt_seconds(
-                       counts.input_size, fold.lanes))
-        return (decrypt
+        return (cost_model.lane_decrypt_seconds(counts.input_size,
+                                                lane_bits)
                 + counts.plain_ops * cost_model.plain_op
                 + counts.output_size * cost_model.encrypt
                 + cost_model.stage_overhead)
@@ -430,7 +453,4 @@ def stage_compute_seconds(stage, cost_model: CostModel, decimals: int,
         + counts.output_size * cost_model.permute_element
         + counts.input_size * cost_model.ciphertext_mul_setup
     )
-    if fold is not None:
-        total += cost_model.fold_seconds(counts.output_size, fold.lanes,
-                                         fold.lane_bits)
     return total + cost_model.stage_overhead

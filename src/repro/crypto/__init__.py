@@ -40,7 +40,7 @@ from .engine import (
     default_engine,
 )
 from .sparse import SparseMatvecPlan
-from .tensor import EncryptedTensor, FoldedTensor, PackedEncryptedTensor
+from .tensor import EncryptedTensor, PackedEncryptedTensor
 from .serialize import (
     private_key_from_json,
     private_key_to_json,
@@ -73,7 +73,6 @@ __all__ = [
     "SparseMatvecPlan",
     "default_engine",
     "EncryptedTensor",
-    "FoldedTensor",
     "PackedEncryptedTensor",
     "private_key_from_json",
     "private_key_to_json",

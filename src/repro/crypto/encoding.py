@@ -323,9 +323,9 @@ class LanePacker:
 
     def unpack_exact(self, residue: int, count: int) -> list[int]:
         """Strict :meth:`unpack` of a residue with exactly ``count``
-        occupied lanes at the canonical offset (a folded ciphertext's
+        occupied lanes at the canonical offset (a folded run's
         plaintext, see :meth:`repro.crypto.engine.PaillierEngine
-        .fold_many`).
+        .decrypt_lanes`).
 
         :meth:`unpack` only notices a carry past the top lane.  Here
         the lanes above ``count`` must be empty as well (a carry out

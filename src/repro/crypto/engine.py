@@ -40,11 +40,10 @@ lives or dies on):
    ciphertext as fixed-width lanes
    (:class:`repro.crypto.encoding.LanePacker`), so every modular
    exponentiation — and every pooled blinding factor and CRT
-   decryption — is amortized over B values.  The same lanes run along
-   the feature axis of one request: :meth:`PaillierEngine.fold_many`
-   packs k consecutive ciphertexts into one with public-key
-   operations only, so the key holder pays one CRT decryption per k
-   values (:meth:`~PaillierEngine.decrypt_many_folded`).
+   decryption — is amortized over B values.  The key holder runs
+   lanes along the feature axis as well: :meth:`PaillierEngine
+   .decrypt_lanes` folds a run of cells mod ``p^2`` and recovers the
+   whole run with one half-width exponentiation.
 
 All batched paths produce ciphertexts **bit-identical** to the scalar
 reference implementation in :mod:`repro.crypto.paillier` given the
@@ -313,14 +312,8 @@ class PaillierEngine:
         self._m_packed_matvec = registry.counter(
             "paillier_packed_ops", op="fc_matvec"
         )
-        self._m_fold_cells = {
-            op: registry.counter("paillier_fold_cells", op=op)
-            for op in ("fold", "decrypt")
-        }
-        self._m_fold_values = {
-            op: registry.counter("paillier_fold_values", op=op)
-            for op in ("fold", "decrypt")
-        }
+        self._m_lane_cells = registry.counter("paillier_lane_cells")
+        self._m_lane_runs = registry.counter("paillier_lane_runs")
         self._m_zero_skipped = registry.counter(
             "paillier_compress_zero_skipped"
         )
@@ -683,94 +676,93 @@ class PaillierEngine:
         self._m_packed_matvec.inc(len(out))
         return out
 
-    # -- output folding -------------------------------------------------
+    # -- lane decryption ------------------------------------------------
 
-    def fold_many(self, ciphertexts: Sequence[int],
-                  packer: LanePacker, batch: int = 1) -> list[int]:
-        """Fold each run of ``k = packer.lanes // batch`` consecutive
-        raw ciphertexts into one, with public-key operations only.
+    def run_capacity(self, cell_bits: int) -> int:
+        """Cells of ``cell_bits`` bits one exponentiation mod ``p^2``
+        recovers (:meth:`decrypt_lanes`): ``⌊(|p| - 2) / cell_bits⌋``,
+        so a run's packed plaintext stays below ``2^(|p| - 2) < p``.
+        0 when one cell does not fit (key holder only)."""
+        priv = self.private_key
+        if priv is None:
+            raise CryptoError("engine has no private key; cannot decrypt")
+        return max(0, (priv.p.bit_length() - 2) // max(cell_bits, 1))
 
-        Scalar ciphertexts (``batch`` 1): block ``j`` holds positions
-        ``j*k .. j*k + r - 1`` (``r = k`` except possibly for the last
-        block) and becomes, by Horner's rule in base ``2^L``
-        (``L = packer.lane_bits``)::
+    def decrypt_lanes(self, ciphertexts: Sequence[int],
+                      packer: LanePacker, biased: bool) -> list[int]:
+        """Decrypt cells of ``packer.lanes`` lanes each, a run of them
+        per exponentiation, into their signed lane values in order.
 
-            C_j = ((c_{jk+r-1}^(2^L) * c_{jk+r-2})^(2^L) ... * c_{jk})
-                  * (1 + n * offset * ones_r)  mod n^2
+        Each cell's plaintext is ``packer.lanes`` lanes of
+        ``L = packer.lane_bits`` bits: offset-form lanes of a full
+        lane-packed batch (``biased``), or one signed value with
+        ``|v| < 2^(L - 1)`` (a linear stage's certified output, not
+        ``biased``).  With ``W = packer.lanes * L`` and ``k =``
+        :meth:`run_capacity` ``(W)``, every run of ``r <= k`` cells is
+        reduced mod ``p^2`` and folded by Horner's rule::
 
-        so lane ``l`` of ``C_j`` decrypts to the value at position
-        ``j*k + l`` plus the packer's canonical offset (``ones_r`` has
-        a 1 at the bottom of each of the ``r`` occupied lanes; the
-        lanes above stay empty).
+            C = (c_{r-1}^(2^W) * c_{r-2})^(2^W) ... * c_0  mod p^2
 
-        Lane-packed cells of ``batch`` lanes each (a full
-        :class:`~repro.crypto.tensor.PackedEncryptedTensor`'s) fold
-        the same way in base ``2^(batch*L)`` with no offset term:
-        their lanes already sit at the canonical offset, so lane
-        ``p*batch + b`` of ``C_j`` is sample ``b``'s value at position
-        ``j*k + p``.
+        then recovered with one ``C^(p-1) mod p^2``, ``L_p`` and
+        ``h_p``: the sum of the cells' plaintexts times ``2^(W i)``,
+        mod ``p``.  Mod ``p`` a signed value is itself (``n = 0 mod
+        p``), so unbiased cells gain their lane offset as one integer
+        addition.  The sum is below ``2^(kW) < p``, so it is exact and
+        :meth:`LanePacker.unpack_exact` reads the lanes off it.  That
+        is ``(r - 1) W`` squarings and one exponentiation mod ``p^2``
+        per run, against two per cell for CRT decryption.
 
-        That is ``r - 1`` powmods and up to ``r`` multiplies per block
-        and no new randomness: ``C_j`` is a public function of
-        ciphertexts the caller would otherwise have sent one by one.
+        Raises:
+            CryptoError: no private key, or a cell does not fit
+                (``k`` is 0: decrypt those with :meth:`decrypt_many`).
+            DecryptionError: a ciphertext outside ``(0, n^2)``.
+            EncodingError: a lane left its certified range.
         """
+        width = packer.lanes * packer.lane_bits
+        k = self.run_capacity(width)
+        if k < 1:
+            raise CryptoError(
+                f"{width}-bit cells do not fit under p; decrypt them "
+                "one by one"
+            )
         if packer.public_key.n != self.public_key.n:
             raise KeyMismatchError(
                 "packer was built for a different public key"
             )
-        if batch < 1 or packer.lanes % batch:
-            raise CryptoError(
-                f"{packer.lanes} fold lanes do not hold whole "
-                f"{batch}-lane positions"
-            )
-        n = self.public_key.n
+        ciphertexts = list(ciphertexts)
+        self._m_decrypt_batch.observe(len(ciphertexts))
         n_sq = self.public_key.n_squared
-        k = packer.lanes // batch
-        shift = 1 << (batch * packer.lane_bits)
+        for c in ciphertexts:
+            if not 0 < c < n_sq:
+                raise DecryptionError("ciphertext out of range (0, n^2)")
+        priv = self.private_key
+        p, h_p = priv.p, priv._h_p
+        p_sq = p * p
         powmod = self.backend.powmod
-        modulus = self.backend.wrap(n_sq)
-        # One offset term per block length (only the last block can
-        # be short); packed blocks need none.
-        offsets: dict[int, int] = {}
-        out = []
+        modulus = self.backend.wrap(p_sq)
+        shift = 1 << width
+        run_packer = LanePacker(self.public_key, lanes=k * packer.lanes,
+                                mag_bits=packer.mag_bits,
+                                guard_bits=packer.guard_bits)
+        # The integer lane offsets of a run of r unbiased cells.
+        offsets = [0] * (k + 1)
+        if not biased:
+            for r in range(1, k + 1):
+                offsets[r] = offsets[r - 1] \
+                    + (packer.offset << ((r - 1) * width))
+        out: list[int] = []
         for start in range(0, len(ciphertexts), k):
             block = ciphertexts[start:start + k]
-            acc = block[-1]
+            acc = block[-1] % modulus
             for cipher in reversed(block[:-1]):
-                acc = powmod(acc, shift, n_sq) * cipher % modulus
-            if batch == 1:
-                r = len(block)
-                term = offsets.get(r)
-                if term is None:
-                    ones = sum(1 << (lane * packer.lane_bits)
-                               for lane in range(r))
-                    term = offsets[r] = 1 + n * (packer.offset * ones % n)
-                acc = acc * term % modulus
-            out.append(int(acc))
-        self._m_fold_cells["fold"].inc(len(out))
-        self._m_fold_values["fold"].inc(len(ciphertexts) * batch)
-        return out
-
-    def decrypt_many_folded(
-        self,
-        encrypted: Sequence[EncryptedNumber],
-        packer: LanePacker,
-        counts: Sequence[int],
-    ) -> list[int]:
-        """Decrypt folded ciphertexts and unpack their lanes, in order:
-        one CRT decryption per ciphertext, ``counts[i]`` signed values
-        out of ciphertext ``i`` (:meth:`LanePacker.unpack_exact`)."""
-        if len(encrypted) != len(counts):
-            raise CryptoError(
-                f"{len(counts)} lane counts for {len(encrypted)} "
-                "folded ciphertexts"
-            )
-        residues = self.decrypt_many(encrypted)
-        out: list[int] = []
-        for residue, count in zip(residues, counts):
-            out.extend(packer.unpack_exact(residue, count))
-        self._m_fold_cells["decrypt"].inc(len(residues))
-        self._m_fold_values["decrypt"].inc(len(out))
+                acc = powmod(acc, shift, p_sq) * (cipher % modulus) \
+                    % modulus
+            u_p = powmod(acc, p - 1, p_sq)
+            plain = ((u_p - 1) // p * h_p + offsets[len(block)]) % p
+            out.extend(run_packer.unpack_exact(
+                plain, len(block) * packer.lanes))
+        self._m_lane_cells.inc(len(ciphertexts))
+        self._m_lane_runs.inc(-(-len(ciphertexts) // k))
         return out
 
 

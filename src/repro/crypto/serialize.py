@@ -14,20 +14,12 @@ Frames carry a payload-kind byte after the version, and lane-packed
 tensors an extended header carrying the lane geometry (lanes,
 magnitude bits, guard bits, occupied batch lanes) so a
 :class:`~repro.crypto.tensor.PackedEncryptedTensor` can cross a wire
-and be rebuilt — packer and all — on the other side.  Folded tensors
-(:class:`~repro.crypto.tensor.FoldedTensor`, always flat) carry, in
-place of the rank byte and dimension words, a 9-byte lane header:
-lanes, magnitude bits, guard bits, the empty lanes of the last cell
-and the cell count, from which the logical length
-``N = cells * lanes - empty`` follows (23 bytes of overhead, against
-19 for a rank-1 scalar frame).  A folded lane-packed batch
-(``FoldedTensor.batch`` > 1) is its own kind: the same header with the
-empty *positions* of the last cell and one more byte for the batch
-(24 bytes of overhead).  Its geometry must be exactly the one
-:func:`~repro.crypto.tensor.batch_folder` derives for that batch, so a
-corrupted lane field cannot parse into a misaligned tensor.  A folded
-body must hold exactly the declared cells, so a frame cut at a
-ciphertext boundary cannot parse into a shorter tensor.
+and be rebuilt — packer and all — on the other side.  A scalar tensor
+with a certified bound (a linear stage's output,
+:attr:`~repro.crypto.tensor.EncryptedTensor.bound_bits`) is its own
+kind: the scalar header plus a 2-byte bound before the dimension
+words (21 bytes of overhead at rank 1, against 19), so the key holder
+that parses it can fold the cells in lanes of that width.
 
 All parsers validate framing and raise :class:`EncodingError` on
 malformed input rather than producing garbage tensors.
@@ -46,12 +38,7 @@ from .paillier import (
     PaillierPrivateKey,
     PaillierPublicKey,
 )
-from .tensor import (
-    EncryptedTensor,
-    FoldedTensor,
-    PackedEncryptedTensor,
-    batch_folder,
-)
+from .tensor import EncryptedTensor, PackedEncryptedTensor
 
 #: Frame magic for encrypted-tensor blobs.
 _MAGIC = b"PPST"
@@ -63,20 +50,15 @@ _HEADER_V2 = struct.Struct(">4sBBIiB")  # the prefix, then rank
 #: v2 lane-geometry extension (packed frames only): lanes, mag_bits,
 #: guard_bits, batch.
 _LANES_V2 = struct.Struct(">HHHH")
-#: v2 folded-frame lane header (after the prefix, instead of rank and
-#: dims): lanes, mag_bits, guard_bits, empty lanes of the last cell,
-#: and the number of cells.
-_FOLD_V2 = struct.Struct(">BHBBI")
-#: v2 folded-batch header: the folded fields (the last one counting
-#: empty positions), then the batch and the number of cells.
-_FOLD_BATCH_V2 = struct.Struct(">BHBBBI")
+#: v2 bounded-frame extension (after the rank byte): the certified bit
+#: length of the values.
+_BOUND_V2 = struct.Struct(">H")
 
-#: v2 payload kinds.
+#: v2 payload kinds (2 and 3, the retired folded kinds, are refused).
 KIND_SCALAR = 0
 KIND_PACKED = 1
-KIND_FOLDED = 2
-KIND_FOLDED_BATCH = 3
-_KINDS = (KIND_SCALAR, KIND_PACKED, KIND_FOLDED, KIND_FOLDED_BATCH)
+KIND_BOUNDED = 4
+_KINDS = (KIND_SCALAR, KIND_PACKED, KIND_BOUNDED)
 
 
 def public_key_to_json(key: PaillierPublicKey) -> str:
@@ -132,38 +114,33 @@ def ciphertext_bytes(key_size: int) -> int:
 
 def tensor_frame_bytes(
     key_size: int, rank: int, size: int,
-    packed: bool = False, folded: bool = False, batched: bool = False,
+    packed: bool = False, bounded: bool = False,
 ) -> int:
     """Exact byte length of a tensor frame, computed analytically.
 
     ``len(any_tensor_to_bytes(t)) == tensor_frame_bytes(...)`` by
-    construction — the frame is a fixed header plus ``4 * rank`` dim
-    words plus ``size`` fixed-width ciphertexts (a folded frame: the
-    prefix plus its lane header plus ``size`` folded ciphertexts;
-    ``rank`` is ignored; ``batched`` for a folded lane-packed batch)
-    — so byte accounting can use real wire sizes without serializing
-    anything.
+    construction — the frame is a fixed header (``packed``: plus the
+    lane geometry; ``bounded``: plus the certified bound) plus ``4 *
+    rank`` dim words plus ``size`` fixed-width ciphertexts — so byte
+    accounting can use real wire sizes without serializing anything.
     """
-    if packed and folded:
-        raise EncodingError("a frame is either packed or folded")
-    if folded:
-        lanes = _FOLD_BATCH_V2 if batched else _FOLD_V2
-        return (_PREFIX_V2.size + lanes.size
-                + size * ciphertext_bytes(key_size))
-    header = _HEADER_V2.size + (_LANES_V2.size if packed else 0)
+    if packed and bounded:
+        raise EncodingError("a frame is either packed or bounded")
+    header = _HEADER_V2.size + (_LANES_V2.size if packed else 0) \
+        + (_BOUND_V2.size if bounded else 0)
     return header + 4 * rank + size * ciphertext_bytes(key_size)
 
 
 def frame_bytes(tensor) -> int:
     """Exact framed wire size of any tensor flavour (what
     :func:`any_tensor_to_bytes` would emit)."""
+    packed = isinstance(tensor, PackedEncryptedTensor)
     return tensor_frame_bytes(
         tensor.public_key.key_size,
         rank=len(tensor.shape),
         size=len(tensor.cells()),
-        packed=isinstance(tensor, PackedEncryptedTensor),
-        folded=isinstance(tensor, FoldedTensor),
-        batched=isinstance(tensor, FoldedTensor) and tensor.batch > 1,
+        packed=packed,
+        bounded=not packed and tensor.bound_bits is not None,
     )
 
 
@@ -182,11 +159,19 @@ def _pack_cells(cells, key_size: int) -> bytes:
 
 def tensor_to_bytes(tensor: EncryptedTensor) -> bytes:
     """Serialize a scalar encrypted tensor to the framed binary
-    format."""
+    format (:data:`KIND_BOUNDED` when it carries a certified bound)."""
     key_size = tensor.public_key.key_size
     dims = _pack_dims(tensor.shape)
-    header = _HEADER_V2.pack(_MAGIC, _VERSION, KIND_SCALAR, key_size,
+    bits = tensor.bound_bits
+    if bits is not None and not 1 <= bits <= 0xFFFF:
+        raise EncodingError(
+            f"bound_bits {bits} exceeds the wire format's 16-bit field"
+        )
+    kind = KIND_SCALAR if bits is None else KIND_BOUNDED
+    header = _HEADER_V2.pack(_MAGIC, _VERSION, kind, key_size,
                              tensor.exponent, len(tensor.shape))
+    if bits is not None:
+        header += _BOUND_V2.pack(bits)
     return header + dims + _pack_cells(tensor.cells(), key_size)
 
 
@@ -214,8 +199,7 @@ def packed_tensor_to_bytes(tensor: PackedEncryptedTensor) -> bytes:
 def _parse_header(blob: bytes) -> tuple[int, int, int, int]:
     """Common header parse -> (kind, key_size, exponent,
     offset-of-next-field).  Scalar and packed frames continue with the
-    rank byte (:func:`_parse_rank`), folded frames with their lane
-    header."""
+    rank byte (:func:`_parse_rank`)."""
     if len(blob) < _PREFIX_V2.size:
         raise EncodingError("blob shorter than the frame header")
     magic, version, kind, key_size, exponent = _PREFIX_V2.unpack(
@@ -238,8 +222,8 @@ def _parse_rank(blob: bytes, offset: int) -> tuple[int, int]:
 
 def frame_kind(blob: bytes) -> int:
     """Peek a frame's payload kind (:data:`KIND_SCALAR` /
-    :data:`KIND_PACKED` / :data:`KIND_FOLDED` /
-    :data:`KIND_FOLDED_BATCH`) without parsing the body."""
+    :data:`KIND_PACKED` / :data:`KIND_BOUNDED`) without parsing the
+    body."""
     return _parse_header(blob)[0]
 
 
@@ -290,26 +274,38 @@ def _check_key(key_size: int, public_key: PaillierPublicKey) -> None:
 def tensor_from_bytes(
     blob: bytes, public_key: PaillierPublicKey
 ) -> EncryptedTensor:
-    """Parse a scalar frame into an encrypted tensor.
+    """Parse a scalar or bounded frame into an encrypted tensor.
 
     Raises:
-        EncodingError: on bad framing, truncation, trailing bytes, or
-            a packed frame (parse those with
-            :func:`packed_tensor_from_bytes`).
+        EncodingError: on bad framing, truncation, trailing bytes, a
+            bound of 0 or one the key could not hold, or a packed
+            frame (parse those with :func:`packed_tensor_from_bytes`).
         KeyMismatchError: when the frame's key size differs from the
             supplied public key's.
     """
     kind, key_size, exponent, offset = _parse_header(blob)
-    if kind != KIND_SCALAR:
+    if kind not in (KIND_SCALAR, KIND_BOUNDED):
         raise EncodingError(
-            "frame carries a lane-packed or folded tensor; parse it "
-            "with any_tensor_from_bytes"
+            "frame carries a lane-packed tensor; parse it with "
+            "any_tensor_from_bytes"
         )
     _check_key(key_size, public_key)
     rank, offset = _parse_rank(blob, offset)
+    bits = None
+    if kind == KIND_BOUNDED:
+        if offset + _BOUND_V2.size > len(blob):
+            raise EncodingError("truncated bound header")
+        (bits,) = _BOUND_V2.unpack(blob[offset:offset + _BOUND_V2.size])
+        offset += _BOUND_V2.size
+        # No signed value of this key reaches 2^|n|.
+        if not 1 <= bits <= public_key.n.bit_length():
+            raise EncodingError(
+                f"certified bound of {bits} bits does not fit a "
+                f"{public_key.key_size}-bit key"
+            )
     dims, offset = _parse_dims(blob, offset, rank)
     cells = _parse_cells(blob, offset, dims, public_key)
-    return EncryptedTensor(public_key, cells, dims, exponent)
+    return EncryptedTensor(public_key, cells, dims, exponent, bits)
 
 
 def packed_tensor_from_bytes(
@@ -325,7 +321,7 @@ def packed_tensor_from_bytes(
     kind, key_size, exponent, offset = _parse_header(blob)
     if kind != KIND_PACKED:
         raise EncodingError(
-            "frame carries a scalar or folded tensor; parse it with "
+            "frame carries a scalar tensor; parse it with "
             "any_tensor_from_bytes"
         )
     _check_key(key_size, public_key)
@@ -348,116 +344,19 @@ def packed_tensor_from_bytes(
                                  batch, exponent)
 
 
-def folded_tensor_to_bytes(tensor: FoldedTensor) -> bytes:
-    """Serialize a folded tensor (v2 frame with its lane header;
-    :data:`KIND_FOLDED_BATCH` with the batch byte for a folded
-    batch)."""
-    packer = tensor.packer
-    batch = tensor.batch
-    cells = len(tensor.cells())
-    empty = cells * (packer.lanes // batch) - tensor.size
-    for field, value, limit in (("lanes", packer.lanes, 0xFF),
-                                ("mag_bits", packer.mag_bits, 0xFFFF),
-                                ("guard_bits", packer.guard_bits, 0xFF),
-                                ("batch", batch, 0xFF),
-                                ("cells", cells, 0xFFFFFFFF)):
-        if not 0 <= value <= limit:
-            raise EncodingError(
-                f"folded-frame {field} {value} exceeds the wire "
-                "format's field"
-            )
-    key_size = tensor.public_key.key_size
-    kind = KIND_FOLDED if batch == 1 else KIND_FOLDED_BATCH
-    header = _PREFIX_V2.pack(_MAGIC, _VERSION, kind, key_size,
-                             tensor.exponent)
-    lanes = (_FOLD_V2.pack(packer.lanes, packer.mag_bits,
-                           packer.guard_bits, empty, cells) if batch == 1
-             else _FOLD_BATCH_V2.pack(packer.lanes, packer.mag_bits,
-                                      packer.guard_bits, empty, batch,
-                                      cells))
-    return header + lanes + _pack_cells(tensor.cells(), key_size)
-
-
-def folded_tensor_from_bytes(
-    blob: bytes, public_key: PaillierPublicKey
-) -> FoldedTensor:
-    """Parse a v2 folded or folded-batch frame back into a folded
-    tensor.
-
-    Strict: the geometry must fit the key (the rebuilt packer's
-    capacity check), the body must be whole ciphertexts, at least one,
-    exactly the cells the header declares, and the last cell must hold
-    at least one position.  A batch must have two or more samples and
-    exactly the folding geometry :func:`~repro.crypto.tensor
-    .batch_folder` gives its lane packer.
-    """
-    kind, key_size, exponent, offset = _parse_header(blob)
-    if kind not in (KIND_FOLDED, KIND_FOLDED_BATCH):
-        raise EncodingError(
-            "frame carries a scalar or packed tensor; parse it with "
-            "any_tensor_from_bytes"
-        )
-    _check_key(key_size, public_key)
-    fields = _FOLD_V2 if kind == KIND_FOLDED else _FOLD_BATCH_V2
-    if offset + fields.size > len(blob):
-        raise EncodingError("truncated folded lane header")
-    lanes, mag_bits, guard_bits, empty, *batch, declared = \
-        fields.unpack(blob[offset:offset + fields.size])
-    batch = batch[0] if batch else 1
-    offset += fields.size
-    packer = LanePacker(public_key, lanes=lanes, mag_bits=mag_bits,
-                        guard_bits=guard_bits)
-    if kind == KIND_FOLDED_BATCH and (
-            batch < 2 or lanes % batch
-            or packer != batch_folder(LanePacker(
-                public_key, lanes=batch, mag_bits=mag_bits,
-                guard_bits=guard_bits))):
-        raise EncodingError(
-            f"{lanes} folded lanes are not the folding geometry of a "
-            f"{batch}-sample batch of {packer.lane_bits}-bit lanes"
-        )
-    per_cell = lanes // batch
-    width = ciphertext_bytes(public_key.key_size)
-    cells, rest = divmod(len(blob) - offset, width)
-    if rest:
-        raise EncodingError(
-            f"folded body of {len(blob) - offset} bytes is not whole "
-            f"{width}-byte ciphertexts"
-        )
-    if cells != declared:
-        raise EncodingError(
-            f"folded body holds {cells} cells, its header declares "
-            f"{declared}"
-        )
-    if cells < 1 or empty >= per_cell:
-        raise EncodingError(
-            f"{cells} folded cells with {empty} empty positions of "
-            f"{per_cell} imply no valid logical length"
-        )
-    length = cells * per_cell - empty
-    parsed = _parse_cells(blob, offset, (cells,), public_key)
-    return FoldedTensor(public_key, parsed, length, packer, exponent,
-                        batch=batch)
-
-
 def any_tensor_to_bytes(
-    tensor: EncryptedTensor | PackedEncryptedTensor | FoldedTensor,
+    tensor: EncryptedTensor | PackedEncryptedTensor,
 ) -> bytes:
     """Serialize any tensor flavour (dispatch on type)."""
     if isinstance(tensor, PackedEncryptedTensor):
         return packed_tensor_to_bytes(tensor)
-    if isinstance(tensor, FoldedTensor):
-        return folded_tensor_to_bytes(tensor)
     return tensor_to_bytes(tensor)
 
 
 def any_tensor_from_bytes(
     blob: bytes, public_key: PaillierPublicKey
-) -> EncryptedTensor | PackedEncryptedTensor | FoldedTensor:
+) -> EncryptedTensor | PackedEncryptedTensor:
     """Parse any tensor flavour (dispatch on the frame kind)."""
-    kind = frame_kind(blob)
-    if kind == KIND_PACKED:
+    if frame_kind(blob) == KIND_PACKED:
         return packed_tensor_from_bytes(blob, public_key)
-    if kind in (KIND_FOLDED, KIND_FOLDED_BATCH):
-        return folded_tensor_from_bytes(blob, public_key)
     return tensor_from_bytes(blob, public_key)

@@ -21,11 +21,12 @@ packed one keeps the invariant that its lanes always sit at the
 packer's canonical offset (operations that disturb the offset rebias
 before returning).
 
-:class:`FoldedTensor` runs the lanes along the feature axis instead:
-what a linear stage hands the data provider, k consecutive values per
-ciphertext, so decrypting N values costs ceil(N/k) CRT decryptions.
-A lane-packed batch folds the same way, k positions of all B samples
-per ciphertext, when the key has room for two or more positions.
+A linear stage's output tensor also carries the certified bit length
+of its values (:attr:`EncryptedTensor.bound_bits`).  With it, the key
+holder folds a run of cells into lanes mod ``p^2`` and decrypts the
+run with one half-width exponentiation
+(:meth:`~repro.crypto.engine.PaillierEngine.decrypt_lanes`); a full
+lane-packed batch whose cells fit under ``p`` decrypts the same way.
 """
 
 from __future__ import annotations
@@ -72,9 +73,16 @@ class EncryptedTensor:
         shape: logical tensor shape (row-major element order).
         exponent: accumulated base-10 fixed-point exponent of the
             plaintext values (decryption divides by ``10**exponent``).
+        bound_bits: the certified bit length ``b`` of the values
+            (``|v| < 2^b``), or None.  A linear stage's output carries
+            its stage's (:func:`repro.scaling.headroom
+            .output_bound_bits`); decryption then checks every value
+            against it, and an engine holding the private key folds
+            runs of cells in ``b + 1``-bit lanes.
     """
 
-    __slots__ = ("public_key", "shape", "exponent", "_cells")
+    __slots__ = ("public_key", "shape", "exponent", "bound_bits",
+                 "_cells")
 
     def __init__(
         self,
@@ -82,6 +90,7 @@ class EncryptedTensor:
         cells: Sequence[EncryptedNumber],
         shape: Tuple[int, ...],
         exponent: int = 0,
+        bound_bits: int | None = None,
     ):
         size = 1
         for dim in shape:
@@ -90,9 +99,14 @@ class EncryptedTensor:
             raise EncodingError(
                 f"shape {shape} implies {size} elements, got {len(cells)}"
             )
+        if bound_bits is not None and bound_bits < 1:
+            raise EncodingError(
+                f"bound_bits must be >= 1, got {bound_bits}"
+            )
         self.public_key = public_key
         self.shape = tuple(shape)
         self.exponent = exponent
+        self.bound_bits = bound_bits
         self._cells = tuple(cells)
 
     # ------------------------------------------------------------------
@@ -143,13 +157,35 @@ class EncryptedTensor:
         """Decrypt to a signed-integer ndarray (dtype=object for headroom).
 
         Pass an ``engine`` holding the private key to decrypt the
-        cells in one batched CRT pass."""
+        cells in one batched pass: runs of cells folded in lanes mod
+        ``p^2`` when the tensor carries :attr:`bound_bits` and a lane
+        fits under ``p``, CRT decryption per cell otherwise.
+
+        Raises:
+            EncodingError: a value outside ``±2^bound_bits``.
+        """
+        bits = self.bound_bits
+        if engine is not None and bits is not None \
+                and engine.run_capacity(bits + 1):
+            lane = LanePacker(self.public_key, lanes=1, mag_bits=bits,
+                              guard_bits=0)
+            flat = engine.decrypt_lanes(
+                [cell.ciphertext for cell in self._cells], lane,
+                biased=False)
+            return np.array(flat, dtype=object).reshape(self.shape)
         encoder = SignedEncoder(self.public_key)
         if engine is not None:
             residues = engine.decrypt_many(self._cells)
         else:
             residues = [private_key.decrypt(cell) for cell in self._cells]
         flat = [encoder.decode(residue) for residue in residues]
+        if bits is not None:
+            for value in flat:
+                if abs(value) >= 1 << bits:
+                    raise EncodingError(
+                        f"value {value} left the certified range "
+                        f"±2^{bits}"
+                    )
         return np.array(flat, dtype=object).reshape(self.shape)
 
     def decrypt_float(
@@ -179,7 +215,7 @@ class EncryptedTensor:
     def reshape(self, shape: Tuple[int, ...]) -> "EncryptedTensor":
         """Reinterpret the flat cells under a new shape (no crypto work)."""
         return EncryptedTensor(self.public_key, self._cells, shape,
-                               self.exponent)
+                               self.exponent, self.bound_bits)
 
     def flatten(self) -> "EncryptedTensor":
         return self.reshape((self.size,))
@@ -296,6 +332,7 @@ class EncryptedTensor:
     def __repr__(self) -> str:
         return (
             f"EncryptedTensor(shape={self.shape}, exponent={self.exponent}, "
+            f"bound_bits={self.bound_bits}, "
             f"key_size={self.public_key.key_size})"
         )
 
@@ -408,8 +445,24 @@ class PackedEncryptedTensor:
         private_key: PaillierPrivateKey,
         engine: "PaillierEngine | None" = None,
     ) -> np.ndarray:
-        """Decrypt to shape ``(batch, *shape)`` (dtype=object ints)."""
-        if engine is not None:
+        """Decrypt to shape ``(batch, *shape)`` (dtype=object ints).
+
+        With an ``engine`` holding the private key, a full batch whose
+        cells fit under ``p`` decrypts a run of cells per
+        exponentiation (:meth:`~repro.crypto.engine.PaillierEngine
+        .decrypt_lanes`), anything else one CRT decryption per cell.
+
+        Raises:
+            EncodingError: a lane left its certified range.
+        """
+        packer = self.packer
+        if engine is not None and self.batch == packer.lanes \
+                and engine.run_capacity(packer.lanes * packer.lane_bits):
+            flat = engine.decrypt_lanes(
+                [cell.ciphertext for cell in self._cells], packer,
+                biased=True)
+            lanes = np.array(flat, dtype=object).reshape(-1, self.batch)
+        elif engine is not None:
             lanes = engine.decrypt_many_packed(
                 self._cells, self.packer, count=self.batch
             )
@@ -541,229 +594,6 @@ class PackedEncryptedTensor:
         return (
             f"PackedEncryptedTensor(shape={self.shape}, "
             f"batch={self.batch}, lanes={self.packer.lanes}, "
-            f"exponent={self.exponent}, "
-            f"key_size={self.public_key.key_size})"
-        )
-
-
-def fold_counts(length: int, lanes: int) -> list[int]:
-    """Occupied lanes per cell when ``length`` values are folded
-    ``lanes`` to a ciphertext: full cells, then a short last one."""
-    full, rest = divmod(length, lanes)
-    return [lanes] * full + ([rest] if rest else [])
-
-
-#: Most lanes a folded ciphertext may carry (the wire format holds the
-#: lane count in one byte).
-MAX_FOLDED_LANES = 255
-
-
-def batch_folder(packer: LanePacker) -> LanePacker | None:
-    """The packer that folds ``packer``'s lane-packed cells, or None.
-
-    A cell of a ``B = packer.lanes``-lane batch holds one position of
-    every sample; ``⌊capacity_lanes / B⌋`` positions fit per folded
-    ciphertext (``capacity_lanes`` lanes of the same width fit the
-    key, at most :data:`MAX_FOLDED_LANES`).  The folder has ``B`` lanes
-    per position and the batch packer's magnitude and guard bits;
-    with room for only one position there is nothing to fold.
-    """
-    capacity = min(packer.capacity_bits // packer.lane_bits,
-                   MAX_FOLDED_LANES)
-    positions = capacity // packer.lanes
-    if positions < 2:
-        return None
-    return LanePacker(packer.public_key,
-                      lanes=positions * packer.lanes,
-                      mag_bits=packer.mag_bits,
-                      guard_bits=packer.guard_bits)
-
-
-class FoldedTensor:
-    """A flat encrypted vector carrying several values per ciphertext.
-
-    What a linear stage hands the data provider: the model provider
-    folds each run of ``k`` consecutive output ciphertexts into one
-    (:meth:`fold`, :meth:`~repro.crypto.engine.PaillierEngine
-    .fold_many`), so cell ``j`` carries positions ``j*k .. j*k +
-    counts[j] - 1`` as lanes at the packer's canonical offset and the
-    key holder pays one CRT decryption per cell instead of one per
-    position.  Every cell but the last is full: a tensor of ``N``
-    positions has exactly ``ceil(N/k)`` cells.
-
-    One request's outputs fold ``k = packer.lanes`` values to a cell
-    (``batch`` 1).  A lane-packed batch's outputs fold ``k =
-    packer.lanes // batch`` positions to a cell, each position's
-    ``batch`` lanes side by side; decryption then yields a ``(batch,
-    N)`` block, one row per sample, exactly as the unfolded
-    :class:`PackedEncryptedTensor` would.  Either way the decrypted
-    values, their order and the logical length ``N`` are those of the
-    unfolded tensor.
-
-    The read side of the :class:`EncryptedTensor` interface —
-    :meth:`decrypt`, :meth:`decrypt_float`, :attr:`size` (logical
-    positions), :meth:`cells` (the folded ciphertexts),
-    :meth:`flatten` — is all a folded tensor offers: its next stop is
-    decryption.
-
-    Attributes:
-        public_key: the Paillier key all cells are encrypted under.
-        packer: lane geometry of a folded cell (``packer.lanes`` =
-            ``batch`` times positions per cell).
-        exponent: accumulated base-10 fixed-point exponent.
-        batch: samples per position (1 for one request's outputs).
-    """
-
-    __slots__ = ("public_key", "packer", "exponent", "batch", "_cells",
-                 "_size")
-
-    def __init__(
-        self,
-        public_key: PaillierPublicKey,
-        cells: Sequence[EncryptedNumber],
-        size: int,
-        packer: LanePacker,
-        exponent: int = 0,
-        batch: int = 1,
-    ):
-        if packer.public_key.n != public_key.n:
-            raise KeyMismatchError(
-                "packer was built for a different public key"
-            )
-        if batch < 1 or packer.lanes % batch:
-            raise EncodingError(
-                f"{packer.lanes} lanes do not hold whole {batch}-sample "
-                "positions"
-            )
-        per_cell = packer.lanes // batch
-        needed = -(-size // per_cell)
-        if size < 0 or len(cells) != needed:
-            raise EncodingError(
-                f"{size} positions folded {per_cell} to a cell need "
-                f"{needed} cells, got {len(cells)}"
-            )
-        self.public_key = public_key
-        self.packer = packer
-        self.exponent = exponent
-        self.batch = batch
-        self._cells = tuple(cells)
-        self._size = size
-
-    @classmethod
-    def fold(
-        cls,
-        tensor: "EncryptedTensor | PackedEncryptedTensor",
-        packer: LanePacker,
-        engine: "PaillierEngine | None" = None,
-    ) -> "FoldedTensor":
-        """Fold a flat tensor's cells (public-key operations only; no
-        randomness drawn).
-
-        A scalar tensor folds ``packer.lanes`` values per cell.  A
-        lane-packed one must fill every lane of its packer and folds
-        with the packer :func:`batch_folder` gives for it.
-        """
-        from .engine import default_engine
-
-        if tensor.public_key.n != packer.public_key.n:
-            raise KeyMismatchError(
-                "tensor and packer are under different keys"
-            )
-        batch = 1
-        if isinstance(tensor, PackedEncryptedTensor):
-            batch = tensor.batch
-            if batch != tensor.packer.lanes \
-                    or packer != batch_folder(tensor.packer):
-                raise EncodingError(
-                    "a packed tensor folds only with its full batch, "
-                    "by the packer batch_folder gives for it"
-                )
-        if engine is None:
-            engine = default_engine(packer.public_key)
-        raw = engine.fold_many(
-            [cell.ciphertext for cell in tensor.cells()], packer,
-            batch=batch,
-        )
-        key = packer.public_key
-        return cls(key, [EncryptedNumber(key, c) for c in raw],
-                   tensor.size, packer, tensor.exponent, batch=batch)
-
-    # ------------------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        """Logical positions (not ciphertexts — see :meth:`cells`)."""
-        return self._size
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return (self._size,)
-
-    @property
-    def counts(self) -> Tuple[int, ...]:
-        """Positions held by each cell, in cell order."""
-        return tuple(fold_counts(self._size,
-                                 self.packer.lanes // self.batch))
-
-    @property
-    def batch_packer(self) -> LanePacker | None:
-        """The lane packer of the batch this tensor folded (what its
-        values are re-encrypted under), or None for one request."""
-        if self.batch == 1:
-            return None
-        return LanePacker(self.public_key, lanes=self.batch,
-                          mag_bits=self.packer.mag_bits,
-                          guard_bits=self.packer.guard_bits)
-
-    def cells(self) -> Tuple[EncryptedNumber, ...]:
-        """The folded ciphertexts (read-only view)."""
-        return self._cells
-
-    def flatten(self) -> "FoldedTensor":
-        return self
-
-    def decrypt(
-        self,
-        private_key: PaillierPrivateKey,
-        engine: "PaillierEngine | None" = None,
-    ) -> np.ndarray:
-        """Decrypt to signed integers: shape ``(N,)``, or ``(batch,
-        N)`` for a folded batch (dtype=object).
-
-        Raises:
-            EncodingError: a lane left its certified range
-                (:meth:`LanePacker.unpack_exact`).
-        """
-        batch = self.batch
-        lane_counts = [count * batch for count in self.counts]
-        if engine is not None:
-            flat = engine.decrypt_many_folded(self._cells, self.packer,
-                                              lane_counts)
-        else:
-            flat = []
-            for cell, count in zip(self._cells, lane_counts):
-                flat.extend(self.packer.unpack_exact(
-                    private_key.decrypt(cell), count))
-        rows = np.array(flat, dtype=object).reshape(-1, batch)
-        if batch == 1:
-            return rows.reshape(self.shape)
-        return rows.T.reshape((batch,) + self.shape)
-
-    def decrypt_float(
-        self,
-        private_key: PaillierPrivateKey,
-        engine: "PaillierEngine | None" = None,
-    ) -> np.ndarray:
-        """Decrypt and rescale by the accumulated exponent to float64."""
-        ints = self.decrypt(private_key, engine=engine)
-        scale = 10 ** self.exponent
-        return np.array([int(v) / scale for v in ints.reshape(-1)],
-                        dtype=np.float64).reshape(ints.shape)
-
-    def __repr__(self) -> str:
-        return (
-            f"FoldedTensor(size={self._size}, cells={len(self._cells)}, "
-            f"lanes={self.packer.lanes}, batch={self.batch}, "
             f"exponent={self.exponent}, "
             f"key_size={self.public_key.key_size})"
         )

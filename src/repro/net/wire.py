@@ -38,7 +38,6 @@ from ..errors import (
 from ..nn.layers import LayerKind
 from ..protocol.stages import LinearStagePlan
 from ..scaling.fixed_point import ScaledAffine
-from ..scaling.headroom import FoldGeometry
 from ..stream.executors import StreamItem
 from .transport import (
     KIND_ANNOUNCE,
@@ -167,22 +166,22 @@ def linear_plan_from_wire(stage_index: int,
                            [plan_from_wire(p) for p in plans])
 
 
-def fold_to_wire(fold: FoldGeometry) -> dict:
-    """JSON-safe form of the session's output-fold geometry."""
-    return dataclasses.asdict(fold)
+def bound_bits_from_wire(stage_index, state: dict) -> int | None:
+    """The certified output bit length a model-role stage entry
+    carries (None: the stage's outputs are not certified).
 
-
-def fold_from_wire(state: dict) -> FoldGeometry:
-    """Rebuild the fold geometry a model-role spec carries."""
-    try:
-        fold = FoldGeometry(lanes=int(state["lanes"]),
-                            mag_bits=int(state["mag_bits"]),
-                            guard_bits=int(state["guard_bits"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TransportError(f"malformed fold geometry: {exc}") from exc
-    if fold.lanes < 1 or fold.mag_bits < 1 or fold.guard_bits < 0:
-        raise TransportError(f"invalid fold geometry {fold}")
-    return fold
+    Raises:
+        HandshakeError: the entry has no bound, or one that is not a
+            positive integer.
+    """
+    if not isinstance(state, dict) or "bound_bits" not in state:
+        raise HandshakeError(
+            f"stage {stage_index}: spec missing bound_bits")
+    bits = state["bound_bits"]
+    if bits is not None and (type(bits) is not int or bits < 1):
+        raise HandshakeError(
+            f"stage {stage_index}: invalid bound_bits {bits!r}")
+    return bits
 
 
 def config_to_wire(config: RuntimeConfig) -> dict:
@@ -240,10 +239,10 @@ def build_worker_spec(model_provider, data_provider, plan,
 
     Contains everything a fresh process needs to rebuild its stage
     executors: the runtime config, stage geometry, and the role's
-    state (affines, matvec plans, output-fold geometry and the public
-    key for model workers; private key, activation specs and value
-    decimals for data workers — a folded tensor's frame carries its
-    own lane geometry).
+    state (affines, matvec plans, each linear stage's certified output
+    bound and the public key for model workers; private key,
+    activation specs and value decimals for data workers — a linear
+    output's frame carries its own bound).
 
     ``tenant`` names the isolated session the worker should serve this
     connection under: one worker process hosts many tenants' stage
@@ -279,6 +278,10 @@ def build_worker_spec(model_provider, data_provider, plan,
             entry["matvec_plans"] = [
                 plan_to_wire(plan) for plan in stage_plan.matvec_plans
             ]
+            # The bound rides the stage like its plans: a changed
+            # bound changes the digest and rebuilds the session.
+            entry["bound_bits"] = \
+                model_provider.linear_stage(stage.index).bound_bits
         if role == ROLE_DATA and kind == "nonlinear":
             entry["activations"] = \
                 model_provider.nonlinear_activations(stage.index)
@@ -294,9 +297,6 @@ def build_worker_spec(model_provider, data_provider, plan,
     }
     if role == ROLE_MODEL:
         spec["decimals"] = model_provider.decimals
-        # The fold geometry rides the spec like the matvec plans: a
-        # changed geometry changes the digest and rebuilds the session.
-        spec["fold"] = fold_to_wire(model_provider.fold)
     else:
         spec["value_decimals"] = data_provider.value_decimals
         spec["private_key"] = private_key_to_json(

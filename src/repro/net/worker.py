@@ -43,6 +43,7 @@ import hashlib
 import json
 import random
 import socket
+import sys
 import threading
 import time
 
@@ -90,9 +91,9 @@ from .wire import (
     ROLE_DATA,
     ROLE_MODEL,
     announce_from_envelope,
+    bound_bits_from_wire,
     config_from_wire,
     error_envelope,
-    fold_from_wire,
     item_from_task,
     join_envelope,
     leave_envelope,
@@ -145,10 +146,19 @@ class _Session:
             self.public_key = public_key_from_json(spec["public_key"])
             self.num_stages = int(spec["num_stages"])
             self.stages = spec["stages"]
-            self.fold = (fold_from_wire(spec["fold"])
-                         if role == ROLE_MODEL else None)
         except KeyError as exc:
             raise HandshakeError(f"spec missing {exc}") from exc
+        #: Each linear stage's certified output bound (model role),
+        #: checked now so a malformed one fails the handshake.
+        self.bound_bits: dict[str, int | None] = {}
+        if role == ROLE_MODEL:
+            if not isinstance(self.stages, dict):
+                raise HandshakeError("spec stages must be an object")
+            for index, stage in self.stages.items():
+                if isinstance(stage, dict) \
+                        and stage.get("kind") == "linear":
+                    self.bound_bits[index] = bound_bits_from_wire(
+                        index, stage)
         self._executors: dict[int, object] = {}
         self._lock = threading.Lock()
         self.private_key = None
@@ -205,7 +215,7 @@ class _Session:
                     ),
                     self.engine,
                     self._rng,
-                    self.fold,
+                    self.bound_bits[str(stage_index)],
                     final=stage_index == self.num_stages - 2,
                 ))
             else:
@@ -320,19 +330,33 @@ class WorkerServer:
                 pools = [session.engine.pool
                          for session in self._sessions.values()
                          if session.role == ROLE_DATA]
+            # Refill for a quarter of the interpreter's switch interval,
+            # then yield: keyed to the interval, not a factor count, so
+            # a waiting thread gets the GIL well before the interpreter
+            # would force it, at any key size.
+            budget = sys.getswitchinterval() / 4
             for pool in pools:
                 # One factor at a time through the pool's own locked
-                # refill (seeded order, no factor twice), yielding the
-                # GIL between factors and stopping once a task starts.
-                # ``sleep(0)`` really sleeps (the timer slack), so a
-                # thread waiting for the GIL gets it; a yield that
-                # retakes the GIL at once resets the waiter's switch
-                # timer and can starve it for many milliseconds.
-                while len(pool) < pool.target_size \
-                        and not self._tasks_running \
-                        and not self._stopped.is_set():
+                # refill (seeded order, no factor twice), stopping once
+                # a task starts.  ``sleep(0)`` really sleeps (the timer
+                # slack, ~55 µs), so a thread waiting for the GIL gets
+                # it; a yield that retakes the GIL at once resets the
+                # waiter's switch timer and can starve it for many
+                # milliseconds.  One sleep per factor capped the refill
+                # near 12 k factors/s, below a busy stream's draw.
+                while not self._refill_done(pool):
+                    deadline = time.perf_counter() + budget
                     pool.refill(1)
+                    while not self._refill_done(pool) \
+                            and time.perf_counter() < deadline:
+                        pool.refill(1)
                     time.sleep(0)
+
+    def _refill_done(self, pool) -> bool:
+        """Whether the idle refill of ``pool`` stops: the pool is full,
+        a task started, or the server is stopping."""
+        return (len(pool) >= pool.target_size
+                or bool(self._tasks_running) or self._stopped.is_set())
 
     def stop(self, abort: bool = False) -> None:
         """Stop serving.

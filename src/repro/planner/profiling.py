@@ -22,7 +22,12 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..costs import CompressionStats, CostModel, stage_compute_seconds
+from ..costs import (
+    CompressionStats,
+    CostModel,
+    stage_compute_seconds,
+    stage_lane_bits,
+)
 from ..errors import PlannerError
 from .primitive import MergedPrimitive
 
@@ -34,10 +39,10 @@ def profile_primitive_times(
     compression: Sequence[CompressionStats | None] | None = None,
 ) -> List[float]:
     """Analytic T_i for each stage (seconds per input tensor):
-    :func:`repro.costs.stage_compute_seconds` with the output fold.
-    The fold geometry is the runtime's own
-    (:func:`repro.scaling.headroom.fold_geometry` at the cost model's
-    key size).
+    :func:`repro.costs.stage_compute_seconds`, each non-linear stage
+    decrypting its input in the lanes the runtime uses
+    (:func:`repro.costs.stage_lane_bits` at the cost model's key
+    size).
 
     Args:
         stages: merged primitive layers in pipeline order.
@@ -49,9 +54,6 @@ def profile_primitive_times(
             for uncompressed stages), so stage assignment sees
             compressed layers as the cheaper stages they really are.
     """
-    # Deferred: the headroom analysis imports this package's stages.
-    from ..scaling.headroom import fold_geometry
-
     if not stages:
         raise PlannerError("cannot profile an empty stage list")
     if compression is not None and len(compression) != len(stages):
@@ -59,10 +61,11 @@ def profile_primitive_times(
             f"compression entries ({len(compression)}) != stages "
             f"({len(stages)})"
         )
-    fold = fold_geometry(stages, scaling_decimals, cost_model.key_size)
+    lanes = stage_lane_bits(stages, scaling_decimals,
+                            cost_model.key_size)
     return [
         stage_compute_seconds(
-            stage, cost_model, scaling_decimals, fold,
+            stage, cost_model, scaling_decimals, lanes[index],
             compression[index] if compression is not None else None)
         for index, stage in enumerate(stages)
     ]

@@ -36,11 +36,7 @@ from ..crypto.paillier import (
     PaillierPublicKey,
     generate_keypair,
 )
-from ..crypto.tensor import (
-    EncryptedTensor,
-    FoldedTensor,
-    PackedEncryptedTensor,
-)
+from ..crypto.tensor import EncryptedTensor, PackedEncryptedTensor
 from ..errors import EncodingError, ProtocolError, SecurityViolationError
 from ..nn.layers import Flatten, LayerKind
 from ..nn.model import Sequential
@@ -49,9 +45,8 @@ from ..planner.primitive import model_stages
 from ..scaling.fixed_point import scale_to_int, scaled_affine_for_layer
 from ..scaling.headroom import (
     FOLD_INPUT_BOUND,
-    FoldGeometry,
     LanePlan,
-    fold_geometry,
+    output_bound_bits,
 )
 from ..scaling.headroom import plan_lane_packing as _plan_lane_packing
 from .stages import LinearStage, LinearStagePlan, NonLinearStage
@@ -87,11 +82,12 @@ class ModelProvider:
         #: arrives and shared by every linear stage.
         self.engine: PaillierEngine | None = None
         self.stages = model_stages(model)
-        #: How every linear stage's outputs are folded before they go
-        #: to the data provider (protocol-public: derived from the key
-        #: size, the scaling exponent and the model's peak bound).
-        self.fold: FoldGeometry = fold_geometry(self.stages, decimals,
-                                                config.key_size)
+        #: The certified output bit length of each linear stage, which
+        #: its output tensors carry to the data provider
+        #: (protocol-public: derived from the key size, the scaling
+        #: exponent and the model's per-stage bounds).
+        self.bound_bits: dict[int, int] = output_bound_bits(
+            self.stages, decimals, config.key_size)
         self._linear_plans: dict[int, LinearStagePlan] = {}
         for stage in self.stages:
             if stage.kind is LayerKind.LINEAR:
@@ -131,7 +127,8 @@ class ModelProvider:
         last = len(self.stages) - 2
         self._linear_stages = {
             index: LinearStage(plan, self._obfuscator, self.engine,
-                               self._rng, self.fold, final=index == last)
+                               self._rng, self.bound_bits.get(index),
+                               final=index == last)
             for index, plan in self._linear_plans.items()
         }
 
@@ -194,7 +191,7 @@ class ModelProvider:
         tensor: EncryptedTensor | PackedEncryptedTensor,
         inbound_obfuscation_round: int | None,
         final: bool,
-    ) -> tuple[FoldedTensor | PackedEncryptedTensor, int | None]:
+    ) -> tuple[EncryptedTensor | PackedEncryptedTensor, int | None]:
         """Steps (x.5)/(x.6)/(x.7) of Figure 3 for one linear stage:
         :meth:`LinearStage.run <repro.protocol.stages.LinearStage.run>`
         on a scalar or lane-packed tensor.
@@ -209,8 +206,9 @@ class ModelProvider:
                 the stage's position.
 
         Returns:
-            (output tensor — folded when scalar — and the obfuscation
-            round id, or None when final).
+            (output tensor — stamped with the stage's certified bound
+            when scalar — and the obfuscation round id, or None when
+            final).
 
         Raises:
             SecurityViolationError: ``tensor`` is not encrypted.
@@ -311,9 +309,9 @@ class DataProvider:
 
     @staticmethod
     def check_input(x: np.ndarray) -> np.ndarray:
-        """``x`` as float64, if the fold certifies it exact.
+        """``x`` as float64, if the certified bounds cover it.
 
-        Linear-stage outputs come back folded in lanes sized for
+        Linear-stage outputs are decrypted in lanes sized for
         ``max|x| <= FOLD_INPUT_BOUND`` (16); a larger input could
         overflow a lane.
 
@@ -366,14 +364,13 @@ class DataProvider:
 
     def process_nonlinear_stage(
         self,
-        tensor: FoldedTensor | EncryptedTensor | PackedEncryptedTensor,
+        tensor: EncryptedTensor | PackedEncryptedTensor,
         activations: Sequence[str],
         final: bool,
     ) -> EncryptedTensor | PackedEncryptedTensor | np.ndarray:
         """Steps (2.1)-(2.3) (or (3.5)-(3.7) when final) of Figure 3:
         :meth:`NonLinearStage.run <repro.protocol.stages
-        .NonLinearStage.run>` on a folded, scalar or lane-packed
-        tensor.
+        .NonLinearStage.run>` on a scalar or lane-packed tensor.
 
         The decrypted (permuted) values — a ``(batch, positions)``
         block for a packed tensor, every row permuted under the same
@@ -403,7 +400,7 @@ class DataProvider:
         """Packed step (1.1): one ciphertext per position for the
         whole batch of inputs (shape ``(batch, *sample_shape)``),
         after :meth:`check_input` — packed lanes certify the same
-        ``max|x| <= FOLD_INPUT_BOUND`` range as the fold."""
+        ``max|x| <= FOLD_INPUT_BOUND`` range as the output bounds."""
         start = time.perf_counter()
         xs = self.check_input(xs)
         scaled = scale_to_int(xs, self.value_decimals)

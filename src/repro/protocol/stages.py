@@ -5,8 +5,8 @@ non-linear stage at the data provider (Sections IV–V); running it
 sequentially or as a pipelined stream operator changes only *where* it
 runs.  So each stage kind has one implementation, built once per stage
 from its party's engine (:func:`repro.crypto.engine.party_engine`),
-obfuscator, RNG, plans and fold geometry, and run by the in-process
-providers (:mod:`repro.protocol.roles`), the stream executors
+obfuscator, RNG, plans and certified output bound, and run by the
+in-process providers (:mod:`repro.protocol.roles`), the stream executors
 (:mod:`repro.stream.executors`) and the TCP worker sessions
 (:mod:`repro.net.worker`) alike.
 """
@@ -22,16 +22,10 @@ import numpy as np
 from ..crypto.engine import PaillierEngine
 from ..crypto.paillier import PaillierPrivateKey
 from ..crypto.sparse import SparseMatvecPlan
-from ..crypto.tensor import (
-    EncryptedTensor,
-    FoldedTensor,
-    PackedEncryptedTensor,
-    batch_folder,
-)
+from ..crypto.tensor import EncryptedTensor, PackedEncryptedTensor
 from ..errors import KeyMismatchError, ProtocolError, SecurityViolationError
 from ..obfuscation.obfuscator import Obfuscator
 from ..scaling.fixed_point import ScaledAffine, scale_to_int
-from ..scaling.headroom import FoldGeometry
 
 
 @dataclass
@@ -68,21 +62,21 @@ class LinearStage:
     """Steps (x.5)–(x.7) of Figure 3 for one linear stage.
 
     Inverse obfuscation, the affines on their compiled plans with a
-    cached encrypted bias (the model is fixed), obfuscation unless
-    ``final`` (the last linear stage, step 3.4), then the fold:
-    scalar outputs leave ``fold.lanes`` to a ciphertext, so the data
-    provider decrypts one ciphertext per ``lanes`` values.  A packed
-    batch runs the same body, all lanes of a position permuted
-    together; its outputs fold several positions to a ciphertext when
-    the key has room for two or more (:func:`~repro.crypto.tensor
-    .batch_folder`), and leave as they are otherwise.
-    ``engine`` is the model provider's (never the private key's);
-    ``rng`` drives the bias encryptions.
+    cached encrypted bias (the model is fixed), then obfuscation unless
+    ``final`` (the last linear stage, step 3.4).  The N output
+    ciphertexts leave as they are — the paper's message — a scalar
+    tensor stamped with ``bound_bits``, the stage's certified output
+    bit length (:func:`repro.scaling.headroom.output_bound_bits`; None
+    when the model is not certified), from which the data provider
+    sizes the lanes it decrypts them in.  A packed batch runs the same
+    body, all lanes of a position permuted together, and leaves under
+    its lane packer.  ``engine`` is the model provider's (never the
+    private key's); ``rng`` drives the bias encryptions.
     """
 
     def __init__(self, plan: LinearStagePlan, obfuscator: Obfuscator,
                  engine: PaillierEngine, rng: random.Random,
-                 fold: FoldGeometry, final: bool):
+                 bound_bits: int | None, final: bool):
         if len(plan.matvec_plans) != len(plan.affines):
             raise ProtocolError(
                 f"stage {plan.index}: {len(plan.matvec_plans)} matvec "
@@ -91,8 +85,7 @@ class LinearStage:
         self.plan = plan
         self.obfuscator = obfuscator
         self.engine = engine
-        self.fold = fold
-        self.folder = fold.packer(engine.public_key)
+        self.bound_bits = bound_bits
         self.final = final
         self._rng = rng
         self._bias_cache: dict[tuple, EncryptedTensor
@@ -100,7 +93,8 @@ class LinearStage:
 
     def run(self, tensor: EncryptedTensor | PackedEncryptedTensor,
             inbound_round: int | None
-            ) -> tuple[FoldedTensor | PackedEncryptedTensor, int | None]:
+            ) -> tuple[EncryptedTensor | PackedEncryptedTensor,
+                       int | None]:
         """One request through the stage.
 
         Args:
@@ -129,20 +123,14 @@ class LinearStage:
                 plan=plan,
             )
         round_id = None
+        cells = list(current.cells())
         if not self.final:
-            round_id, permuted = self.obfuscator.obfuscate(
-                list(current.cells())
-            )
-            current = _with_cells(current, permuted)
-        if isinstance(current, EncryptedTensor):
-            current = FoldedTensor.fold(current, self.folder, self.engine)
-        elif current.batch == current.packer.lanes:
-            # Only a full batch folds (every lane of its packer holds
-            # a sample), and only with room for two or more positions.
-            folder = batch_folder(current.packer)
-            if folder is not None:
-                current = FoldedTensor.fold(current, folder, self.engine)
-        return current, round_id
+            round_id, cells = self.obfuscator.obfuscate(cells)
+        if isinstance(current, PackedEncryptedTensor):
+            return _with_cells(current, cells), round_id
+        return EncryptedTensor(current.public_key, cells, (len(cells),),
+                               current.exponent,
+                               self.bound_bits), round_id
 
     def _bias(self, position: int, affine: ScaledAffine, tensor):
         packed = isinstance(tensor, PackedEncryptedTensor)
@@ -169,12 +157,14 @@ class LinearStage:
 class NonLinearStage:
     """Steps (2.1)–(2.3) of Figure 3, or (3.5)–(3.7) when final.
 
-    Decrypts (one CRT decryption per folded or packed ciphertext),
-    runs the activations on the still-permuted plaintext and
-    re-encrypts every value from the engine's blinding pool — or, in
-    the final round, returns the result as floats (one row per sample
-    of a packed batch).  A batch arrives packed or folded and leaves
-    packed under its lane packer.
+    Decrypts — a run of cells per exponentiation mod ``p^2`` when the
+    tensor's lanes fit under ``p`` (:meth:`~repro.crypto.engine
+    .PaillierEngine.decrypt_lanes`), one CRT decryption per cell
+    otherwise — runs the activations on the still-permuted plaintext
+    and re-encrypts every value from the engine's blinding pool — or,
+    in the final round, returns the result as floats (one row per
+    sample of a packed batch).  A batch arrives and leaves packed
+    under its lane packer.
 
     Raises:
         SecurityViolationError: SoftMax outside the final round — it
@@ -198,7 +188,7 @@ class NonLinearStage:
 
     def run(
         self,
-        tensor: EncryptedTensor | FoldedTensor | PackedEncryptedTensor,
+        tensor: EncryptedTensor | PackedEncryptedTensor,
         observe: Callable[[np.ndarray], object] | None = None,
     ) -> EncryptedTensor | PackedEncryptedTensor | np.ndarray:
         """One request through the stage.
@@ -208,13 +198,7 @@ class NonLinearStage:
             observe: called with a copy of the decrypted values.
         """
         tensor = tensor.flatten()
-        if isinstance(tensor, PackedEncryptedTensor):
-            packer = tensor.packer
-        elif isinstance(tensor, FoldedTensor):
-            packer = tensor.batch_packer
-        else:
-            packer = None
-        packed = packer is not None
+        packed = isinstance(tensor, PackedEncryptedTensor)
         values = tensor.decrypt_float(self._private_key, engine=self.engine)
         if observe is not None:
             observe(values.copy())
@@ -226,7 +210,7 @@ class NonLinearStage:
         rescaled = scale_to_int(values, self._value_decimals)
         if packed:
             out = PackedEncryptedTensor.encrypt_batch(
-                rescaled, packer,
+                rescaled, tensor.packer,
                 exponent=self._value_decimals, engine=self.engine,
             )
         else:

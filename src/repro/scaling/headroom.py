@@ -19,10 +19,9 @@ The same propagation powers lane-packing admission
 (:func:`plan_lane_packing`): the *peak* per-primitive magnitude sizes
 the lane width of :class:`repro.crypto.encoding.LanePacker`, and a
 model is admitted to the packed path only when the requested batch's
-worth of lanes fits the key.  It also sizes the output fold
-(:func:`fold_geometry`): how many of a linear stage's outputs the
-model provider packs into one ciphertext before the data provider
-decrypts them.
+worth of lanes fits the key.  The per-stage bounds certify each
+linear stage's outputs (:func:`output_bound_bits`): the lane width the
+data provider folds them in before it decrypts them.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from ..nn.model import Sequential
 from ..planner.primitive import MergedPrimitive, model_stages
 
 #: Guard bits of a folded lane.  Headroom bounds are positively
-#: homogeneous in the input bound, so lanes sized from the peak at
+#: homogeneous in the input bound, so lanes sized from a bound at
 #: ``input_bound = 1`` stay exact for every input with
 #: ``max|x| <= 2^FOLD_GUARD_BITS`` (:data:`FOLD_INPUT_BOUND`).
 FOLD_GUARD_BITS = 4
@@ -47,11 +46,6 @@ FOLD_GUARD_BITS = 4
 #: provider admits): ``2^FOLD_GUARD_BITS`` times the unit input bound
 #: the lanes are sized at.
 FOLD_INPUT_BOUND = float(2 ** FOLD_GUARD_BITS)
-
-#: Upper bound on values per folded ciphertext (the wire format
-#: carries the lane count in one byte).
-MAX_FOLD_LANES = 255
-
 
 @dataclass(frozen=True)
 class HeadroomReport:
@@ -323,68 +317,37 @@ def _lane_sizing(report: HeadroomReport, key_size: int,
     return mag_bits, lane_bits, max(0, (key_size - 2) // lane_bits)
 
 
-@dataclass(frozen=True)
-class FoldGeometry:
-    """How a linear stage's outputs are folded into lane-packed
-    ciphertexts (one :class:`~repro.crypto.encoding.LanePacker` per
-    session).
-
-    Attributes:
-        lanes: values per folded ciphertext (``k``).  1 when two lanes
-            do not fit the key or the headroom analysis cannot certify
-            the model: the fold then degenerates to one value per
-            ciphertext in a lane as wide as the key allows.
-        mag_bits: magnitude bits of a lane — the headroom analysis's
-            peak bound at unit input bound.
-        guard_bits: slack on top of ``mag_bits``; every input with
-            ``max|x| <= 2^guard_bits`` stays exact.
-    """
-
-    lanes: int
-    mag_bits: int
-    guard_bits: int = FOLD_GUARD_BITS
-
-    @property
-    def lane_bits(self) -> int:
-        return self.mag_bits + self.guard_bits + 1
-
-    @classmethod
-    def single_lane(cls, key_size: int) -> "FoldGeometry":
-        """One value per ciphertext, in a ``key_size - 2``-bit lane."""
-        return cls(lanes=1, mag_bits=key_size - 3 - FOLD_GUARD_BITS)
-
-    def packer(self, public_key):
-        """The session's :class:`~repro.crypto.encoding.LanePacker`."""
-        from ..crypto.encoding import LanePacker
-
-        return LanePacker(public_key, lanes=self.lanes,
-                          mag_bits=self.mag_bits,
-                          guard_bits=self.guard_bits)
-
-
-def fold_geometry(
+def output_bound_bits(
     stages: Sequence[MergedPrimitive],
     decimals: int,
     key_size: int,
-) -> FoldGeometry:
-    """Size the output fold the way :func:`plan_lane_packing` sizes
-    batch lanes: lanes of the peak bound's bits plus
-    :data:`FOLD_GUARD_BITS`, as many as the key holds (at most
-    :data:`MAX_FOLD_LANES`).
+) -> dict[int, int]:
+    """The certified bit length of each linear stage's outputs.
 
-    The runtime (``ModelProvider``) and the cost model both call this,
-    so the planner prices exactly the fold the runtime performs.
+    Stage ``i``'s outputs satisfy ``|v| < 2^bits[i]`` for every input
+    with ``max|x| <= FOLD_INPUT_BOUND``: the bits of the stage's own
+    bound at unit input (:attr:`HeadroomReport.bound_by_stage`, the
+    stage's *output*, not the peak of its interior primitives) plus
+    :data:`FOLD_GUARD_BITS`.  The data provider folds a stage's
+    outputs in lanes of ``bits[i] + 1`` bits when it decrypts them.
+
+    Empty when the analysis cannot certify the model (an unsupported
+    layer, or a bound past the signed range): every output is then
+    decrypted on its own.  The runtime (``ModelProvider``) and the
+    cost model both call this, so the planner prices exactly the lanes
+    the runtime folds.
     """
     try:
         report = _analyze_stages(stages, decimals, key_size, 1.0)
     except ScalingError:
-        return FoldGeometry.single_lane(key_size)
-    mag_bits, _lane_bits, capacity = _lane_sizing(report, key_size,
-                                                  FOLD_GUARD_BITS)
-    if not report.safe or capacity < 2:
-        return FoldGeometry.single_lane(key_size)
-    return FoldGeometry(lanes=min(capacity, MAX_FOLD_LANES),
-                        mag_bits=mag_bits)
+        return {}
+    if not report.safe:
+        return {}
+    return {
+        stage.index: max(report.bound_by_stage[stage.index], 1)
+        .bit_length() + FOLD_GUARD_BITS
+        for stage in stages if stage.kind is LayerKind.LINEAR
+    }
 
 
 def require_headroom(

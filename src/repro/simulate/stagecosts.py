@@ -15,11 +15,10 @@ serving one request:
   to the next stage's server (stages alternate between the model and
   data providers, so every boundary is a network hop).
 
-Linear stages hand their outputs over folded (see
-:func:`repro.scaling.headroom.fold_geometry`, the same geometry the
-runtime uses): the model provider pays the Horner fold, the wire
-carries one ciphertext per ``lanes`` values, and the data provider
-decrypts that many (thread distribution is still priced per value).
+Linear stages hand their N outputs over as N ciphertexts, and the
+data provider folds them in the lanes their certified bound gives
+(:func:`repro.costs.stage_lane_bits`, the same widths the runtime
+uses) as it decrypts them: the fold is priced in the non-linear stage.
 """
 
 from __future__ import annotations
@@ -28,12 +27,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List
 
-from ..costs import CostModel, stage_compute_seconds
+from ..costs import CostModel, stage_compute_seconds, stage_lane_bits
 from ..errors import SimulationError
 from ..nn.layers import Flatten, FullyConnected, LayerKind
 from ..partitioning.receptive import partitioned_input_elements
 from ..planner.plan import Plan
-from ..scaling.headroom import fold_geometry
 
 
 @dataclass(frozen=True)
@@ -144,20 +142,16 @@ def stage_costs(
         raise SimulationError("decimals must be non-negative")
     costs: List[StageCost] = []
     partitioning = plan.use_tensor_partitioning
-    fold = fold_geometry(plan.stages, decimals, cost_model.key_size)
-    for stage in plan.stages:
+    lanes = stage_lane_bits(plan.stages, decimals, cost_model.key_size)
+    for position, stage in enumerate(plan.stages):
         threads = plan.threads_for(stage.index)
         counts = stage.op_counts()
         compute = stage_compute_seconds(stage, cost_model, decimals,
-                                        fold) / threads
-        if stage.kind is LayerKind.LINEAR:
-            # The output crosses the network folded.
-            wire = -(-counts.output_size // fold.lanes)
-        else:
-            wire = counts.output_size
+                                        lanes[position]) / threads
         intra = intra_comm_seconds(stage, threads, partitioning,
                                    cost_model)
-        transfer = cost_model.transfer_time(wire, encrypted=True)
+        transfer = cost_model.transfer_time(counts.output_size,
+                                            encrypted=True)
         costs.append(StageCost(compute=compute, intra_comm=intra,
                                transfer=transfer))
     return costs

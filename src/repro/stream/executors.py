@@ -15,11 +15,7 @@ from typing import List
 
 import numpy as np
 
-from ..crypto.tensor import (
-    EncryptedTensor,
-    FoldedTensor,
-    PackedEncryptedTensor,
-)
+from ..crypto.tensor import EncryptedTensor, PackedEncryptedTensor
 from ..errors import StreamError
 from ..nn.layers import LayerKind
 from ..planner.plan import Plan
@@ -34,11 +30,10 @@ class StreamItem:
 
     Attributes:
         request_id: monotone id assigned by the source.
-        tensor: current encrypted tensor — scalar, folded (a linear
-            stage's output on its way to the data provider) or
-            lane-packed (a packed item carries a whole batch through
-            the pipeline as one request); executors branch on the
-            tensor type.
+        tensor: current encrypted tensor — scalar (a linear stage's
+            output carries its certified bound) or lane-packed (a
+            packed item carries a whole batch through the pipeline as
+            one request); executors branch on the tensor type.
         obfuscation_round: outstanding obfuscator round id, if permuted.
         enqueue_time: perf-counter timestamp at admission.
         result: final probabilities once the sink stage ran.
@@ -53,7 +48,7 @@ class StreamItem:
     """
 
     request_id: int
-    tensor: EncryptedTensor | FoldedTensor | PackedEncryptedTensor | None
+    tensor: EncryptedTensor | PackedEncryptedTensor | None
     obfuscation_round: int | None = None
     enqueue_time: float = 0.0
     result: np.ndarray | None = None

@@ -1,7 +1,10 @@
-"""Wire-format tests for folded tensor frames (serialize v2,
-``KIND_FOLDED``): exact analytic size, round trip, and a malformed-frame
-sweep in which every corruption fails as :class:`EncodingError` (or
-:class:`KeyMismatchError`) and never parses into a wrong tensor."""
+"""Wire-format tests for the frames the output fold reads (serialize
+v2, ``KIND_BOUNDED``): a linear stage's N output ciphertexts with the
+stage's certified bound, which the key holder folds in lanes of that
+width.  Exact analytic size, round trip, and a malformed-frame sweep in
+which every corruption fails as :class:`EncodingError` (or
+:class:`KeyMismatchError`) and never parses into a wrong tensor.  The
+retired folded-cell kinds (2 and 3) are refused by every parser."""
 
 import random
 import struct
@@ -12,76 +15,71 @@ import pytest
 from repro.crypto.encoding import LanePacker
 from repro.crypto.paillier import generate_keypair
 from repro.crypto.serialize import (
-    KIND_FOLDED,
+    KIND_BOUNDED,
+    KIND_SCALAR,
     any_tensor_from_bytes,
     any_tensor_to_bytes,
     ciphertext_bytes,
     frame_bytes,
     frame_kind,
-    folded_tensor_from_bytes,
-    folded_tensor_to_bytes,
+    packed_tensor_from_bytes,
     tensor_frame_bytes,
     tensor_from_bytes,
+    tensor_to_bytes,
 )
-from repro.crypto.tensor import (
-    EncryptedTensor,
-    FoldedTensor,
-    PackedEncryptedTensor,
-    fold_counts,
-)
+from repro.crypto.tensor import EncryptedTensor, PackedEncryptedTensor
 from repro.errors import EncodingError, KeyMismatchError
 
-#: The folded lane header follows the 14-byte v2 prefix: lanes (B),
-#: mag_bits (H), guard_bits (B), empty lanes of the last cell (B),
-#: cells (I).
-LANE_HEADER = 14
-LANE_HEADER_BYTES = 9
+#: The 2-byte bound follows the 15-byte scalar header (the v2 prefix and
+#: the rank byte); the dimension words come after it.
+BOUND_OFFSET = 15
+KIND_OFFSET = 5
 
 
 @pytest.fixture()
 def folded(keypair, rng):
+    """A bounded rank-1 tensor: ten values certified to ±2^20."""
     pub, _ = keypair
-    packer = LanePacker(pub, lanes=4, mag_bits=16, guard_bits=4)
     values = np.array([5, -7, 300, 0, 12, -40000, 9, 1, -1, 2])
-    tensor = EncryptedTensor.encrypt(values, pub, rng, exponent=3)
-    return FoldedTensor.fold(tensor, packer), values
+    plain = EncryptedTensor.encrypt(values, pub, rng, exponent=3)
+    tensor = EncryptedTensor(pub, plain.cells(), (10,), 3, bound_bits=20)
+    return tensor, values
 
 
 class TestFoldedRoundTrip:
     def test_round_trip(self, keypair, folded):
         pub, priv = keypair
         tensor, values = folded
-        blob = folded_tensor_to_bytes(tensor)
-        assert frame_kind(blob) == KIND_FOLDED == 2
+        blob = tensor_to_bytes(tensor)
+        assert frame_kind(blob) == KIND_BOUNDED == 4
         restored = any_tensor_from_bytes(blob, pub)
-        assert isinstance(restored, FoldedTensor)
-        assert restored.size == 10
-        assert restored.counts == (4, 4, 2)
+        assert isinstance(restored, EncryptedTensor)
+        assert restored.shape == (10,)
+        assert restored.bound_bits == 20
         assert restored.exponent == 3
-        assert restored.packer == tensor.packer
         assert [c.ciphertext for c in restored.cells()] == \
             [c.ciphertext for c in tensor.cells()]
         assert np.array_equal(restored.decrypt(priv), values)
         assert any_tensor_to_bytes(restored) == blob
-        # N values k to a cell are exactly ceil(N/k) cells; any other
-        # count is refused.
-        assert restored.counts == tuple(fold_counts(10, 4))
-        cells = restored.cells()
-        for bad_cells, size in ((cells[:2], 10), (cells + cells[:1], 10),
-                                (cells, 8), (cells, 13), (cells, -1)):
+        # The bound survives reshaping; a tensor without one is a plain
+        # scalar frame.
+        assert restored.reshape((2, 5)).flatten().bound_bits == 20
+        bare = EncryptedTensor(pub, tensor.cells(), (10,), 3)
+        assert frame_kind(tensor_to_bytes(bare)) == KIND_SCALAR
+        for bad in (0, -3):
             with pytest.raises(EncodingError):
-                FoldedTensor(pub, bad_cells, size, restored.packer)
+                EncryptedTensor(pub, tensor.cells(), (10,), 3,
+                                bound_bits=bad)
 
     def test_frame_size_is_exact(self, keypair, folded):
         pub, _ = keypair
         tensor, _ = folded
-        blob = folded_tensor_to_bytes(tensor)
+        blob = tensor_to_bytes(tensor)
         assert len(blob) == frame_bytes(tensor) == tensor_frame_bytes(
-            pub.key_size, rank=1, size=3, folded=True)
-        # The lane header replaces rank + dims: a rank-1 scalar
-        # frame's overhead plus the 4-byte cell count.
+            pub.key_size, rank=1, size=10, bounded=True)
+        # The bound adds two bytes to a rank-1 scalar frame.
         assert len(blob) == tensor_frame_bytes(pub.key_size, rank=1,
-                                               size=3) + 4
+                                               size=10) + 2
 
     def test_frame_bytes_covers_every_kind(self, keypair, rng, folded):
         pub, _ = keypair
@@ -94,82 +92,91 @@ class TestFoldedRoundTrip:
             assert frame_bytes(tensor) == len(any_tensor_to_bytes(tensor))
 
     def test_other_parsers_refuse_folded_frames(self, keypair, folded):
+        """The packed parser refuses a bounded frame, and every parser
+        refuses the retired folded-cell kinds."""
         pub, _ = keypair
-        blob = folded_tensor_to_bytes(folded[0])
+        blob = tensor_to_bytes(folded[0])
         with pytest.raises(EncodingError):
-            tensor_from_bytes(blob, pub)
-        with pytest.raises(EncodingError):
-            folded_tensor_from_bytes(
-                any_tensor_to_bytes(EncryptedTensor.encrypt(
-                    np.arange(2), pub, random.Random(0))), pub)
+            packed_tensor_from_bytes(blob, pub)
+        for retired in (2, 3):
+            old = bytearray(blob)
+            old[KIND_OFFSET] = retired
+            for parse in (tensor_from_bytes, packed_tensor_from_bytes,
+                          any_tensor_from_bytes):
+                with pytest.raises(EncodingError):
+                    parse(bytes(old), pub)
 
     def test_frame_flags_are_exclusive(self, keypair):
         pub, _ = keypair
         with pytest.raises(EncodingError):
             tensor_frame_bytes(pub.key_size, rank=1, size=1,
-                               packed=True, folded=True)
+                               packed=True, bounded=True)
 
 
 class TestMalformedFoldedFrames:
     def test_length_inconsistent_with_cell_count(self, keypair, folded):
         pub, _ = keypair
-        blob = bytearray(folded_tensor_to_bytes(folded[0]))
-        for empty in (4, 5, 255):   # the last cell would hold nothing
-            struct.pack_into(">B", blob, LANE_HEADER + 4, empty)
+        blob = bytearray(tensor_to_bytes(folded[0]))
+        for length in (9, 11, 0):
+            struct.pack_into(">I", blob, BOUND_OFFSET + 2, length)
             with pytest.raises(EncodingError):
-                folded_tensor_from_bytes(bytes(blob), pub)
+                tensor_from_bytes(bytes(blob), pub)
 
     def test_no_cells(self, keypair, folded):
         pub, _ = keypair
-        blob = folded_tensor_to_bytes(folded[0])
+        blob = tensor_to_bytes(folded[0])
         with pytest.raises(EncodingError):
-            folded_tensor_from_bytes(
-                blob[:LANE_HEADER + LANE_HEADER_BYTES], pub)
+            tensor_from_bytes(blob[:BOUND_OFFSET + 2 + 4], pub)
 
-    @pytest.mark.parametrize("field,fmt,value", [
-        ("lanes", ">B", 200),      # 200 x 21-bit lanes > 127 bits
-        ("lanes", ">B", 0),
-        ("mag_bits", ">H", 1000),
-        ("mag_bits", ">H", 0),
-        ("guard_bits", ">B", 250),
-    ])
-    def test_geometry_over_capacity(self, keypair, folded, field, fmt,
-                                    value):
+    @pytest.mark.parametrize("value", [0, 129, 0xFFFF])
+    def test_bound_out_of_range(self, keypair, folded, value):
+        """A bound of 0, or wider than the modulus, certifies nothing
+        and is refused."""
         pub, _ = keypair
-        offset = {"lanes": 0, "mag_bits": 1, "guard_bits": 3}[field]
-        blob = bytearray(folded_tensor_to_bytes(folded[0]))
-        struct.pack_into(fmt, blob, LANE_HEADER + offset, value)
+        blob = bytearray(tensor_to_bytes(folded[0]))
+        struct.pack_into(">H", blob, BOUND_OFFSET, value)
         with pytest.raises(EncodingError):
-            folded_tensor_from_bytes(bytes(blob), pub)
+            tensor_from_bytes(bytes(blob), pub)
+
+    def test_narrowed_bound_is_caught_on_decryption(self, keypair,
+                                                    folded):
+        """A bound too narrow for the values parses, but decryption
+        refuses the values outside it instead of returning them."""
+        pub, priv = keypair
+        blob = bytearray(tensor_to_bytes(folded[0]))
+        struct.pack_into(">H", blob, BOUND_OFFSET, 10)
+        narrowed = tensor_from_bytes(bytes(blob), pub)
+        assert narrowed.bound_bits == 10
+        with pytest.raises(EncodingError):
+            narrowed.decrypt(priv)
 
     def test_truncated_lane_header(self, keypair, folded):
         pub, _ = keypair
-        blob = folded_tensor_to_bytes(folded[0])
-        for cut in range(LANE_HEADER, LANE_HEADER + LANE_HEADER_BYTES):
+        blob = tensor_to_bytes(folded[0])
+        for cut in range(BOUND_OFFSET, BOUND_OFFSET + 2 + 4):
             with pytest.raises(EncodingError):
                 any_tensor_from_bytes(blob[:cut], pub)
 
     def test_truncated_and_trailing_bodies(self, keypair, folded):
         pub, _ = keypair
-        blob = folded_tensor_to_bytes(folded[0])
+        blob = tensor_to_bytes(folded[0])
         width = ciphertext_bytes(pub.key_size)
         # blob[:-width] is whole ciphertexts, one fewer than declared.
         for bad in (blob[:-1], blob + b"\x00", blob[:-width // 2],
                     blob[:-width]):
             with pytest.raises(EncodingError):
-                folded_tensor_from_bytes(bad, pub)
+                tensor_from_bytes(bad, pub)
 
     def test_key_mismatch(self, folded):
         other, _ = generate_keypair(256, seed=9)
         with pytest.raises(KeyMismatchError):
-            folded_tensor_from_bytes(folded_tensor_to_bytes(folded[0]),
-                                     other)
+            tensor_from_bytes(tensor_to_bytes(folded[0]), other)
 
     def test_fuzz_corruption_never_garbage(self, keypair, folded):
         """Random flips and truncations raise a controlled error or
         parse to a well-formed tensor — never another exception."""
-        pub, _ = keypair
-        base = folded_tensor_to_bytes(folded[0])
+        pub, priv = keypair
+        base = tensor_to_bytes(folded[0])
         fuzz = random.Random(20261015)
         for _ in range(300):
             blob = bytearray(base)
@@ -181,6 +188,11 @@ class TestMalformedFoldedFrames:
                 restored = any_tensor_from_bytes(bytes(blob), pub)
             except (EncodingError, KeyMismatchError):
                 continue
-            if isinstance(restored, FoldedTensor):
-                assert restored.size == sum(restored.counts)
-                assert len(restored.cells()) == len(restored.counts)
+            assert any_tensor_to_bytes(restored) == bytes(blob)
+            if isinstance(restored, EncryptedTensor) \
+                    and restored.bound_bits is not None:
+                assert 1 <= restored.bound_bits <= pub.n.bit_length()
+                try:
+                    restored.decrypt(priv)
+                except EncodingError:
+                    pass

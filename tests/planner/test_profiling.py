@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import RuntimeConfig
-from repro.costs import CostModel
+from repro.costs import CostModel, stage_compute_seconds, stage_lane_bits
 from repro.errors import PlannerError
 from repro.nn.layers import FullyConnected, ReLU, SoftMax
 from repro.nn.model import Sequential
@@ -12,7 +12,6 @@ from repro.planner.plan import ClusterSpec
 from repro.planner.primitive import model_stages
 from repro.planner.profiling import profile_live, profile_primitive_times
 from repro.protocol import ModelProvider
-from repro.scaling.headroom import fold_geometry
 from repro.serve.gateway import build_serve_model
 from repro.simulate.stagecosts import stage_costs
 
@@ -46,45 +45,59 @@ class TestAnalyticProfile:
         low = profile_primitive_times(stages, CostModel.reference(), 0)
         high = profile_primitive_times(stages, CostModel.reference(), 6)
         assert high[0] > low[0]          # linear stage affected
-        assert high[1] == pytest.approx(low[1])  # nonlinear unaffected
+        # The non-linear stage only through the width of the lanes it
+        # folds its input in (the linear stage's bound grows with f).
+        cost_model = CostModel.reference()
+        widths = [stage_lane_bits(stages, f, cost_model.key_size)[1]
+                  for f in (0, 6)]
+        assert widths[1] > widths[0]
+        values = stages[1].op_counts().input_size
+        assert high[1] - low[1] == pytest.approx(
+            cost_model.lane_decrypt_seconds(values, widths[1])
+            - cost_model.lane_decrypt_seconds(values, widths[0]))
 
     def test_nonlinear_dominated_by_crypto(self):
         """Enc/dec costs dwarf the activation itself (Fig. 1).  The
-        stage decrypts its input folded, one CRT decryption per
-        ciphertext of ``fold.lanes`` values."""
+        stage decrypts its input folded in the lanes of the linear
+        stage's certified bound."""
         stages = stages_fixture()
         cost_model = CostModel.reference()
         times = profile_primitive_times(stages, cost_model, 4)
         relu_stage = stages[1]
         counts = relu_stage.op_counts()
-        fold = fold_geometry(stages, 4, cost_model.key_size)
-        assert fold.lanes > 1
-        crypto_only = -(-counts.input_size // fold.lanes) \
-            * cost_model.decrypt \
+        lanes = stage_lane_bits(stages, 4, cost_model.key_size)
+        assert lanes[0] is None and lanes[1] is not None
+        crypto_only = cost_model.lane_decrypt_seconds(
+            counts.input_size, lanes[1]) \
             + counts.output_size * cost_model.encrypt
         assert times[1] == pytest.approx(crypto_only, rel=0.01)
 
-    def test_fold_moves_decryption_cost_to_the_linear_stage(self):
-        """The runtime's fold, priced: ceil(N/k) decryptions plus N
-        unpacks on the data side, (N - ceil(N/k)) lane-width powmods
-        on the model side."""
+    def test_fold_is_priced_in_the_nonlinear_stage(self):
+        """The runtime's fold, priced where it runs: per run of ``k``
+        values one exponentiation mod p^2 (half a CRT decryption) and
+        ``L`` squarings per further value, plus N unpacks, all in the
+        non-linear stage; the linear stage pays no fold."""
         stages = stages_fixture()
         cost_model = CostModel.reference()
         times = profile_primitive_times(stages, cost_model, 4)
-        fold = fold_geometry(stages, 4, cost_model.key_size)
+        lane_bits = stage_lane_bits(stages, 4, cost_model.key_size)[1]
         outputs = stages[0].op_counts().output_size
-        cells = -(-outputs // fold.lanes)
+        k = (cost_model.key_size // 2 - 2) // lane_bits
+        assert k > 1
+        runs = -(-outputs // k)
+        half = cost_model.decrypt / 2
         unfolded = (outputs * cost_model.decrypt
                     + stages[1].op_counts().plain_ops
                     * cost_model.plain_op
                     + outputs * cost_model.encrypt)
         assert unfolded - times[1] == pytest.approx(
-            (outputs - cells) * cost_model.decrypt
+            outputs * cost_model.decrypt - runs * half
+            - (outputs - runs) * lane_bits * half
+            / (cost_model.key_size // 2)
             - outputs * cost_model.plain_op)
-        linear_fold = (outputs - cells) * cost_model.ciphertext_mul(
-            fold.lane_bits)
-        assert linear_fold > 0
-        assert times[0] > linear_fold
+        assert times[1] < unfolded
+        assert times[0] == pytest.approx(stage_compute_seconds(
+            stages[0], cost_model, 4))
 
     def test_empty_rejected(self):
         with pytest.raises(PlannerError):
@@ -165,10 +178,10 @@ class TestCompressionAwareProfile:
 #: ``conv_stream_tcp`` benchmark workload: reference costs, its scaling
 #: decimals and compression stats), as exact float hex.
 TINY_TIMES = (
-    "0x1.e3cf8d9c60488p-6", "0x1.4a3d81d1e2f26p-1",
-    "0x1.93e956704f1d8p-8", "0x1.4cccddfad8b4fp-3",
-    "0x1.aa029d6931f2dp-7", "0x1.5c2906f09b445p-5",
-    "0x1.798b873238e25p-10", "0x1.1eb878931fe91p-6",
+    "0x1.85980fabc4947p-7", "0x1.4b3daac7a581cp-1",
+    "0x1.ddf0e17f0b78ep-10", "0x1.4bde25a8ed2fdp-3",
+    "0x1.89e5c76f95ba2p-7", "0x1.5399aac7a581cp-5",
+    "0x1.30250bd31cf30p-10", "0x1.0b47d4bc15abap-6",
 )
 
 

@@ -26,7 +26,7 @@ from repro.crypto.engine import PaillierEngine
 from repro.crypto.paillier import EncryptedNumber, generate_keypair
 from repro.crypto.serialize import any_tensor_from_bytes, any_tensor_to_bytes
 from repro.crypto.sparse import SparseMatvecPlan
-from repro.crypto.tensor import EncryptedTensor, FoldedTensor
+from repro.crypto.tensor import EncryptedTensor
 from repro.errors import CryptoError
 from repro.net import WorkerServer, build_worker_spec
 from repro.net.transport import (
@@ -37,7 +37,7 @@ from repro.net.transport import (
     Envelope,
     dial,
 )
-from repro.net.wire import ROLE_MODEL, fold_to_wire
+from repro.net.wire import ROLE_MODEL
 from repro.nn import model_zoo
 from repro.nn.layers import LayerKind
 from repro.obfuscation.obfuscator import Obfuscator
@@ -46,7 +46,6 @@ from repro.planner.plan import ClusterSpec
 from repro.protocol import DataProvider, ModelProvider
 from repro.protocol.stages import LinearStage, LinearStagePlan
 from repro.scaling.fixed_point import ScaledAffine
-from repro.scaling.headroom import FoldGeometry
 from repro.stream.executors import LinearStageExecutor, StreamItem
 
 PUBLIC, PRIVATE = generate_keypair(128, seed=2024)
@@ -234,13 +233,14 @@ class TestExecutorRoute:
     def test_linear_executor_equals_the_scalar_loop(
             self, out_dim, in_dim, seed, data):
         """A stream executor runs its stage's compiled plan; its
-        folded output is the fold of the scalar loop's ciphertexts."""
+        output is the scalar loop's ciphertexts, stamped with the
+        stage's certified bound."""
         weights = matrix_of(data, out_dim, in_dim)
         stage = LinearStage(
             LinearStagePlan(0, [_affine(weights)],
                             [SparseMatvecPlan.from_dense(weights)]),
             Obfuscator(1), make_engine(), random.Random(seed),
-            FoldGeometry.single_lane(PUBLIC.key_size), final=True,
+            PUBLIC.key_size - 3, final=True,
         )
         executor = LinearStageExecutor(stage)
         cells = ciphertexts(in_dim, seed)
@@ -250,15 +250,9 @@ class TestExecutorRoute:
         out = executor.process(StreamItem(0, tensor)).tensor
         bias = [c.ciphertext
                 for c in stage._bias_cache[(0, 0)].cells()]
-        expected = FoldedTensor.fold(
-            EncryptedTensor(
-                PUBLIC,
-                [EncryptedNumber(PUBLIC, c)
-                 for c in reference(cells, weights, bias)],
-                (out_dim,), 0),
-            stage.folder, make_engine())
+        assert out.bound_bits == PUBLIC.key_size - 3
         assert [c.ciphertext for c in out.cells()] \
-            == [c.ciphertext for c in expected.cells()]
+            == reference(cells, weights, bias)
 
 
 class TestTcpRoute:
@@ -295,8 +289,8 @@ class TestTcpRoute:
         stage_plan.matvec_plans[0] = SparseMatvecPlan.from_dense(weights)
         spec = build_worker_spec(model_provider, data_provider, plan,
                                  ROLE_MODEL)
-        spec["fold"] = fold_to_wire(
-            FoldGeometry.single_lane(config.key_size))
+        # The adversarial weights leave the certified range: no bound.
+        spec["stages"][str(stage_index)]["bound_bits"] = None
 
         public = data_provider.public_key
         x = np.array([rng.randrange(-8, 8) for _ in range(in_dim)])

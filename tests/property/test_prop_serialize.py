@@ -8,10 +8,11 @@ that fails to decrypt.
 Frames carry no checksum (their bytes are pinned: see
 :class:`TestFoldedFramePinned`), so a flipped ciphertext bit is another
 well-formed ciphertext.  What the parsers guarantee is structural: a
-truncated frame always fails (folded frames declare their cell count),
-a parsed frame re-serializes to exactly its own bytes, and the
-folded-batch frame refuses any lane count, empty-position count or
-batch that is not the folding geometry of its batch.
+truncated frame always fails (every frame declares its dimensions), a
+parsed frame re-serializes to exactly its own bytes, and a flipped
+lane field of a packed batch — the frame the key holder folds a run of
+positions of — is refused or decodes to exactly the samples it still
+names.
 """
 
 import hashlib
@@ -23,9 +24,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.encoding import LanePacker
 from repro.crypto.paillier import generate_keypair
+from repro.crypto.engine import PaillierEngine
 from repro.crypto.serialize import (
-    KIND_FOLDED,
-    KIND_FOLDED_BATCH,
+    KIND_BOUNDED,
     KIND_PACKED,
     any_tensor_from_bytes,
     any_tensor_to_bytes,
@@ -34,15 +35,11 @@ from repro.crypto.serialize import (
     tensor_from_bytes,
     tensor_to_bytes,
 )
-from repro.crypto.tensor import (
-    EncryptedTensor,
-    FoldedTensor,
-    PackedEncryptedTensor,
-    batch_folder,
-)
+from repro.crypto.tensor import EncryptedTensor, PackedEncryptedTensor
 from repro.errors import EncodingError, KeyMismatchError
 
 PUBLIC, PRIVATE = generate_keypair(128, seed=77)
+HOLDER = PaillierEngine(PUBLIC, private_key=PRIVATE, seed=77)
 
 
 def make_blob(values, exponent=0, seed=0):
@@ -113,9 +110,10 @@ class TestWireFuzz:
 
 CONTROLLED = (EncodingError, KeyMismatchError)
 
-#: (batch, mag_bits, guard_bits) geometries whose batches fold at a
-#: 128-bit key (two or more positions per ciphertext).
-GEOMETRIES = [(2, 16, 4), (3, 12, 4), (2, 20, 2), (4, 10, 4)]
+#: (batch, mag_bits, guard_bits) geometries whose batches the key
+#: holder folds at a 128-bit key (two or more positions per
+#: exponentiation under its 64-bit p).
+GEOMETRIES = [(2, 8, 4), (3, 5, 3), (2, 10, 2), (4, 3, 3)]
 
 
 def packed_tensor(batch, mag_bits, guard_bits, positions, seed):
@@ -128,26 +126,20 @@ def packed_tensor(batch, mag_bits, guard_bits, positions, seed):
     return tensor, values
 
 
-def folded_batch(batch, mag_bits, guard_bits, positions, seed):
-    tensor, values = packed_tensor(batch, mag_bits, guard_bits,
-                                   positions, seed)
-    return FoldedTensor.fold(tensor, batch_folder(tensor.packer)), values
-
-
-def folded_scalar(lanes, mag_bits, guard_bits, positions, seed):
-    """``positions`` values per batch lane, folded ``lanes`` to a
-    ciphertext as one flat ``KIND_FOLDED`` tensor."""
-    packer = LanePacker(PUBLIC, lanes=lanes, mag_bits=mag_bits,
-                        guard_bits=guard_bits)
+def bounded_scalar(lanes, mag_bits, guard_bits, positions, seed):
+    """``lanes * positions`` values certified to ``mag_bits +
+    guard_bits`` bits: one flat ``KIND_BOUNDED`` tensor, as a linear
+    stage hands it over."""
+    bound = mag_bits + guard_bits
     values = np.random.default_rng(seed).integers(
         -(1 << mag_bits) + 1, 1 << mag_bits, lanes * positions)
     tensor = EncryptedTensor.encrypt(values, PUBLIC, random.Random(seed),
                                      exponent=seed % 5)
-    return FoldedTensor.fold(tensor, packer), values
+    return EncryptedTensor(PUBLIC, tensor.cells(), tensor.shape,
+                           tensor.exponent, bound_bits=bound), values
 
 
-BUILDERS = {"packed": packed_tensor, "folded": folded_scalar,
-            "folded-batch": folded_batch}
+BUILDERS = {"packed": packed_tensor, "bounded": bounded_scalar}
 
 
 def reparse(blob):
@@ -157,7 +149,7 @@ def reparse(blob):
     assert any_tensor_to_bytes(tensor) == blob
     assert frame_bytes(tensor) == len(blob)
     try:
-        tensor.decrypt(PRIVATE)
+        tensor.decrypt(PRIVATE, engine=HOLDER)
     except EncodingError:
         pass
     return tensor
@@ -167,44 +159,60 @@ frames = st.sampled_from(sorted(BUILDERS))
 
 
 class TestFoldedBatchFrame:
+    """The frame of a full lane-packed batch, which the key holder
+    folds a run of positions of per exponentiation."""
+
     @settings(max_examples=25, deadline=None)
     @given(geometry=st.sampled_from(GEOMETRIES),
            positions=st.integers(min_value=1, max_value=9),
            seed=st.integers(min_value=0, max_value=2 ** 20))
     def test_round_trip(self, geometry, positions, seed):
-        folded, values = folded_batch(*geometry, positions, seed)
-        blob = any_tensor_to_bytes(folded)
-        assert frame_kind(blob) == KIND_FOLDED_BATCH
-        assert len(blob) == frame_bytes(folded)
+        packed, values = packed_tensor(*geometry, positions, seed)
+        batch, mag_bits, guard_bits = geometry
+        assert HOLDER.run_capacity(
+            batch * (mag_bits + guard_bits + 1)) >= 2
+        blob = any_tensor_to_bytes(packed)
+        assert frame_kind(blob) == KIND_PACKED
+        assert len(blob) == frame_bytes(packed)
         restored = any_tensor_from_bytes(blob, PUBLIC)
-        assert isinstance(restored, FoldedTensor)
-        assert restored.batch == geometry[0]
-        assert restored.packer == folded.packer
-        assert restored.counts == folded.counts
-        assert restored.exponent == folded.exponent
-        assert np.array_equal(restored.decrypt(PRIVATE), values)
+        assert isinstance(restored, PackedEncryptedTensor)
+        assert restored.batch == batch
+        assert restored.packer == packed.packer
+        assert restored.exponent == packed.exponent
+        assert np.array_equal(restored.decrypt(PRIVATE, engine=HOLDER),
+                              values)
 
     def test_one_position_per_cell_does_not_fold(self):
-        """Five 21-bit lanes fill a 128-bit key: nothing to fold."""
+        """Five 21-bit lanes fill a 128-bit key, and no cell fits under
+        its 64-bit p: one CRT decryption per position."""
         packer = LanePacker(PUBLIC, lanes=5, mag_bits=16, guard_bits=4)
-        assert batch_folder(packer) is None
+        assert HOLDER.run_capacity(packer.lanes * packer.lane_bits) == 0
+        values = np.arange(10).reshape(5, 2) - 4
+        tensor = PackedEncryptedTensor.encrypt_batch(
+            values, packer, random.Random(1))
+        assert np.array_equal(tensor.decrypt(PRIVATE, engine=HOLDER),
+                              values)
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_lane_fields_are_checked(self, geometry):
-        """Every single-bit flip of the lane count, the empty-position
-        count or the batch is refused: the lanes and the batch must be
-        the folding geometry of the batch (refused by the parser), and
-        a last cell claiming other positions than it holds has lanes
-        outside the certified range (refused by the strict unpack)."""
-        folded, _values = folded_batch(*geometry, 7, 1)
-        blob = any_tensor_to_bytes(folded)
-        for byte in (14, 18, 19):      # lanes, empty, batch
+        """Every single-bit flip of the lane count or the batch is
+        refused by the parser, or leaves the lane width alone and
+        decodes to exactly the first samples the frame still names —
+        never to other values."""
+        packed, values = packed_tensor(*geometry, 7, 1)
+        blob = any_tensor_to_bytes(packed)
+        for byte in (15, 16, 21, 22):      # lanes, batch (16-bit each)
             for bit in range(8):
                 bad = bytearray(blob)
                 bad[byte] ^= 1 << bit
-                with pytest.raises(CONTROLLED):
-                    any_tensor_from_bytes(bytes(bad), PUBLIC) \
-                        .decrypt(PRIVATE)
+                try:
+                    restored = any_tensor_from_bytes(bytes(bad), PUBLIC)
+                    out = restored.decrypt(PRIVATE, engine=HOLDER)
+                except CONTROLLED:
+                    continue
+                assert restored.packer.lane_bits \
+                    == packed.packer.lane_bits
+                assert np.array_equal(out, values[:restored.batch])
 
 
 class TestMutatedFrames:
@@ -240,29 +248,33 @@ class TestMutatedFrames:
         for build in BUILDERS.values():
             tensor, _values = build(2, 16, 4, 5, 3)
             blob = any_tensor_to_bytes(tensor)
-            assert frame_kind(blob) in (KIND_PACKED, KIND_FOLDED,
-                                        KIND_FOLDED_BATCH)
+            assert frame_kind(blob) in (KIND_PACKED, KIND_BOUNDED)
             with pytest.raises(CONTROLLED):
                 any_tensor_from_bytes(blob + b"\x00", PUBLIC)
 
 
+#: The pinned bounded frame: magic, version 2, kind 4, a 128-bit key,
+#: exponent 2, rank 1, a 20-bit bound, one dimension of 10.
+PINNED_HEADER = "50505354020400000080000000020100140000000a"
+PINNED_DIGEST = (
+    "f0831f8fe39f55a8b052454bc072bd4214a532704e059c8ebcdce6812415f69e")
+
+
 class TestFoldedFramePinned:
     def test_scalar_folded_frame_bytes(self):
-        """A one-request ``KIND_FOLDED`` frame is pinned: its 23-byte
-        header and the whole frame's digest.  Without its 4-byte cell
-        count (after the empty-lane byte) it is the 115-byte frame of
-        the layout that had none, digest for digest."""
-        tensor = EncryptedTensor.encrypt(
+        """The frame of a linear stage's output — the N cells the key
+        holder folds — is pinned: its 21-byte header and the whole
+        frame's digest.  Without its 2-byte bound (after the rank
+        byte) and with the scalar kind it is a rank-1 scalar frame,
+        digest for digest."""
+        plain = EncryptedTensor.encrypt(
             np.array([5, -7, 300, 0, 12, -40000, 9, 1, -1, 2]), PUBLIC,
             random.Random(3), exponent=2)
-        folded = FoldedTensor.fold(
-            tensor, LanePacker(PUBLIC, lanes=4, mag_bits=16,
-                               guard_bits=4))
-        blob = any_tensor_to_bytes(folded)
-        assert len(blob) == 119 == frame_bytes(folded)
-        assert blob[:23].hex() == \
-            "5050535402020000008000000002040010040200000003"
-        assert hashlib.sha256(blob).hexdigest() == (
-            "64eee87bae1c4a4b6375ab80c543870512c6b8bfe8b4826c452c6b95abebb7b2")
-        assert hashlib.sha256(blob[:19] + blob[23:]).hexdigest() == (
-            "04f7b13d2d2e3d286037c31e63363bebf814f4e61ccc76731797b8163de15ed2")
+        tensor = EncryptedTensor(PUBLIC, plain.cells(), (10,), 2,
+                                 bound_bits=20)
+        blob = any_tensor_to_bytes(tensor)
+        assert len(blob) == 341 == frame_bytes(tensor)
+        assert blob[:21].hex() == PINNED_HEADER
+        assert hashlib.sha256(blob).hexdigest() == PINNED_DIGEST
+        scalar = any_tensor_to_bytes(plain)
+        assert blob[:5] + b"\x00" + blob[6:15] + blob[17:] == scalar

@@ -1,10 +1,11 @@
 """The output fold end to end: every runtime hands the data provider a
-linear stage's outputs folded ``k`` to a ciphertext, and nothing the
-parties compute or observe changes.
+linear stage's N output ciphertexts stamped with the stage's certified
+bound, the key holder folds runs of them mod ``p^2`` as it decrypts,
+and nothing the parties compute or observe changes.
 
 The reference is the unfolded protocol — the same providers with
-``FoldedTensor.fold`` patched to hand the N ciphertexts over as they
-are, so the data provider decrypts them one by one.
+``PaillierEngine.run_capacity`` patched to 0, so the data provider
+decrypts the N ciphertexts one by one with CRT decryption.
 """
 
 import random
@@ -18,7 +19,8 @@ from repro.crypto.serialize import (
     ciphertext_bytes,
     frame_bytes,
 )
-from repro.crypto.tensor import EncryptedTensor, FoldedTensor
+from repro.crypto.engine import PaillierEngine
+from repro.crypto.tensor import EncryptedTensor
 from repro.errors import EncodingError
 from repro.net import Coordinator, WorkerServer
 from repro.nn.layers import FullyConnected, ReLU, SoftMax
@@ -26,7 +28,11 @@ from repro.nn.model import Sequential
 from repro.planner.plan import ClusterSpec, Plan, StageAssignment
 from repro.protocol import DataProvider, InferenceSession, ModelProvider
 from repro.scaling.fixed_point import scale_to_int, scaled_affine_for_layer
-from repro.scaling.headroom import FOLD_INPUT_BOUND, analyze_headroom
+from repro.scaling.headroom import (
+    FOLD_GUARD_BITS,
+    FOLD_INPUT_BOUND,
+    analyze_headroom,
+)
 from repro.stream import Pipeline
 from repro.stream.executors import NonLinearStageExecutor, StreamItem
 
@@ -42,11 +48,9 @@ def providers(model, decimals=3, key_size=KEY_SIZE, seed=31):
 @pytest.fixture()
 def unfolded(monkeypatch):
     """Run the protocol without the fold (the reference path)."""
-    def hand_over(cls, tensor, packer, engine=None):
-        return tensor
-
     def activate():
-        monkeypatch.setattr(FoldedTensor, "fold", classmethod(hand_over))
+        monkeypatch.setattr(PaillierEngine, "run_capacity",
+                            lambda self, cell_bits: 0)
 
     return activate
 
@@ -76,8 +80,14 @@ class TestSessionBitIdentity:
         xs = list(breast_dataset.test_x[:4])
         folded_probs, folded_seen, outcomes = session_outputs(
             trained_breast, xs)
-        model_provider, _ = providers(trained_breast)
-        assert model_provider.fold.lanes == 7   # 36-bit lanes, 256 bits
+        model_provider, data_provider = providers(trained_breast)
+        # 29/32/36-bit lanes: 4, 3 and 3 values per run under a 128-bit
+        # p at 256 bits.
+        assert {i: bits + 1 for i, bits
+                in model_provider.bound_bits.items()} \
+            == {0: 29, 2: 32, 4: 36}
+        assert [data_provider.engine.run_capacity(bits) for bits
+                in (29, 32, 36)] == [4, 3, 3]
         unfolded()
         plain_probs, plain_seen, _ = session_outputs(trained_breast, xs)
         for mine, theirs in zip(folded_probs, plain_probs):
@@ -90,14 +100,14 @@ class TestSessionBitIdentity:
             assert np.array_equal(mine, theirs)
         assert [seen.shape for seen in folded_seen[:3]] == \
             [(64,), (32,), (2,)]
-        # Model-to-data messages carry the folded ciphertexts.
+        # Model-to-data messages carry one ciphertext per value.
         cells = [m.elements for m in outcomes[0].transcript.messages
                  if m.sender == "model"]
-        assert cells == [10, 5, 1]
+        assert cells == [64, 32, 2]
 
     def test_observed_values_are_permuted(self, trained_breast,
                                           breast_dataset):
-        """Folding happens after the permutation: the intermediate the
+        """The fold happens after the permutation: the intermediate the
         data provider decrypts is the obfuscated one, not the raw
         linear output."""
         model_provider, data_provider = providers(trained_breast)
@@ -116,14 +126,15 @@ class TestSessionBitIdentity:
         model_provider, data_provider = providers(trained_breast)
         model_provider.register_public_key(data_provider.public_key)
         tensor = data_provider.encrypt_input(breast_dataset.test_x[0])
-        folded, _ = model_provider.process_linear_stage(0, tensor, None,
-                                                        False)
-        assert isinstance(folded, FoldedTensor)
-        assert len(any_tensor_to_bytes(folded)) == frame_bytes(folded)
-        # A rank-1 scalar frame's 19-byte overhead plus the 4-byte
-        # cell count.
-        assert frame_bytes(folded) - 10 * ciphertext_bytes(KEY_SIZE) \
-            == frame_bytes(tensor) - 30 * ciphertext_bytes(KEY_SIZE) + 4
+        out, _ = model_provider.process_linear_stage(0, tensor, None,
+                                                     False)
+        assert isinstance(out, EncryptedTensor)
+        assert out.size == 64 and out.bound_bits == 28
+        assert len(any_tensor_to_bytes(out)) == frame_bytes(out)
+        # A rank-1 scalar frame's 19-byte overhead plus the 2-byte
+        # bound.
+        assert frame_bytes(out) - 64 * ciphertext_bytes(KEY_SIZE) \
+            == frame_bytes(tensor) - 30 * ciphertext_bytes(KEY_SIZE) + 2
 
 
 class TestThreadedStream:
@@ -145,18 +156,19 @@ class TestThreadedStream:
 
 class TestNonLinearExecutorOnFoldedInput:
     def test_reencrypts_all_values(self):
-        """The stage decrypts ceil(N/k) cells but re-encrypts every
+        """The stage decrypts ceil(N/k) runs but re-encrypts every
         value they held — N, not ceil(N/k)."""
         model_provider, data_provider = providers(
             _peak_model(), decimals=2, key_size=128)
-        packer = model_provider.fold.packer(data_provider.public_key)
+        bits = model_provider.bound_bits[0]
+        assert data_provider.engine.run_capacity(bits + 1) > 1
         rng = np.random.default_rng(2)
         values = rng.uniform(-3, 3, 23)
-        tensor = EncryptedTensor.encrypt(
+        plain = EncryptedTensor.encrypt(
             scale_to_int(values, 2), data_provider.public_key,
             random.Random(1), exponent=2)
-        folded = FoldedTensor.fold(tensor, packer)
-        assert len(folded.cells()) == -(-23 // packer.lanes)
+        folded = EncryptedTensor(plain.public_key, plain.cells(), (23,),
+                                 2, bound_bits=bits)
         executor = NonLinearStageExecutor(
             data_provider.nonlinear_stage(["relu"], final=False),
         )
@@ -179,7 +191,8 @@ class TestTcp:
         model_provider = ModelProvider(tiny_conv_model, decimals=2,
                                        config=config)
         data_provider = DataProvider(value_decimals=2, config=config)
-        assert model_provider.fold.lanes > 1
+        assert data_provider.engine.run_capacity(
+            min(model_provider.bound_bits.values()) + 1) > 1
         plan = fixed_plan(model_provider.stages, 2)
         rng = np.random.default_rng(3)
         xs = [rng.uniform(0, 1, (1, 8, 8)) for _ in range(3)]
@@ -231,10 +244,11 @@ class TestInputRange:
                                          key_size=128)
         # Stage 0's first output is 16x the peak bound: 1600 * 100.
         assert np.abs(seen[0]).max() * 10 ** 4 == 16 * 10 ** 4
-        model_provider, _ = providers(_peak_model(), 2, 128)
-        assert model_provider.fold.lanes > 1
-        assert 16 * 10 ** 4 < 2 ** (model_provider.fold.mag_bits
-                                    + model_provider.fold.guard_bits)
+        model_provider, data_provider = providers(_peak_model(), 2, 128)
+        bits = model_provider.bound_bits[0]
+        assert bits == (10 ** 4).bit_length() + FOLD_GUARD_BITS
+        assert data_provider.engine.run_capacity(bits + 1) > 1
+        assert 16 * 10 ** 4 < 2 ** bits
         unfolded()
         plain_probs, plain_seen, _ = session_outputs(
             _peak_model(), [x], decimals=2, key_size=128)

@@ -11,14 +11,14 @@ from repro.protocol import DataProvider, InferenceSession, ModelProvider
 KEY_SIZE = 128
 
 # A rank-1 scalar v2 frame over the analytic estimate: 15-byte header
-# + one 4-byte dim word.  Packed frames add the 8-byte lane extension;
-# folded frames carry a 9-byte lane header in place of rank and dims.
+# + one 4-byte dim word.  Packed frames add the 8-byte lane extension,
+# bounded frames (a linear stage's outputs) the 2-byte bound.
 SCALAR_RANK1_OVERHEAD = (
     tensor_frame_bytes(KEY_SIZE, rank=1, size=1)
     - ciphertext_bytes(KEY_SIZE)
 )
-FOLDED_OVERHEAD = (
-    tensor_frame_bytes(KEY_SIZE, rank=1, size=1, folded=True)
+BOUNDED_OVERHEAD = (
+    tensor_frame_bytes(KEY_SIZE, rank=1, size=1, bounded=True)
     - ciphertext_bytes(KEY_SIZE)
 )
 
@@ -58,12 +58,12 @@ class TestActualBytes:
         """The analytic estimate is ``elements * ciphertext_bytes``;
         the actual size adds exactly one frame header per message: the
         data provider sends rank-1 scalar frames, the model provider
-        folded linear outputs."""
+        bounded linear outputs, one ciphertext per value."""
         session = make_session(trained_breast)
         transcript = session.run(breast_dataset.test_x[0]).transcript
         cipher = ciphertext_bytes(KEY_SIZE)
         overhead = {"data": SCALAR_RANK1_OVERHEAD,
-                    "model": FOLDED_OVERHEAD}
+                    "model": BOUNDED_OVERHEAD}
         for message in transcript.messages:
             assert message.bytes_estimate == message.elements * cipher
             assert (message.bytes_actual - message.bytes_estimate

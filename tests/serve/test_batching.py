@@ -1,8 +1,9 @@
 """Continuous batching in the gateway: one dispatch per tenant.
 
 Jobs queued for a tenant while it has nothing running go to the
-runner together and run as lane-packed requests (folded on their way
-to the data provider when the key has room), yet every job keeps its
+runner together and run as lane-packed requests (folded by the key
+holder as it decrypts them, when their cells fit under ``p``), yet
+every job keeps its
 own FSM edges and its own outcome: a malformed job fails alone, a
 dispatch never mixes tenants, a dead-lettered packed request takes
 every job in it to ``DEADLINE``, and every answer is bit-identical to
@@ -16,7 +17,8 @@ import pytest
 
 from repro.config import RuntimeConfig
 from repro.crypto.serialize import any_tensor_from_bytes
-from repro.crypto.tensor import FoldedTensor, PackedEncryptedTensor
+from repro.crypto.engine import PaillierEngine
+from repro.crypto.tensor import PackedEncryptedTensor
 from repro.errors import DeadlineExceededError, EncodingError, ServeError
 from repro.net import WorkerServer, wire
 from repro.observability import NULL_TRACER, Observability
@@ -223,8 +225,10 @@ class TestTenantDispatch:
     def test_fleet_dispatch_folds_packed_outputs(self, served,
                                                  monkeypatch):
         """Over TCP workers at 256 bits, a 3-job dispatch is one
-        3-lane request whose linear outputs cross the wire folded,
-        three positions per ciphertext — with twin-identical answers."""
+        3-lane request whose linear outputs cross the wire packed, one
+        ciphertext per position, and which the key holder folds a run
+        of positions per exponentiation — with twin-identical
+        answers."""
         _model, _decimals, shape = served
         fleet = [WorkerServer(), WorkerServer()]
         addresses = [server.start() for server in fleet]
@@ -238,7 +242,15 @@ class TestTenantDispatch:
             parsed.append(tensor)
             return tensor
 
+        folds = []
+        kernel = PaillierEngine.decrypt_lanes
+
+        def counting(engine, ciphertexts, packer, biased):
+            folds.append((len(ciphertexts), packer.lanes, biased))
+            return kernel(engine, ciphertexts, packer, biased)
+
         monkeypatch.setattr(wire, "any_tensor_from_bytes", recording)
+        monkeypatch.setattr(PaillierEngine, "decrypt_lanes", counting)
         try:
             xs = [_sample(shape, 20 + index) for index in range(3)]
             outcomes = runtime.run([Job("acme", x.tolist())
@@ -246,12 +258,15 @@ class TestTenantDispatch:
             twin = _twin(served, "acme", 256)
             for x, outcome in zip(xs, outcomes):
                 _assert_twin(twin, x, outcome)
-            folded = [t for t in parsed if isinstance(t, FoldedTensor)]
-            assert folded
-            assert all(t.batch == 3 and t.packer.lanes == 9
-                       for t in folded)
-            assert any(isinstance(t, PackedEncryptedTensor)
-                       for t in parsed)
+            packed = [t for t in parsed
+                      if isinstance(t, PackedEncryptedTensor)]
+            assert packed
+            assert all(t.batch == 3 and t.packer.lanes == 3
+                       for t in packed)
+            # The data worker folded every linear output of the
+            # dispatch (the scalar twin's decryptions are unbiased).
+            assert [(cells, lanes) for cells, lanes, biased in folds
+                    if biased] == [(128, 3), (32, 3), (8, 3), (3, 3)]
         finally:
             runtime.close()
             for server in fleet:

@@ -41,7 +41,7 @@ def linear_stage(model_provider, affine, obfuscator, final):
         0, [affine], [SparseMatvecPlan.from_dense(affine.weight)])
     return LinearStage(
         plan, obfuscator, model_provider.engine, random.Random(0),
-        model_provider.fold, final,
+        model_provider.bound_bits[0], final,
     )
 
 

@@ -14,12 +14,7 @@ import pytest
 from repro.config import RuntimeConfig
 from repro.crypto.encoding import LanePacker
 from repro.crypto.sparse import SparseMatvecPlan
-from repro.crypto.tensor import (
-    EncryptedTensor,
-    FoldedTensor,
-    PackedEncryptedTensor,
-    batch_folder,
-)
+from repro.crypto.tensor import EncryptedTensor, PackedEncryptedTensor
 from repro.obfuscation.obfuscator import Obfuscator
 from repro.protocol import DataProvider, ModelProvider
 from repro.protocol.stages import LinearStage, LinearStagePlan
@@ -54,7 +49,7 @@ def linear_stage(model_provider, affine, obfuscator, final):
         0, [affine], [SparseMatvecPlan.from_dense(affine.weight)])
     return LinearStage(
         plan, obfuscator, model_provider.engine, random.Random(0),
-        model_provider.fold, final,
+        model_provider.bound_bits[0], final,
     )
 
 
@@ -71,10 +66,12 @@ class TestPackedLinearExecutor:
         xs = np.random.default_rng(1).standard_normal((3, 30))
         tensor = packed_input(data_provider, model_provider, xs)
         item = executor.process(StreamItem(0, tensor))
-        # Two or more positions of a 3-lane batch fit a 256-bit key,
-        # so the packed output comes back folded.
-        assert isinstance(item.tensor, FoldedTensor)
-        decrypted = item.tensor.decrypt(data_provider._private_key)
+        # A packed batch leaves packed, one cell per position, for the
+        # key holder to fold.
+        assert isinstance(item.tensor, PackedEncryptedTensor)
+        assert item.tensor.size == affine.weight.shape[0]
+        decrypted = item.tensor.decrypt(data_provider._private_key,
+                                        engine=data_provider.engine)
         for row, x in zip(decrypted, xs):
             expected = affine.apply_plain(scale_to_int(x, 3),
                                           input_exponent=3)
@@ -93,7 +90,7 @@ class TestPackedLinearExecutor:
         xs = np.zeros((2, 30))
         tensor = packed_input(data_provider, model_provider, xs)
         item = executor.process(StreamItem(0, tensor))
-        assert isinstance(item.tensor, FoldedTensor)
+        assert isinstance(item.tensor, PackedEncryptedTensor)
         assert item.obfuscation_round == 0
         assert obfuscator.rounds_started == 1
 
@@ -164,8 +161,10 @@ class TestPackedNonLinearExecutor:
 
 class TestFoldedBatchNonLinearExecutor:
     def test_folded_batch_reencrypts_packed(self, parties):
-        """A folded batch decrypts to one row per sample and leaves
-        re-encrypted under the batch's lane packer."""
+        """A full batch whose cells fit under ``p`` is folded by the
+        key holder, a run of positions per exponentiation, decrypts to
+        one row per sample and leaves re-encrypted under the batch's
+        lane packer."""
         _, data_provider = parties
         packer = LanePacker(data_provider.public_key, lanes=2,
                             mag_bits=24)
@@ -174,8 +173,9 @@ class TestFoldedBatchNonLinearExecutor:
         packed = PackedEncryptedTensor.encrypt_batch(
             scale_to_int(values, 3), packer, exponent=3,
         )
-        folded = FoldedTensor.fold(packed, batch_folder(packer))
-        assert folded.batch == 2 and len(folded.cells()) < 7
+        folded = packed
+        assert data_provider.engine.run_capacity(
+            2 * packer.lane_bits) >= 2
         executor = NonLinearStageExecutor(
             data_provider.nonlinear_stage(["relu"], final=False),
         )
